@@ -122,9 +122,6 @@ class IterateState:
     k: int = 0
     nio: int = 0
     nii: int = 0
-    in_feasible_region: bool = False
-    prev_iminus_size: int = 0
-    c_changes: int = 0
     ev: Optional[model.Evaluation] = None
 
 
@@ -200,9 +197,7 @@ def assemble_gamma(H: np.ndarray, N: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _split_solve(fac: linalg.LuFactorization, n: int, rhs: np.ndarray):
-    z = fac.solve(rhs)
-    residual = np.max(np.abs(fac.matrix @ z - rhs), initial=0.0)
-    residual /= max(1.0, np.max(np.abs(rhs), initial=0.0))
+    z, residual = fac.solve(rhs)
     return z[:n], z[n:], residual
 
 
@@ -247,9 +242,8 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
     return float(min(1.0, max(0.0, r / (b - a))))
 
 
-def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues, c: float,
-                   fc0: float, slope_term: float, bonus: float, phi: float,
-                   decrement: float, iminus_size: int) -> bool:
+def _merit_accepts(trial: model.PointValues, c: float, fc0: float, slope_term: float,
+                   bonus: float, phi: float, decrement: float, iminus_size: int) -> bool:
     if model.penalty_value(trial, c) > fc0 + slope_term + bonus:
         return False
     bound = max(0.0, phi - decrement)
@@ -275,7 +269,7 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     t = 1.0
     while True:
         trial = model.point_values(problem, ev.x + t * d, counters)
-        if _merit_accepts(problem, trial, c, fc0, options.alpha * t * slope,
+        if _merit_accepts(trial, c, fc0, options.alpha * t * slope,
                           bonus_scale * t, phi, options.alpha * t * shift,
                           ev.iminus.size):
             return t, trial
@@ -297,7 +291,7 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     t = 1.0
     for _ in range(SEARCH_TRIALS + 1):
         trial = model.point_values(problem, ev.x + t * dhat, counters)
-        if _merit_accepts(problem, trial, c, fc0, options.alpha_hat * t * slope_hat,
+        if _merit_accepts(trial, c, fc0, options.alpha_hat * t * slope_hat,
                           bonus_scale * t, phi, options.alpha_hat * t * shift,
                           ev.iminus.size):
             return t, trial
@@ -363,6 +357,13 @@ def _recover_multipliers(lam: np.ndarray, m_ineq: int, c: float) -> np.ndarray:
     return mu
 
 
+def _require(holds: bool, what: str) -> None:
+    """Runtime certificate of the iteration; a failure ends the run as
+    degenerate (unlike assert, it also holds under python -O)."""
+    if not holds:
+        raise CertificateViolation(what)
+
+
 def step(problem: model.NlpProblem, state: IterateState,
          options: SolverOptions) -> tuple[IterateState, IterationRecord]:
     """Run one full iteration starting at state.x; returns the advanced
@@ -386,10 +387,11 @@ def step(problem: model.NlpProblem, state: IterateState,
     c_changed = False
     if problem.m_eq > 0:
         pi = model.compute_pi(ev, options.p)
-        ctx = model.PenaltyContext(c=c, gamma=options.gamma, gamma0=options.gamma0, p=options.p)
+        ctx = model.PenaltyContext(c=c, gamma=options.gamma, gamma0=options.gamma0)
         c = model.update_c(ctx, pi[problem.m_ineq:])
         c_changed = c > state.c
-        assert c >= state.c and (not c_changed or c >= state.c + options.gamma)
+        _require(c >= state.c and (not c_changed or c >= state.c + options.gamma),
+                 "penalty parameter update broke its jump rule")
 
     # Main direction from the always-feasible QP (the factorization inside
     # doubles as the positive-definiteness certificate of H).
@@ -445,11 +447,11 @@ def step(problem: model.NlpProblem, state: IterateState,
         slope_hat = float(grad_fc @ dhat)
         descent_lhs = slope_hat
         descent_rhs = options.theta * slope + phi ** options.theta
-        assert descent_lhs <= descent_rhs + CERT_SLACK, "blended direction lost descent"
+        _require(descent_lhs <= descent_rhs + CERT_SLACK, "blended direction lost descent")
         if ev.izero.size:
             push = beta * (norm_d0 + phi ** options.sigma)
             i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + push))
-            assert i0_margin <= CERT_SLACK, "active constraints not strictly reduced"
+            _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
         t, vals = feasible_direction_search(problem, ev, dhat, d0, beta,
                                             slope_hat, c, options, counters)
         bundle.d1 = d1
@@ -458,7 +460,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         bundle.beta = beta
         bundle.branch = "feasible_direction"
 
-    assert vals.iminus.size >= ev.iminus.size
+    _require(vals.iminus.size >= ev.iminus.size, "accepted step lost a satisfied constraint")
     ev_next = model.evaluate(problem, vals.x, counters, values=vals)
     h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0, options)
 
@@ -475,9 +477,6 @@ def step(problem: model.NlpProblem, state: IterateState,
         x=vals.x, H=h_next, c=c, counters=counters, k=state.k + 1,
         nio=state.nio + (1 if phi > 0.0 else 0),
         nii=state.nii + (1 if phi == 0.0 else 0),
-        in_feasible_region=vals.phi == 0.0,
-        prev_iminus_size=vals.iminus.size,
-        c_changes=state.c_changes + (1 if c_changed else 0),
         ev=ev_next,
     )
     return new_state, record

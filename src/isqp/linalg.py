@@ -1,11 +1,20 @@
 """Dense linear-algebra kernel used by every other module.
 
-Matrices are plain 2-D ``numpy.ndarray`` objects in row-major order.  The
-systems solved here are tiny (tens of unknowns), so the factorizations are
-written for clarity and strict error contracts rather than speed: LU with
-partial pivoting reports near-singularity through an explicit pivot floor,
-and Cholesky doubles as the positive-definiteness test for curvature
-matrices.
+Matrices are plain 2-D ``numpy.ndarray`` objects.  The systems solved here
+are tiny (tens of unknowns) and the factorizations keep strict error
+contracts: LU with partial pivoting reports near-singularity through an
+explicit pivot floor, and Cholesky doubles as the positive-definiteness
+test for curvature matrices.
+
+The triangular solves are column sweeps of elementwise products and
+differences, so their results do not depend on how right-hand sides are
+batched: column j of a solve against a 2-D right-hand side B is bitwise
+equal to the solve against the vector B[:, j].  Callers rely on this to
+solve many columns once and slice them later.  In ``solve_cholesky`` a 1-D
+right-hand side takes a separate path that performs the same floating-point
+operations without the 2-D broadcasting, which is most of the cost at these
+sizes.  ``LuFactorization.solve`` has only the vector sweep and solves a
+2-D right-hand side one column at a time.
 """
 
 from __future__ import annotations
@@ -36,11 +45,14 @@ def check_symmetric(a: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> None:
+def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+    """Assert the solve post-condition; return max|a x - b| / max(1, max|b|)."""
     residual = np.max(np.abs(a @ x - b), initial=0.0)
-    assert residual <= RESIDUAL_TOL * max(1.0, np.max(np.abs(b), initial=0.0)), (
+    scale = max(1.0, np.max(np.abs(b), initial=0.0))
+    assert residual <= RESIDUAL_TOL * scale, (
         f"solve residual {residual:.3e} exceeds tolerance"
     )
+    return residual / scale
 
 
 class LuFactorization:
@@ -69,9 +81,9 @@ class LuFactorization:
                 lu[[k, p]] = lu[[p, k]]
                 order[[k, p]] = order[[p, k]]
             lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+            lu[k + 1:, k + 1:] -= lu[k + 1:, k:k + 1] * lu[k, k + 1:]
         self._a = a
-        self._lu = lu
+        self._lu_t = np.ascontiguousarray(lu.T)  # contiguous columns for the sweeps
         self._order = order
         self.shape = a.shape
 
@@ -80,25 +92,33 @@ class LuFactorization:
         """The matrix that was factored (read-only view)."""
         return self._a
 
-    def solve(self, b) -> np.ndarray:
-        """Solve A x = b for one right-hand side (1-D) or several (columns)."""
+    def solve(self, b) -> tuple[np.ndarray, float]:
+        """Solve A x = b for one right-hand side (1-D) or several (columns).
+
+        Returns ``(x, r)``, where r = max|A x - b| / max(1, max|b|) is the
+        scaled residual whose bound by RESIDUAL_TOL is the post-condition of
+        every solve.  Columns are solved one at a time.
+        """
         b = np.asarray(b, dtype=float)
-        vector = b.ndim == 1
-        x = b.reshape(-1, 1).copy() if vector else np.array(b, dtype=float)
-        n = self.shape[0]
-        if x.shape[0] != n:
+        if b.shape[0] != self.shape[0]:
             raise ValueError("right-hand side has wrong length")
-        x = x[self._order]
-        lu = self._lu
+        if b.ndim == 1:
+            x = self._sweep(b)
+        else:
+            x = np.empty_like(b)
+            for j in range(b.shape[1]):
+                x[:, j] = self._sweep(b[:, j])
+        return x, _check_residual(self._a, x, b)
+
+    def _sweep(self, b: np.ndarray) -> np.ndarray:
+        lu_t = self._lu_t
+        n = lu_t.shape[0]
+        x = b[self._order]
         for k in range(n):  # unit lower-triangular sweep
-            x[k + 1:] -= lu[k + 1:, k:k + 1] * x[k:k + 1]
+            x[k + 1:] -= lu_t[k, k + 1:] * x[k]
         for k in range(n - 1, -1, -1):  # upper-triangular sweep
-            x[k] /= lu[k, k]
-            x[:k] -= lu[:k, k:k + 1] * x[k:k + 1]
-        if vector:
-            x = x.ravel()
-        if __debug__:
-            _check_residual(self._a, x, b)
+            x[k] /= lu_t[k, k]
+            x[:k] -= lu_t[k, :k] * x[k]
         return x
 
 
@@ -109,7 +129,7 @@ def lu_factor(a) -> LuFactorization:
 
 def lu_solve(a, b) -> np.ndarray:
     """Solve the general square system A x = b."""
-    return LuFactorization(a).solve(b)
+    return LuFactorization(a).solve(b)[0]
 
 
 def cholesky(a) -> np.ndarray:
@@ -139,18 +159,25 @@ def cholesky(a) -> np.ndarray:
 def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
     """Solve (L L^T) x = b given the lower Cholesky factor L."""
     b = np.asarray(b, dtype=float)
-    vector = b.ndim == 1
-    x = b.reshape(-1, 1).copy() if vector else np.array(b, dtype=float)
     n = low.shape[0]
-    if x.shape[0] != n:
+    if b.shape[0] != n:
         raise ValueError("right-hand side has wrong length")
+    x = np.array(b, dtype=float)
+    if b.ndim == 1:
+        for k in range(n):
+            x[k] /= low[k, k]
+            x[k + 1:] -= low[k + 1:, k] * x[k]
+        for k in range(n - 1, -1, -1):  # transpose sweep: column k of L^T is row k of L
+            x[k] /= low[k, k]
+            x[:k] -= low[k, :k] * x[k]
+        return x
     for k in range(n):
         x[k] /= low[k, k]
         x[k + 1:] -= low[k + 1:, k:k + 1] * x[k:k + 1]
-    for k in range(n - 1, -1, -1):  # transpose sweep: column k of L^T is row k of L
+    for k in range(n - 1, -1, -1):
         x[k] /= low[k, k]
         x[:k] -= low[k, :k].reshape(-1, 1) * x[k:k + 1]
-    return x.ravel() if vector else x
+    return x
 
 
 def spd_solve(m, b) -> np.ndarray:

@@ -244,10 +244,9 @@ class PenaltyContext:
     c: float
     gamma: float
     gamma0: float
-    p: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0 or self.gamma <= 0 or self.gamma0 <= 0 or self.p <= 0:
+        if self.c <= 0 or self.gamma <= 0 or self.gamma0 <= 0:
             raise ValueError("penalty constants must be positive")
 
 

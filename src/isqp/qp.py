@@ -7,6 +7,14 @@ needed and the solver always returns the unique minimizer.  Working-set
 changes are deterministic: ties pick the smallest constraint index, and a
 Bland-style selection kicks in after a stretch of non-decreasing objective
 values to rule out cycling on degenerate vertices.
+
+Work that does not change across active-set steps is done once per QP:
+the Cholesky factor of H, the solves Y = H^-1 A' for every constraint row
+(a step slices the working-set columns out of Y), |H| and |grad| for the
+noise floor of the objective, and max|A_i| per row for the ratio test.
+Every step still forms A_W Y_W, H^-1 g and the ratio-test dot products
+afresh, row by row in ascending index order, so the iterates are bitwise
+those of a solver that recomputes everything in each step.
 """
 
 from __future__ import annotations
@@ -98,15 +106,25 @@ def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
 def solve_qp(inst: QpInstance) -> QpSolution:
     """Solve the subproblem, certifying the KKT conditions of the result."""
     n, m = inst.n, inst.m
+    H, grad, A, b = inst.H, inst.grad, inst.A, inst.b
     try:
-        hfac = linalg.cholesky(inst.H)
+        hfac = linalg.cholesky(H)
     except NotPositiveDefiniteError as exc:
         raise NumericalBreakdown("QP curvature matrix is not positive definite") from exc
 
+    # Column j of Y is the solve against A[j] (the solves are per column,
+    # see linalg); Y[:, work] has the layout of a fresh solve against
+    # A[work].T, and matrix products round differently by layout.
+    y_all = linalg.solve_cholesky(hfac, A.T)
+    rows = list(A)  # views with A's strides: dot products round by stride
+    row_scale = np.abs(A).max(axis=1, initial=0.0)
+    abs_grad = np.abs(grad)
+    abs_h = np.abs(H)
     d = np.zeros(n)
     work: list[int] = []
+    in_work = [False] * m
     lam_work = np.zeros(0)
-    grad_scale = max(1.0, np.max(np.abs(inst.grad), initial=0.0))
+    grad_scale = max(1.0, abs_grad.max(initial=0.0))
     limit = 50 * (n + m)
     bland_after = 10 * (n + m)
     stall = 0
@@ -115,10 +133,10 @@ def solve_qp(inst: QpInstance) -> QpSolution:
     done = False
 
     for _ in range(limit):
-        g_cur = inst.H @ d + inst.grad
+        g_cur = H @ d + grad
         if work:
-            a_work = inst.A[work]
-            y = linalg.solve_cholesky(hfac, a_work.T)
+            a_work = A[work]
+            y = y_all[:, work]
             try:
                 lam_work = linalg.spd_solve(a_work @ y, -(y.T @ g_cur))
             except NotPositiveDefiniteError as exc:
@@ -134,16 +152,16 @@ def solve_qp(inst: QpInstance) -> QpSolution:
         # at d — and an ill-conditioned working set can hold the computed
         # step at a noise plateau above any norm threshold, which shows up
         # as a long run of iterations without objective progress.
-        tiny_norm = (np.max(np.abs(p), initial=0.0)
-                     <= _STEP_ZERO * max(1.0, np.max(np.abs(d), initial=0.0)))
         ad = np.abs(d)
-        obj_noise = float(np.abs(inst.grad) @ ad + 0.5 * ad @ np.abs(inst.H) @ ad)
-        flat = 0.5 * float(p @ inst.H @ p) <= 100 * np.finfo(float).eps * obj_noise
+        p_scale = np.abs(p).max(initial=0.0)
+        tiny_norm = p_scale <= _STEP_ZERO * max(1.0, ad.max(initial=0.0))
+        obj_noise = float(abs_grad @ ad + 0.5 * ad @ abs_h @ ad)
+        flat = 0.5 * float(p @ H @ p) <= 100 * np.finfo(float).eps * obj_noise
         stuck = stall >= 2 * (n + m) + 4
         if tiny_norm or flat or stuck:
             if tiny_norm:
                 d = d + p  # absorb the residual step so stationarity holds to roundoff
-            if lam_work.size == 0 or np.min(lam_work) >= -10 * KKT_TOL * grad_scale:
+            if lam_work.size == 0 or lam_work.min() >= -10 * KKT_TOL * grad_scale:
                 done = True
                 break
             if bland:
@@ -153,28 +171,29 @@ def solve_qp(inst: QpInstance) -> QpSolution:
                 j = int(np.argmin(lam_work))
                 leave = work[j]
             work.remove(leave)
+            in_work[leave] = False
             stall = 0  # the working set changed; give it a fresh chance
             continue
 
-        # Ratio test over constraints outside the working set.
+        # Ratio test over constraints outside the working set, in ascending
+        # index order: ties keep the smallest index.
         alpha = 1.0
         blocker = -1
         for i in range(m):
-            if i in work:
+            if in_work[i]:
                 continue
-            a_dot_p = float(inst.A[i] @ p)
-            if a_dot_p <= _DIR_EPS * max(1.0, np.max(np.abs(inst.A[i])) * np.max(np.abs(p))):
+            a_dot_p = float(rows[i] @ p)
+            if a_dot_p <= _DIR_EPS * max(1.0, row_scale[i] * p_scale):
                 continue
-            slack = max(float(inst.b[i] - inst.A[i] @ d), 0.0)
+            slack = max(float(b[i] - rows[i] @ d), 0.0)
             ratio = slack / a_dot_p
             if ratio < alpha - 1e-12 or (blocker < 0 and ratio < alpha):
                 alpha, blocker = ratio, i
-            elif blocker >= 0 and abs(ratio - alpha) <= 1e-12 and i < blocker:
-                blocker = i  # deterministic: smallest index among ties
         d = d + alpha * p
         if blocker >= 0:
             work.append(blocker)
             work.sort()
+            in_work[blocker] = True
 
         obj = inst.objective(d)
         if obj < best - 1e-12 * max(1.0, abs(best)):
@@ -191,7 +210,7 @@ def solve_qp(inst: QpInstance) -> QpSolution:
     if work:
         lam[work] = np.maximum(lam_work, 0.0)
     if m > 0:
-        active = np.flatnonzero(inst.b - inst.A @ d <= inst.active_tol)
+        active = np.flatnonzero(b - A @ d <= inst.active_tol)
     else:
         active = np.zeros(0, dtype=int)
     _certify(inst, d, lam)

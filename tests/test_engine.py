@@ -549,6 +549,45 @@ class TestSolveSynthetic:
         assert "reductions" in report.message
 
 
+class TestRuntimeCertificates:
+    """A failed runtime check inside an iteration ends the run as
+    degenerate with the check's reason; it never escapes solve()."""
+
+    @staticmethod
+    def _degenerate_message(problem, x0):
+        report = engine.solve(problem, x0)
+        assert report.status is engine.SolveStatus.DEGENERATE
+        return report.message
+
+    def test_accepted_step_losing_a_satisfied_constraint(self, monkeypatch):
+        # Both constraints hold at x = 0.5; the forced step to x = 5
+        # violates x <= 1.
+        def lossy_arc_search(problem, ev, d, d0, slope, c, options, counters):
+            return 1.0, model.point_values(problem, np.array([5.0]), counters)
+
+        monkeypatch.setattr(engine, "arc_search", lossy_arc_search)
+        message = self._degenerate_message(_toy_problem(), [0.5])
+        assert message == "accepted step lost a satisfied constraint"
+
+    def test_blended_direction_losing_descent(self, monkeypatch):
+        monkeypatch.setattr(engine, "arc_search", lambda *args: None)
+        monkeypatch.setattr(engine, "CERT_SLACK", -np.inf)
+        message = self._degenerate_message(_toy_problem(), [0.5])
+        assert message == "blended direction lost descent"
+
+    def test_penalty_update_breaking_its_jump_rule(self, monkeypatch):
+        monkeypatch.setattr(model, "update_c", lambda ctx, pi_eq: ctx.c / 2.0)
+        prob = model.NlpProblem(
+            n=1, m_ineq=0, m_eq=1,
+            f0=lambda x: float(x[0]),
+            f=lambda x: np.array([x[0] - 1.0]),
+            grad_f0=lambda x: np.ones(1),
+            grad_f=lambda x: np.ones((1, 1)),
+        )
+        message = self._degenerate_message(prob, [5.0])
+        assert message == "penalty parameter update broke its jump rule"
+
+
 class TestTraceRecords:
     def test_no_trace_by_default(self):
         report = engine.solve(_toy_problem(), [0.0])

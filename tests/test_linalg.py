@@ -46,7 +46,7 @@ class TestLuSolve:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(5, 5)) + 4.0 * np.eye(5)
         b = rng.normal(size=(5, 3))
-        x = linalg.lu_factor(a).solve(b)
+        x, _ = linalg.lu_factor(a).solve(b)
         assert x.shape == (5, 3)
         assert np.allclose(a @ x, b, atol=1e-10)
 
@@ -147,3 +147,38 @@ class TestSpdSolve:
     def test_indefinite_propagates(self):
         with pytest.raises(NotPositiveDefiniteError):
             linalg.spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+
+class TestColumnwiseSolves:
+    """Column j of a solve against a 2-D right-hand side is bitwise the
+    solve against that column alone, for either memory layout."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_solve_cholesky(self, n, layout):
+        rng = np.random.default_rng(n)
+        g = rng.normal(size=(n, n))
+        low = linalg.cholesky(g @ g.T + np.eye(n))
+        b = layout(rng.normal(size=(n, 6)))
+        x = linalg.solve_cholesky(low, b)
+        for j in range(b.shape[1]):
+            assert x[:, j].tobytes() == linalg.solve_cholesky(low, b[:, j]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20])
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_lu_solve(self, n, layout):
+        rng = np.random.default_rng(n)
+        fac = linalg.lu_factor(rng.normal(size=(n, n)) + 3.0 * np.eye(n))
+        b = layout(rng.normal(size=(n, 6)))
+        x, _ = fac.solve(b)
+        for j in range(b.shape[1]):
+            assert x[:, j].tobytes() == fac.solve(b[:, j])[0].tobytes()
+
+    def test_lu_solve_reports_the_residual_it_checks(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
+        b = 10.0 * rng.normal(size=6)
+        x, residual = linalg.lu_factor(a).solve(b)
+        assert x.tobytes() == linalg.lu_solve(a, b).tobytes()
+        assert residual == np.max(np.abs(a @ x - b)) / max(1.0, np.max(np.abs(b)))
+        assert residual <= linalg.RESIDUAL_TOL

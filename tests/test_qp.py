@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from isqp import qp
+from isqp import linalg, qp
 from isqp.errors import CertificateViolation, NumericalBreakdown
 
 
@@ -56,6 +56,73 @@ def _random_instance(rng):
     boundary = rng.uniform(size=m) < 0.2
     b[boundary] = 0.0
     return qp.QpInstance(H=H, grad=grad, A=A, b=b)
+
+
+def _reference_solve_qp(inst):
+    """The active-set loop with nothing hoisted: every step solves for
+    H^-1 A_W' and rescans every row's norm, as solve_qp did before its
+    per-QP invariants were hoisted.  Returns (d0, lam, active)."""
+    n, m = inst.n, inst.m
+    hfac = linalg.cholesky(inst.H)
+    d = np.zeros(n)
+    work = []
+    lam_work = np.zeros(0)
+    grad_scale = max(1.0, np.max(np.abs(inst.grad), initial=0.0))
+    stall, best, bland = 0, np.inf, False
+    for _ in range(50 * (n + m)):
+        g_cur = inst.H @ d + inst.grad
+        if work:
+            a_work = inst.A[work]
+            y = linalg.solve_cholesky(hfac, a_work.T)
+            lam_work = linalg.spd_solve(a_work @ y, -(y.T @ g_cur))
+            p = -(linalg.solve_cholesky(hfac, g_cur) + y @ lam_work)
+        else:
+            lam_work = np.zeros(0)
+            p = -linalg.solve_cholesky(hfac, g_cur)
+        tiny_norm = (np.max(np.abs(p), initial=0.0)
+                     <= 1e-12 * max(1.0, np.max(np.abs(d), initial=0.0)))
+        ad = np.abs(d)
+        obj_noise = float(np.abs(inst.grad) @ ad + 0.5 * ad @ np.abs(inst.H) @ ad)
+        flat = 0.5 * float(p @ inst.H @ p) <= 100 * np.finfo(float).eps * obj_noise
+        if tiny_norm or flat or stall >= 2 * (n + m) + 4:
+            if tiny_norm:
+                d = d + p
+            floor = -10 * qp.KKT_TOL * grad_scale
+            if lam_work.size == 0 or np.min(lam_work) >= floor:
+                break
+            if bland:
+                leave = min(w for w, lw in zip(work, lam_work) if lw < floor)
+            else:
+                leave = work[int(np.argmin(lam_work))]
+            work.remove(leave)
+            stall = 0
+            continue
+        alpha, blocker = 1.0, -1
+        for i in range(m):
+            if i in work:
+                continue
+            a_dot_p = float(inst.A[i] @ p)
+            if a_dot_p <= 1e-13 * max(1.0, np.max(np.abs(inst.A[i])) * np.max(np.abs(p))):
+                continue
+            ratio = max(float(inst.b[i] - inst.A[i] @ d), 0.0) / a_dot_p
+            if ratio < alpha - 1e-12 or (blocker < 0 and ratio < alpha):
+                alpha, blocker = ratio, i
+        d = d + alpha * p
+        if blocker >= 0:
+            work = sorted(work + [blocker])
+        obj = inst.objective(d)
+        if obj < best - 1e-12 * max(1.0, abs(best)):
+            best, stall = obj, 0
+        else:
+            stall += 1
+            bland = bland or stall >= 10 * (n + m)
+    else:
+        raise AssertionError("reference loop ran out of iterations")
+    lam = np.zeros(m)
+    if work:
+        lam[work] = np.maximum(lam_work, 0.0)
+    active = np.flatnonzero(inst.b - inst.A @ d <= inst.active_tol)
+    return d, lam, active
 
 
 class TestValidation:
@@ -204,6 +271,32 @@ class TestAgainstOracle:
             d_ref, obj_ref = _oracle(inst.H, inst.grad, inst.A, inst.b)
             sol = qp.solve_qp(inst)
             assert np.max(np.abs(sol.d0 - d_ref)) <= 1e-6 * max(1.0, np.max(np.abs(d_ref)))
+
+
+class TestAgainstUnhoistedLoop:
+    """solve_qp must be bitwise the loop that recomputes everything per
+    step.  Matrix products round differently by memory layout, so both
+    row-major and column-major constraint matrices are covered (the
+    engine passes the transpose of the constraint Jacobian)."""
+
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_bitwise_equal_results(self, layout):
+        rng = np.random.default_rng(31)
+        for trial in range(80):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(1, 2 * n + 3))
+            g = rng.normal(size=(n, n))
+            H = g @ g.T + 10.0 ** rng.uniform(-2, 1) * np.eye(n)
+            A = rng.normal(size=(m, n))
+            if m > 2 and trial % 4 == 0:
+                A[1] = A[0]  # degenerate vertex
+            b = np.abs(rng.normal(size=m)) * (rng.uniform(size=m) < 0.8)
+            inst = qp.QpInstance(H=H, grad=3.0 * rng.normal(size=n), A=layout(A), b=b)
+            sol = qp.solve_qp(inst)
+            d, lam, active = _reference_solve_qp(inst)
+            assert sol.d0.tobytes() == d.tobytes()
+            assert sol.lam.tobytes() == lam.tobytes()
+            assert np.array_equal(sol.active, active)
 
 
 class TestCertificates:
