@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -21,24 +22,12 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUN_FAILURES = 2
 
-# CLI/config key -> SolverOptions field
+# CLI/config key -> SolverOptions field: every numeric field under its own
+# name, except the two spelled as their flags --mu and --tol.
+_RENAMED = {"mu_bfgs": "mu", "term_tol": "tol"}
 _OPTION_KEYS = {
-    "alpha": "alpha",
-    "alpha_hat": "alpha_hat",
-    "eta": "eta",
-    "theta": "theta",
-    "sigma": "sigma",
-    "rho": "rho",
-    "tau": "tau",
-    "epsilon": "epsilon",
-    "p": "p",
-    "gamma": "gamma",
-    "gamma0": "gamma0",
-    "c_init": "c_init",
-    "kappa": "kappa",
-    "mu": "mu_bfgs",
-    "tol": "term_tol",
-    "max_iter": "max_iter",
+    _RENAMED.get(f.name, f.name): f.name
+    for f in dataclasses.fields(engine.SolverOptions) if f.name != "keep_trace"
 }
 
 

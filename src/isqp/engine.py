@@ -8,8 +8,12 @@ direction that is blended with the QP direction through a convex
 combination.  Step lengths come from two searches that both insist the
 count of satisfied constraints never drops, the violation measure strictly
 shrinks outside the feasible set, and the penalized objective decreases
-once inside it.  Curvature is maintained by a BFGS update whose difference
-vector is bent just enough to keep the update positive definite.
+once inside it.  Each search trial is tested on its constraint values
+first (the constraint bound, then the satisfied count); the objective is
+evaluated, and its decrease tested, only at a trial that passes both, so a
+trial rejected on its constraints costs no objective evaluation.
+Curvature is maintained by a BFGS update whose difference vector is bent
+just enough to keep the update positive definite.
 """
 
 from __future__ import annotations
@@ -242,14 +246,26 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
     return float(min(1.0, max(0.0, r / (b - a))))
 
 
-def _merit_accepts(trial: model.PointValues, c: float, fc0: float, slope_term: float,
-                   bonus: float, phi: float, decrement: float, iminus_size: int) -> bool:
+def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
+                   counters: model.EvalCounters, c: float, fc0: float, slope_term: float,
+                   bonus: float, phi: float, decrement: float,
+                   iminus_size: int) -> Optional[model.PointValues]:
+    """The three acceptance tests of one search trial, whose objective value
+    is not yet evaluated.  The constraint bound and the satisfied count are
+    tested first, on the constraint values alone; f0 is evaluated only for a
+    trial that passes both, and then the penalized-objective decrease is
+    tested.  Returns the trial completed with f0 when all three pass, else
+    None."""
+    # The bound is nonnegative, so it holds for every constraint exactly
+    # when it holds for the trial's violation max(0, max f_i).
+    if trial.phi > max(0.0, phi - decrement):
+        return None
+    if trial.iminus.size < iminus_size:
+        return None
+    trial = model.with_objective(problem, trial, counters)
     if model.penalty_value(trial, c) > fc0 + slope_term + bonus:
-        return False
-    bound = max(0.0, phi - decrement)
-    if trial.fI.size and np.max(trial.fI) > bound:
-        return False
-    return trial.iminus.size >= iminus_size
+        return None
+    return trial
 
 
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
@@ -257,10 +273,12 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
                counters: model.EvalCounters):
     """Backtrack t over {1, 1/2, 1/4, ...} along the corrected direction d.
 
-    Acceptance needs penalized-objective decrease proportional to the QP
-    slope, every constraint below max(0, phi - t * shift), and no loss in
-    the count of satisfied constraints.  Returns (t, trial values) or None
-    as soon as t would drop below the abandon threshold.
+    Acceptance needs every constraint below max(0, phi - t * shift), no
+    loss in the count of satisfied constraints, and penalized-objective
+    decrease proportional to the QP slope, tested in that order: f0 is
+    evaluated only at a trial that passes the two constraint tests.
+    Returns (t, trial values) or None as soon as t would drop below the
+    abandon threshold.
     """
     phi = ev.phi
     fc0 = model.penalty_value(ev, c)
@@ -268,11 +286,12 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     bonus_scale = options.rho * (1.0 - options.alpha) * phi ** options.theta
     t = 1.0
     while True:
-        trial = model.point_values(problem, ev.x + t * d, counters)
-        if _merit_accepts(trial, c, fc0, options.alpha * t * slope,
-                          bonus_scale * t, phi, options.alpha * t * shift,
-                          ev.iminus.size):
-            return t, trial
+        trial = model.point_values(problem, ev.x + t * d, counters, objective=False)
+        accepted = _merit_accepts(problem, trial, counters, c, fc0,
+                                  options.alpha * t * slope, bonus_scale * t, phi,
+                                  options.alpha * t * shift, ev.iminus.size)
+        if accepted:
+            return t, accepted
         t *= 0.5
         if t < options.epsilon:
             return None
@@ -283,18 +302,24 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
                               slope_hat: float, c: float, options: SolverOptions,
                               counters: model.EvalCounters):
     """Accept the first t in {1, eta, eta^2, ...} along the blended
-    direction; raises LineSearchStall after the trial budget."""
+    direction; raises LineSearchStall after the trial budget.
+
+    The tests and their order are those of :func:`arc_search`: the
+    constraint bound and the satisfied count first, and f0 only at a trial
+    that passes both.
+    """
     phi = ev.phi
     fc0 = model.penalty_value(ev, c)
     shift = beta * (float(np.linalg.norm(d0)) + phi ** options.sigma)
     bonus_scale = options.rho * (1.0 - options.alpha_hat) * phi ** options.theta
     t = 1.0
     for _ in range(SEARCH_TRIALS + 1):
-        trial = model.point_values(problem, ev.x + t * dhat, counters)
-        if _merit_accepts(trial, c, fc0, options.alpha_hat * t * slope_hat,
-                          bonus_scale * t, phi, options.alpha_hat * t * shift,
-                          ev.iminus.size):
-            return t, trial
+        trial = model.point_values(problem, ev.x + t * dhat, counters, objective=False)
+        accepted = _merit_accepts(problem, trial, counters, c, fc0,
+                                  options.alpha_hat * t * slope_hat, bonus_scale * t, phi,
+                                  options.alpha_hat * t * shift, ev.iminus.size)
+        if accepted:
+            return t, accepted
         t *= options.eta
     raise LineSearchStall(
         f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"

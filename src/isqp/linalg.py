@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalBreakdown, SingularMatrixError
 
 # Pivot floor for both factorizations, relative to the row-sum norm.
 PIVOT_FLOOR = 1e-14
@@ -46,12 +46,12 @@ def check_symmetric(a: np.ndarray) -> None:
 
 
 def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """Assert the solve post-condition; return max|a x - b| / max(1, max|b|)."""
+    """Check the solve post-condition, raising NumericalBreakdown when it
+    fails; return max|a x - b| / max(1, max|b|)."""
     residual = np.max(np.abs(a @ x - b), initial=0.0)
     scale = max(1.0, np.max(np.abs(b), initial=0.0))
-    assert residual <= RESIDUAL_TOL * scale, (
-        f"solve residual {residual:.3e} exceeds tolerance"
-    )
+    if not residual <= RESIDUAL_TOL * scale:
+        raise NumericalBreakdown(f"solve residual {residual:.3e} exceeds tolerance")
     return residual / scale
 
 

@@ -11,7 +11,7 @@ point lives in :class:`PointValues`; gradients extend it to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,8 +28,9 @@ class EvalCounters:
     """Evaluation tallies for one run.
 
     nf0 counts objective values, nf counts scalar constraint values (a full
-    constraint vector adds m).  Gradient calls are not tallied; probing
-    function values for finite differences is.
+    constraint vector adds m).  A line-search trial rejected on its
+    constraint values costs no objective evaluation.  Gradient calls are not
+    tallied; probing function values for finite differences is.
     """
 
     nf0: int = 0
@@ -75,11 +76,12 @@ class PointValues:
     fbar shifts every positive constraint value down by the violation
     measure phi, so fbar <= 0 holds componentwise and the indices where
     fbar vanishes (izero) mark the constraints that drive the next step.
-    Ties f_i == 0 are counted as satisfied (iminus).
+    Ties f_i == 0 are counted as satisfied (iminus).  f0 is None until the
+    objective is evaluated (see :func:`with_objective`).
     """
 
     x: np.ndarray
-    f0: float
+    f0: Optional[float]
     fI: np.ndarray
     phi: float
     fbar: np.ndarray
@@ -117,10 +119,12 @@ def constraint_values(problem: NlpProblem, x: np.ndarray, counters: EvalCounters
     return vals
 
 
-def point_values(problem: NlpProblem, x, counters: EvalCounters) -> PointValues:
-    """Evaluate f0 and every constraint at x and derive the index sets."""
+def point_values(problem: NlpProblem, x, counters: EvalCounters,
+                 objective: bool = True) -> PointValues:
+    """Evaluate every constraint at x, derive the index sets, then evaluate
+    f0 unless ``objective`` is false (f0 is then left as None, for a caller
+    that may reject x on its constraint values alone)."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
-    f0 = objective_value(problem, x, counters)
     fI = constraint_values(problem, x, counters)
     phi = max(0.0, np.max(fI, initial=0.0))
     iplus = np.flatnonzero(fI > 0.0)
@@ -128,10 +132,17 @@ def point_values(problem: NlpProblem, x, counters: EvalCounters) -> PointValues:
     fbar = fI.copy()
     fbar[iplus] -= phi
     izero = np.flatnonzero(fbar == 0.0)
+    f0 = objective_value(problem, x, counters) if objective else None
     return PointValues(
         x=x, f0=f0, fI=fI, phi=phi, fbar=fbar,
         iplus=iplus, iminus=iminus, izero=izero, m_ineq=problem.m_ineq,
     )
+
+
+def with_objective(problem: NlpProblem, values: PointValues,
+                   counters: EvalCounters) -> PointValues:
+    """``values`` completed with the objective value at its point."""
+    return replace(values, f0=objective_value(problem, values.x, counters))
 
 
 def fd_gradient(problem: NlpProblem, x, counters: EvalCounters,

@@ -2,7 +2,9 @@
 step searches, the curvature update, and end-to-end solves on synthetic
 problems."""
 
+import dataclasses
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -315,7 +317,9 @@ class TestFeasibleDirectionSearch:
             engine.feasible_direction_search(
                 prob, ev, np.array([-1e6]), np.array([-1e6]), 0.0, -2.0, 0.5,
                 engine.SolverOptions(), counters)
-        assert counters.nf0 == engine.SEARCH_TRIALS + 1
+        # Every trial loses the constraint, so none reaches the objective.
+        assert counters.nf == engine.SEARCH_TRIALS + 1
+        assert counters.nf0 == 0
 
     def test_strictly_shrinks_violation_outside_feasible_set(self):
         prob = _toy_problem()
@@ -326,6 +330,63 @@ class TestFeasibleDirectionSearch:
             prob, ev, dhat, dhat, 0.5, slope, 0.5,
             engine.SolverOptions(), model.EvalCounters())
         assert trial.phi < ev.phi
+
+
+class TestTrialOrder:
+    """A search trial is tested on its constraint values first; the
+    objective is evaluated only at a trial that passes both constraint
+    tests."""
+
+    @staticmethod
+    def _recording_f0(problem):
+        """The program with f0 wrapped to record every point it is called at."""
+        seen = []
+
+        def f0(x):
+            seen.append(float(x[0]))
+            return problem.f0(x)
+
+        return dataclasses.replace(problem, f0=f0), seen
+
+    def test_arc_search_skips_f0_on_trials_over_the_bound(self):
+        # From x = 0.5 along d = 4 the trials x = 4.5, 2.5, 1.5 break x <= 1;
+        # only the last trial, x = 1 at t = 1/8, reaches the objective.
+        prob, seen = self._recording_f0(_toy_problem())
+        ev = _evaluate(prob, [0.5])
+        seen.clear()
+        counters = model.EvalCounters()
+        d = np.array([4.0])
+        t, trial = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5,
+                                     engine.SolverOptions(), counters)
+        assert t == 0.125
+        assert seen == [1.0]
+        assert counters.nf0 == 1
+        assert counters.nf == 4 * prob.m
+        assert trial.f0 == prob.f0(trial.x)
+
+    def test_feasible_direction_search_skips_f0_on_both_constraint_tests(self):
+        # From x = 3 (violation 2, two satisfied rows) along dhat = -8:
+        # x = -5 breaks the bound, x = -1 stays under it but loses a
+        # satisfied row, x = 1 fails the objective test and x = 2 passes.
+        prob, seen = self._recording_f0(model.NlpProblem(
+            n=1, m_ineq=3, m_eq=0,
+            f0=lambda x: float((x[0] - 2.0) ** 2),
+            f=lambda x: np.array([x[0] - 1.0, -x[0], -x[0] - 0.5]),
+            grad_f0=lambda x: np.array([2.0 * (x[0] - 2.0)]),
+            grad_f=lambda x: np.array([[1.0, -1.0, -1.0]]),
+        ))
+        ev = _evaluate(prob, [3.0])
+        seen.clear()
+        counters = model.EvalCounters()
+        dhat = np.array([-8.0])
+        t, trial = engine.feasible_direction_search(
+            prob, ev, dhat, dhat, 0.0, float(ev.g0 @ dhat), 0.5,
+            engine.SolverOptions(), counters)
+        assert t == 0.125
+        assert seen == [1.0, 2.0]
+        assert counters.nf0 == 2
+        assert counters.nf == 4 * prob.m
+        assert trial.f0 == prob.f0(trial.x)
 
 
 class TestCurvatureUpdate:
@@ -527,6 +588,18 @@ class TestSolveSynthetic:
         assert report.status is engine.SolveStatus.EVALUATION_FAILURE
         assert report.message != ""
 
+    def test_objective_undefined_beyond_the_constraints(self):
+        # f0 is NaN wherever x <= 1 is violated; from x = 0 the full step
+        # overshoots to x = 2, which the constraint bound rejects before
+        # the objective is evaluated there.
+        def f0(x):
+            return float("nan") if x[0] > 1.0 else float((x[0] - 2.0) ** 2)
+
+        prob = dataclasses.replace(_toy_problem(), f0=f0)
+        report = engine.solve(prob, [0.0])
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.x[0] == pytest.approx(1.0, abs=1e-6)
+
     def test_degenerate_status_on_dependent_equalities(self):
         # The same equality twice: the damped multiplier-estimate system is
         # exactly singular, which must classify, not raise.
@@ -568,6 +641,12 @@ class TestRuntimeCertificates:
         monkeypatch.setattr(engine, "arc_search", lossy_arc_search)
         message = self._degenerate_message(_toy_problem(), [0.5])
         assert message == "accepted step lost a satisfied constraint"
+
+    def test_linear_solve_residual_over_tolerance(self, monkeypatch):
+        # A negative tolerance fails the residual check of the first solve.
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", -1.0)
+        message = self._degenerate_message(_toy_problem(), [0.5])
+        assert re.fullmatch(r"solve residual \S+ exceeds tolerance", message)
 
     def test_blended_direction_losing_descent(self, monkeypatch):
         monkeypatch.setattr(engine, "arc_search", lambda *args: None)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from isqp import linalg
-from isqp.errors import NotPositiveDefiniteError, SingularMatrixError
+from isqp.errors import NotPositiveDefiniteError, NumericalBreakdown, SingularMatrixError
 
 
 class TestLuSolve:
@@ -182,3 +182,17 @@ class TestColumnwiseSolves:
         assert x.tobytes() == linalg.lu_solve(a, b).tobytes()
         assert residual == np.max(np.abs(a @ x - b)) / max(1.0, np.max(np.abs(b)))
         assert residual <= linalg.RESIDUAL_TOL
+
+
+class TestResidualCheck:
+    @pytest.mark.parametrize("solve", [
+        lambda a, b: linalg.lu_factor(a).solve(b),
+        linalg.spd_solve,
+    ], ids=["lu", "spd"])
+    def test_failed_check_raises_numerical_breakdown(self, monkeypatch, solve):
+        # The check is a solver error (not an assert), so callers can
+        # classify it; a negative tolerance makes every solve fail it.
+        monkeypatch.setattr(linalg, "RESIDUAL_TOL", -1.0)
+        a = np.array([[4.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
+            solve(a, np.array([1.0, 2.0]))
