@@ -66,8 +66,6 @@ def _build_parser() -> _Parser:
                      help="flat JSON file of parameter overrides (flags win)")
     run.add_argument("--out", default=None, help="write the table here instead of stdout")
     run.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    run.add_argument("--seed", type=int, default=None,
-                     help="reserved for randomized harnesses; the solver is deterministic")
 
     profile = sub.add_parser("profile", help="build performance profiles from result CSVs")
     profile.add_argument("results", nargs="+",

@@ -14,6 +14,12 @@ evaluated, and its decrease tested, only at a trial that passes both, so a
 trial rejected on its constraints costs no objective evaluation.
 Curvature is maintained by a BFGS update whose difference vector is bent
 just enough to keep the update positive definite.
+
+In floating point a search can accept a step too short to change x.  With
+the penalty parameter unchanged, such a step also leaves the curvature
+matrix as it was, so every later iteration would repeat it bit for bit.
+The run then stops at once with status ``line_search_stall``, reporting
+the KKT residual reached under that iteration's QP multipliers.
 """
 
 from __future__ import annotations
@@ -152,6 +158,7 @@ class IterationRecord:
     i0_margin: Optional[float] = None       # max over izero of g_i'dhat + beta*(|d0|+phi**sigma)
     h_spd: bool = True
     h_updated: Optional[bool] = None
+    fixed_point: bool = False               # the accepted step left the state unchanged
     directions: Optional[DirectionBundle] = None
 
 
@@ -269,19 +276,18 @@ def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
 
 
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
-               d0: np.ndarray, slope: float, c: float, options: SolverOptions,
-               counters: model.EvalCounters):
+               d0: np.ndarray, slope: float, c: float, fc0: float,
+               options: SolverOptions, counters: model.EvalCounters):
     """Backtrack t over {1, 1/2, 1/4, ...} along the corrected direction d.
 
     Acceptance needs every constraint below max(0, phi - t * shift), no
-    loss in the count of satisfied constraints, and penalized-objective
-    decrease proportional to the QP slope, tested in that order: f0 is
-    evaluated only at a trial that passes the two constraint tests.
-    Returns (t, trial values) or None as soon as t would drop below the
-    abandon threshold.
+    loss in the count of satisfied constraints, and decrease of the
+    penalized objective (fc0 at ev) proportional to the QP slope, tested in
+    that order: f0 is evaluated only at a trial that passes the two
+    constraint tests.  Returns (t, trial values) or None as soon as t would
+    drop below the abandon threshold.
     """
     phi = ev.phi
-    fc0 = model.penalty_value(ev, c)
     shift = float(np.linalg.norm(d0)) ** options.tau + phi ** options.sigma
     bonus_scale = options.rho * (1.0 - options.alpha) * phi ** options.theta
     t = 1.0
@@ -299,8 +305,8 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
                               dhat: np.ndarray, d0: np.ndarray, beta: float,
-                              slope_hat: float, c: float, options: SolverOptions,
-                              counters: model.EvalCounters):
+                              slope_hat: float, c: float, fc0: float,
+                              options: SolverOptions, counters: model.EvalCounters):
     """Accept the first t in {1, eta, eta^2, ...} along the blended
     direction; raises LineSearchStall after the trial budget.
 
@@ -309,7 +315,6 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     that passes both.
     """
     phi = ev.phi
-    fc0 = model.penalty_value(ev, c)
     shift = beta * (float(np.linalg.norm(d0)) + phi ** options.sigma)
     bonus_scale = options.rho * (1.0 - options.alpha_hat) * phi ** options.theta
     t = 1.0
@@ -389,11 +394,25 @@ def _require(holds: bool, what: str) -> None:
         raise CertificateViolation(what)
 
 
+def _is_fixed_point(ev: model.Evaluation, accepted: model.PointValues,
+                    c_changed: bool) -> bool:
+    """Whether the accepted step leaves the iteration's state unchanged.
+
+    A step too short to change x in floating point, with c unchanged, also
+    leaves H unchanged (s = 0 skips the update), so with deterministic
+    callbacks the next iteration would start from the same state and repeat
+    this one bit for bit.  x is compared on its bytes, so a flip from -0.0
+    to 0.0 counts as a move.
+    """
+    return accepted.x.tobytes() == ev.x.tobytes() and not c_changed
+
+
 def step(problem: model.NlpProblem, state: IterateState,
          options: SolverOptions) -> tuple[IterateState, IterationRecord]:
     """Run one full iteration starting at state.x; returns the advanced
-    state and its trace record.  A record with converged=True leaves the
-    iterate unchanged and carries the final multipliers."""
+    state and its trace record.  A record with converged=True or
+    fixed_point=True leaves the iterate unchanged and carries the final
+    multipliers."""
     counters = state.counters
     ev = state.ev if state.ev is not None else model.evaluate(problem, state.x, counters)
     phi = ev.phi
@@ -459,7 +478,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     gamma_residual = res2
     descent_lhs = descent_rhs = i0_margin = None
 
-    hit = arc_search(problem, ev, d0 + d2, d0, slope, c, options, counters)
+    hit = arc_search(problem, ev, d0 + d2, d0, slope, c, fc0, options, counters)
     if hit is not None:
         t, vals = hit
         bundle.branch = "arc"
@@ -478,7 +497,7 @@ def step(problem: model.NlpProblem, state: IterateState,
             i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + push))
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
         t, vals = feasible_direction_search(problem, ev, dhat, d0, beta,
-                                            slope_hat, c, options, counters)
+                                            slope_hat, c, fc0, options, counters)
         bundle.d1 = d1
         bundle.h1 = h1
         bundle.dhat = dhat
@@ -488,6 +507,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     _require(vals.iminus.size >= ev.iminus.size, "accepted step lost a satisfied constraint")
     ev_next = model.evaluate(problem, vals.x, counters, values=vals)
     h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0, options)
+    fixed_point = _is_fixed_point(ev, vals, c_changed)
 
     record = IterationRecord(
         k=state.k, converged=False, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
@@ -496,8 +516,11 @@ def step(problem: model.NlpProblem, state: IterateState,
         iminus_size_next=vals.iminus.size, slope=slope,
         gamma_residual=gamma_residual, descent_lhs=descent_lhs,
         descent_rhs=descent_rhs, i0_margin=i0_margin, h_spd=h_spd,
-        h_updated=h_next is not state.H, directions=bundle,
+        h_updated=h_next is not state.H, fixed_point=fixed_point, directions=bundle,
     )
+    if fixed_point:
+        state.ev = ev
+        return state, record
     new_state = IterateState(
         x=vals.x, H=h_next, c=c, counters=counters, k=state.k + 1,
         nio=state.nio + (1 if phi > 0.0 else 0),
@@ -521,8 +544,9 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     """Run the solver from any starting point, feasible or not.
 
     Iterates until the QP direction is below term_tol at a point with zero
-    violation, the iteration budget runs out, or a numerical failure is
-    classified into the report status.  Per-problem failures never raise.
+    violation, a step leaves the state unchanged (a fixed point), the
+    iteration budget runs out, or a numerical failure is classified into
+    the report status.  Per-problem failures never raise.
     """
     options = options if options is not None else SolverOptions()
     if options.alpha >= 0.5 or options.alpha_hat >= 0.5:
@@ -546,11 +570,16 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
             state, record = step(problem, state, options)
             if trace is not None:
                 trace.append(record)
-            if record.converged:
-                status = SolveStatus.CONVERGED
+            if record.converged or record.fixed_point:
                 lam = record.directions.lam
                 mu = _recover_multipliers(lam, problem.m_ineq, state.c)
                 kkt = model.kkt_residual_original(state.ev, mu)
+                if record.converged:
+                    status = SolveStatus.CONVERGED
+                else:
+                    status = SolveStatus.LINE_SEARCH_STALL
+                    message = (f"fixed point: step t={record.t:.3e} along |d0|="
+                               f"{record.norm_d0:.3e} leaves x unchanged at phi={record.phi:.3e}")
                 break
     except _DEGENERATE_ERRORS as exc:
         status = SolveStatus.DEGENERATE

@@ -127,11 +127,6 @@ def lu_factor(a) -> LuFactorization:
     return LuFactorization(a)
 
 
-def lu_solve(a, b) -> np.ndarray:
-    """Solve the general square system A x = b."""
-    return LuFactorization(a).solve(b)[0]
-
-
 def cholesky(a) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
@@ -184,6 +179,5 @@ def spd_solve(m, b) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M."""
     m = _as_square(m)
     x = solve_cholesky(cholesky(m), b)
-    if __debug__:
-        _check_residual(m, np.asarray(x), np.asarray(b, dtype=float))
+    _check_residual(m, x, np.asarray(b, dtype=float))
     return x

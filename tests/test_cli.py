@@ -92,9 +92,11 @@ class TestRunCommand:
         assert "converged" in captured.err
         assert captured.out.startswith(bench.CSV_HEADER)
 
-    def test_seed_flag_is_accepted(self, capsys):
+    def test_seed_flag_is_rejected(self, capsys):
+        # The solver is deterministic, so there is no seed to set.
         assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--seed", "7"]) == 0
+                     "--seed", "7"]) == 1
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_tolerance_flag_applies(self, capsys):
         # A loose tolerance still converges on an easy problem.

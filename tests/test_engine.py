@@ -37,6 +37,25 @@ def _quadratic(hess_diag):
     )
 
 
+def _convex_problem(seed, n):
+    """Seeded convex family: A ~ N(0,1) of shape 2n x n, b = |N(0,1)| + 1,
+    c ~ N(0,1); f0 = sum(x^4)/4 + x.x/2 + c.x subject to
+    A x - b + 0.1|x|^2 <= 0, from x0 = 3*1."""
+    m = 2 * n
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, n))
+    b = np.abs(rng.standard_normal(m)) + 1.0
+    c = rng.standard_normal(n)
+    problem = model.NlpProblem(
+        n=n, m_ineq=m, m_eq=0,
+        f0=lambda x: float(np.sum(x ** 4) / 4.0 + x @ x / 2.0 + c @ x),
+        f=lambda x: a @ x - b + 0.1 * (x @ x),
+        grad_f0=lambda x: x ** 3 + x + c,
+        grad_f=lambda x: a.T + 0.2 * x[:, None],
+    )
+    return problem, 3.0 * np.ones(n)
+
+
 class TestOptionsValidation:
     def test_defaults_are_valid(self):
         engine.SolverOptions()
@@ -243,7 +262,7 @@ class TestArcSearch:
         ev = _evaluate(prob, [1.0, 0.0])
         d0 = -ev.g0
         t, trial = engine.arc_search(prob, ev, d0, d0, float(ev.g0 @ d0),
-                                     0.5, engine.SolverOptions(),
+                                     0.5, ev.f0, engine.SolverOptions(),
                                      model.EvalCounters())
         assert t == 1.0
         assert np.allclose(trial.x, 0.0)
@@ -256,7 +275,7 @@ class TestArcSearch:
                                 grad_f0=lambda x: np.array([4.0 * x[0] ** 3]))
         ev = _evaluate(prob, [1.0])
         d = np.array([-1.5])
-        t, trial = engine.arc_search(prob, ev, d, d, -6.0, 0.5,
+        t, trial = engine.arc_search(prob, ev, d, d, -6.0, 0.5, ev.f0,
                                      engine.SolverOptions(),
                                      model.EvalCounters())
         assert t == 0.25
@@ -269,7 +288,7 @@ class TestArcSearch:
         ev = _evaluate(prob, [1.0])
         counters = model.EvalCounters()
         result = engine.arc_search(prob, ev, np.array([1.0]), np.array([1.0]),
-                                   -1.0, 0.5, engine.SolverOptions(), counters)
+                                   -1.0, 0.5, ev.f0, engine.SolverOptions(), counters)
         assert result is None
         assert counters.nf0 == 4  # t = 1, 1/2, 1/4, 1/8 all evaluated
 
@@ -280,7 +299,7 @@ class TestArcSearch:
         prob = _toy_problem()
         ev = _evaluate(prob, [0.5])
         d = np.array([0.5])
-        hit = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5,
+        hit = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5, ev.f0,
                                 engine.SolverOptions(), model.EvalCounters())
         assert hit is not None
         t, trial = hit
@@ -295,7 +314,7 @@ class TestFeasibleDirectionSearch:
                                 grad_f0=lambda x: np.array([4.0 * x[0] ** 3]))
         ev = _evaluate(prob, [1.0])
         t, trial = engine.feasible_direction_search(
-            prob, ev, np.array([-1.5]), np.array([-1.5]), 0.0, -6.0, 0.5,
+            prob, ev, np.array([-1.5]), np.array([-1.5]), 0.0, -6.0, 0.5, ev.f0,
             engine.SolverOptions(), model.EvalCounters())
         assert t == 0.25
 
@@ -315,7 +334,7 @@ class TestFeasibleDirectionSearch:
         # rounds back onto the starting point.
         with pytest.raises(LineSearchStall):
             engine.feasible_direction_search(
-                prob, ev, np.array([-1e6]), np.array([-1e6]), 0.0, -2.0, 0.5,
+                prob, ev, np.array([-1e6]), np.array([-1e6]), 0.0, -2.0, 0.5, ev.f0,
                 engine.SolverOptions(), counters)
         # Every trial loses the constraint, so none reaches the objective.
         assert counters.nf == engine.SEARCH_TRIALS + 1
@@ -327,7 +346,7 @@ class TestFeasibleDirectionSearch:
         dhat = np.array([-1.0])
         slope = float(ev.g0 @ dhat)
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, dhat, 0.5, slope, 0.5,
+            prob, ev, dhat, dhat, 0.5, slope, 0.5, ev.f0,
             engine.SolverOptions(), model.EvalCounters())
         assert trial.phi < ev.phi
 
@@ -356,7 +375,7 @@ class TestTrialOrder:
         seen.clear()
         counters = model.EvalCounters()
         d = np.array([4.0])
-        t, trial = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5,
+        t, trial = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5, ev.f0,
                                      engine.SolverOptions(), counters)
         assert t == 0.125
         assert seen == [1.0]
@@ -380,7 +399,7 @@ class TestTrialOrder:
         counters = model.EvalCounters()
         dhat = np.array([-8.0])
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, dhat, 0.0, float(ev.g0 @ dhat), 0.5,
+            prob, ev, dhat, dhat, 0.0, float(ev.g0 @ dhat), 0.5, ev.f0,
             engine.SolverOptions(), counters)
         assert t == 0.125
         assert seen == [1.0, 2.0]
@@ -622,6 +641,93 @@ class TestSolveSynthetic:
         assert "reductions" in report.message
 
 
+class TestFixedPoint:
+    """A step that leaves (x, H, c) unchanged ends the run as
+    line_search_stall: every later iteration would repeat it exactly."""
+
+    @staticmethod
+    def _state_bytes(state):
+        return state.x.tobytes(), state.H.tobytes(), np.float64(state.c).tobytes()
+
+    def _recorded_steps(self, monkeypatch, problem, x0, options):
+        """Solve while recording the (x, H, c) bytes into and out of every
+        step."""
+        steps = []
+        real_step = engine.step
+
+        def recording_step(problem, state, options):
+            before = self._state_bytes(state)
+            state, record = real_step(problem, state, options)
+            steps.append((before, self._state_bytes(state)))
+            return state, record
+
+        monkeypatch.setattr(engine, "step", recording_step)
+        return engine.solve(problem, x0, options), steps
+
+    def test_stops_at_the_first_step_that_repeats(self, monkeypatch):
+        problem, x0 = _convex_problem(1, 20)
+        options = engine.SolverOptions(max_iter=75)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "_is_fixed_point", lambda *args: False)
+            unstopped, reference = self._recorded_steps(patch, problem, x0, options)
+        repeats = [before == after for before, after in reference]
+        first = repeats.index(True)
+        assert unstopped.status is engine.SolveStatus.MAX_ITERATIONS
+        assert all(repeats[first:])
+
+        report, steps = self._recorded_steps(monkeypatch, problem, x0, options)
+        assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
+        assert report.ni == first
+        assert steps == reference[:first + 1]
+        assert report.x.tobytes() == unstopped.x.tobytes()
+        assert report.fv == unstopped.fv
+        assert report.phi_final == unstopped.phi_final
+
+    def test_stall_reports_its_residual(self):
+        problem, x0 = _convex_problem(1, 20)
+        report = engine.solve(problem, x0, engine.SolverOptions(keep_trace=True))
+        assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
+        assert re.fullmatch(r"fixed point: step t=\S+ along \|d0\|=\S+ "
+                            r"leaves x unchanged at phi=\S+", report.message)
+        assert report.ni < 500
+        assert report.nio + report.nii == report.ni
+        last = report.trace[-1]
+        assert last.fixed_point and not last.h_updated
+        assert not any(rec.fixed_point for rec in report.trace[:-1])
+        assert len(report.trace) == report.ni + 1
+        # The residual is that of the stall point under the multipliers of
+        # its own QP.
+        assert np.array_equal(report.lam, last.directions.lam)
+        ev = model.evaluate(problem, report.x, model.EvalCounters())
+        assert np.isfinite(report.kkt_residual)
+        assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_other_seeds_still_converge(self, seed):
+        problem, x0 = _convex_problem(seed, 20)
+        report = engine.solve(problem, x0)
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.kkt_residual <= 1e-7
+
+    def test_n50_stalls_promptly(self):
+        # This case used to spend its whole budget of 500 iterations at a
+        # point that had stopped moving.
+        problem, x0 = _convex_problem(0, 50)
+        report = engine.solve(problem, x0)
+        assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
+        assert report.ni < 150
+        assert np.isfinite(report.kkt_residual)
+
+    def test_sign_flip_of_zero_counts_as_a_move(self):
+        prob = _quadratic([1.0])
+        ev = _evaluate(prob, [0.0])
+        same = model.point_values(prob, [0.0], model.EvalCounters())
+        flipped = model.point_values(prob, [-0.0], model.EvalCounters())
+        assert engine._is_fixed_point(ev, same, False)
+        assert not engine._is_fixed_point(ev, same, True)
+        assert not engine._is_fixed_point(ev, flipped, False)
+
+
 class TestRuntimeCertificates:
     """A failed runtime check inside an iteration ends the run as
     degenerate with the check's reason; it never escapes solve()."""
@@ -635,7 +741,7 @@ class TestRuntimeCertificates:
     def test_accepted_step_losing_a_satisfied_constraint(self, monkeypatch):
         # Both constraints hold at x = 0.5; the forced step to x = 5
         # violates x <= 1.
-        def lossy_arc_search(problem, ev, d, d0, slope, c, options, counters):
+        def lossy_arc_search(problem, ev, d, d0, slope, c, fc0, options, counters):
             return 1.0, model.point_values(problem, np.array([5.0]), counters)
 
         monkeypatch.setattr(engine, "arc_search", lossy_arc_search)

@@ -1,6 +1,11 @@
 """Factorization and solve contracts, checked against hand examples and
 an independent numpy.linalg oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,17 +16,17 @@ from isqp.errors import NotPositiveDefiniteError, NumericalBreakdown, SingularMa
 class TestLuSolve:
     def test_identity(self):
         b = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(linalg.lu_solve(np.eye(3), b), b)
+        assert np.array_equal(linalg.lu_factor(np.eye(3)).solve(b)[0], b)
 
     def test_two_by_two_hand_example(self):
         # x + y = 0 and x - 2y = -3 meet at (-1, 1).
         a = np.array([[1.0, 1.0], [1.0, -2.0]])
-        x = linalg.lu_solve(a, np.array([0.0, -3.0]))
+        x = linalg.lu_factor(a).solve(np.array([0.0, -3.0]))[0]
         assert np.allclose(x, [-1.0, 1.0], atol=1e-14)
 
     def test_requires_pivoting(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        x = linalg.lu_solve(a, np.array([5.0, 7.0]))
+        x = linalg.lu_factor(a).solve(np.array([5.0, 7.0]))[0]
         assert np.allclose(x, [7.0, 5.0], atol=1e-14)
 
     def test_random_well_conditioned_multiply_back(self):
@@ -29,7 +34,7 @@ class TestLuSolve:
         for _ in range(50):
             a = rng.normal(size=(8, 8)) + 8.0 * np.eye(8)
             b = rng.normal(size=8)
-            x = linalg.lu_solve(a, b)
+            x = linalg.lu_factor(a).solve(b)[0]
             residual = np.max(np.abs(a @ x - b))
             assert residual <= 1e-10 * max(1.0, np.max(np.abs(b)))
 
@@ -39,7 +44,7 @@ class TestLuSolve:
             n = int(rng.integers(1, 9))
             a = rng.normal(size=(n, n)) + 3.0 * np.eye(n)
             b = rng.normal(size=n)
-            assert np.allclose(linalg.lu_solve(a, b), np.linalg.solve(a, b),
+            assert np.allclose(linalg.lu_factor(a).solve(b)[0], np.linalg.solve(a, b),
                                atol=1e-9, rtol=1e-9)
 
     def test_multiple_right_hand_sides(self):
@@ -53,15 +58,15 @@ class TestLuSolve:
     def test_singular_matrix_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(SingularMatrixError):
-            linalg.lu_solve(a, np.array([1.0, 1.0]))
+            linalg.lu_factor(a).solve(np.array([1.0, 1.0]))[0]
 
     def test_zero_matrix_raises(self):
         with pytest.raises(SingularMatrixError):
-            linalg.lu_solve(np.zeros((2, 2)), np.array([1.0, 1.0]))
+            linalg.lu_factor(np.zeros((2, 2))).solve(np.array([1.0, 1.0]))[0]
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            linalg.lu_solve(np.ones((2, 3)), np.ones(2))
+            linalg.lu_factor(np.ones((2, 3))).solve(np.ones(2))[0]
 
     def test_wrong_rhs_length_rejected(self):
         fac = linalg.lu_factor(np.eye(3))
@@ -179,7 +184,7 @@ class TestColumnwiseSolves:
         a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
         b = 10.0 * rng.normal(size=6)
         x, residual = linalg.lu_factor(a).solve(b)
-        assert x.tobytes() == linalg.lu_solve(a, b).tobytes()
+        assert x.tobytes() == linalg.lu_factor(a).solve(b)[0].tobytes()
         assert residual == np.max(np.abs(a @ x - b)) / max(1.0, np.max(np.abs(b)))
         assert residual <= linalg.RESIDUAL_TOL
 
@@ -196,3 +201,27 @@ class TestResidualCheck:
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
             solve(a, np.array([1.0, 2.0]))
+
+    def test_spd_solve_checks_under_optimize(self):
+        # python -O strips asserts and __debug__ blocks; the post-condition
+        # of the SPD solve must still run.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from isqp import linalg\n"
+            "from isqp.errors import NumericalBreakdown\n"
+            "if __debug__:\n"
+            "    sys.exit(3)\n"
+            "linalg.RESIDUAL_TOL = -1.0\n"
+            "try:\n"
+            "    linalg.spd_solve(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]))\n"
+            "except NumericalBreakdown:\n"
+            "    sys.exit(0)\n"
+            "sys.exit(4)\n"
+        )
+        src = str(Path(linalg.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
