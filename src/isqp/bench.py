@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class RunRecord:
     n: int
     m1: int
     m2: int
-    start: str  # "a" (feasible) or "b" (infeasible)
+    start: str  # "a" (feasible), "b" (infeasible) or "custom"
     status: engine.SolveStatus
     nio: int
     nii: int
@@ -33,12 +33,22 @@ class RunRecord:
     nf: int
     fv: float
     kkt_residual: float
-    phi_final: float
     cpu_seconds: float
 
     @property
     def converged(self) -> bool:
         return self.status is engine.SolveStatus.CONVERGED
+
+
+# Field types of RunRecord, in field order, which is also the column order
+# of CSV_HEADER.
+_COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
+
+
+def _record(values: Sequence) -> RunRecord:
+    """Build a record from its column values, each converted to its field's
+    type (so a status string becomes a SolveStatus)."""
+    return RunRecord(*(kind(v) for kind, v in zip(_COLUMN_TYPES, values)))
 
 
 @dataclass(frozen=True)
@@ -55,33 +65,9 @@ class ProfileCurve:
     points: tuple[ProfilePoint, ...]
 
 
-def run_one(entry: corpus.CorpusEntry, start: str,
-            options: Optional[engine.SolverOptions] = None) -> RunRecord:
-    """Solve one corpus entry from its 'a' (feasible) or 'b' (infeasible)
-    start and collapse the report into a table row."""
-    if start == "a":
-        x0 = entry.x0_feasible
-    elif start == "b":
-        x0 = entry.x0_infeasible
-    else:
-        raise ValueError(f"start must be 'a' or 'b', got {start!r}")
-    if x0 is None:
-        raise ValueError(f"{entry.name} has no {start!r} start")
-    report = engine.solve(entry.problem, x0, options)
-    n, m1, m2 = entry.dims
-    return RunRecord(
-        problem=entry.name, n=n, m1=m1, m2=m2, start=start,
-        status=report.status,
-        nio=report.nio, nii=report.nii, ni=report.ni,
-        nf0=report.nf0, nf=report.nf,
-        fv=report.fv, kkt_residual=report.kkt_residual,
-        phi_final=report.phi_final, cpu_seconds=report.wall_seconds,
-    )
-
-
-def run_benchmark(names: Optional[Sequence[str]] = None, starts: str = "both",
-                  options: Optional[engine.SolverOptions] = None) -> list[RunRecord]:
-    """Run the solver over the named problems (default: all).
+def select_runs(names: Optional[Sequence[str]] = None,
+                starts: str = "both") -> list[tuple[corpus.CorpusEntry, str, np.ndarray]]:
+    """The ``(entry, start, x0)`` runs for the named problems (default: all).
 
     ``starts`` selects "a", "b", or "both"; start points a problem does not
     define are skipped silently.
@@ -89,15 +75,27 @@ def run_benchmark(names: Optional[Sequence[str]] = None, starts: str = "both",
     if starts not in ("a", "b", "both"):
         raise ValueError(f"starts must be 'a', 'b', or 'both', got {starts!r}")
     wanted = ("a", "b") if starts == "both" else (starts,)
-    records = []
+    runs = []
     for name in (names if names is not None else corpus.list_problems()):
         entry = corpus.get_problem(name)
-        for start in wanted:
-            x0 = entry.x0_feasible if start == "a" else entry.x0_infeasible
-            if x0 is None:
-                continue
-            records.append(run_one(entry, start, options))
-    return records
+        runs.extend((entry, start, entry.starts[start])
+                    for start in wanted if start in entry.starts)
+    return runs
+
+
+def make_record(entry: corpus.CorpusEntry, start: str,
+                report: engine.SolveReport) -> RunRecord:
+    """Collapse the report of one run into a table row."""
+    return _record((entry.name, *entry.dims, start, report.status,
+                    report.nio, report.nii, report.ni, report.nf0, report.nf,
+                    report.fv, report.kkt_residual, report.wall_seconds))
+
+
+def run_benchmark(names: Optional[Sequence[str]] = None, starts: str = "both",
+                  options: Optional[engine.SolverOptions] = None) -> list[RunRecord]:
+    """Solve every run of ``select_runs(names, starts)`` into a table row."""
+    return [make_record(entry, start, engine.solve(entry.problem, x0, options))
+            for entry, start, x0 in select_runs(names, starts)]
 
 
 def _format_fv(fv: float) -> str:
@@ -131,6 +129,28 @@ def emit_table(records: Iterable[RunRecord], fmt: str = "csv") -> str:
             out.write("| " + " | ".join(row) + " |\n")
         return out.getvalue()
     raise ValueError(f"unknown format {fmt!r}")
+
+
+def read_table(text: str) -> list[RunRecord]:
+    """Parse a CSV table written by ``emit_table`` back into records.
+
+    Raises InconsistentRecordsError on a wrong header, a row with the
+    wrong number of fields, an unknown status or a malformed number.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0] != CSV_HEADER:
+        raise InconsistentRecordsError("not the benchmark CSV header")
+    records = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(_COLUMN_TYPES):
+            raise InconsistentRecordsError(
+                f"line {lineno}: expected {len(_COLUMN_TYPES)} fields, got {len(values)}")
+        try:
+            records.append(_record(values))
+        except ValueError as exc:
+            raise InconsistentRecordsError(f"line {lineno}: {exc}") from None
+    return records
 
 
 def compute_profiles(metric_by_solver: Mapping[str, Mapping[str, float]]) -> list[ProfileCurve]:

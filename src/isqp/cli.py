@@ -4,11 +4,8 @@ and list the built-in problems."""
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import io
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -138,32 +135,17 @@ def _trace_line(record: engine.IterationRecord) -> str:
             f"|I-|={record.iminus_size}")
 
 
-def _run_with_trace(entry: corpus.CorpusEntry, start: str,
-                    options: engine.SolverOptions, trace: bool) -> bench.RunRecord:
-    if not trace:
-        return bench.run_one(entry, start, options)
-    x0 = entry.x0_feasible if start == "a" else entry.x0_infeasible
-    report = engine.solve(entry.problem, x0, options)
-    print(f"{entry.name} start={start}", file=sys.stderr)
-    for rec in report.trace:
-        print(_trace_line(rec), file=sys.stderr)
-    print(f"  -> {report.status.value}: fv={report.fv:.9e} ni={report.ni}",
-          file=sys.stderr)
-    n, m1, m2 = entry.dims
-    return bench.RunRecord(
-        problem=entry.name, n=n, m1=m1, m2=m2, start=start,
-        status=report.status, nio=report.nio, nii=report.nii, ni=report.ni,
-        nf0=report.nf0, nf=report.nf, fv=report.fv,
-        kkt_residual=report.kkt_residual, phi_final=report.phi_final,
-        cpu_seconds=report.wall_seconds,
-    )
+def _print_trace(name: str, start: str, report: engine.SolveReport) -> None:
+    summary = f"  -> {report.status.value}: fv={report.fv:.9e} ni={report.ni}"
+    if report.message:
+        summary += f" ({report.message})"
+    lines = [f"{name} start={start}", *map(_trace_line, report.trace), summary]
+    print("\n".join(lines), file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
     options = _merge_options(args)
     names = _select_problems(args.problem)
-
-    records: list[bench.RunRecord] = []
     if args.x0 is not None:
         if len(names) != 1:
             raise _UsageError("--x0 requires exactly one --problem")
@@ -176,30 +158,18 @@ def _cmd_run(args) -> int:
             raise _UsageError(
                 f"--x0 has {x0.size} components; {entry.name} needs {entry.problem.n}"
             )
+        runs = [(entry, "custom", x0)]
+    else:
+        runs = bench.select_runs(names, args.start)
+    if not runs:
+        raise _UsageError("selection produced no runs (no matching start points)")
+
+    records: list[bench.RunRecord] = []
+    for entry, start, x0 in runs:
         report = engine.solve(entry.problem, x0, options)
         if args.trace:
-            print(f"{entry.name} start=custom", file=sys.stderr)
-            for rec in report.trace:
-                print(_trace_line(rec), file=sys.stderr)
-        n, m1, m2 = entry.dims
-        records.append(bench.RunRecord(
-            problem=entry.name, n=n, m1=m1, m2=m2, start="custom",
-            status=report.status, nio=report.nio, nii=report.nii, ni=report.ni,
-            nf0=report.nf0, nf=report.nf, fv=report.fv,
-            kkt_residual=report.kkt_residual, phi_final=report.phi_final,
-            cpu_seconds=report.wall_seconds,
-        ))
-    else:
-        wanted = ("a", "b") if args.start == "both" else (args.start,)
-        for name in names:
-            entry = corpus.get_problem(name)
-            for start in wanted:
-                x0 = entry.x0_feasible if start == "a" else entry.x0_infeasible
-                if x0 is None:
-                    continue
-                records.append(_run_with_trace(entry, start, options, args.trace))
-    if not records:
-        raise _UsageError("selection produced no runs (no matching start points)")
+            _print_trace(entry.name, start, report)
+        records.append(bench.make_record(entry, start, report))
 
     text = bench.emit_table(records, fmt=args.format)
     if args.out:
@@ -209,35 +179,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK if all(r.converged for r in records) else EXIT_RUN_FAILURES
 
 
-def _read_results_csv(path: str, metric: str) -> dict[str, float]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path!r}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
-    expected = bench.CSV_HEADER.split(",")
-    if reader.fieldnames != expected:
-        raise _UsageError(f"{path!r} does not have the benchmark CSV header")
-    out: dict[str, float] = {}
-    for row in reader:
-        key = f"{row['problem']}:{row['start']}"
-        if row["status"] != engine.SolveStatus.CONVERGED.value:
-            out[key] = math.inf
-            continue
-        value = float(row[metric])
-        out[key] = max(value, 1e-9)
-    if not out:
-        raise _UsageError(f"{path!r} contains no result rows")
-    return out
-
-
 def _cmd_profile(args) -> int:
     by_solver: dict[str, dict[str, float]] = {}
     for path in args.results:
         label = Path(path).stem
         if label in by_solver:
             raise _UsageError(f"duplicate solver label {label!r}")
-        by_solver[label] = _read_results_csv(path, args.metric)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise _UsageError(f"cannot read {path!r}: {exc}") from exc
+        try:
+            by_solver[label] = bench.profile_metric(bench.read_table(text), args.metric)
+        except InconsistentRecordsError as exc:
+            raise _UsageError(f"{path!r}: {exc}") from exc
+        if not by_solver[label]:
+            raise _UsageError(f"{path!r} contains no result rows")
     try:
         curves = bench.compute_profiles(by_solver)
     except InconsistentRecordsError as exc:
@@ -255,10 +212,7 @@ def _cmd_list(_args) -> int:
     for name in corpus.list_problems():
         entry = corpus.get_problem(name)
         n, m1, m2 = entry.dims
-        starts = "".join(
-            s for s, x in (("a", entry.x0_feasible), ("b", entry.x0_infeasible))
-            if x is not None
-        )
+        starts = "".join(entry.starts)
         print(f"{name:8s} {n:3d} {m1:3d} {m2:3d} {starts:7s} {entry.fv_reference:.10g}")
     return EXIT_OK
 

@@ -18,7 +18,8 @@ value counts as a pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -44,6 +45,15 @@ class CorpusEntry:
     @property
     def fv_reference(self) -> float:
         return self.fv_candidates[0]
+
+    @property
+    def starts(self) -> Mapping[str, np.ndarray]:
+        """Read-only start label -> x0, holding only the starts this entry
+        defines: "a" (feasible) and "b" (infeasible), in that order."""
+        return MappingProxyType({
+            label: x0 for label, x0 in (("a", self.x0_feasible), ("b", self.x0_infeasible))
+            if x0 is not None
+        })
 
 
 @dataclass(frozen=True)
@@ -645,7 +655,7 @@ def verify_gradients(entry: CorpusEntry, n_points: int = 10, seed: int = 0) -> G
     points near the problem's start; raises GradientMismatch above 1e-4
     relative error."""
     problem = entry.problem
-    base = entry.x0_feasible if entry.x0_feasible is not None else entry.x0_infeasible
+    base = next(iter(entry.starts.values()))
     rng = np.random.default_rng(seed)
     counters = model.EvalCounters()
     worst = 0.0

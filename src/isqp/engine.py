@@ -156,7 +156,6 @@ class IterationRecord:
     descent_lhs: Optional[float] = None     # penalty-gradient dot dhat
     descent_rhs: Optional[float] = None     # theta * slope + phi**theta
     i0_margin: Optional[float] = None       # max over izero of g_i'dhat + beta*(|d0|+phi**sigma)
-    h_spd: bool = True
     h_updated: Optional[bool] = None
     fixed_point: bool = False               # the accepted step left the state unchanged
     directions: Optional[DirectionBundle] = None
@@ -417,15 +416,6 @@ def step(problem: model.NlpProblem, state: IterateState,
     ev = state.ev if state.ev is not None else model.evaluate(problem, state.x, counters)
     phi = ev.phi
 
-    # Independent audit of the curvature matrix for the trace; the QP solve
-    # below factors it again and hard-fails if it is not positive definite.
-    h_spd = True
-    if options.keep_trace:
-        try:
-            linalg.cholesky(state.H)
-        except NotPositiveDefiniteError:
-            h_spd = False
-
     # Penalty update: only equality multiplier estimates can raise c.
     c = state.c
     c_changed = False
@@ -457,7 +447,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         if model.kkt_residual_original(ev, mu) <= options.kkt_tol:
             record = IterationRecord(
                 k=state.k, converged=True, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
-                c_changed=c_changed, iminus_size=ev.iminus.size, h_spd=h_spd,
+                c_changed=c_changed, iminus_size=ev.iminus.size,
                 directions=DirectionBundle(d0=d0, lam=lam_clean, active=sol.active),
             )
             state.c = c
@@ -515,7 +505,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         beta=bundle.beta, branch=bundle.branch,
         iminus_size_next=vals.iminus.size, slope=slope,
         gamma_residual=gamma_residual, descent_lhs=descent_lhs,
-        descent_rhs=descent_rhs, i0_margin=i0_margin, h_spd=h_spd,
+        descent_rhs=descent_rhs, i0_margin=i0_margin,
         h_updated=h_next is not state.H, fixed_point=fixed_point, directions=bundle,
     )
     if fixed_point:

@@ -1,6 +1,7 @@
 """Benchmark-driver contracts: run records, result tables, and
 performance-profile curves checked against hand-computed examples."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,49 +16,23 @@ def _record(**overrides):
         problem="HS035", n=3, m1=4, m2=0, start="a",
         status=engine.SolveStatus.CONVERGED, nio=0, nii=7, ni=7,
         nf0=9, nf=36, fv=0.1111111111111, kkt_residual=3.2e-9,
-        phi_final=0.0, cpu_seconds=0.001234,
+        cpu_seconds=0.001234,
     )
     base.update(overrides)
     return bench.RunRecord(**base)
-
-
-class TestRunOne:
-    def test_feasible_start_run(self):
-        rec = bench.run_one(corpus.get_problem("HS035"), "a")
-        assert rec.problem == "HS035"
-        assert (rec.n, rec.m1, rec.m2) == (3, 4, 0)
-        assert rec.start == "a"
-        assert rec.converged
-        assert rec.fv == pytest.approx(1.0 / 9.0, abs=1e-6)
-        assert rec.phi_final == 0.0
-        assert rec.cpu_seconds >= 0.0
-
-    def test_infeasible_start_run(self):
-        rec = bench.run_one(corpus.get_problem("HS035"), "b")
-        assert rec.start == "b"
-        assert rec.converged
-        assert rec.nio >= 1  # the run really started outside the feasible set
-
-    def test_unknown_start_rejected(self):
-        with pytest.raises(ValueError):
-            bench.run_one(corpus.get_problem("HS035"), "c")
-
-    def test_missing_start_rejected(self):
-        with pytest.raises(ValueError):
-            bench.run_one(corpus.get_problem("HS012"), "b")
-
-    def test_options_are_honored(self):
-        rec = bench.run_one(corpus.get_problem("HS035"), "a",
-                            engine.SolverOptions(max_iter=1))
-        assert rec.status is engine.SolveStatus.MAX_ITERATIONS
-        assert rec.ni == 1
 
 
 class TestRunBenchmark:
     def test_subset_and_start_selection(self):
         records = bench.run_benchmark(["HS035"], starts="a")
         assert len(records) == 1
-        assert records[0].start == "a"
+        rec = records[0]
+        assert rec.problem == "HS035"
+        assert (rec.n, rec.m1, rec.m2) == (3, 4, 0)
+        assert rec.start == "a"
+        assert rec.converged
+        assert rec.fv == pytest.approx(1.0 / 9.0, abs=1e-6)
+        assert rec.cpu_seconds >= 0.0
 
     def test_missing_starts_are_skipped_silently(self):
         records = bench.run_benchmark(["HS012", "HS035"], starts="b")
@@ -66,10 +41,32 @@ class TestRunBenchmark:
     def test_both_starts(self):
         records = bench.run_benchmark(["HS035"], starts="both")
         assert [r.start for r in records] == ["a", "b"]
+        assert records[1].converged
+        assert records[1].nio >= 1  # the 'b' run really started outside the feasible set
 
     def test_bad_starts_value_rejected(self):
         with pytest.raises(ValueError):
             bench.run_benchmark(["HS035"], starts="ab")
+
+    def test_options_are_honored(self):
+        records = bench.run_benchmark(["HS035"], starts="a",
+                                      options=engine.SolverOptions(max_iter=1))
+        assert records[0].status is engine.SolveStatus.MAX_ITERATIONS
+        assert records[0].ni == 1
+
+
+class TestSelectRuns:
+    def test_yields_the_start_points_of_each_entry(self):
+        runs = bench.select_runs(["HS012", "HS035"])
+        assert [(entry.name, start) for entry, start, _ in runs] == [
+            ("HS012", "a"), ("HS035", "a"), ("HS035", "b")]
+        for entry, start, x0 in runs:
+            assert x0 is entry.starts[start]
+
+    def test_default_is_every_problem(self):
+        runs = bench.select_runs()
+        assert len(runs) == 25
+        assert {entry.name for entry, _, _ in runs} == set(corpus.list_problems())
 
 
 class TestEmitTable:
@@ -113,6 +110,55 @@ class TestEmitTable:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             bench.emit_table([_record()], fmt="json")
+
+
+class TestReadTable:
+    def test_inverts_emit_table_on_real_runs(self):
+        text = bench.emit_table(bench.run_benchmark(["HS012", "HS035", "HS100"]))
+        assert len(text.splitlines()) == 6  # header and five runs
+        assert bench.emit_table(bench.read_table(text)) == text
+
+    def test_inverts_emit_table_on_a_failed_row(self):
+        text = bench.emit_table([_record(status=engine.SolveStatus.MAX_ITERATIONS,
+                                         fv=float("nan"), kkt_residual=math.inf)])
+        assert ",max_iterations," in text and ",nan,inf," in text
+        (rec,) = bench.read_table(text)
+        assert rec.status is engine.SolveStatus.MAX_ITERATIONS
+        assert math.isnan(rec.fv) and rec.kkt_residual == math.inf
+        assert bench.emit_table([rec]) == text
+
+    def test_fields_come_back_typed(self):
+        (rec,) = bench.read_table(bench.emit_table([_record()]))
+        assert rec == _record(fv=1.11111111111e-01)
+
+    def test_header_names_the_record_fields_in_order(self):
+        names = [f.name for f in dataclasses.fields(bench.RunRecord)]
+        assert bench.CSV_HEADER.split(",") == names
+
+    def test_header_only_is_empty(self):
+        assert bench.read_table(bench.CSV_HEADER + "\n") == []
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "a,b,c\n1,2,3\n",
+        bench.CSV_HEADER.replace("nf0", "nf_0") + "\n",
+    ])
+    def test_wrong_header_rejected(self, text):
+        with pytest.raises(InconsistentRecordsError, match="header"):
+            bench.read_table(text)
+
+    @pytest.mark.parametrize("old, new, match", [
+        (",converged,", ",solved,", "SolveStatus"),
+        (",7,9,36,", ",7.5,9,36,", "line 2"),
+        (",3.200e-09,", ",small,", "line 2"),
+        (",0.001234", ",0.001234,extra", "expected 14 fields, got 15"),
+        (",3.200e-09,", ",", "expected 14 fields, got 13"),
+    ])
+    def test_malformed_rows_rejected(self, old, new, match):
+        text = bench.emit_table([_record()])
+        assert old in text
+        with pytest.raises(InconsistentRecordsError, match=match):
+            bench.read_table(text.replace(old, new))
 
 
 class TestProfileMetric:

@@ -2,10 +2,12 @@
 output layout, config precedence, and determinism."""
 
 import json
+import re
 
 import pytest
 
-from isqp import bench, cli
+from isqp import bench, cli, engine
+from isqp.errors import LineSearchStall
 
 
 def _run(argv):
@@ -91,6 +93,27 @@ class TestRunCommand:
         assert "k=0" in captured.err
         assert "converged" in captured.err
         assert captured.out.startswith(bench.CSV_HEADER)
+
+    def test_custom_start_trace_ends_with_the_status(self, capsys):
+        assert _run(["run", "--problem", "HS035", "--x0", "0.6,0.6,0.6",
+                     "--trace"]) == 0
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err[0] == "HS035 start=custom"
+        assert err[1].startswith("  k=0 ")
+        assert re.fullmatch(r"  -> converged: fv=\S+ ni=\d+", err[-1])
+
+    def test_trace_summary_carries_the_stop_message(self, capsys, monkeypatch):
+        def stalled(*args):
+            raise LineSearchStall("arc search gave up")
+
+        monkeypatch.setattr(engine, "arc_search", stalled)
+        assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().split("\n")
+        assert err[0] == "HS035 start=a"
+        assert re.fullmatch(r"  -> line_search_stall: fv=\S+ ni=0 \(arc search gave up\)",
+                            err[-1])
+        assert captured.out.startswith(bench.CSV_HEADER + "\n")
 
     def test_seed_flag_is_rejected(self, capsys):
         # The solver is deterministic, so there is no seed to set.
@@ -229,6 +252,22 @@ class TestProfileCommand:
         a = self._write_results(tmp_path, "a", ["HS035"])
         b = self._write_results(tmp_path, "b", ["HS024"])
         assert _run(["profile", str(a), str(b)]) == 1
+
+    def test_duplicate_rows_exit_one(self, tmp_path, capsys):
+        res = self._write_results(tmp_path, "dup", ["HS024", "HS035"])
+        text = res.read_text(encoding="utf-8")
+        row = next(r for r in text.split("\n") if r.startswith("HS035,"))
+        res.write_text(text + row.replace(",converged,", ",max_iterations,") + "\n",
+                       encoding="utf-8")
+        assert _run(["profile", str(res)]) == 1
+        assert "duplicate record for 'HS035:a'" in capsys.readouterr().err
+
+    def test_unknown_status_exits_one(self, tmp_path, capsys):
+        res = self._write_results(tmp_path, "odd", ["HS035"])
+        text = res.read_text(encoding="utf-8")
+        res.write_text(text.replace(",converged,", ",solved,"), encoding="utf-8")
+        assert _run(["profile", str(res)]) == 1
+        assert "'solved' is not a valid SolveStatus" in capsys.readouterr().err
 
     def test_failed_rows_profile_as_failures(self, tmp_path, capsys):
         ok = self._write_results(tmp_path, "ok", ["HS100"])

@@ -93,6 +93,21 @@ class TestStartPoints:
             entry = corpus.get_problem(name)
             assert entry.x0_feasible is not None or entry.x0_infeasible is not None
 
+    def test_starts_hold_only_the_defined_points(self):
+        hs012 = corpus.get_problem("HS012")
+        assert list(hs012.starts) == ["a"]
+        assert hs012.starts["a"] is hs012.x0_feasible
+        hs035 = corpus.get_problem("HS035")
+        assert list(hs035.starts) == ["a", "b"]
+        assert hs035.starts["a"] is hs035.x0_feasible
+        assert hs035.starts["b"] is hs035.x0_infeasible
+        assert sum(len(corpus.get_problem(n).starts) for n in corpus.list_problems()) == 25
+
+    def test_starts_are_read_only(self):
+        starts = corpus.get_problem("HS012").starts
+        with pytest.raises(TypeError):
+            starts["b"] = np.zeros(2)
+
     def test_only_the_book_infeasible_start_is_flagged_reference(self):
         flagged = [name for name in corpus.list_problems()
                    if corpus.get_problem(name).infeasible_start_is_reference]

@@ -793,10 +793,17 @@ class TestTraceRecords:
             if rec.iminus_size_next is not None:
                 assert rec.iminus_size_next >= rec.iminus_size
 
-    def test_curvature_matrix_audited_every_iteration(self):
+    def test_curvature_matrix_audited_every_iteration(self, monkeypatch):
+        # The QP factors H in every iteration, so an indefinite H coming out
+        # of the update ends the run at the next iteration.
+        monkeypatch.setattr(engine, "bfgs_update",
+                            lambda H, *args: -np.eye(H.shape[0]))
         report = engine.solve(_toy_problem(), [3.0],
                               engine.SolverOptions(keep_trace=True))
-        assert all(rec.h_spd for rec in report.trace)
+        assert report.status is engine.SolveStatus.DEGENERATE
+        assert report.message == "QP curvature matrix is not positive definite"
+        assert report.ni == 1
+        assert len(report.trace) == 1
 
     def test_directions_carry_subproblem_certificates(self):
         report = engine.solve(_toy_problem(), [3.0],
