@@ -22,17 +22,30 @@ def _record(**overrides):
     return bench.RunRecord(**base)
 
 
-class TestRunBenchmark:
-    def test_subset_and_start_selection(self):
-        records = bench.run_benchmark(["HS035"], starts="a")
-        assert len(records) == 1
-        rec = records[0]
+class TestRunOne:
+    """One problem from one start, through the one run path."""
+
+    def test_feasible_start_run(self):
+        [rec] = bench.run_benchmark(["HS035"], starts="a")
         assert rec.problem == "HS035"
         assert (rec.n, rec.m1, rec.m2) == (3, 4, 0)
         assert rec.start == "a"
         assert rec.converged
         assert rec.fv == pytest.approx(1.0 / 9.0, abs=1e-6)
         assert rec.cpu_seconds >= 0.0
+
+    def test_infeasible_start_run(self):
+        [rec] = bench.run_benchmark(["HS035"], starts="b")
+        assert rec.start == "b"
+        assert rec.converged
+        assert rec.nio >= 1  # the run really started outside the feasible set
+
+
+class TestRunBenchmark:
+    def test_subset_and_start_selection(self):
+        records = bench.run_benchmark(["HS035"], starts="a")
+        assert len(records) == 1
+        assert records[0].start == "a"
 
     def test_missing_starts_are_skipped_silently(self):
         records = bench.run_benchmark(["HS012", "HS035"], starts="b")
@@ -41,8 +54,6 @@ class TestRunBenchmark:
     def test_both_starts(self):
         records = bench.run_benchmark(["HS035"], starts="both")
         assert [r.start for r in records] == ["a", "b"]
-        assert records[1].converged
-        assert records[1].nio >= 1  # the 'b' run really started outside the feasible set
 
     def test_bad_starts_value_rejected(self):
         with pytest.raises(ValueError):
