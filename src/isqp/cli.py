@@ -104,9 +104,6 @@ def _merge_options(args) -> engine.SolverOptions:
             overrides[field] = value
     if "max_iter" in overrides:
         overrides["max_iter"] = int(overrides["max_iter"])
-    if "p" in overrides:
-        p = overrides["p"]
-        overrides["p"] = int(p) if float(p).is_integer() else p
     try:
         return engine.SolverOptions(keep_trace=args.trace, **overrides)
     except ValueError as exc:

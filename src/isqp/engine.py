@@ -132,7 +132,7 @@ class IterateState:
     k: int = 0
     nio: int = 0
     nii: int = 0
-    ev: Optional[model.Evaluation] = None
+    ev: Optional[model.Evaluation] = None  # set by solve() before the first step
 
 
 @dataclass
@@ -206,21 +206,6 @@ def assemble_gamma(H: np.ndarray, N: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_solve(fac: linalg.LuFactorization, n: int, rhs: np.ndarray):
-    z, residual = fac.solve(rhs)
-    return z[:n], z[n:], residual
-
-
-def solve_feasibility_sle(fac: linalg.LuFactorization, n: int, d0: np.ndarray,
-                          phi: float, sigma: float):
-    """Feasibility direction: every constraint row is pushed strictly
-    negative by |d0| + phi**sigma.  Returns (d1, h1, scaled residual)."""
-    size = fac.shape[0]
-    rhs = np.zeros(size)
-    rhs[n:] = -(float(np.linalg.norm(d0)) + phi ** sigma)
-    return _split_solve(fac, n, rhs)
-
-
 def second_order_residual(problem: model.NlpProblem, ev: model.Evaluation,
                           d0: np.ndarray, counters: model.EvalCounters) -> np.ndarray:
     """Constraint curvature along d0: f(x + d0) - f(x) - J'd0 (one full
@@ -231,15 +216,17 @@ def second_order_residual(problem: model.NlpProblem, ev: model.Evaluation,
     return shifted - ev.fI - ev.gI.T @ d0
 
 
-def solve_correction_sle(fac: linalg.LuFactorization, n: int, d0: np.ndarray,
-                         phi: float, tau: float, sigma: float,
-                         second_order: np.ndarray):
-    """Second-order correction with the same coefficient matrix.  Returns
-    (d2, h2, scaled residual)."""
-    size = fac.shape[0]
-    rhs = np.zeros(size)
-    rhs[n:] = -(float(np.linalg.norm(d0)) ** tau + phi ** sigma) - second_order
-    return _split_solve(fac, n, rhs)
+def solve_shared(fac: linalg.LuFactorization, n: int, lower):
+    """Solve Gamma z = [0; lower] against the shared factor; returns
+    (d, h, scaled residual) with d the top n entries of z.
+
+    The correction and the feasibility direction differ only in ``lower``:
+    -(|d0|**tau + phi**sigma) - curvature and -(|d0| + phi**sigma).
+    """
+    rhs = np.zeros(fac.shape[0])
+    rhs[n:] = lower
+    z, residual = fac.solve(rhs)
+    return z[:n], z[n:], residual
 
 
 def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
@@ -274,8 +261,43 @@ def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
     return trial
 
 
+def _halving(epsilon: float):
+    """Step lengths 1, 1/2, 1/4, ... down to the last one >= epsilon."""
+    t = 1.0
+    while True:
+        yield t
+        t *= 0.5
+        if t < epsilon:
+            return
+
+
+def _shrinking(eta: float):
+    """The SEARCH_TRIALS + 1 step lengths 1, eta, eta*eta, ..."""
+    t = 1.0
+    for _ in range(SEARCH_TRIALS + 1):
+        yield t
+        t *= eta
+
+
+def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
+            alpha: float, slope: float, shift: float, c: float, fc0: float,
+            options: SolverOptions, counters: model.EvalCounters):
+    """Try ev.x + t * d for each t in ``steps`` under the acceptance tests of
+    :func:`_merit_accepts` with decrease fraction ``alpha``; returns (t,
+    trial values) at the first accepted t, or None."""
+    phi = ev.phi
+    bonus_scale = options.rho * (1.0 - alpha) * phi ** options.theta
+    for t in steps:
+        trial = model.point_values(problem, ev.x + t * d, counters, objective=False)
+        accepted = _merit_accepts(problem, trial, counters, c, fc0, alpha * t * slope,
+                                  bonus_scale * t, phi, alpha * t * shift, ev.iminus.size)
+        if accepted:
+            return t, accepted
+    return None
+
+
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
-               d0: np.ndarray, slope: float, c: float, fc0: float,
+               norm_d0: float, slope: float, c: float, fc0: float,
                options: SolverOptions, counters: model.EvalCounters):
     """Backtrack t over {1, 1/2, 1/4, ...} along the corrected direction d.
 
@@ -286,24 +308,13 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     constraint tests.  Returns (t, trial values) or None as soon as t would
     drop below the abandon threshold.
     """
-    phi = ev.phi
-    shift = float(np.linalg.norm(d0)) ** options.tau + phi ** options.sigma
-    bonus_scale = options.rho * (1.0 - options.alpha) * phi ** options.theta
-    t = 1.0
-    while True:
-        trial = model.point_values(problem, ev.x + t * d, counters, objective=False)
-        accepted = _merit_accepts(problem, trial, counters, c, fc0,
-                                  options.alpha * t * slope, bonus_scale * t, phi,
-                                  options.alpha * t * shift, ev.iminus.size)
-        if accepted:
-            return t, accepted
-        t *= 0.5
-        if t < options.epsilon:
-            return None
+    shift = norm_d0 ** options.tau + ev.phi ** options.sigma
+    return _search(problem, ev, d, _halving(options.epsilon), options.alpha, slope,
+                   shift, c, fc0, options, counters)
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
-                              dhat: np.ndarray, d0: np.ndarray, beta: float,
+                              dhat: np.ndarray, norm_d0: float, beta: float,
                               slope_hat: float, c: float, fc0: float,
                               options: SolverOptions, counters: model.EvalCounters):
     """Accept the first t in {1, eta, eta^2, ...} along the blended
@@ -313,21 +324,14 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     constraint bound and the satisfied count first, and f0 only at a trial
     that passes both.
     """
-    phi = ev.phi
-    shift = beta * (float(np.linalg.norm(d0)) + phi ** options.sigma)
-    bonus_scale = options.rho * (1.0 - options.alpha_hat) * phi ** options.theta
-    t = 1.0
-    for _ in range(SEARCH_TRIALS + 1):
-        trial = model.point_values(problem, ev.x + t * dhat, counters, objective=False)
-        accepted = _merit_accepts(problem, trial, counters, c, fc0,
-                                  options.alpha_hat * t * slope_hat, bonus_scale * t, phi,
-                                  options.alpha_hat * t * shift, ev.iminus.size)
-        if accepted:
-            return t, accepted
-        t *= options.eta
-    raise LineSearchStall(
-        f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"
-    )
+    shift = beta * (norm_d0 + ev.phi ** options.sigma)
+    hit = _search(problem, ev, dhat, _shrinking(options.eta), options.alpha_hat,
+                  slope_hat, shift, c, fc0, options, counters)
+    if hit is None:
+        raise LineSearchStall(
+            f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"
+        )
+    return hit
 
 
 def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
@@ -413,7 +417,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     fixed_point=True leaves the iterate unchanged and carries the final
     multipliers."""
     counters = state.counters
-    ev = state.ev if state.ev is not None else model.evaluate(problem, state.x, counters)
+    ev = state.ev
     phi = ev.phi
 
     # Penalty update: only equality multiplier estimates can raise c.
@@ -421,8 +425,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     c_changed = False
     if problem.m_eq > 0:
         pi = model.compute_pi(ev, options.p)
-        ctx = model.PenaltyContext(c=c, gamma=options.gamma, gamma0=options.gamma0)
-        c = model.update_c(ctx, pi[problem.m_ineq:])
+        c = model.update_c(c, pi[problem.m_ineq:], options.gamma, options.gamma0)
         c_changed = c > state.c
         _require(c >= state.c and (not c_changed or c >= state.c + options.gamma),
                  "penalty parameter update broke its jump rule")
@@ -451,7 +454,6 @@ def step(problem: model.NlpProblem, state: IterateState,
                 directions=DirectionBundle(d0=d0, lam=lam_clean, active=sol.active),
             )
             state.c = c
-            state.ev = ev
             return state, record
 
     slope = qpmod.objective_decrease_certificate(inst, sol)
@@ -462,18 +464,19 @@ def step(problem: model.NlpProblem, state: IterateState,
     gamma_mat = assemble_gamma(state.H, ev.gI, q)
     fac = linalg.lu_factor(gamma_mat)
     curvature = second_order_residual(problem, ev, d0, counters)
-    d2, h2, res2 = solve_correction_sle(fac, problem.n, d0, phi,
-                                        options.tau, options.sigma, curvature)
+    d2, h2, res2 = solve_shared(
+        fac, problem.n, -(norm_d0 ** options.tau + phi ** options.sigma) - curvature)
     bundle = DirectionBundle(d0=d0, lam=lam_clean, active=sol.active, d2=d2, h2=h2)
     gamma_residual = res2
     descent_lhs = descent_rhs = i0_margin = None
 
-    hit = arc_search(problem, ev, d0 + d2, d0, slope, c, fc0, options, counters)
+    hit = arc_search(problem, ev, d0 + d2, norm_d0, slope, c, fc0, options, counters)
     if hit is not None:
         t, vals = hit
         bundle.branch = "arc"
     else:
-        d1, h1, res1 = solve_feasibility_sle(fac, problem.n, d0, phi, options.sigma)
+        push = norm_d0 + phi ** options.sigma
+        d1, h1, res1 = solve_shared(fac, problem.n, -push)
         gamma_residual = max(gamma_residual, res1)
         slope_d1 = float(grad_fc @ d1)
         beta = compute_beta(slope, slope_d1, options.theta, phi)
@@ -483,10 +486,9 @@ def step(problem: model.NlpProblem, state: IterateState,
         descent_rhs = options.theta * slope + phi ** options.theta
         _require(descent_lhs <= descent_rhs + CERT_SLACK, "blended direction lost descent")
         if ev.izero.size:
-            push = beta * (norm_d0 + phi ** options.sigma)
-            i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + push))
+            i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + beta * push))
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
-        t, vals = feasible_direction_search(problem, ev, dhat, d0, beta,
+        t, vals = feasible_direction_search(problem, ev, dhat, norm_d0, beta,
                                             slope_hat, c, fc0, options, counters)
         bundle.d1 = d1
         bundle.h1 = h1
@@ -509,7 +511,6 @@ def step(problem: model.NlpProblem, state: IterateState,
         h_updated=h_next is not state.H, fixed_point=fixed_point, directions=bundle,
     )
     if fixed_point:
-        state.ev = ev
         return state, record
     new_state = IterateState(
         x=vals.x, H=h_next, c=c, counters=counters, k=state.k + 1,
@@ -536,7 +537,10 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     Iterates until the QP direction is below term_tol at a point with zero
     violation, a step leaves the state unchanged (a fixed point), the
     iteration budget runs out, or a numerical failure is classified into
-    the report status.  Per-problem failures never raise.
+    the report status.  Per-problem failures never raise.  ``fv`` and
+    ``phi_final`` are those of the last iterate reached, x0 itself for a run
+    that stops in its first iteration; they are nan and inf only when the
+    evaluation at x0 fails.
     """
     options = options if options is not None else SolverOptions()
     if options.alpha >= 0.5 or options.alpha_hat >= 0.5:
@@ -556,6 +560,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     kkt = np.inf
     started = time.perf_counter()
     try:
+        state.ev = model.evaluate(problem, state.x, counters)
         while state.k < options.max_iter:
             state, record = step(problem, state, options)
             if trace is not None:

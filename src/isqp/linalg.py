@@ -87,11 +87,6 @@ class LuFactorization:
         self._order = order
         self.shape = a.shape
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The matrix that was factored (read-only view)."""
-        return self._a
-
     def solve(self, b) -> tuple[np.ndarray, float]:
         """Solve A x = b for one right-hand side (1-D) or several (columns).
 

@@ -145,10 +145,9 @@ def with_objective(problem: NlpProblem, values: PointValues,
     return replace(values, f0=objective_value(problem, values.x, counters))
 
 
-def fd_gradient(problem: NlpProblem, x, counters: EvalCounters,
-                component: Optional[int] = None) -> np.ndarray:
-    """Central-difference gradient of the objective (component None) or of
-    constraint ``component``.  Every probe is tallied."""
+def fd_gradient(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
+    """Central-difference gradient of the objective.  Every probe is
+    tallied."""
     x = np.asarray(x, dtype=float).reshape(problem.n)
     grad = np.zeros(problem.n)
     for j in range(problem.n):
@@ -157,12 +156,8 @@ def fd_gradient(problem: NlpProblem, x, counters: EvalCounters,
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        if component is None:
-            hi = objective_value(problem, xp, counters)
-            lo = objective_value(problem, xm, counters)
-        else:
-            hi = constraint_values(problem, xp, counters)[component]
-            lo = constraint_values(problem, xm, counters)[component]
+        hi = objective_value(problem, xp, counters)
+        lo = objective_value(problem, xm, counters)
         grad[j] = (hi - lo) / (2.0 * h)
     return grad
 
@@ -248,32 +243,21 @@ def compute_pi(ev: Evaluation, p: float) -> np.ndarray:
         ) from exc
 
 
-@dataclass(frozen=True)
-class PenaltyContext:
-    """Penalty parameter state and its update constants."""
-
-    c: float
-    gamma: float
-    gamma0: float
-
-    def __post_init__(self) -> None:
-        if self.c <= 0 or self.gamma <= 0 or self.gamma0 <= 0:
-            raise ValueError("penalty constants must be positive")
-
-
-def update_c(ctx: PenaltyContext, pi_eq: np.ndarray) -> float:
-    """Raise c when the equality multiplier estimate demands it.
+def update_c(c: float, pi_eq: np.ndarray, gamma: float, gamma0: float) -> float:
+    """Raise the penalty parameter c when the equality multiplier estimate
+    demands it.
 
     ``pi_eq`` holds the equality components of the multiplier estimate; with
-    no equalities c is inert.  Any increase jumps by at least gamma.
+    no equalities c is inert.  Any increase jumps by at least gamma; gamma0
+    is the safety margin added to the largest |pi_eq|.
     """
     pi_eq = np.asarray(pi_eq, dtype=float)
     if pi_eq.size == 0:
-        return ctx.c
-    s = float(np.max(np.abs(pi_eq))) + ctx.gamma0
-    if s > ctx.c:
-        return max(s, ctx.c + ctx.gamma)
-    return ctx.c
+        return c
+    s = float(np.max(np.abs(pi_eq))) + gamma0
+    if s > c:
+        return max(s, c + gamma)
+    return c
 
 
 def kkt_residual_original(ev: Evaluation, mu: np.ndarray) -> float:

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from isqp import engine, linalg, model
+from isqp import corpus, engine, linalg, model
 from isqp.errors import LineSearchStall
 
 
@@ -144,8 +144,7 @@ class TestSharedMatrix:
         # right-hand side (0, -3) and the solution (-1, 1).
         fac = linalg.lu_factor(engine.assemble_gamma(
             np.array([[1.0]]), np.array([[1.0]]), np.array([2.0])))
-        d1, h1, res = engine.solve_feasibility_sle(fac, 1, np.array([3.0]),
-                                                   0.0, 0.6)
+        d1, h1, res = engine.solve_shared(fac, 1, -(3.0 + 0.0 ** 0.6))
         assert d1[0] == pytest.approx(-1.0, abs=1e-12)
         assert h1[0] == pytest.approx(1.0, abs=1e-12)
         assert res <= 1e-12
@@ -155,9 +154,8 @@ class TestSharedMatrix:
         # side (0, -1.5), solution (-0.5, 0.5).
         fac = linalg.lu_factor(engine.assemble_gamma(
             np.array([[1.0]]), np.array([[1.0]]), np.array([2.0])))
-        d2, h2, res = engine.solve_correction_sle(fac, 1, np.array([1.0]),
-                                                  0.0, 2.5, 0.6,
-                                                  np.array([0.5]))
+        d2, h2, res = engine.solve_shared(fac, 1, -(1.0 ** 2.5 + 0.0 ** 0.6)
+                                          - np.array([0.5]))
         assert d2[0] == pytest.approx(-0.5, abs=1e-12)
         assert h2[0] == pytest.approx(0.5, abs=1e-12)
         assert res <= 1e-12
@@ -177,9 +175,10 @@ class TestSharedMatrix:
         phi = 0.7
         curvature = rng.normal(size=2)
 
-        d1, h1, _ = engine.solve_feasibility_sle(fac, 3, d0, phi, 0.6)
-        d2, h2, _ = engine.solve_correction_sle(fac, 3, d0, phi, 2.5, 0.6,
-                                                curvature)
+        norm_d0 = np.linalg.norm(d0)
+        d1, h1, _ = engine.solve_shared(fac, 3, -(norm_d0 + phi ** 0.6))
+        d2, h2, _ = engine.solve_shared(fac, 3, -(norm_d0 ** 2.5 + phi ** 0.6)
+                                        - curvature)
         rhs1 = np.zeros(5)
         rhs1[3:] = -(np.linalg.norm(d0) + phi ** 0.6)
         rhs2 = np.zeros(5)
@@ -261,7 +260,7 @@ class TestArcSearch:
         prob = _quadratic([1.0, 1.0])
         ev = _evaluate(prob, [1.0, 0.0])
         d0 = -ev.g0
-        t, trial = engine.arc_search(prob, ev, d0, d0, float(ev.g0 @ d0),
+        t, trial = engine.arc_search(prob, ev, d0, np.linalg.norm(d0), float(ev.g0 @ d0),
                                      0.5, ev.f0, engine.SolverOptions(),
                                      model.EvalCounters())
         assert t == 1.0
@@ -275,7 +274,7 @@ class TestArcSearch:
                                 grad_f0=lambda x: np.array([4.0 * x[0] ** 3]))
         ev = _evaluate(prob, [1.0])
         d = np.array([-1.5])
-        t, trial = engine.arc_search(prob, ev, d, d, -6.0, 0.5, ev.f0,
+        t, trial = engine.arc_search(prob, ev, d, np.linalg.norm(d), -6.0, 0.5, ev.f0,
                                      engine.SolverOptions(),
                                      model.EvalCounters())
         assert t == 0.25
@@ -287,7 +286,7 @@ class TestArcSearch:
         prob = _quadratic([2.0])
         ev = _evaluate(prob, [1.0])
         counters = model.EvalCounters()
-        result = engine.arc_search(prob, ev, np.array([1.0]), np.array([1.0]),
+        result = engine.arc_search(prob, ev, np.array([1.0]), np.linalg.norm(np.array([1.0])),
                                    -1.0, 0.5, ev.f0, engine.SolverOptions(), counters)
         assert result is None
         assert counters.nf0 == 4  # t = 1, 1/2, 1/4, 1/8 all evaluated
@@ -299,7 +298,7 @@ class TestArcSearch:
         prob = _toy_problem()
         ev = _evaluate(prob, [0.5])
         d = np.array([0.5])
-        hit = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5, ev.f0,
+        hit = engine.arc_search(prob, ev, d, np.linalg.norm(d), float(ev.g0 @ d), 0.5, ev.f0,
                                 engine.SolverOptions(), model.EvalCounters())
         assert hit is not None
         t, trial = hit
@@ -314,7 +313,7 @@ class TestFeasibleDirectionSearch:
                                 grad_f0=lambda x: np.array([4.0 * x[0] ** 3]))
         ev = _evaluate(prob, [1.0])
         t, trial = engine.feasible_direction_search(
-            prob, ev, np.array([-1.5]), np.array([-1.5]), 0.0, -6.0, 0.5, ev.f0,
+            prob, ev, np.array([-1.5]), np.linalg.norm(np.array([-1.5])), 0.0, -6.0, 0.5, ev.f0,
             engine.SolverOptions(), model.EvalCounters())
         assert t == 0.25
 
@@ -334,7 +333,8 @@ class TestFeasibleDirectionSearch:
         # rounds back onto the starting point.
         with pytest.raises(LineSearchStall):
             engine.feasible_direction_search(
-                prob, ev, np.array([-1e6]), np.array([-1e6]), 0.0, -2.0, 0.5, ev.f0,
+                prob, ev, np.array([-1e6]), np.linalg.norm(np.array([-1e6])), 0.0, -2.0, 0.5,
+                ev.f0,
                 engine.SolverOptions(), counters)
         # Every trial loses the constraint, so none reaches the objective.
         assert counters.nf == engine.SEARCH_TRIALS + 1
@@ -346,7 +346,7 @@ class TestFeasibleDirectionSearch:
         dhat = np.array([-1.0])
         slope = float(ev.g0 @ dhat)
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, dhat, 0.5, slope, 0.5, ev.f0,
+            prob, ev, dhat, np.linalg.norm(dhat), 0.5, slope, 0.5, ev.f0,
             engine.SolverOptions(), model.EvalCounters())
         assert trial.phi < ev.phi
 
@@ -375,8 +375,8 @@ class TestTrialOrder:
         seen.clear()
         counters = model.EvalCounters()
         d = np.array([4.0])
-        t, trial = engine.arc_search(prob, ev, d, d, float(ev.g0 @ d), 0.5, ev.f0,
-                                     engine.SolverOptions(), counters)
+        t, trial = engine.arc_search(prob, ev, d, np.linalg.norm(d), float(ev.g0 @ d), 0.5,
+                                     ev.f0, engine.SolverOptions(), counters)
         assert t == 0.125
         assert seen == [1.0]
         assert counters.nf0 == 1
@@ -399,7 +399,7 @@ class TestTrialOrder:
         counters = model.EvalCounters()
         dhat = np.array([-8.0])
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, dhat, 0.0, float(ev.g0 @ dhat), 0.5, ev.f0,
+            prob, ev, dhat, np.linalg.norm(dhat), 0.0, float(ev.g0 @ dhat), 0.5, ev.f0,
             engine.SolverOptions(), counters)
         assert t == 0.125
         assert seen == [1.0, 2.0]
@@ -640,6 +640,29 @@ class TestSolveSynthetic:
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert "reductions" in report.message
 
+    def test_first_iteration_stop_reports_the_start_point(self, monkeypatch):
+        # x0 is evaluated before the first step, so a run that stops in
+        # that step reports the objective and violation at x0.
+        def stalled(*args):
+            raise LineSearchStall("arc search gave up")
+
+        monkeypatch.setattr(engine, "arc_search", stalled)
+        entry = corpus.get_problem("HS035")
+        x0 = np.asarray(entry.x0_feasible, dtype=float)
+        report = engine.solve(entry.problem, x0)
+        assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
+        assert report.ni == 0
+        assert report.fv == entry.problem.f0(x0)
+        assert report.phi_final == 0.0
+
+    def test_evaluation_failure_at_the_start_point(self):
+        prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0, f0=lambda x: float("nan"))
+        report = engine.solve(prob, [1.0])
+        assert report.status is engine.SolveStatus.EVALUATION_FAILURE
+        assert report.ni == 0
+        assert np.isnan(report.fv)
+        assert report.phi_final == np.inf
+
 
 class TestFixedPoint:
     """A step that leaves (x, H, c) unchanged ends the run as
@@ -741,7 +764,7 @@ class TestRuntimeCertificates:
     def test_accepted_step_losing_a_satisfied_constraint(self, monkeypatch):
         # Both constraints hold at x = 0.5; the forced step to x = 5
         # violates x <= 1.
-        def lossy_arc_search(problem, ev, d, d0, slope, c, fc0, options, counters):
+        def lossy_arc_search(problem, ev, d, norm_d0, slope, c, fc0, options, counters):
             return 1.0, model.point_values(problem, np.array([5.0]), counters)
 
         monkeypatch.setattr(engine, "arc_search", lossy_arc_search)
@@ -761,7 +784,7 @@ class TestRuntimeCertificates:
         assert message == "blended direction lost descent"
 
     def test_penalty_update_breaking_its_jump_rule(self, monkeypatch):
-        monkeypatch.setattr(model, "update_c", lambda ctx, pi_eq: ctx.c / 2.0)
+        monkeypatch.setattr(model, "update_c", lambda c, pi_eq, gamma, gamma0: c / 2.0)
         prob = model.NlpProblem(
             n=1, m_ineq=0, m_eq=1,
             f0=lambda x: float(x[0]),

@@ -162,8 +162,8 @@ class TestFiniteDifferences:
 
     def test_constraint_component_gradient(self):
         prob = _toy_problem()
-        g = model.fd_gradient(prob, [2.0], model.EvalCounters(), component=1)
-        assert abs(g[0] + 1.0) <= 1e-8
+        jac = model.fd_jacobian(prob, [2.0], model.EvalCounters())
+        assert abs(jac[0, 1] + 1.0) <= 1e-8
 
     def test_jacobian_matches_analytic_columns(self):
         entry = corpus.get_problem("HS031")
@@ -250,30 +250,21 @@ class TestPenaltyUpdate:
     def test_raise_respects_minimum_jump(self):
         # Demand is |pi| + gamma0 = 1 + 2 = 3, which exceeds c = 0.5 and the
         # minimum jump c + gamma = 1.5, so c becomes 3.
-        ctx = model.PenaltyContext(c=0.5, gamma=1.0, gamma0=2.0)
-        assert model.update_c(ctx, np.array([-1.0])) == 3.0
+        assert model.update_c(0.5, np.array([-1.0]), 1.0, 2.0) == 3.0
 
     def test_large_c_is_inert(self):
-        ctx = model.PenaltyContext(c=10.0, gamma=1.0, gamma0=2.0)
-        assert model.update_c(ctx, np.array([-1.0])) == 10.0
+        assert model.update_c(10.0, np.array([-1.0]), 1.0, 2.0) == 10.0
 
     def test_small_demand_still_jumps_by_gamma(self):
         # Demand 0.9 + 2 = 2.9 barely exceeds c = 2.8, so the minimum jump
         # c + gamma = 3.8 wins.
-        ctx = model.PenaltyContext(c=2.8, gamma=1.0, gamma0=2.0)
-        assert model.update_c(ctx, np.array([0.9])) == pytest.approx(3.8)
+        assert model.update_c(2.8, np.array([0.9]), 1.0, 2.0) == pytest.approx(3.8)
 
     def test_no_equalities_means_no_change(self):
-        ctx = model.PenaltyContext(c=0.5, gamma=1.0, gamma0=2.0)
-        assert model.update_c(ctx, np.zeros(0)) == 0.5
+        assert model.update_c(0.5, np.zeros(0), 1.0, 2.0) == 0.5
 
     def test_uses_worst_equality_component(self):
-        ctx = model.PenaltyContext(c=0.5, gamma=1.0, gamma0=2.0)
-        assert model.update_c(ctx, np.array([0.1, -4.0])) == 6.0
-
-    def test_rejects_nonpositive_constants(self):
-        with pytest.raises(ValueError):
-            model.PenaltyContext(c=0.0, gamma=1.0, gamma0=2.0)
+        assert model.update_c(0.5, np.array([0.1, -4.0]), 1.0, 2.0) == 6.0
 
 
 class TestKktResidual:
