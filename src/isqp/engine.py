@@ -82,7 +82,7 @@ class SolverOptions:
     kappa: float = 0.5        # cap on the BFGS bending weight
     mu_bfgs: float = 0.5      # curvature fraction below which the update is bent
     term_tol: float = 1e-6    # stop when |d0| falls below this at a feasible point
-    phi_tol: float = 1e-10    # violation counted as zero, relative to max(1, |f|)
+    phi_tol: float = 1e-10    # f_i <= phi_tol * max(1, max|f|) counts as satisfied
     kkt_tol: float = 1e-7     # certified bound on the final KKT residual
     max_iter: int = 500
     keep_trace: bool = False
@@ -101,6 +101,8 @@ class SolverOptions:
         for name in ("epsilon", "p", "gamma", "gamma0", "c_init", "term_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+        if not self.phi_tol >= 0.0:  # a negative floor would count f_i = 0 as violated
+            raise ValueError("phi_tol must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -249,8 +251,9 @@ def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
     trial that passes both, and then the penalized-objective decrease is
     tested.  Returns the trial completed with f0 when all three pass, else
     None."""
-    # The bound is nonnegative, so it holds for every constraint exactly
-    # when it holds for the trial's violation max(0, max f_i).
+    # The bound is nonnegative and a satisfied constraint counts as 0, so
+    # it holds for every constraint exactly when it holds for the trial's
+    # violation phi.
     if trial.phi > max(0.0, phi - decrement):
         return None
     if trial.iminus.size < iminus_size:
@@ -288,7 +291,8 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     phi = ev.phi
     bonus_scale = options.rho * (1.0 - alpha) * phi ** options.theta
     for t in steps:
-        trial = model.point_values(problem, ev.x + t * d, counters, objective=False)
+        trial = model.point_values(problem, ev.x + t * d, counters, objective=False,
+                                   phi_tol=options.phi_tol)
         accepted = _merit_accepts(problem, trial, counters, c, fc0, alpha * t * slope,
                                   bonus_scale * t, phi, alpha * t * shift, ev.iminus.size)
         if accepted:
@@ -314,17 +318,17 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
-                              dhat: np.ndarray, norm_d0: float, beta: float,
-                              slope_hat: float, c: float, fc0: float,
-                              options: SolverOptions, counters: model.EvalCounters):
+                              dhat: np.ndarray, shift: float, slope_hat: float,
+                              c: float, fc0: float, options: SolverOptions,
+                              counters: model.EvalCounters):
     """Accept the first t in {1, eta, eta^2, ...} along the blended
     direction; raises LineSearchStall after the trial budget.
 
-    The tests and their order are those of :func:`arc_search`: the
-    constraint bound and the satisfied count first, and f0 only at a trial
-    that passes both.
+    The tests and their order are those of :func:`arc_search`, with the
+    bound max(0, phi - t * shift) for the blend's shift
+    beta * (|d0| + phi**sigma): the constraint bound and the satisfied
+    count first, and f0 only at a trial that passes both.
     """
-    shift = beta * (norm_d0 + ev.phi ** options.sigma)
     hit = _search(problem, ev, dhat, _shrinking(options.eta), options.alpha_hat,
                   slope_hat, shift, c, fc0, options, counters)
     if hit is None:
@@ -441,11 +445,11 @@ def step(problem: model.NlpProblem, state: IterateState,
     lam_clean = sol.lam.copy()
     lam_clean[lam_clean < LAMBDA_SNAP] = 0.0
 
-    # Termination needs a short direction, a feasible point, AND a certified
-    # KKT residual: a short direction alone can reflect an inflated H, and
-    # the reported status promises the residual bound.
-    phi_scale = max(1.0, np.max(np.abs(ev.fI), initial=0.0))
-    if norm_d0 <= options.term_tol and phi <= options.phi_tol * phi_scale:
+    # Termination needs a short direction, a feasible point (every
+    # constraint satisfied, so phi is 0), AND a certified KKT residual: a
+    # short direction alone can reflect an inflated H, and the reported
+    # status promises the residual bound.
+    if norm_d0 <= options.term_tol and phi == 0.0:
         mu = _recover_multipliers(lam_clean, problem.m_ineq, c)
         if model.kkt_residual_original(ev, mu) <= options.kkt_tol:
             record = IterationRecord(
@@ -485,11 +489,12 @@ def step(problem: model.NlpProblem, state: IterateState,
         descent_lhs = slope_hat
         descent_rhs = options.theta * slope + phi ** options.theta
         _require(descent_lhs <= descent_rhs + CERT_SLACK, "blended direction lost descent")
+        shift = beta * push
         if ev.izero.size:
-            i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + beta * push))
+            i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + shift))
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
-        t, vals = feasible_direction_search(problem, ev, dhat, norm_d0, beta,
-                                            slope_hat, c, fc0, options, counters)
+        t, vals = feasible_direction_search(problem, ev, dhat, shift, slope_hat, c, fc0,
+                                            options, counters)
         bundle.d1 = d1
         bundle.h1 = h1
         bundle.dhat = dhat
@@ -534,13 +539,17 @@ _DEGENERATE_ERRORS = (
 def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None) -> SolveReport:
     """Run the solver from any starting point, feasible or not.
 
-    Iterates until the QP direction is below term_tol at a point with zero
-    violation, a step leaves the state unchanged (a fixed point), the
-    iteration budget runs out, or a numerical failure is classified into
-    the report status.  Per-problem failures never raise.  ``fv`` and
-    ``phi_final`` are those of the last iterate reached, x0 itself for a run
-    that stops in its first iteration; they are nan and inf only when the
-    evaluation at x0 fails.
+    Iterates until the QP direction is below term_tol at a point where
+    every constraint is satisfied, a step leaves the state unchanged (a
+    fixed point), the iteration budget runs out, or a numerical failure is
+    classified into the report status.  Per-problem failures never raise.
+    ``fv`` and ``phi_final`` are those of the last iterate reached, x0
+    itself for a run that stops in its first iteration; they are nan and
+    inf only when the evaluation at x0 fails.  When the run stops by
+    converging, at a fixed point or on the iteration budget,
+    ``kkt_residual`` is that of the last iterate under the last QP's
+    multipliers ``lam`` (``mu`` for the original program); after a
+    failure it is inf.
     """
     options = options if options is not None else SolverOptions()
     if options.alpha >= 0.5 or options.alpha_hat >= 0.5:
@@ -554,28 +563,31 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
         x=x0.copy(), H=np.eye(problem.n), c=options.c_init, counters=counters,
     )
     trace: Optional[list[IterationRecord]] = [] if options.keep_trace else None
-    status = SolveStatus.MAX_ITERATIONS
     message = ""
     lam = mu = None
     kkt = np.inf
     started = time.perf_counter()
     try:
-        state.ev = model.evaluate(problem, state.x, counters)
-        while state.k < options.max_iter:
+        state.ev = model.evaluate(problem, state.x, counters, phi_tol=options.phi_tol)
+        while state.k < options.max_iter:  # runs at least once: max_iter >= 1
             state, record = step(problem, state, options)
             if trace is not None:
                 trace.append(record)
             if record.converged or record.fixed_point:
-                lam = record.directions.lam
-                mu = _recover_multipliers(lam, problem.m_ineq, state.c)
-                kkt = model.kkt_residual_original(state.ev, mu)
-                if record.converged:
-                    status = SolveStatus.CONVERGED
-                else:
-                    status = SolveStatus.LINE_SEARCH_STALL
-                    message = (f"fixed point: step t={record.t:.3e} along |d0|="
-                               f"{record.norm_d0:.3e} leaves x unchanged at phi={record.phi:.3e}")
                 break
+        lam = record.directions.lam
+        mu = _recover_multipliers(lam, problem.m_ineq, state.c)
+        kkt = model.kkt_residual_original(state.ev, mu)
+        if record.converged:
+            status = SolveStatus.CONVERGED
+        elif record.fixed_point:
+            status = SolveStatus.LINE_SEARCH_STALL
+            message = (f"fixed point: step t={record.t:.3e} along |d0|="
+                       f"{record.norm_d0:.3e} leaves x unchanged at phi={record.phi:.3e}")
+        else:
+            status = SolveStatus.MAX_ITERATIONS
+            message = (f"iteration budget of {options.max_iter} exhausted at |d0|="
+                       f"{record.norm_d0:.3e}, phi={state.ev.phi:.3e}")
     except _DEGENERATE_ERRORS as exc:
         status = SolveStatus.DEGENERATE
         message = str(exc)

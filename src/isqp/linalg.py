@@ -71,6 +71,7 @@ class LuFactorization:
         floor = PIVOT_FLOOR * norm
         lu = a.copy()
         order = np.arange(n)
+        row = np.empty(n)  # swap buffer: fancy-indexed swaps cost more at these sizes
         for k in range(n):
             p = k + int(np.argmax(np.abs(lu[k:, k])))
             if abs(lu[p, k]) < floor:
@@ -78,10 +79,13 @@ class LuFactorization:
                     f"pivot {lu[p, k]:.3e} below floor {floor:.3e} at column {k}"
                 )
             if p != k:
-                lu[[k, p]] = lu[[p, k]]
-                order[[k, p]] = order[[p, k]]
-            lu[k + 1:, k] /= lu[k, k]
-            lu[k + 1:, k + 1:] -= lu[k + 1:, k:k + 1] * lu[k, k + 1:]
+                row[:] = lu[k]
+                lu[k] = lu[p]
+                lu[p] = row
+                order[k], order[p] = order[p], order[k]
+            col = lu[k + 1:, k]
+            col /= lu[k, k]
+            lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
         self._a = a
         self._lu_t = np.ascontiguousarray(lu.T)  # contiguous columns for the sweeps
         self._order = order

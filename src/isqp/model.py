@@ -73,11 +73,14 @@ class NlpProblem:
 class PointValues:
     """Function values and index sets at one point.
 
-    fbar shifts every positive constraint value down by the violation
-    measure phi, so fbar <= 0 holds componentwise and the indices where
-    fbar vanishes (izero) mark the constraints that drive the next step.
-    Ties f_i == 0 are counted as satisfied (iminus).  f0 is None until the
-    objective is evaluated (see :func:`with_objective`).
+    A constraint is satisfied (iminus) when f_i <= phi_tol * max(1, max|f|),
+    the roundoff floor of :func:`point_values`, and violated (iplus)
+    otherwise.  The violation measure phi is max f_i when some constraint
+    is violated and 0 when none is.  fbar shifts every violated value down
+    by phi and clips every satisfied one at 0, so fbar <= 0 holds
+    componentwise and the indices where fbar vanishes (izero) mark the
+    constraints that drive the next step.  f0 is None until the objective
+    is evaluated (see :func:`with_objective`).
     """
 
     x: np.ndarray
@@ -120,17 +123,28 @@ def constraint_values(problem: NlpProblem, x: np.ndarray, counters: EvalCounters
 
 
 def point_values(problem: NlpProblem, x, counters: EvalCounters,
-                 objective: bool = True) -> PointValues:
+                 objective: bool = True, phi_tol: float = 0.0) -> PointValues:
     """Evaluate every constraint at x, derive the index sets, then evaluate
     f0 unless ``objective`` is false (f0 is then left as None, for a caller
-    that may reject x on its constraint values alone)."""
+    that may reject x on its constraint values alone).
+
+    ``phi_tol`` sets the roundoff floor phi_tol * max(1, max|f|) up to
+    which a positive constraint value counts as satisfied.  The solver
+    passes ``SolverOptions.phi_tol``; the default 0 counts exactly the
+    values f_i <= 0 as satisfied.
+    """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     fI = constraint_values(problem, x, counters)
-    phi = max(0.0, np.max(fI, initial=0.0))
-    iplus = np.flatnonzero(fI > 0.0)
-    iminus = np.flatnonzero(fI <= 0.0)
+    top = max(0.0, np.max(fI, initial=0.0))
+    floor = phi_tol * max(1.0, top, -np.min(fI, initial=0.0))
+    satisfied = fI <= floor
+    iplus = np.flatnonzero(~satisfied)
+    iminus = np.flatnonzero(satisfied)
+    phi = top if iplus.size else 0.0
     fbar = fI.copy()
     fbar[iplus] -= phi
+    if top > 0.0 and floor > 0.0:  # clip satisfied values in (0, floor] to 0
+        fbar[satisfied & (fI > 0.0)] = 0.0
     izero = np.flatnonzero(fbar == 0.0)
     f0 = objective_value(problem, x, counters) if objective else None
     return PointValues(
@@ -179,15 +193,16 @@ def fd_jacobian(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
 
 
 def evaluate(problem: NlpProblem, x, counters: EvalCounters,
-             values: Optional[PointValues] = None) -> Evaluation:
+             values: Optional[PointValues] = None, phi_tol: float = 0.0) -> Evaluation:
     """Full evaluation at x.
 
     Passing ``values`` reuses function values already paid for at the same
     point (for example the accepted line-search trial), so each point is
-    tallied once.
+    tallied once; otherwise they are computed with the roundoff floor
+    ``phi_tol`` of :func:`point_values`.
     """
     if values is None:
-        values = point_values(problem, x, counters)
+        values = point_values(problem, x, counters, phi_tol=phi_tol)
     if problem.grad_f0 is not None:
         g0 = np.asarray(problem.grad_f0(values.x), dtype=float).reshape(problem.n)
     else:

@@ -65,7 +65,7 @@ class TestOptionsValidation:
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
         ("rho", 1.0), ("tau", 2.0), ("tau", 3.0), ("epsilon", 0.0),
         ("p", 0.0), ("gamma", 0.0), ("gamma0", -1.0), ("c_init", 0.0),
-        ("term_tol", 0.0), ("max_iter", 0),
+        ("term_tol", 0.0), ("phi_tol", -1e-10), ("max_iter", 0),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
@@ -313,7 +313,7 @@ class TestFeasibleDirectionSearch:
                                 grad_f0=lambda x: np.array([4.0 * x[0] ** 3]))
         ev = _evaluate(prob, [1.0])
         t, trial = engine.feasible_direction_search(
-            prob, ev, np.array([-1.5]), np.linalg.norm(np.array([-1.5])), 0.0, -6.0, 0.5, ev.f0,
+            prob, ev, np.array([-1.5]), 0.0, -6.0, 0.5, ev.f0,
             engine.SolverOptions(), model.EvalCounters())
         assert t == 0.25
 
@@ -333,8 +333,7 @@ class TestFeasibleDirectionSearch:
         # rounds back onto the starting point.
         with pytest.raises(LineSearchStall):
             engine.feasible_direction_search(
-                prob, ev, np.array([-1e6]), np.linalg.norm(np.array([-1e6])), 0.0, -2.0, 0.5,
-                ev.f0,
+                prob, ev, np.array([-1e6]), 0.0, -2.0, 0.5, ev.f0,
                 engine.SolverOptions(), counters)
         # Every trial loses the constraint, so none reaches the objective.
         assert counters.nf == engine.SEARCH_TRIALS + 1
@@ -345,9 +344,10 @@ class TestFeasibleDirectionSearch:
         ev = _evaluate(prob, [3.0])  # violation 2 from the upper bound
         dhat = np.array([-1.0])
         slope = float(ev.g0 @ dhat)
+        options = engine.SolverOptions()
+        shift = 0.5 * (np.linalg.norm(dhat) + ev.phi ** options.sigma)  # beta = 0.5
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, np.linalg.norm(dhat), 0.5, slope, 0.5, ev.f0,
-            engine.SolverOptions(), model.EvalCounters())
+            prob, ev, dhat, shift, slope, 0.5, ev.f0, options, model.EvalCounters())
         assert trial.phi < ev.phi
 
 
@@ -399,7 +399,7 @@ class TestTrialOrder:
         counters = model.EvalCounters()
         dhat = np.array([-8.0])
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, np.linalg.norm(dhat), 0.0, float(ev.g0 @ dhat), 0.5, ev.f0,
+            prob, ev, dhat, 0.0, float(ev.g0 @ dhat), 0.5, ev.f0,
             engine.SolverOptions(), counters)
         assert t == 0.125
         assert seen == [1.0, 2.0]
@@ -592,11 +592,25 @@ class TestSolveSynthetic:
         assert report.mu[0] == pytest.approx(-1.0, abs=1e-6)
 
     def test_max_iterations_status(self):
-        report = engine.solve(_toy_problem(), [0.0],
-                              engine.SolverOptions(max_iter=1))
+        prob = _toy_problem()
+        report = engine.solve(prob, [0.0],
+                              engine.SolverOptions(max_iter=1, keep_trace=True))
         assert report.status is engine.SolveStatus.MAX_ITERATIONS
         assert report.ni == 1
         assert np.isfinite(report.fv)
+        # The residual is that of the last iterate under the multipliers of
+        # the last QP, and the message names the budget and where it ran out.
+        last = report.trace[-1]
+        assert np.array_equal(report.lam, last.directions.lam)
+        ev = model.evaluate(prob, report.x, model.EvalCounters())
+        assert np.isfinite(report.kkt_residual)
+        assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
+        assert report.message == (f"iteration budget of 1 exhausted at |d0|="
+                                  f"{last.norm_d0:.3e}, phi={report.phi_final:.3e}")
+        # Reporting the residual costs no evaluation: the constraints are
+        # evaluated at x0, at x0 + d0 for the correction and at the two arc
+        # trials, the objective at x0 and at the accepted trial t = 1/2.
+        assert (report.nf0, report.nf) == (2, 8)
 
     def test_evaluation_failure_status(self):
         def f0(x):
@@ -666,7 +680,15 @@ class TestSolveSynthetic:
 
 class TestFixedPoint:
     """A step that leaves (x, H, c) unchanged ends the run as
-    line_search_stall: every later iteration would repeat it exactly."""
+    line_search_stall: every later iteration would repeat it exactly.
+
+    Convex data seed 1 reaches such a point only when constraint values
+    are compared with 0 exactly (phi_tol = 0): an active constraint lands at
+    about +1e-16 after a move and the searches shrink t until x stops
+    moving.  Under the default roundoff floor it converges.
+    """
+
+    EXACT = engine.SolverOptions(phi_tol=0.0)
 
     @staticmethod
     def _state_bytes(state):
@@ -689,7 +711,7 @@ class TestFixedPoint:
 
     def test_stops_at_the_first_step_that_repeats(self, monkeypatch):
         problem, x0 = _convex_problem(1, 20)
-        options = engine.SolverOptions(max_iter=75)
+        options = dataclasses.replace(self.EXACT, max_iter=75)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_is_fixed_point", lambda *args: False)
             unstopped, reference = self._recorded_steps(patch, problem, x0, options)
@@ -708,7 +730,7 @@ class TestFixedPoint:
 
     def test_stall_reports_its_residual(self):
         problem, x0 = _convex_problem(1, 20)
-        report = engine.solve(problem, x0, engine.SolverOptions(keep_trace=True))
+        report = engine.solve(problem, x0, dataclasses.replace(self.EXACT, keep_trace=True))
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert re.fullmatch(r"fixed point: step t=\S+ along \|d0\|=\S+ "
                             r"leaves x unchanged at phi=\S+", report.message)
@@ -728,18 +750,26 @@ class TestFixedPoint:
     @pytest.mark.parametrize("seed", [0, 2])
     def test_other_seeds_still_converge(self, seed):
         problem, x0 = _convex_problem(seed, 20)
+        report = engine.solve(problem, x0, self.EXACT)
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.kkt_residual <= 1e-7
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_seed_converges_under_the_roundoff_floor(self, seed):
+        problem, x0 = _convex_problem(seed, 20)
         report = engine.solve(problem, x0)
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= 1e-7
 
-    def test_n50_stalls_promptly(self):
-        # This case used to spend its whole budget of 500 iterations at a
-        # point that had stopped moving.
+    def test_n50_converges_promptly(self):
+        # With constraint values compared with 0 exactly, this case stalls
+        # at a fixed point after 81 iterations (it once spent its whole
+        # budget of 500 there); the roundoff floor lets it converge.
         problem, x0 = _convex_problem(0, 50)
         report = engine.solve(problem, x0)
-        assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
-        assert report.ni < 150
-        assert np.isfinite(report.kkt_residual)
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.ni < 60
+        assert report.kkt_residual <= 1e-7
 
     def test_sign_flip_of_zero_counts_as_a_move(self):
         prob = _quadratic([1.0])

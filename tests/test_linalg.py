@@ -189,6 +189,58 @@ class TestColumnwiseSolves:
         assert residual <= linalg.RESIDUAL_TOL
 
 
+def _reference_lu(a):
+    """The elimination loop as first written, with fancy-indexed row swaps
+    and a rank-1 update through a temporary: (transposed LU factors, row
+    order).  The pivot floor is left out."""
+    n = a.shape[0]
+    lu = a.copy()
+    order = np.arange(n)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            order[[k, p]] = order[[p, k]]
+        lu[k + 1:, k] /= lu[k, k]
+        lu[k + 1:, k + 1:] -= lu[k + 1:, k:k + 1] * lu[k, k + 1:]
+    return np.ascontiguousarray(lu.T), order
+
+
+class TestLuFactorBitwise:
+    """The factors are bitwise those of the reference elimination loop."""
+
+    @staticmethod
+    def _assert_same_factors(a):
+        fac = linalg.lu_factor(a)
+        lu_t, order = _reference_lu(a)
+        assert fac._lu_t.tobytes() == lu_t.tobytes()
+        assert np.array_equal(fac._order, order)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 60])
+    def test_random_matrices(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            self._assert_same_factors(rng.normal(size=(n, n)))
+
+    def test_shared_matrices_of_an_hs035_run(self, monkeypatch):
+        from isqp import corpus, engine
+
+        seen = []
+        real_factor = linalg.lu_factor
+
+        def recording_factor(a):
+            seen.append(np.array(a))
+            return real_factor(a)
+
+        entry = corpus.get_problem("HS035")
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "lu_factor", recording_factor)
+            engine.solve(entry.problem, entry.x0_infeasible)
+        assert len(seen) > 1
+        for gamma in seen:
+            self._assert_same_factors(gamma)
+
+
 class TestResidualCheck:
     @pytest.mark.parametrize("solve", [
         lambda a, b: linalg.lu_factor(a).solve(b),

@@ -4,7 +4,7 @@ estimates, penalty-parameter updates, and the KKT residual."""
 import numpy as np
 import pytest
 
-from isqp import corpus, model
+from isqp import corpus, engine, model
 from isqp.errors import DegenerateConstraints, EvaluationFailure
 
 
@@ -94,6 +94,74 @@ class TestIndexSets:
         vals = model.point_values(prob, [2.0], model.EvalCounters())
         assert vals.phi == 6.0
         assert np.array_equal(vals.fbar, [-4.0, 0.0])
+
+
+class TestRoundoffFloor:
+    """A constraint value up to phi_tol * max(1, max|f|) counts as
+    satisfied; phi_tol = 0 compares with 0 exactly."""
+
+    TOL = engine.SolverOptions().phi_tol  # 1e-10
+
+    @staticmethod
+    def _identity(m):
+        """f(x) = x, so the constraint values are the point itself."""
+        return model.NlpProblem(n=m, m_ineq=m, m_eq=0, f0=lambda x: 0.0,
+                                f=lambda x: np.array(x, dtype=float))
+
+    def _values(self, f, phi_tol):
+        return model.point_values(self._identity(len(f)), f, model.EvalCounters(),
+                                  phi_tol=phi_tol)
+
+    def test_roundoff_violation_is_satisfied(self):
+        vals = self._values([-1.0, 1e-12, -0.5], self.TOL)  # max|f| = 1
+        assert vals.phi == 0.0
+        assert vals.iplus.size == 0
+        assert np.array_equal(vals.iminus, [0, 1, 2])
+        assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
+        assert np.array_equal(vals.izero, [1])
+
+    def test_violation_above_the_floor_counts(self):
+        vals = self._values([-1.0, 1e-9, -0.5], self.TOL)
+        assert vals.phi == 1e-9
+        assert np.array_equal(vals.iplus, [1])
+        assert np.array_equal(vals.iminus, [0, 2])
+        assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
+
+    def test_floor_scales_with_the_largest_value(self):
+        assert self._values([-1e4, 1e-7], self.TOL).phi == 0.0
+        assert self._values([-1e4, 1e-5], self.TOL).phi == 1e-5
+
+    def test_zero_tolerance_keeps_the_exact_sets(self):
+        vals = self._values([-1.0, 1e-12, -0.5], 0.0)
+        assert vals.phi == 1e-12
+        assert np.array_equal(vals.iplus, [1])
+        assert np.array_equal(vals.iminus, [0, 2])
+        assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
+
+    def test_sets_against_the_rule(self):
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            f = rng.standard_normal(6) * 10.0 ** rng.integers(-12, 3, size=6)
+            f[rng.random(6) < 0.3] = 0.0
+            for phi_tol in (0.0, self.TOL, 1e-3):
+                vals = self._values(f, phi_tol)
+                floor = phi_tol * max(1.0, np.max(np.abs(f)))
+                satisfied = f <= floor
+                assert np.array_equal(vals.iminus, np.flatnonzero(satisfied))
+                assert np.array_equal(vals.iplus, np.flatnonzero(~satisfied))
+                assert vals.phi == (np.max(f) if not satisfied.all() else 0.0)
+                assert np.all(vals.fbar <= 0.0)
+                assert np.array_equal(vals.fbar[satisfied], np.minimum(f[satisfied], 0.0))
+                if phi_tol == 0.0:
+                    # The exact sets: fbar = f on satisfied rows.
+                    assert np.array_equal(vals.fbar[satisfied], f[satisfied])
+                    assert vals.phi == max(0.0, np.max(f))
+
+    def test_evaluate_applies_the_floor(self):
+        prob = self._identity(2)
+        ev = model.evaluate(prob, [-1.0, 1e-12], model.EvalCounters(), phi_tol=self.TOL)
+        assert ev.phi == 0.0
+        assert model.evaluate(prob, [-1.0, 1e-12], model.EvalCounters()).phi == 1e-12
 
 
 class TestCounters:
