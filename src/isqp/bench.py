@@ -88,7 +88,7 @@ def make_record(entry: corpus.CorpusEntry, start: str,
     """Collapse the report of one run into a table row."""
     return _record((entry.name, *entry.dims, start, report.status,
                     report.nio, report.nii, report.ni, report.nf0, report.nf,
-                    report.fv, report.kkt_residual, report.wall_seconds))
+                    report.fv, report.kkt_residual, report.cpu_seconds))
 
 
 def run_benchmark(names: Optional[Sequence[str]] = None, starts: str = "both",

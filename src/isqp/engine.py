@@ -1,17 +1,21 @@
 """Iteration engine.
 
 Each iteration solves one always-feasible QP for the main direction, then
-at most two linear systems that share a single factored coefficient matrix:
-a second-order correction (curvature of the constraints along the QP
-direction) and, only when the corrected arc is rejected, a feasibility
-direction that is blended with the QP direction through a convex
-combination.  Step lengths come from two searches that both insist the
-count of satisfied constraints never drops, the violation measure strictly
-shrinks outside the feasible set, and the penalized objective decreases
-once inside it.  Each search trial is tested on its constraint values
-first (the constraint bound, then the satisfied count); the objective is
-evaluated, and its decrease tested, only at a trial that passes both, so a
-trial rejected on its constraints costs no objective evaluation.
+at most two linear systems that share a single coefficient matrix
+Gamma = [[H, N], [N', -diag(q)]]: a second-order correction (curvature of
+the constraints along the QP direction) and, only when the corrected arc is
+rejected, a feasibility direction that is blended with the QP direction
+through a convex combination.  Both right-hand sides vanish in their top
+block, so the systems are solved through the QP's Y = H^-1 N and the
+Cholesky factor of the m-by-m Schur complement N'Y + diag(q): H is factored
+once per iteration, inside the QP.  Step lengths come from two searches
+that both insist the count of satisfied constraints never drops, the
+violation measure strictly shrinks outside the feasible set, and the
+penalized objective decreases once inside it.  Each search trial is
+tested on its constraint values first (the constraint bound, then the
+satisfied count); the objective is evaluated, and its decrease tested,
+only at a trial that passes both, so a trial rejected on its constraints
+costs no objective evaluation.
 Curvature is maintained by a BFGS update whose difference vector is bent
 just enough to keep the update positive definite.
 
@@ -178,6 +182,7 @@ class SolveReport:
     nf0: int
     nf: int
     wall_seconds: float
+    cpu_seconds: float        # CPU time of this process during the run
     lam: Optional[np.ndarray] = None
     mu: Optional[np.ndarray] = None
     trace: Optional[list[IterationRecord]] = None
@@ -218,17 +223,47 @@ def second_order_residual(problem: model.NlpProblem, ev: model.Evaluation,
     return shifted - ev.fI - ev.gI.T @ d0
 
 
-def solve_shared(fac: linalg.LuFactorization, n: int, lower):
-    """Solve Gamma z = [0; lower] against the shared factor; returns
-    (d, h, scaled residual) with d the top n entries of z.
+@dataclass(frozen=True)
+class SharedFactor:
+    """Gamma of :func:`assemble_gamma`, kept for the residual checks, with
+    Y = H^-1 N and the lower Cholesky factor of S = N'Y + diag(q)."""
 
+    gamma: np.ndarray
+    y: np.ndarray
+    low: np.ndarray
+
+
+def factor_shared(H: np.ndarray, N: np.ndarray, q: np.ndarray, y: np.ndarray,
+                  ny: np.ndarray) -> SharedFactor:
+    """Factor Gamma through Y = H^-1 N and the symmetric ny = N'Y, both as
+    the QP formed them (its Y and A Y, since the QP's A is N').
+
+    With H positive definite, S = N'Y + diag(q) is positive definite exactly
+    when Gamma is nonsingular, so the Cholesky pivot floor on S is the
+    singularity test; a failure raises SingularMatrixError.
+    """
+    try:
+        low = linalg.cholesky(ny + np.diag(q))
+    except NotPositiveDefiniteError as exc:
+        raise SingularMatrixError(f"shared coefficient matrix is singular: {exc}") from exc
+    return SharedFactor(gamma=assemble_gamma(H, N, q), y=y, low=low)
+
+
+def solve_shared(fac: SharedFactor, lower):
+    """Solve Gamma [d; h] = [0; lower] against the shared factor; returns
+    (d, h, scaled residual of the solve against Gamma).
+
+    The top block gives d = -Y h, and the bottom one then h = -S^-1 lower.
     The correction and the feasibility direction differ only in ``lower``:
     -(|d0|**tau + phi**sigma) - curvature and -(|d0| + phi**sigma).
     """
-    rhs = np.zeros(fac.shape[0])
+    n = fac.y.shape[0]
+    rhs = np.zeros(fac.gamma.shape[0])
     rhs[n:] = lower
-    z, residual = fac.solve(rhs)
-    return z[:n], z[n:], residual
+    h = -linalg.solve_cholesky(fac.low, rhs[n:])
+    d = -(fac.y @ h)
+    residual = linalg.check_residual(fac.gamma, np.concatenate([d, h]), rhs)
+    return d, h, residual
 
 
 def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
@@ -464,12 +499,10 @@ def step(problem: model.NlpProblem, state: IterateState,
 
     # Second-order correction sharing one factored matrix with the
     # feasibility direction below.
-    q = compute_q_diag(ev, d0)
-    gamma_mat = assemble_gamma(state.H, ev.gI, q)
-    fac = linalg.lu_factor(gamma_mat)
+    fac = factor_shared(state.H, ev.gI, compute_q_diag(ev, d0), sol.y, sol.ay)
     curvature = second_order_residual(problem, ev, d0, counters)
     d2, h2, res2 = solve_shared(
-        fac, problem.n, -(norm_d0 ** options.tau + phi ** options.sigma) - curvature)
+        fac, -(norm_d0 ** options.tau + phi ** options.sigma) - curvature)
     bundle = DirectionBundle(d0=d0, lam=lam_clean, active=sol.active, d2=d2, h2=h2)
     gamma_residual = res2
     descent_lhs = descent_rhs = i0_margin = None
@@ -480,7 +513,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         bundle.branch = "arc"
     else:
         push = norm_d0 + phi ** options.sigma
-        d1, h1, res1 = solve_shared(fac, problem.n, -push)
+        d1, h1, res1 = solve_shared(fac, -push)
         gamma_residual = max(gamma_residual, res1)
         slope_d1 = float(grad_fc @ d1)
         beta = compute_beta(slope, slope_d1, options.theta, phi)
@@ -567,6 +600,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     lam = mu = None
     kkt = np.inf
     started = time.perf_counter()
+    cpu_started = time.process_time()
     try:
         state.ev = model.evaluate(problem, state.x, counters, phi_tol=options.phi_tol)
         while state.k < options.max_iter:  # runs at least once: max_iter >= 1
@@ -598,6 +632,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
         status = SolveStatus.EVALUATION_FAILURE
         message = str(exc)
     wall = time.perf_counter() - started
+    cpu = time.process_time() - cpu_started
 
     if state.ev is not None:
         fv = state.ev.f0
@@ -608,6 +643,6 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     return SolveReport(
         status=status, x=state.x, fv=fv, kkt_residual=kkt, phi_final=phi_final,
         ni=state.k, nio=state.nio, nii=state.nii,
-        nf0=counters.nf0, nf=counters.nf, wall_seconds=wall,
+        nf0=counters.nf0, nf=counters.nf, wall_seconds=wall, cpu_seconds=cpu,
         lam=lam, mu=mu, trace=trace, message=message,
     )

@@ -6,7 +6,8 @@ class SolverError(Exception):
 
 
 class SingularMatrixError(SolverError):
-    """A pivot fell below the floor during LU elimination."""
+    """A pivot fell below the floor: in LU elimination, or in the Cholesky
+    factor of the Schur complement of the engine's shared matrix."""
 
 
 class NotPositiveDefiniteError(SolverError):

@@ -1,10 +1,13 @@
 """Dense linear-algebra kernel used by every other module.
 
 Matrices are plain 2-D ``numpy.ndarray`` objects.  The systems solved here
-are tiny (tens of unknowns) and the factorizations keep strict error
-contracts: LU with partial pivoting reports near-singularity through an
-explicit pivot floor, and Cholesky doubles as the positive-definiteness
-test for curvature matrices.
+are small (tens to a few hundred unknowns) and the factorizations keep
+strict error contracts: Cholesky reports a pivot at or below an explicit
+pivot floor, which doubles as the positive-definiteness test for curvature
+matrices and, on the Schur complement of the engine's shared matrix, as
+its singularity test.  LU with partial pivoting keeps the same pivot
+floor; it is the package's general square solver, and no solver path
+calls it.
 
 The triangular solves are column sweeps of elementwise products and
 differences, so their results do not depend on how right-hand sides are
@@ -45,7 +48,7 @@ def check_symmetric(a: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def _check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
+def check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
     """Check the solve post-condition, raising NumericalBreakdown when it
     fails; return max|a x - b| / max(1, max|b|)."""
     residual = np.max(np.abs(a @ x - b), initial=0.0)
@@ -107,7 +110,7 @@ class LuFactorization:
             x = np.empty_like(b)
             for j in range(b.shape[1]):
                 x[:, j] = self._sweep(b[:, j])
-        return x, _check_residual(self._a, x, b)
+        return x, check_residual(self._a, x, b)
 
     def _sweep(self, b: np.ndarray) -> np.ndarray:
         lu_t = self._lu_t
@@ -178,5 +181,5 @@ def spd_solve(m, b) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M."""
     m = _as_square(m)
     x = solve_cholesky(cholesky(m), b)
-    _check_residual(m, x, np.asarray(b, dtype=float))
+    check_residual(m, x, np.asarray(b, dtype=float))
     return x

@@ -210,7 +210,10 @@ def evaluate(problem: NlpProblem, x, counters: EvalCounters,
     if problem.m == 0:
         gI = np.zeros((problem.n, 0))
     elif problem.grad_f is not None:
-        gI = np.asarray(problem.grad_f(values.x), dtype=float).reshape(problem.n, problem.m)
+        # One memory layout whatever the callback returns: products round
+        # differently by layout, and the run must depend on the program only.
+        gI = np.ascontiguousarray(problem.grad_f(values.x), dtype=float).reshape(
+            problem.n, problem.m)
     else:
         gI = fd_jacobian(problem, values.x, counters)
     if not np.all(np.isfinite(g0)) or not np.all(np.isfinite(gI)):

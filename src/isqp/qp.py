@@ -8,13 +8,14 @@ changes are deterministic: ties pick the smallest constraint index, and a
 Bland-style selection kicks in after a stretch of non-decreasing objective
 values to rule out cycling on degenerate vertices.
 
-Work that does not change across active-set steps is done once per QP:
-the Cholesky factor of H, the solves Y = H^-1 A' for every constraint row
-(a step slices the working-set columns out of Y), |H| and |grad| for the
-noise floor of the objective, and max|A_i| per row for the ratio test.
-Every step still forms A_W Y_W, H^-1 g and the ratio-test dot products
-afresh, row by row in ascending index order, so the iterates are bitwise
-those of a solver that recomputes everything in each step.
+H is factored once per QP, and every n-sized solve is done then: Y = H^-1 A'
+for all constraint rows and u = H^-1 grad (Nocedal & Wright, *Numerical
+Optimization*, section 16.5).  Since H^-1 (H d + grad) = d + u, a step with
+working set W finds its multipliers from the |W|-sized system
+(A_W Y_W) lam = -A_W (d + u), whose matrix is sliced out of the precomputed
+A Y, and its direction as p = -(d + u + Y_W lam).  The ratio test reads the
+vectors A p and b - A d.  Y and A Y are handed back on the solution, so the
+caller can solve systems in H and A' without factoring H again.
 """
 
 from __future__ import annotations
@@ -80,11 +81,14 @@ class QpInstance:
 @dataclass(frozen=True)
 class QpSolution:
     """Minimizer, multipliers (exact zeros off the active set), and the
-    indices of constraints active at the minimizer."""
+    indices of constraints active at the minimizer.  ``y`` is H^-1 A' and
+    ``ay`` is A H^-1 A' (symmetrized), as the solve formed them."""
 
     d0: np.ndarray
     lam: np.ndarray
     active: np.ndarray
+    y: np.ndarray
+    ay: np.ndarray
 
 
 def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
@@ -112,17 +116,17 @@ def solve_qp(inst: QpInstance) -> QpSolution:
     except NotPositiveDefiniteError as exc:
         raise NumericalBreakdown("QP curvature matrix is not positive definite") from exc
 
-    # Column j of Y is the solve against A[j] (the solves are per column,
-    # see linalg); Y[:, work] has the layout of a fresh solve against
-    # A[work].T, and matrix products round differently by layout.
     y_all = linalg.solve_cholesky(hfac, A.T)
-    rows = list(A)  # views with A's strides: dot products round by stride
+    ay = A @ y_all
+    ay = 0.5 * (ay + ay.T)  # A H^-1 A' is symmetric; the product is only to roundoff
+    u = linalg.solve_cholesky(hfac, grad)
+    au = A @ u
     row_scale = np.abs(A).max(axis=1, initial=0.0)
     abs_grad = np.abs(grad)
     abs_h = np.abs(H)
     d = np.zeros(n)
     work: list[int] = []
-    in_work = [False] * m
+    in_work = np.zeros(m, dtype=bool)
     lam_work = np.zeros(0)
     grad_scale = max(1.0, abs_grad.max(initial=0.0))
     limit = 50 * (n + m)
@@ -133,18 +137,16 @@ def solve_qp(inst: QpInstance) -> QpSolution:
     done = False
 
     for _ in range(limit):
-        g_cur = H @ d + grad
+        a_d = A @ d
         if work:
-            a_work = A[work]
-            y = y_all[:, work]
             try:
-                lam_work = linalg.spd_solve(a_work @ y, -(y.T @ g_cur))
+                lam_work = linalg.spd_solve(ay[np.ix_(work, work)], -(a_d[work] + au[work]))
             except NotPositiveDefiniteError as exc:
                 raise NumericalBreakdown("dependent working set in QP") from exc
-            p = -(linalg.solve_cholesky(hfac, g_cur) + y @ lam_work)
+            p = -(d + u + y_all[:, work] @ lam_work)
         else:
             lam_work = np.zeros(0)
-            p = -linalg.solve_cholesky(hfac, g_cur)
+            p = -(d + u)
 
         # Stationarity tests.  The full equality-constrained step decreases
         # the objective by exactly p'Hp/2, so the step is numerically inert
@@ -175,18 +177,16 @@ def solve_qp(inst: QpInstance) -> QpSolution:
             stall = 0  # the working set changed; give it a fresh chance
             continue
 
-        # Ratio test over constraints outside the working set, in ascending
-        # index order: ties keep the smallest index.
+        # Ratio test over constraints outside the working set that p moves
+        # towards, in ascending index order: ties keep the smallest index.
+        # A row can block only if its ratio is below 1 (slack < A_i p).
+        a_p = A @ p
+        slack = np.maximum(b - a_d, 0.0)
+        toward = ~in_work & (a_p > _DIR_EPS * np.maximum(1.0, row_scale * p_scale))
         alpha = 1.0
         blocker = -1
-        for i in range(m):
-            if in_work[i]:
-                continue
-            a_dot_p = float(rows[i] @ p)
-            if a_dot_p <= _DIR_EPS * max(1.0, row_scale[i] * p_scale):
-                continue
-            slack = max(float(b[i] - rows[i] @ d), 0.0)
-            ratio = slack / a_dot_p
+        for i in np.flatnonzero(toward & (slack < a_p)).tolist():
+            ratio = slack[i] / a_p[i]
             if ratio < alpha - 1e-12 or (blocker < 0 and ratio < alpha):
                 alpha, blocker = ratio, i
         d = d + alpha * p
@@ -214,7 +214,7 @@ def solve_qp(inst: QpInstance) -> QpSolution:
     else:
         active = np.zeros(0, dtype=int)
     _certify(inst, d, lam)
-    return QpSolution(d0=d, lam=lam, active=active)
+    return QpSolution(d0=d, lam=lam, active=active, y=y_all, ay=ay)
 
 
 def objective_decrease_certificate(inst: QpInstance, sol: QpSolution) -> float:

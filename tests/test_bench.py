@@ -3,11 +3,12 @@ performance-profile curves checked against hand-computed examples."""
 
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from isqp import bench, corpus, engine
+from isqp import bench, corpus, engine, model
 from isqp.errors import InconsistentRecordsError
 
 
@@ -39,6 +40,26 @@ class TestRunOne:
         assert rec.start == "b"
         assert rec.converged
         assert rec.nio >= 1  # the run really started outside the feasible set
+
+
+class TestCpuSeconds:
+    def test_sleeping_callback_adds_wall_time_but_not_cpu_time(self):
+        nap = 0.05
+
+        def sleepy(x):
+            time.sleep(nap)
+            return float((x[0] - 2.0) ** 2)
+
+        prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0, f0=sleepy,
+                                grad_f0=lambda x: np.array([2.0 * (x[0] - 2.0)]))
+        report = engine.solve(prob, [0.0])
+        slept = nap * report.nf0
+        assert report.nf0 >= 2
+        assert report.wall_seconds >= slept
+        assert report.cpu_seconds < report.wall_seconds - 0.5 * slept
+        entry = corpus.get_problem("HS035")
+        rec = bench.make_record(entry, "custom", report)
+        assert rec.cpu_seconds == report.cpu_seconds
 
 
 class TestRunBenchmark:

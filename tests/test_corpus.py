@@ -223,7 +223,7 @@ PINNED_RUNS = {
     ("HS035", "b"): ("converged", 7, 15, 88),
     ("HS036", "a"): ("converged", 10, 28, 287),
     ("HS036", "b"): ("converged", 9, 26, 273),
-    ("HS037", "a"): ("converged", 11, 29, 320),
+    ("HS037", "a"): ("converged", 10, 26, 288),
     ("HS037", "b"): ("converged", 12, 29, 384),
     ("HS043", "a"): ("converged", 11, 22, 123),
     ("HS043", "b"): ("converged", 19, 64, 285),
@@ -234,8 +234,8 @@ PINNED_RUNS = {
     ("HS066", "a"): ("converged", 6, 15, 168),
     ("HS066", "b"): ("converged", 16, 45, 512),
     ("HS076", "a"): ("converged", 8, 20, 203),
-    ("HS100", "a"): ("converged", 18, 51, 348),
-    ("HS100", "b"): ("converged", 26, 63, 496),
+    ("HS100", "a"): ("converged", 15, 36, 276),
+    ("HS100", "b"): ("converged", 25, 50, 440),
 }
 
 
@@ -250,4 +250,4 @@ class TestPinnedRuns:
                     runs[(name, start)] = (r.status.value, r.ni, r.nf0, r.nf)
         assert runs == PINNED_RUNS
         totals = [sum(run[k] for run in runs.values()) for k in (1, 2, 3)]
-        assert totals == [322, 861, 8467]
+        assert totals == [317, 830, 8307]

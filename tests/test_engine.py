@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from isqp import corpus, engine, linalg, model
-from isqp.errors import LineSearchStall
+from isqp.errors import LineSearchStall, SingularMatrixError
 
 
 def _toy_problem():
@@ -22,6 +22,14 @@ def _toy_problem():
         grad_f0=lambda x: np.array([2.0 * (x[0] - 2.0)]),
         grad_f=lambda x: np.array([[1.0, -1.0]]),
     )
+
+
+def _shared_factor(H, N, q):
+    """engine.factor_shared with Y = H^-1 N and N'Y formed as the QP forms
+    them."""
+    y = linalg.solve_cholesky(linalg.cholesky(H), N)
+    ny = N.T @ y
+    return engine.factor_shared(H, N, q, y, 0.5 * (ny + ny.T))
 
 
 def _evaluate(problem, x):
@@ -142,9 +150,8 @@ class TestSharedMatrix:
     def test_feasibility_system_hand_example(self):
         # Matrix [[1, 1], [1, -2]] with |d0| = 3 and no violation gives the
         # right-hand side (0, -3) and the solution (-1, 1).
-        fac = linalg.lu_factor(engine.assemble_gamma(
-            np.array([[1.0]]), np.array([[1.0]]), np.array([2.0])))
-        d1, h1, res = engine.solve_shared(fac, 1, -(3.0 + 0.0 ** 0.6))
+        fac = _shared_factor(np.array([[1.0]]), np.array([[1.0]]), np.array([2.0]))
+        d1, h1, res = engine.solve_shared(fac, -(3.0 + 0.0 ** 0.6))
         assert d1[0] == pytest.approx(-1.0, abs=1e-12)
         assert h1[0] == pytest.approx(1.0, abs=1e-12)
         assert res <= 1e-12
@@ -152,9 +159,8 @@ class TestSharedMatrix:
     def test_correction_system_hand_example(self):
         # Same matrix, |d0| = 1, exponent 2.5, curvature 0.5: right-hand
         # side (0, -1.5), solution (-0.5, 0.5).
-        fac = linalg.lu_factor(engine.assemble_gamma(
-            np.array([[1.0]]), np.array([[1.0]]), np.array([2.0])))
-        d2, h2, res = engine.solve_shared(fac, 1, -(1.0 ** 2.5 + 0.0 ** 0.6)
+        fac = _shared_factor(np.array([[1.0]]), np.array([[1.0]]), np.array([2.0]))
+        d2, h2, res = engine.solve_shared(fac, -(1.0 ** 2.5 + 0.0 ** 0.6)
                                           - np.array([0.5]))
         assert d2[0] == pytest.approx(-0.5, abs=1e-12)
         assert h2[0] == pytest.approx(0.5, abs=1e-12)
@@ -170,14 +176,14 @@ class TestSharedMatrix:
         N = rng.normal(size=(3, 2))
         q = np.abs(rng.normal(size=2)) + 0.5
         gamma = engine.assemble_gamma(H, N, q)
-        fac = linalg.lu_factor(gamma)
+        fac = _shared_factor(H, N, q)
         d0 = rng.normal(size=3)
         phi = 0.7
         curvature = rng.normal(size=2)
 
         norm_d0 = np.linalg.norm(d0)
-        d1, h1, _ = engine.solve_shared(fac, 3, -(norm_d0 + phi ** 0.6))
-        d2, h2, _ = engine.solve_shared(fac, 3, -(norm_d0 ** 2.5 + phi ** 0.6)
+        d1, h1, _ = engine.solve_shared(fac, -(norm_d0 + phi ** 0.6))
+        d2, h2, _ = engine.solve_shared(fac, -(norm_d0 ** 2.5 + phi ** 0.6)
                                         - curvature)
         rhs1 = np.zeros(5)
         rhs1[3:] = -(np.linalg.norm(d0) + phi ** 0.6)
@@ -187,6 +193,56 @@ class TestSharedMatrix:
                            np.linalg.solve(gamma, rhs1), atol=1e-10)
         assert np.allclose(np.concatenate([d2, h2]),
                            np.linalg.solve(gamma, rhs2), atol=1e-10)
+
+    def test_schur_solve_matches_dense_solve(self):
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            n = int(rng.integers(1, 15))
+            m = int(rng.integers(0, 2 * n + 1))
+            g = rng.normal(size=(n, n))
+            H = g @ g.T + 0.1 * np.eye(n)
+            N = rng.normal(size=(n, m))
+            q = np.abs(rng.normal(size=m))
+            if m <= n and trial % 3 == 0:
+                q[: m // 2] = 0.0  # pinned rows: N'Y alone must carry them
+            lower = rng.normal(size=m)
+            d, h, res = engine.solve_shared(_shared_factor(H, N, q), lower)
+            gamma = engine.assemble_gamma(H, N, q)
+            z = np.linalg.solve(gamma, np.concatenate([np.zeros(n), lower]))
+            scale = max(1.0, np.max(np.abs(z)))
+            assert np.max(np.abs(np.concatenate([d, h]) - z)) <= 1e-9 * scale
+            assert res <= linalg.RESIDUAL_TOL
+
+    def test_singular_matrix_raises(self):
+        # Two equal columns of N on pinned rows (q = 0): Gamma is singular.
+        N = np.array([[1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(SingularMatrixError, match="shared coefficient matrix"):
+            _shared_factor(np.eye(2), N, np.zeros(2))
+
+    def test_singular_matrix_ends_the_run_degenerate(self):
+        # x - 1 <= 0 twice, from x = 3: both rows carry the violation, so
+        # fbar and q vanish on both and their gradients are equal.
+        prob = model.NlpProblem(
+            n=1, m_ineq=2, m_eq=0,
+            f0=lambda x: float((x[0] - 2.0) ** 2),
+            f=lambda x: np.array([x[0] - 1.0, x[0] - 1.0]),
+            grad_f0=lambda x: np.array([2.0 * (x[0] - 2.0)]),
+            grad_f=lambda x: np.array([[1.0, 1.0]]),
+        )
+        report = engine.solve(prob, [3.0])
+        assert report.status is engine.SolveStatus.DEGENERATE
+        assert report.ni == 0
+        assert report.message.startswith("shared coefficient matrix is singular")
+
+    def test_no_lu_factor_on_the_solve_path(self, monkeypatch):
+        def forbidden(a):
+            raise AssertionError("LU factor called")
+
+        monkeypatch.setattr(linalg, "lu_factor", forbidden)
+        monkeypatch.setattr(linalg, "LuFactorization", forbidden)
+        entry = corpus.get_problem("HS035")
+        report = engine.solve(entry.problem, entry.x0_infeasible)
+        assert report.status is engine.SolveStatus.CONVERGED
 
 
 class TestSecondOrderResidual:
@@ -682,11 +738,14 @@ class TestFixedPoint:
     """A step that leaves (x, H, c) unchanged ends the run as
     line_search_stall: every later iteration would repeat it exactly.
 
-    Convex data seed 1 reaches such a point only when constraint values
-    are compared with 0 exactly (phi_tol = 0): an active constraint lands at
-    about +1e-16 after a move and the searches shrink t until x stops
-    moving.  Under the default roundoff floor it converges.
+    Convex data seed 7 reaches such a point (at k = 56) only when
+    constraint values are compared with 0 exactly (phi_tol = 0): an active
+    constraint lands at about +1e-16 after a move and the searches shrink t
+    until x stops moving.  Under the default roundoff floor it converges.
+    Which exact-mode runs stall depends on rounding in the linear algebra.
     """
+
+    STALLS = 7  # a convex data seed that stalls in exact mode within 75 iterations
 
     EXACT = engine.SolverOptions(phi_tol=0.0)
 
@@ -710,7 +769,7 @@ class TestFixedPoint:
         return engine.solve(problem, x0, options), steps
 
     def test_stops_at_the_first_step_that_repeats(self, monkeypatch):
-        problem, x0 = _convex_problem(1, 20)
+        problem, x0 = _convex_problem(self.STALLS, 20)
         options = dataclasses.replace(self.EXACT, max_iter=75)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_is_fixed_point", lambda *args: False)
@@ -729,7 +788,7 @@ class TestFixedPoint:
         assert report.phi_final == unstopped.phi_final
 
     def test_stall_reports_its_residual(self):
-        problem, x0 = _convex_problem(1, 20)
+        problem, x0 = _convex_problem(self.STALLS, 20)
         report = engine.solve(problem, x0, dataclasses.replace(self.EXACT, keep_trace=True))
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert re.fullmatch(r"fixed point: step t=\S+ along \|d0\|=\S+ "
@@ -754,7 +813,7 @@ class TestFixedPoint:
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= 1e-7
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 7])
     def test_every_seed_converges_under_the_roundoff_floor(self, seed):
         problem, x0 = _convex_problem(seed, 20)
         report = engine.solve(problem, x0)

@@ -226,15 +226,16 @@ class TestLuFactorBitwise:
         from isqp import corpus, engine
 
         seen = []
-        real_factor = linalg.lu_factor
+        real_assemble = engine.assemble_gamma
 
-        def recording_factor(a):
-            seen.append(np.array(a))
-            return real_factor(a)
+        def recording_assemble(H, N, q):
+            gamma = real_assemble(H, N, q)
+            seen.append(gamma.copy())
+            return gamma
 
         entry = corpus.get_problem("HS035")
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "lu_factor", recording_factor)
+            patch.setattr(engine, "assemble_gamma", recording_assemble)
             engine.solve(entry.problem, entry.x0_infeasible)
         assert len(seen) > 1
         for gamma in seen:

@@ -199,6 +199,40 @@ class TestCounters:
         assert (counters.nf0, counters.nf) == (1, 2)
 
 
+class TestJacobianLayout:
+    def test_layout_of_grad_f_does_not_change_the_run(self):
+        # Products round differently by memory layout; evaluate stores the
+        # Jacobian in one order, so C- and F-ordered callbacks give one run.
+        n, m = 12, 24
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((m, n))
+        b = np.abs(rng.standard_normal(m)) + 1.0
+        c = rng.standard_normal(n)
+
+        def program(layout):
+            return model.NlpProblem(
+                n=n, m_ineq=m, m_eq=0,
+                f0=lambda x: float(np.sum(x ** 4) / 4.0 + x @ x / 2.0 + c @ x),
+                f=lambda x: a @ x - b + 0.1 * (x @ x),
+                grad_f0=lambda x: x ** 3 + x + c,
+                grad_f=lambda x: layout(a.T + 0.2 * x[:, None]),
+            )
+
+        x0 = 3.0 * np.ones(n)
+        runs = [engine.solve(program(layout), x0)
+                for layout in (np.ascontiguousarray, np.asfortranarray)]
+        ev = model.evaluate(program(np.asfortranarray), x0, model.EvalCounters())
+        assert ev.gI.flags.c_contiguous
+        assert runs[0].status is engine.SolveStatus.CONVERGED
+        c_run, f_run = runs
+        assert (c_run.status, c_run.ni, c_run.nf0, c_run.nf) == (
+            f_run.status, f_run.ni, f_run.nf0, f_run.nf)
+        for field in ("x", "lam", "mu"):
+            assert getattr(c_run, field).tobytes() == getattr(f_run, field).tobytes()
+        assert c_run.fv == f_run.fv
+        assert c_run.kkt_residual == f_run.kkt_residual
+
+
 class TestEvaluationFailures:
     def test_nan_objective_raises(self):
         prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0, f0=lambda x: float("nan"))

@@ -274,13 +274,16 @@ class TestAgainstOracle:
 
 
 class TestAgainstUnhoistedLoop:
-    """solve_qp must be bitwise the loop that recomputes everything per
-    step.  Matrix products round differently by memory layout, so both
-    row-major and column-major constraint matrices are covered (the
-    engine passes the transpose of the constraint Jacobian)."""
+    """solve_qp must agree with the loop that recomputes everything per
+    step, within the tolerances of the KKT certificate: each minimizer
+    certifies under the other's multipliers (at a degenerate vertex the
+    multipliers are not unique), the minimizers differ by at most the
+    certificate's tolerance, and the active sets are equal.  Both row-major
+    and column-major constraint matrices are covered (the engine passes
+    the transpose of the constraint Jacobian)."""
 
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
-    def test_bitwise_equal_results(self, layout):
+    def test_agrees_within_the_certificate(self, layout):
         rng = np.random.default_rng(31)
         for trial in range(80):
             n = int(rng.integers(1, 30))
@@ -294,9 +297,48 @@ class TestAgainstUnhoistedLoop:
             inst = qp.QpInstance(H=H, grad=3.0 * rng.normal(size=n), A=layout(A), b=b)
             sol = qp.solve_qp(inst)
             d, lam, active = _reference_solve_qp(inst)
-            assert sol.d0.tobytes() == d.tobytes()
-            assert sol.lam.tobytes() == lam.tobytes()
+            qp._certify(inst, sol.d0, lam)
+            qp._certify(inst, d, sol.lam)
+            assert np.max(np.abs(sol.d0 - d)) <= inst.kkt_tol
             assert np.array_equal(sol.active, active)
+
+
+class TestPerQpWork:
+    def test_h_is_solved_against_only_before_the_loop(self, monkeypatch):
+        # Y = H^-1 A' and H^-1 grad are the only n-sized solves; every
+        # active-set step solves only its |W|-sized multiplier system.
+        rng = np.random.default_rng(3)
+        n, m = 12, 8
+        g = rng.normal(size=(n, n))
+        inst = qp.QpInstance(H=g @ g.T + np.eye(n), grad=10.0 * rng.normal(size=n),
+                             A=rng.normal(size=(m, n)), b=0.1 * np.ones(m))
+        sizes = []
+        real = linalg.solve_cholesky
+
+        def recording(low, b):
+            sizes.append(low.shape[0])
+            return real(low, b)
+
+        steps = []
+        real_objective = qp.QpInstance.objective
+        monkeypatch.setattr(linalg, "solve_cholesky", recording)
+        monkeypatch.setattr(qp.QpInstance, "objective",
+                            lambda self, d: steps.append(1) or real_objective(self, d))
+        sol = qp.solve_qp(inst)
+        assert sol.active.size > 1
+        assert len(steps) > 2
+        assert sizes.count(n) == 2
+        assert max(sizes[2:]) < n
+
+    def test_hands_back_y_and_ay(self):
+        rng = np.random.default_rng(4)
+        inst = _random_instance(rng)
+        while inst.m == 0:
+            inst = _random_instance(rng)
+        sol = qp.solve_qp(inst)
+        assert np.allclose(inst.H @ sol.y, inst.A.T, atol=1e-12)
+        assert np.allclose(sol.ay, inst.A @ sol.y, atol=1e-12)
+        assert np.array_equal(sol.ay, sol.ay.T)
 
 
 class TestCertificates:
@@ -311,7 +353,8 @@ class TestCertificates:
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([1.0]),
                              A=np.zeros((0, 1)), b=np.zeros(0))
         fake = qp.QpSolution(d0=np.array([2.0]), lam=np.zeros(0),
-                             active=np.zeros(0, dtype=int))
+                             active=np.zeros(0, dtype=int), y=np.zeros((1, 0)),
+                             ay=np.zeros((0, 0)))
         with pytest.raises(CertificateViolation):
             qp.objective_decrease_certificate(inst, fake)
 
