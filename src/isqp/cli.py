@@ -48,15 +48,11 @@ def _build_parser() -> _Parser:
                      help="feasible (a), infeasible (b), or both starts (default both)")
     run.add_argument("--x0", default=None,
                      help="comma-separated custom start (single problem only)")
-    run.add_argument("--tol", type=float, default=None,
-                     help="termination tolerance on the search-direction norm")
-    run.add_argument("--max-iter", type=int, default=None, dest="max_iter",
-                     help="iteration cap (default 500)")
-    for flag in ("alpha", "alpha-hat", "eta", "theta", "sigma", "rho", "tau",
-                 "epsilon", "p", "gamma", "gamma0", "c-init", "kappa", "mu"):
-        run.add_argument(f"--{flag}", type=float, default=None,
-                         dest=flag.replace("-", "_"),
-                         help=f"override solver parameter {flag.replace('-', '_')}")
+    defaults = engine.SolverOptions()
+    for key, field in _OPTION_KEYS.items():
+        default = getattr(defaults, field)
+        run.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=None,
+                         dest=key, help=f"solver parameter {field} (default {default:g})")
     run.add_argument("--trace", action="store_true",
                      help="print per-iteration diagnostics to stderr")
     run.add_argument("--config", default=None,
@@ -99,7 +95,7 @@ def _merge_options(args) -> engine.SolverOptions:
     if args.config:
         overrides.update(_load_config(args.config))
     for cli_key, field in _OPTION_KEYS.items():
-        value = getattr(args, cli_key, None)
+        value = getattr(args, cli_key)
         if value is not None:
             overrides[field] = value
     if "max_iter" in overrides:

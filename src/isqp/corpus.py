@@ -38,9 +38,13 @@ class CorpusEntry:
     x0_feasible: Optional[np.ndarray]
     x0_infeasible: Optional[np.ndarray]
     fv_candidates: tuple[float, ...]
-    dims: tuple[int, int, int]
     fv_tolerance: float = 1e-6
     infeasible_start_is_reference: bool = False
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        """(n, inequality count, equality count) of the problem."""
+        return self.problem.n, self.problem.m_ineq, self.problem.m_eq
 
     @property
     def fv_reference(self) -> float:
@@ -65,16 +69,13 @@ class GradientCheck:
     max_rel_error: float
 
 
-def _entry(name, problem, x0_feasible, x0_infeasible, fv_candidates, dims, **kw):
-    if (problem.n, problem.m_ineq, problem.m_eq) != dims:
-        raise ValueError(f"{name}: declared dims {dims} do not match the model")
+def _entry(name, problem, x0_feasible, x0_infeasible, fv_candidates, **kw):
     return CorpusEntry(
         name=name,
         problem=problem,
         x0_feasible=None if x0_feasible is None else np.asarray(x0_feasible, dtype=float),
         x0_infeasible=None if x0_infeasible is None else np.asarray(x0_infeasible, dtype=float),
         fv_candidates=fv_candidates,
-        dims=dims,
         **kw,
     )
 
@@ -96,7 +97,7 @@ def _hs012() -> CorpusEntry:
 
     problem = model.NlpProblem(n=2, m_ineq=1, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS012")
-    return _entry("HS012", problem, [0.0, 0.0], None, (-30.0,), (2, 1, 0))
+    return _entry("HS012", problem, [0.0, 0.0], None, (-30.0,))
 
 
 # HS024: min ((x1-3)^2 - 9) x2^3 / (27 sqrt 3)  s.t. x1/sqrt3 - x2 >= 0,
@@ -131,7 +132,7 @@ def _hs024() -> CorpusEntry:
 
     problem = model.NlpProblem(n=2, m_ineq=5, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS024")
-    return _entry("HS024", problem, [1.0, 0.5], None, (-1.0,), (2, 5, 0))
+    return _entry("HS024", problem, [1.0, 0.5], None, (-1.0,))
 
 
 # HS029: min -x1 x2 x3  s.t. 48 - x1^2 - 2 x2^2 - 4 x3^2 >= 0; start (1, 1, 1),
@@ -151,7 +152,7 @@ def _hs029() -> CorpusEntry:
 
     problem = model.NlpProblem(n=3, m_ineq=1, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS029")
-    return _entry("HS029", problem, [1.0, 1.0, 1.0], None, (-22.62741700,), (3, 1, 0))
+    return _entry("HS029", problem, [1.0, 1.0, 1.0], None, (-22.62741700,))
 
 
 # HS030: min x1^2 + x2^2 + x3^2  s.t. x1^2 + x2^2 - 1 >= 0, 1 <= x1 <= 10,
@@ -185,7 +186,7 @@ def _hs030() -> CorpusEntry:
     problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS030")
     return _entry("HS030", problem, [1.0, 1.0, 1.0], None,
-                  (4.016837909e-18, 1.0), (3, 7, 0))
+                  (4.016837909e-18, 1.0))
 
 
 # HS031: min 9 x1^2 + x2^2 + 9 x3^2  s.t. x1 x2 - 1 >= 0, |x1| <= 10,
@@ -217,7 +218,7 @@ def _hs031() -> CorpusEntry:
 
     problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS031")
-    return _entry("HS031", problem, [1.0, 1.0, 1.0], None, (6.0,), (3, 7, 0))
+    return _entry("HS031", problem, [1.0, 1.0, 1.0], None, (6.0,))
 
 
 # HS033: min (x1-1)(x1-2)(x1-3) + x3  s.t. x3^2 - x1^2 - x2^2 >= 0,
@@ -250,7 +251,7 @@ def _hs033() -> CorpusEntry:
 
     problem = model.NlpProblem(n=3, m_ineq=6, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS033")
-    return _entry("HS033", problem, [0.0, 0.0, 3.0], None, (-4.585785958,), (3, 6, 0))
+    return _entry("HS033", problem, [0.0, 0.0, 3.0], None, (-4.585785958,))
 
 
 def _exp_chain_constraints():
@@ -286,7 +287,7 @@ def _hs034() -> CorpusEntry:
         grad_f0=lambda x: np.array([-1.0, 0.0, 0.0]), grad_f=gf, name="HS034",
     )
     return _entry("HS034", problem, [0.0, 1.05, 2.9], [1.0, 1.0, 1.0],
-                  (-0.83403244521568,), (3, 8, 0))
+                  (-0.83403244521568,))
 
 
 # HS035 (Beale): min 9 - 8x1 - 6x2 - 4x3 + 2x1^2 + 2x2^2 + x3^2 + 2x1x2 + 2x1x3
@@ -317,7 +318,7 @@ def _hs035() -> CorpusEntry:
     problem = model.NlpProblem(n=3, m_ineq=4, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS035")
     return _entry("HS035", problem, [0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
-                  (0.11111111111111,), (3, 4, 0))
+                  (0.11111111111111,))
 
 
 # HS036: min -x1 x2 x3  s.t. 72 - x1 - 2x2 - 2x3 >= 0, 0 <= x1 <= 20,
@@ -350,7 +351,7 @@ def _hs036() -> CorpusEntry:
     problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS036")
     return _entry("HS036", problem, [10.0, 10.0, 10.0], [12.0, 12.0, 12.0],
-                  (-3299.99999999996,), (3, 7, 0))
+                  (-3299.99999999996,))
 
 
 # HS037: min -x1 x2 x3  s.t. 72 - x1 - 2x2 - 2x3 >= 0, x1 + 2x2 + 2x3 >= 0,
@@ -390,7 +391,7 @@ def _hs037() -> CorpusEntry:
     problem = model.NlpProblem(n=3, m_ineq=8, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS037")
     return _entry("HS037", problem, [10.0, 10.0, 10.0], [-5.0, 10.0, 10.0],
-                  (-3455.999999999965,), (3, 8, 0))
+                  (-3455.999999999965,))
 
 
 # HS043 (Rosen-Suzuki): min x1^2 + x2^2 + 2x3^2 + x4^2 - 5x1 - 5x2 - 21x3 + 7x4
@@ -424,7 +425,7 @@ def _hs043() -> CorpusEntry:
     problem = model.NlpProblem(n=4, m_ineq=3, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS043")
     return _entry("HS043", problem, [0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0],
-                  (-44.0,), (4, 3, 0))
+                  (-44.0,))
 
 
 # HS044: min x1 - x2 - x3 - x1x3 + x1x4 + x2x3 - x2x4  s.t. six linear
@@ -471,7 +472,7 @@ def _hs044() -> CorpusEntry:
     problem = model.NlpProblem(n=4, m_ineq=10, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS044")
     return _entry("HS044", problem, [0.0, 0.0, 0.0, 0.0], [1.0, 4.0, 1.0, 5.0],
-                  (-14.99999999935652,), (4, 10, 0))
+                  (-14.99999999935652,))
 
 
 # HS065: min (x1-x2)^2 + (x1+x2-10)^2/9 + (x3-5)^2  s.t. 48 - x1^2 - x2^2
@@ -512,7 +513,7 @@ def _hs065() -> CorpusEntry:
     problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS065")
     return _entry("HS065", problem, [3.0, 3.0, 0.0], [-5.0, 5.0, 0.0],
-                  (0.95352885680478,), (3, 7, 0),
+                  (0.95352885680478,),
                   infeasible_start_is_reference=True)
 
 
@@ -527,7 +528,7 @@ def _hs066() -> CorpusEntry:
         grad_f0=lambda x: np.array([-0.8, 0.0, 0.2]), grad_f=gf, name="HS066",
     )
     return _entry("HS066", problem, [0.0, 1.05, 2.9], [1.0, 1.0, 1.0],
-                  (0.51816327418156,), (3, 8, 0))
+                  (0.51816327418156,))
 
 
 # HS076: min x1^2 + 0.5 x2^2 + x3^2 + 0.5 x4^2 - x1 x3 + x3 x4 - x1 - 3 x2
@@ -569,7 +570,7 @@ def _hs076() -> CorpusEntry:
     problem = model.NlpProblem(n=4, m_ineq=7, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS076")
     return _entry("HS076", problem, [0.5, 0.5, 0.5, 0.5], None,
-                  (-4.681818182,), (4, 7, 0))
+                  (-4.681818182,))
 
 
 # HS100: min (x1-10)^2 + 5(x2-12)^2 + x3^4 + 3(x4-11)^2 + 10 x5^6 + 7 x6^2
@@ -616,7 +617,7 @@ def _hs100() -> CorpusEntry:
     problem = model.NlpProblem(n=7, m_ineq=4, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS100")
     return _entry("HS100", problem, [1.0, 2.0, 0.0, 4.0, 0.0, 1.0, 1.0],
-                  [2.0] * 7, (682.5663838261504, 680.6300573744018), (7, 4, 0))
+                  [2.0] * 7, (682.5663838261504, 680.6300573744018))
 
 
 _BUILDERS = (

@@ -24,13 +24,19 @@ the penalty parameter unchanged, such a step also leaves the curvature
 matrix as it was, so every later iteration would repeat it bit for bit.
 The run then stops at once with status ``line_search_stall``, reporting
 the KKT residual reached under that iteration's QP multipliers.
+
+Gamma itself is never assembled: each shared-matrix solve checks its
+residual against Gamma's blocks.  Each iteration's trace record carries its
+QP multipliers and, when the termination test ran, the KKT residual that
+test read; a converged run reports that residual without evaluating it
+again.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -71,6 +77,8 @@ class SolveStatus(str, Enum):
 class SolverOptions:
     """Algorithm parameters.  Defaults follow the benchmark configuration."""
 
+    # The paper's analysis takes both merit fractions below 1/2; the benchmark
+    # configuration's 0.5 is that limit, and solve() warns only above it.
     alpha: float = 0.5        # merit decrease fraction, arc search
     alpha_hat: float = 0.5    # merit decrease fraction, feasible-direction search
     eta: float = 0.5          # step shrink factor, feasible-direction search
@@ -112,22 +120,6 @@ class SolverOptions:
 
 
 @dataclass
-class DirectionBundle:
-    """Directions and multipliers computed within one iteration."""
-
-    d0: np.ndarray
-    lam: np.ndarray
-    active: np.ndarray
-    d2: Optional[np.ndarray] = None
-    h2: Optional[np.ndarray] = None
-    d1: Optional[np.ndarray] = None
-    h1: Optional[np.ndarray] = None
-    dhat: Optional[np.ndarray] = None
-    beta: Optional[float] = None
-    branch: Optional[str] = None  # "arc" or "feasible_direction"
-
-
-@dataclass
 class IterateState:
     """Mutable per-run state threaded through step()."""
 
@@ -164,7 +156,8 @@ class IterationRecord:
     i0_margin: Optional[float] = None       # max over izero of g_i'dhat + beta*(|d0|+phi**sigma)
     h_updated: Optional[bool] = None
     fixed_point: bool = False               # the accepted step left the state unchanged
-    directions: Optional[DirectionBundle] = None
+    lam: Optional[np.ndarray] = None        # QP multipliers, entries below LAMBDA_SNAP zeroed
+    kkt_residual: Optional[float] = None    # what the termination test read, if it ran
 
 
 @dataclass
@@ -189,46 +182,36 @@ class SolveReport:
     message: str = ""
 
 
-def compute_q_diag(ev: model.Evaluation, d0: np.ndarray) -> np.ndarray:
-    """Diagonal damping for the shared coefficient matrix.
+def compute_q_diag(ev: model.Evaluation, gd0: np.ndarray, norm_d0: float) -> np.ndarray:
+    """Diagonal damping for the shared coefficient matrix, given the
+    constraint slopes gd0 = J'd0 and |d0|.
 
     Entries vanish exactly where fbar does, so those constraints are pinned
     while all others are relaxed in proportion to their slack.
     """
-    if ev.fI.size == 0:
-        return np.zeros(0)
-    shift = np.abs(ev.fbar + ev.gI.T @ d0) + float(np.linalg.norm(d0))
-    return np.abs(ev.fbar) * shift
-
-
-def assemble_gamma(H: np.ndarray, N: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Coefficient matrix [[H, N], [N', -diag(q)]] shared by both extra solves."""
-    n, m = N.shape
-    out = np.zeros((n + m, n + m))
-    out[:n, :n] = H
-    out[:n, n:] = N
-    out[n:, :n] = N.T
-    if m > 0:
-        out[n:, n:] = -np.diag(q)
-    return out
+    return np.abs(ev.fbar) * (np.abs(ev.fbar + gd0) + norm_d0)
 
 
 def second_order_residual(problem: model.NlpProblem, ev: model.Evaluation,
-                          d0: np.ndarray, counters: model.EvalCounters) -> np.ndarray:
-    """Constraint curvature along d0: f(x + d0) - f(x) - J'd0 (one full
-    constraint evaluation, no objective evaluation)."""
+                          d0: np.ndarray, gd0: np.ndarray,
+                          counters: model.EvalCounters) -> np.ndarray:
+    """Constraint curvature along d0: f(x + d0) - f(x) - J'd0, given
+    gd0 = J'd0 (one full constraint evaluation, no objective evaluation)."""
     if problem.m == 0:
         return np.zeros(0)
     shifted = model.constraint_values(problem, ev.x + d0, counters)
-    return shifted - ev.fI - ev.gI.T @ d0
+    return shifted - ev.fI - gd0
 
 
 @dataclass(frozen=True)
 class SharedFactor:
-    """Gamma of :func:`assemble_gamma`, kept for the residual checks, with
-    Y = H^-1 N and the lower Cholesky factor of S = N'Y + diag(q)."""
+    """The blocks of Gamma = [[H, N], [N', -diag(q)]], kept for the residual
+    checks, with Y = H^-1 N and the lower Cholesky factor of
+    S = N'Y + diag(q)."""
 
-    gamma: np.ndarray
+    H: np.ndarray
+    N: np.ndarray
+    q: np.ndarray
     y: np.ndarray
     low: np.ndarray
 
@@ -246,7 +229,7 @@ def factor_shared(H: np.ndarray, N: np.ndarray, q: np.ndarray, y: np.ndarray,
         low = linalg.cholesky(ny + np.diag(q))
     except NotPositiveDefiniteError as exc:
         raise SingularMatrixError(f"shared coefficient matrix is singular: {exc}") from exc
-    return SharedFactor(gamma=assemble_gamma(H, N, q), y=y, low=low)
+    return SharedFactor(H=H, N=N, q=q, y=y, low=low)
 
 
 def solve_shared(fac: SharedFactor, lower):
@@ -254,16 +237,17 @@ def solve_shared(fac: SharedFactor, lower):
     (d, h, scaled residual of the solve against Gamma).
 
     The top block gives d = -Y h, and the bottom one then h = -S^-1 lower.
-    The correction and the feasibility direction differ only in ``lower``:
-    -(|d0|**tau + phi**sigma) - curvature and -(|d0| + phi**sigma).
+    The residual [H d + N h; N'd - q*h] - [0; lower] is formed block by
+    block.  The correction and the feasibility direction differ only in
+    ``lower``: -(|d0|**tau + phi**sigma) - curvature and -(|d0| + phi**sigma).
     """
     n = fac.y.shape[0]
-    rhs = np.zeros(fac.gamma.shape[0])
+    rhs = np.zeros(n + fac.q.size)
     rhs[n:] = lower
     h = -linalg.solve_cholesky(fac.low, rhs[n:])
     d = -(fac.y @ h)
-    residual = linalg.check_residual(fac.gamma, np.concatenate([d, h]), rhs)
-    return d, h, residual
+    gamma_dh = np.concatenate([fac.H @ d + fac.N @ h, fac.N.T @ d - fac.q * h])
+    return d, h, linalg.check_residual(gamma_dh, rhs)
 
 
 def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
@@ -484,36 +468,36 @@ def step(problem: model.NlpProblem, state: IterateState,
     # constraint satisfied, so phi is 0), AND a certified KKT residual: a
     # short direction alone can reflect an inflated H, and the reported
     # status promises the residual bound.
+    kkt_residual = None
     if norm_d0 <= options.term_tol and phi == 0.0:
         mu = _recover_multipliers(lam_clean, problem.m_ineq, c)
-        if model.kkt_residual_original(ev, mu) <= options.kkt_tol:
+        kkt_residual = model.kkt_residual_original(ev, mu)
+        if kkt_residual <= options.kkt_tol:
             record = IterationRecord(
                 k=state.k, converged=True, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
-                c_changed=c_changed, iminus_size=ev.iminus.size,
-                directions=DirectionBundle(d0=d0, lam=lam_clean, active=sol.active),
+                c_changed=c_changed, iminus_size=ev.iminus.size, lam=lam_clean,
+                kkt_residual=kkt_residual,
             )
-            state.c = c
             return state, record
 
     slope = qpmod.objective_decrease_certificate(inst, sol)
 
     # Second-order correction sharing one factored matrix with the
     # feasibility direction below.
-    fac = factor_shared(state.H, ev.gI, compute_q_diag(ev, d0), sol.y, sol.ay)
-    curvature = second_order_residual(problem, ev, d0, counters)
-    d2, h2, res2 = solve_shared(
+    gd0 = ev.gI.T @ d0
+    fac = factor_shared(state.H, ev.gI, compute_q_diag(ev, gd0, norm_d0), sol.y, sol.ay)
+    curvature = second_order_residual(problem, ev, d0, gd0, counters)
+    d2, _, gamma_residual = solve_shared(
         fac, -(norm_d0 ** options.tau + phi ** options.sigma) - curvature)
-    bundle = DirectionBundle(d0=d0, lam=lam_clean, active=sol.active, d2=d2, h2=h2)
-    gamma_residual = res2
-    descent_lhs = descent_rhs = i0_margin = None
+    beta = descent_lhs = descent_rhs = i0_margin = None
 
     hit = arc_search(problem, ev, d0 + d2, norm_d0, slope, c, fc0, options, counters)
     if hit is not None:
         t, vals = hit
-        bundle.branch = "arc"
+        branch = "arc"
     else:
         push = norm_d0 + phi ** options.sigma
-        d1, h1, res1 = solve_shared(fac, -push)
+        d1, _, res1 = solve_shared(fac, -push)
         gamma_residual = max(gamma_residual, res1)
         slope_d1 = float(grad_fc @ d1)
         beta = compute_beta(slope, slope_d1, options.theta, phi)
@@ -528,11 +512,7 @@ def step(problem: model.NlpProblem, state: IterateState,
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
         t, vals = feasible_direction_search(problem, ev, dhat, shift, slope_hat, c, fc0,
                                             options, counters)
-        bundle.d1 = d1
-        bundle.h1 = h1
-        bundle.dhat = dhat
-        bundle.beta = beta
-        bundle.branch = "feasible_direction"
+        branch = "feasible_direction"
 
     _require(vals.iminus.size >= ev.iminus.size, "accepted step lost a satisfied constraint")
     ev_next = model.evaluate(problem, vals.x, counters, values=vals)
@@ -541,12 +521,12 @@ def step(problem: model.NlpProblem, state: IterateState,
 
     record = IterationRecord(
         k=state.k, converged=False, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
-        c_changed=c_changed, iminus_size=ev.iminus.size, t=t,
-        beta=bundle.beta, branch=bundle.branch,
+        c_changed=c_changed, iminus_size=ev.iminus.size, t=t, beta=beta, branch=branch,
         iminus_size_next=vals.iminus.size, slope=slope,
         gamma_residual=gamma_residual, descent_lhs=descent_lhs,
         descent_rhs=descent_rhs, i0_margin=i0_margin,
-        h_updated=h_next is not state.H, fixed_point=fixed_point, directions=bundle,
+        h_updated=h_next is not state.H, fixed_point=fixed_point, lam=lam_clean,
+        kkt_residual=kkt_residual,
     )
     if fixed_point:
         return state, record
@@ -585,10 +565,10 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     failure it is inf.
     """
     options = options if options is not None else SolverOptions()
-    if options.alpha >= 0.5 or options.alpha_hat >= 0.5:
+    if options.alpha > 0.5 or options.alpha_hat > 0.5:
         logger.warning(
-            "merit decrease fraction %.3g is at or above 0.5; convergence "
-            "guarantees assume a smaller value", max(options.alpha, options.alpha_hat),
+            "merit decrease fraction %.3g is above 0.5; convergence "
+            "guarantees assume a value below 0.5", max(options.alpha, options.alpha_hat),
         )
     x0 = np.asarray(x0, dtype=float).reshape(problem.n)
     counters = model.EvalCounters()
@@ -609,9 +589,11 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
                 trace.append(record)
             if record.converged or record.fixed_point:
                 break
-        lam = record.directions.lam
-        mu = _recover_multipliers(lam, problem.m_ineq, state.c)
-        kkt = model.kkt_residual_original(state.ev, mu)
+        lam = record.lam
+        mu = _recover_multipliers(lam, problem.m_ineq, record.c)
+        # A converged record carries the residual its termination test read.
+        kkt = (record.kkt_residual if record.converged
+               else model.kkt_residual_original(state.ev, mu))
         if record.converged:
             status = SolveStatus.CONVERGED
         elif record.fixed_point:

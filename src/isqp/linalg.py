@@ -7,7 +7,9 @@ pivot floor, which doubles as the positive-definiteness test for curvature
 matrices and, on the Schur complement of the engine's shared matrix, as
 its singularity test.  LU with partial pivoting keeps the same pivot
 floor; it is the package's general square solver, and no solver path
-calls it.
+calls it.  Every solve checks its scaled residual with ``check_residual``,
+which takes the product A x rather than A, so a caller holding A in blocks
+(the engine's shared matrix) checks without assembling it.
 
 The triangular solves are column sweeps of elementwise products and
 differences, so their results do not depend on how right-hand sides are
@@ -48,10 +50,11 @@ def check_symmetric(a: np.ndarray) -> None:
         raise ValueError("matrix is not symmetric within tolerance")
 
 
-def check_residual(a: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """Check the solve post-condition, raising NumericalBreakdown when it
-    fails; return max|a x - b| / max(1, max|b|)."""
-    residual = np.max(np.abs(a @ x - b), initial=0.0)
+def check_residual(ax: np.ndarray, b: np.ndarray) -> float:
+    """Check the post-condition of a solve of A x = b, given the product
+    ``ax`` = A x, raising NumericalBreakdown when it fails; return
+    max|A x - b| / max(1, max|b|)."""
+    residual = np.max(np.abs(ax - b), initial=0.0)
     scale = max(1.0, np.max(np.abs(b), initial=0.0))
     if not residual <= RESIDUAL_TOL * scale:
         raise NumericalBreakdown(f"solve residual {residual:.3e} exceeds tolerance")
@@ -110,7 +113,7 @@ class LuFactorization:
             x = np.empty_like(b)
             for j in range(b.shape[1]):
                 x[:, j] = self._sweep(b[:, j])
-        return x, check_residual(self._a, x, b)
+        return x, check_residual(self._a @ x, b)
 
     def _sweep(self, b: np.ndarray) -> np.ndarray:
         lu_t = self._lu_t
@@ -181,5 +184,5 @@ def spd_solve(m, b) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M."""
     m = _as_square(m)
     x = solve_cholesky(cholesky(m), b)
-    check_residual(m, x, np.asarray(b, dtype=float))
+    check_residual(m @ x, np.asarray(b, dtype=float))
     return x

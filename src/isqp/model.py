@@ -159,37 +159,33 @@ def with_objective(problem: NlpProblem, values: PointValues,
     return replace(values, f0=objective_value(problem, values.x, counters))
 
 
-def fd_gradient(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
-    """Central-difference gradient of the objective.  Every probe is
-    tallied."""
-    x = np.asarray(x, dtype=float).reshape(problem.n)
-    grad = np.zeros(problem.n)
-    for j in range(problem.n):
+def _central_differences(value, n: int, x, shape: tuple) -> np.ndarray:
+    """Rows j = (value(x + h e_j) - value(x - h e_j)) / 2h with
+    h = FD_STEP * max(1, |x_j|), each row of the given shape; the probe at
+    x + h e_j comes before the one at x - h e_j."""
+    x = np.asarray(x, dtype=float).reshape(n)
+    out = np.zeros((n, *shape))
+    for j in range(n):
         h = FD_STEP * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
         xm[j] -= h
-        hi = objective_value(problem, xp, counters)
-        lo = objective_value(problem, xm, counters)
-        grad[j] = (hi - lo) / (2.0 * h)
-    return grad
+        out[j] = (value(xp) - value(xm)) / (2.0 * h)  # operands run left to right
+    return out
+
+
+def fd_gradient(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
+    """Central-difference gradient of the objective.  Every probe is
+    tallied."""
+    return _central_differences(lambda z: objective_value(problem, z, counters),
+                                problem.n, x, ())
 
 
 def fd_jacobian(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
     """Central-difference constraint Jacobian, returned as n-by-m columns."""
-    x = np.asarray(x, dtype=float).reshape(problem.n)
-    jac = np.zeros((problem.n, problem.m))
-    for j in range(problem.n):
-        h = FD_STEP * max(1.0, abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        hi = constraint_values(problem, xp, counters)
-        lo = constraint_values(problem, xm, counters)
-        jac[j] = (hi - lo) / (2.0 * h)
-    return jac
+    return _central_differences(lambda z: constraint_values(problem, z, counters),
+                                problem.n, x, (problem.m,))
 
 
 def evaluate(problem: NlpProblem, x, counters: EvalCounters,

@@ -170,6 +170,28 @@ class TestConfig:
         assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
         assert "must be a number" in capsys.readouterr().err
 
+    def test_help_names_every_config_key(self, capsys):
+        with pytest.raises(SystemExit):
+            _run(["run", "--help"])
+        out = capsys.readouterr().out
+        for key in cli._OPTION_KEYS:
+            assert f"--{key.replace('_', '-')} " in out
+
+    def test_flag_and_config_set_the_same_value(self, tmp_path):
+        # HS044-b takes a different path with the roundoff floor off, so
+        # the two tables match only if both routes set it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phi_tol": 0}), encoding="utf-8")
+        tables = {}
+        for tag, extra in (("default", []), ("flag", ["--phi-tol", "0"]),
+                           ("config", ["--config", str(cfg)])):
+            path = tmp_path / f"{tag}.csv"
+            assert _run(["run", "--problem", "HS044", "--start", "b",
+                         "--out", str(path), *extra]) == 0
+            rows = path.read_text(encoding="utf-8").strip().split("\n")
+            tables[tag] = [row.rsplit(",", 1)[0] for row in rows]  # drop cpu_seconds
+        assert tables["flag"] == tables["config"] != tables["default"]
+
     def test_non_object_config_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]", encoding="utf-8")

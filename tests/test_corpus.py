@@ -139,7 +139,7 @@ class TestGradients:
         tampered = corpus.CorpusEntry(
             name="broken", problem=broken,
             x0_feasible=entry.x0_feasible, x0_infeasible=entry.x0_infeasible,
-            fv_candidates=entry.fv_candidates, dims=entry.dims,
+            fv_candidates=entry.fv_candidates,
         )
         with pytest.raises(GradientMismatch, match="constraint 2"):
             corpus.verify_gradients(tampered)
@@ -156,7 +156,7 @@ class TestGradients:
         tampered = corpus.CorpusEntry(
             name="broken", problem=broken,
             x0_feasible=entry.x0_feasible, x0_infeasible=entry.x0_infeasible,
-            fv_candidates=entry.fv_candidates, dims=entry.dims,
+            fv_candidates=entry.fv_candidates,
         )
         with pytest.raises(GradientMismatch, match="objective"):
             corpus.verify_gradients(tampered)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from isqp import corpus, engine, linalg, model
-from isqp.errors import LineSearchStall, SingularMatrixError
+from isqp.errors import LineSearchStall, NumericalBreakdown, SingularMatrixError
 
 
 def _toy_problem():
@@ -34,6 +34,15 @@ def _shared_factor(H, N, q):
 
 def _evaluate(problem, x):
     return model.evaluate(problem, x, model.EvalCounters())
+
+
+def _q_diag(ev, d0):
+    return engine.compute_q_diag(ev, ev.gI.T @ d0, float(np.linalg.norm(d0)))
+
+
+def _gamma(H, N, q):
+    """The shared coefficient matrix [[H, N], [N', -diag(q)]], assembled."""
+    return np.block([[H, N], [N.T, -np.diag(q)]])
 
 
 def _quadratic(hess_diag):
@@ -86,8 +95,15 @@ class TestOptionsValidation:
     def test_large_merit_fraction_logs_warning(self, caplog):
         prob = _quadratic([1.0])
         with caplog.at_level(logging.WARNING, logger="isqp.engine"):
-            engine.solve(prob, [1.0])  # defaults sit exactly at 0.5
-        assert any("0.5" in rec.message for rec in caplog.records)
+            engine.solve(prob, [1.0], engine.SolverOptions(alpha=0.7))
+        assert any("0.7" in rec.message for rec in caplog.records)
+
+    def test_default_merit_fractions_are_quiet(self, caplog):
+        # The defaults sit exactly at the analysis' limit of 0.5.
+        prob = _quadratic([1.0])
+        with caplog.at_level(logging.WARNING, logger="isqp.engine"):
+            engine.solve(prob, [1.0])
+        assert not caplog.records
 
     def test_small_merit_fraction_is_quiet(self, caplog):
         prob = _quadratic([1.0])
@@ -102,7 +118,7 @@ class TestDampingDiagonal:
         # d0 = 2 the shift is |-1 + 2| + 2 = 3, so the entry is 1 * 3.
         prob = _toy_problem()
         ev = _evaluate(prob, [0.0])
-        q = engine.compute_q_diag(ev, np.array([2.0]))
+        q = _q_diag(ev, np.array([2.0]))
         assert q[0] == pytest.approx(3.0, abs=1e-14)
 
     def test_rows_with_zero_shifted_value_are_pinned(self):
@@ -110,13 +126,13 @@ class TestDampingDiagonal:
         # vanishes no matter the direction.
         prob = _toy_problem()
         ev = _evaluate(prob, [0.0])
-        q = engine.compute_q_diag(ev, np.array([2.0]))
+        q = _q_diag(ev, np.array([2.0]))
         assert q[1] == 0.0
 
     def test_zero_exactly_on_active_rows(self):
         prob = _toy_problem()
         ev = _evaluate(prob, [0.0])
-        q = engine.compute_q_diag(ev, np.array([0.5]))
+        q = _q_diag(ev, np.array([0.5]))
         assert np.all(q[ev.izero] == 0.0)
         others = np.setdiff1d(np.arange(ev.fI.size), ev.izero)
         assert np.all(q[others] > 0.0)
@@ -124,29 +140,10 @@ class TestDampingDiagonal:
     def test_no_constraints_gives_empty(self):
         prob = _quadratic([1.0, 1.0])
         ev = _evaluate(prob, [1.0, 1.0])
-        assert engine.compute_q_diag(ev, np.ones(2)).size == 0
+        assert _q_diag(ev, np.ones(2)).size == 0
 
 
 class TestSharedMatrix:
-    def test_assemble_blocks(self):
-        out = engine.assemble_gamma(np.array([[2.0]]), np.array([[3.0]]),
-                                    np.array([5.0]))
-        assert np.array_equal(out, [[2.0, 3.0], [3.0, -5.0]])
-
-    def test_no_constraints_collapses_to_curvature_block(self):
-        H = np.array([[2.0, 0.5], [0.5, 1.0]])
-        out = engine.assemble_gamma(H, np.zeros((2, 0)), np.zeros(0))
-        assert np.array_equal(out, H)
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        H = rng.normal(size=(3, 3))
-        H = H + H.T
-        N = rng.normal(size=(3, 2))
-        q = np.abs(rng.normal(size=2))
-        out = engine.assemble_gamma(H, N, q)
-        assert np.array_equal(out, out.T)
-
     def test_feasibility_system_hand_example(self):
         # Matrix [[1, 1], [1, -2]] with |d0| = 3 and no violation gives the
         # right-hand side (0, -3) and the solution (-1, 1).
@@ -175,7 +172,7 @@ class TestSharedMatrix:
         H = H @ H.T + np.eye(3)
         N = rng.normal(size=(3, 2))
         q = np.abs(rng.normal(size=2)) + 0.5
-        gamma = engine.assemble_gamma(H, N, q)
+        gamma = _gamma(H, N, q)
         fac = _shared_factor(H, N, q)
         d0 = rng.normal(size=3)
         phi = 0.7
@@ -207,11 +204,26 @@ class TestSharedMatrix:
                 q[: m // 2] = 0.0  # pinned rows: N'Y alone must carry them
             lower = rng.normal(size=m)
             d, h, res = engine.solve_shared(_shared_factor(H, N, q), lower)
-            gamma = engine.assemble_gamma(H, N, q)
+            gamma = _gamma(H, N, q)
             z = np.linalg.solve(gamma, np.concatenate([np.zeros(n), lower]))
             scale = max(1.0, np.max(np.abs(z)))
             assert np.max(np.abs(np.concatenate([d, h]) - z)) <= 1e-9 * scale
             assert res <= linalg.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("block", ["y", "low"])
+    def test_corrupted_factor_fails_the_residual_check(self, block):
+        # A wrong Y breaks the top block H d + N h = 0, a wrong factor of S
+        # the bottom block N'd - q*h = lower; either must raise.
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(3, 3))
+        H = g @ g.T + np.eye(3)
+        N = rng.normal(size=(3, 2))
+        fac = _shared_factor(H, N, np.abs(rng.normal(size=2)) + 0.5)
+        lower = rng.normal(size=2)
+        engine.solve_shared(fac, lower)
+        corrupted = dataclasses.replace(fac, **{block: 1.01 * getattr(fac, block)})
+        with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
+            engine.solve_shared(corrupted, lower)
 
     def test_singular_matrix_raises(self):
         # Two equal columns of N on pinned rows (q = 0): Gamma is singular.
@@ -249,7 +261,8 @@ class TestSecondOrderResidual:
     def test_linear_constraints_have_none(self):
         prob = _toy_problem()
         ev = _evaluate(prob, [0.3])
-        res = engine.second_order_residual(prob, ev, np.array([0.7]),
+        d0 = np.array([0.7])
+        res = engine.second_order_residual(prob, ev, d0, ev.gI.T @ d0,
                                            model.EvalCounters())
         assert np.allclose(res, 0.0, atol=1e-14)
 
@@ -261,7 +274,8 @@ class TestSecondOrderResidual:
             grad_f=lambda x: np.array([[2.0 * x[0]]]),
         )
         ev = _evaluate(prob, [2.0])
-        res = engine.second_order_residual(prob, ev, np.array([0.5]),
+        d0 = np.array([0.5])
+        res = engine.second_order_residual(prob, ev, d0, ev.gI.T @ d0,
                                            model.EvalCounters())
         # (x + d)^2 - x^2 - 2 x d = d^2 exactly.
         assert res[0] == pytest.approx(0.25, abs=1e-14)
@@ -270,7 +284,8 @@ class TestSecondOrderResidual:
         prob = _toy_problem()
         ev = _evaluate(prob, [0.3])
         counters = model.EvalCounters()
-        engine.second_order_residual(prob, ev, np.array([0.1]), counters)
+        d0 = np.array([0.1])
+        engine.second_order_residual(prob, ev, d0, ev.gI.T @ d0, counters)
         assert (counters.nf0, counters.nf) == (0, 2)
 
 
@@ -657,7 +672,7 @@ class TestSolveSynthetic:
         # The residual is that of the last iterate under the multipliers of
         # the last QP, and the message names the budget and where it ran out.
         last = report.trace[-1]
-        assert np.array_equal(report.lam, last.directions.lam)
+        assert np.array_equal(report.lam, last.lam)
         ev = model.evaluate(prob, report.x, model.EvalCounters())
         assert np.isfinite(report.kkt_residual)
         assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
@@ -801,7 +816,7 @@ class TestFixedPoint:
         assert len(report.trace) == report.ni + 1
         # The residual is that of the stall point under the multipliers of
         # its own QP.
-        assert np.array_equal(report.lam, last.directions.lam)
+        assert np.array_equal(report.lam, last.lam)
         ev = model.evaluate(problem, report.x, model.EvalCounters())
         assert np.isfinite(report.kkt_residual)
         assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
@@ -886,6 +901,25 @@ class TestRuntimeCertificates:
 
 
 class TestTraceRecords:
+    def test_convergence_is_certified_once(self, monkeypatch):
+        # Each termination test evaluates the KKT residual once and the
+        # converged run reports the value its last test read.
+        calls = []
+        real = model.kkt_residual_original
+
+        def counting(ev, mu):
+            calls.append(real(ev, mu))
+            return calls[-1]
+
+        monkeypatch.setattr(model, "kkt_residual_original", counting)
+        entry = corpus.get_problem("HS035")
+        report = engine.solve(entry.problem, entry.x0_feasible,
+                              engine.SolverOptions(keep_trace=True))
+        assert report.status is engine.SolveStatus.CONVERGED
+        tested = [rec.kkt_residual for rec in report.trace if rec.kkt_residual is not None]
+        assert calls == tested
+        assert report.kkt_residual == tested[-1] == report.trace[-1].kkt_residual
+
     def test_no_trace_by_default(self):
         report = engine.solve(_toy_problem(), [0.0])
         assert report.trace is None
@@ -921,8 +955,8 @@ class TestTraceRecords:
         report = engine.solve(_toy_problem(), [3.0],
                               engine.SolverOptions(keep_trace=True))
         for rec in report.trace:
-            assert rec.directions is not None
-            assert np.all(rec.directions.lam >= 0.0)
+            assert rec.lam is not None
+            assert np.all(rec.lam >= 0.0)
             if not rec.converged:
                 assert rec.gamma_residual <= 1e-10
 

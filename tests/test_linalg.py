@@ -226,16 +226,15 @@ class TestLuFactorBitwise:
         from isqp import corpus, engine
 
         seen = []
-        real_assemble = engine.assemble_gamma
+        real_factor = engine.factor_shared
 
-        def recording_assemble(H, N, q):
-            gamma = real_assemble(H, N, q)
-            seen.append(gamma.copy())
-            return gamma
+        def recording_factor(H, N, q, y, ny):
+            seen.append(np.block([[H, N], [N.T, -np.diag(q)]]))
+            return real_factor(H, N, q, y, ny)
 
         entry = corpus.get_problem("HS035")
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "assemble_gamma", recording_assemble)
+            patch.setattr(engine, "factor_shared", recording_factor)
             engine.solve(entry.problem, entry.x0_infeasible)
         assert len(seen) > 1
         for gamma in seen:
