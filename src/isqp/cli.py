@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bench, corpus, engine
-from .errors import InconsistentRecordsError, SolverError, UnknownProblemError
+from .errors import InconsistentRecordsError, SolverError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -112,11 +112,6 @@ def _select_problems(selector: str) -> list[str]:
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
         raise _UsageError("--problem got an empty selection")
-    for name in names:
-        try:
-            corpus.get_problem(name)
-        except UnknownProblemError as exc:
-            raise _UsageError(str(exc)) from exc
     return names
 
 

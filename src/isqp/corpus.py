@@ -38,8 +38,6 @@ class CorpusEntry:
     x0_feasible: Optional[np.ndarray]
     x0_infeasible: Optional[np.ndarray]
     fv_candidates: tuple[float, ...]
-    fv_tolerance: float = 1e-6
-    infeasible_start_is_reference: bool = False
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -69,14 +67,13 @@ class GradientCheck:
     max_rel_error: float
 
 
-def _entry(name, problem, x0_feasible, x0_infeasible, fv_candidates, **kw):
+def _entry(name, problem, x0_feasible, x0_infeasible, fv_candidates):
     return CorpusEntry(
         name=name,
         problem=problem,
         x0_feasible=None if x0_feasible is None else np.asarray(x0_feasible, dtype=float),
         x0_infeasible=None if x0_infeasible is None else np.asarray(x0_infeasible, dtype=float),
         fv_candidates=fv_candidates,
-        **kw,
     )
 
 
@@ -513,8 +510,7 @@ def _hs065() -> CorpusEntry:
     problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
                                grad_f0=g0, grad_f=gf, name="HS065")
     return _entry("HS065", problem, [3.0, 3.0, 0.0], [-5.0, 5.0, 0.0],
-                  (0.95352885680478,),
-                  infeasible_start_is_reference=True)
+                  (0.95352885680478,))
 
 
 # HS066: min 0.2 x3 - 0.8 x1  s.t. x2 >= exp(x1), x3 >= exp(x2),

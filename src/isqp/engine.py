@@ -110,7 +110,7 @@ class SolverOptions:
             raise ValueError("rho must exceed 1")
         if not 2.0 < self.tau < 3.0:
             raise ValueError("tau must lie in (2, 3)")
-        for name in ("epsilon", "p", "gamma", "gamma0", "c_init", "term_tol"):
+        for name in ("epsilon", "p", "gamma", "gamma0", "c_init", "term_tol", "kkt_tol"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
         if not self.phi_tol >= 0.0:  # a negative floor would count f_i = 0 as violated
@@ -144,11 +144,11 @@ class IterationRecord:
     fc: float
     c: float
     c_changed: bool
-    iminus_size: int
+    iminus_size: int                        # count of satisfied constraints at the iterate
     t: Optional[float] = None
     beta: Optional[float] = None
     branch: Optional[str] = None
-    iminus_size_next: Optional[int] = None
+    iminus_size_next: Optional[int] = None  # the same count at the accepted trial
     slope: Optional[float] = None           # penalty-gradient dot d0
     gamma_residual: Optional[float] = None  # scaled residual of the shared-matrix solves
     descent_lhs: Optional[float] = None     # penalty-gradient dot dhat
@@ -263,7 +263,7 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
 def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
                    counters: model.EvalCounters, c: float, fc0: float, slope_term: float,
                    bonus: float, phi: float, decrement: float,
-                   iminus_size: int) -> Optional[model.PointValues]:
+                   n_satisfied: int) -> Optional[model.PointValues]:
     """The three acceptance tests of one search trial, whose objective value
     is not yet evaluated.  The constraint bound and the satisfied count are
     tested first, on the constraint values alone; f0 is evaluated only for a
@@ -275,7 +275,7 @@ def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
     # violation phi.
     if trial.phi > max(0.0, phi - decrement):
         return None
-    if trial.iminus.size < iminus_size:
+    if trial.n_satisfied < n_satisfied:
         return None
     trial = model.with_objective(problem, trial, counters)
     if model.penalty_value(trial, c) > fc0 + slope_term + bonus:
@@ -308,30 +308,30 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     :func:`_merit_accepts` with decrease fraction ``alpha``; returns (t,
     trial values) at the first accepted t, or None."""
     phi = ev.phi
+    n_satisfied = ev.n_satisfied
     bonus_scale = options.rho * (1.0 - alpha) * phi ** options.theta
     for t in steps:
-        trial = model.point_values(problem, ev.x + t * d, counters, objective=False,
-                                   phi_tol=options.phi_tol)
+        trial = model.point_values(problem, ev.x + t * d, counters, options.phi_tol)
         accepted = _merit_accepts(problem, trial, counters, c, fc0, alpha * t * slope,
-                                  bonus_scale * t, phi, alpha * t * shift, ev.iminus.size)
+                                  bonus_scale * t, phi, alpha * t * shift, n_satisfied)
         if accepted:
             return t, accepted
     return None
 
 
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
-               norm_d0: float, slope: float, c: float, fc0: float,
+               shift: float, slope: float, c: float, fc0: float,
                options: SolverOptions, counters: model.EvalCounters):
     """Backtrack t over {1, 1/2, 1/4, ...} along the corrected direction d.
 
-    Acceptance needs every constraint below max(0, phi - t * shift), no
-    loss in the count of satisfied constraints, and decrease of the
-    penalized objective (fc0 at ev) proportional to the QP slope, tested in
-    that order: f0 is evaluated only at a trial that passes the two
-    constraint tests.  Returns (t, trial values) or None as soon as t would
-    drop below the abandon threshold.
+    Acceptance needs every constraint below max(0, phi - t * shift), for
+    the correction's shift |d0|**tau + phi**sigma, no loss in the count of
+    satisfied constraints, and decrease of the penalized objective (fc0 at
+    ev) proportional to the QP slope, tested in that order: f0 is evaluated
+    only at a trial that passes the two constraint tests.  Returns (t,
+    trial values) or None as soon as t would drop below the abandon
+    threshold.
     """
-    shift = norm_d0 ** options.tau + ev.phi ** options.sigma
     return _search(problem, ev, d, _halving(options.epsilon), options.alpha, slope,
                    shift, c, fc0, options, counters)
 
@@ -475,7 +475,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         if kkt_residual <= options.kkt_tol:
             record = IterationRecord(
                 k=state.k, converged=True, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
-                c_changed=c_changed, iminus_size=ev.iminus.size, lam=lam_clean,
+                c_changed=c_changed, iminus_size=ev.n_satisfied, lam=lam_clean,
                 kkt_residual=kkt_residual,
             )
             return state, record
@@ -487,11 +487,11 @@ def step(problem: model.NlpProblem, state: IterateState,
     gd0 = ev.gI.T @ d0
     fac = factor_shared(state.H, ev.gI, compute_q_diag(ev, gd0, norm_d0), sol.y, sol.ay)
     curvature = second_order_residual(problem, ev, d0, gd0, counters)
-    d2, _, gamma_residual = solve_shared(
-        fac, -(norm_d0 ** options.tau + phi ** options.sigma) - curvature)
+    arc_shift = norm_d0 ** options.tau + phi ** options.sigma
+    d2, _, gamma_residual = solve_shared(fac, -arc_shift - curvature)
     beta = descent_lhs = descent_rhs = i0_margin = None
 
-    hit = arc_search(problem, ev, d0 + d2, norm_d0, slope, c, fc0, options, counters)
+    hit = arc_search(problem, ev, d0 + d2, arc_shift, slope, c, fc0, options, counters)
     if hit is not None:
         t, vals = hit
         branch = "arc"
@@ -514,15 +514,15 @@ def step(problem: model.NlpProblem, state: IterateState,
                                             options, counters)
         branch = "feasible_direction"
 
-    _require(vals.iminus.size >= ev.iminus.size, "accepted step lost a satisfied constraint")
-    ev_next = model.evaluate(problem, vals.x, counters, values=vals)
+    _require(vals.n_satisfied >= ev.n_satisfied, "accepted step lost a satisfied constraint")
+    ev_next = model.evaluate(problem, vals, counters)
     h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0, options)
     fixed_point = _is_fixed_point(ev, vals, c_changed)
 
     record = IterationRecord(
         k=state.k, converged=False, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
-        c_changed=c_changed, iminus_size=ev.iminus.size, t=t, beta=beta, branch=branch,
-        iminus_size_next=vals.iminus.size, slope=slope,
+        c_changed=c_changed, iminus_size=ev.n_satisfied, t=t, beta=beta, branch=branch,
+        iminus_size_next=vals.n_satisfied, slope=slope,
         gamma_residual=gamma_residual, descent_lhs=descent_lhs,
         descent_rhs=descent_rhs, i0_margin=i0_margin,
         h_updated=h_next is not state.H, fixed_point=fixed_point, lam=lam_clean,
@@ -582,7 +582,9 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     started = time.perf_counter()
     cpu_started = time.process_time()
     try:
-        state.ev = model.evaluate(problem, state.x, counters, phi_tol=options.phi_tol)
+        start = model.point_values(problem, state.x, counters, options.phi_tol)
+        state.ev = model.evaluate(problem, model.with_objective(problem, start, counters),
+                                  counters)
         while state.k < options.max_iter:  # runs at least once: max_iter >= 1
             state, record = step(problem, state, options)
             if trace is not None:

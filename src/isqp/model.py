@@ -4,14 +4,17 @@ reformulation, index-set bookkeeping, and first-order estimates.
 A program ``min f0(x)  s.t.  f_i(x) <= 0 (i < m_ineq),  f_i(x) = 0 (i >=
 m_ineq)`` is handled through the penalized objective ``f0(x) - c * sum of
 equality components`` minimized subject to every component of ``f`` being
-nonpositive.  All bookkeeping that depends only on function values at one
-point lives in :class:`PointValues`; gradients extend it to
-:class:`Evaluation`.
+nonpositive.
+
+A point is evaluated in one pipeline: :func:`point_values` evaluates the
+constraints and classifies them, which is all a line-search trial is
+judged on first; :func:`with_objective` adds f0; :func:`evaluate` adds the
+gradients and the shifted values that drive the next step.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -71,36 +74,41 @@ class NlpProblem:
 
 @dataclass(frozen=True)
 class PointValues:
-    """Function values and index sets at one point.
+    """Function values at one point and what a search trial is judged on.
 
-    A constraint is satisfied (iminus) when f_i <= phi_tol * max(1, max|f|),
-    the roundoff floor of :func:`point_values`, and violated (iplus)
-    otherwise.  The violation measure phi is max f_i when some constraint
-    is violated and 0 when none is.  fbar shifts every violated value down
-    by phi and clips every satisfied one at 0, so fbar <= 0 holds
-    componentwise and the indices where fbar vanishes (izero) mark the
-    constraints that drive the next step.  f0 is None until the objective
-    is evaluated (see :func:`with_objective`).
+    A constraint is satisfied when f_i <= phi_tol * max(1, max|f|), the
+    roundoff floor of :func:`point_values`, and violated otherwise.  The
+    violation measure phi is max f_i when some constraint is violated and 0
+    when none is.  f0 is None until the objective is evaluated (see
+    :func:`with_objective`).
     """
 
     x: np.ndarray
     f0: Optional[float]
     fI: np.ndarray
     phi: float
-    fbar: np.ndarray
-    iplus: np.ndarray
-    iminus: np.ndarray
-    izero: np.ndarray
+    satisfied: np.ndarray  # boolean mask over the constraints
     m_ineq: int
+
+    @property
+    def n_satisfied(self) -> int:
+        return int(np.count_nonzero(self.satisfied))
 
 
 @dataclass(frozen=True)
 class Evaluation(PointValues):
-    """PointValues plus objective gradient g0 and constraint gradients gI
-    (n-by-m, one column per constraint)."""
+    """Complete PointValues plus objective gradient g0, constraint gradients
+    gI (n-by-m, one column per constraint) and the shifted values fbar.
 
-    g0: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    gI: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    fbar shifts every violated value down by phi and clips every satisfied
+    one at 0, so fbar <= 0 holds componentwise and the indices where fbar
+    vanishes (izero) mark the constraints that drive the next step.
+    """
+
+    g0: np.ndarray
+    gI: np.ndarray
+    fbar: np.ndarray
+    izero: np.ndarray
 
 
 def objective_value(problem: NlpProblem, x: np.ndarray, counters: EvalCounters) -> float:
@@ -123,10 +131,9 @@ def constraint_values(problem: NlpProblem, x: np.ndarray, counters: EvalCounters
 
 
 def point_values(problem: NlpProblem, x, counters: EvalCounters,
-                 objective: bool = True, phi_tol: float = 0.0) -> PointValues:
-    """Evaluate every constraint at x, derive the index sets, then evaluate
-    f0 unless ``objective`` is false (f0 is then left as None, for a caller
-    that may reject x on its constraint values alone).
+                 phi_tol: float = 0.0) -> PointValues:
+    """Evaluate every constraint at x and classify it; f0 is left as None,
+    for a caller that may reject x on its constraint values alone.
 
     ``phi_tol`` sets the roundoff floor phi_tol * max(1, max|f|) up to
     which a positive constraint value counts as satisfied.  The solver
@@ -138,19 +145,9 @@ def point_values(problem: NlpProblem, x, counters: EvalCounters,
     top = max(0.0, np.max(fI, initial=0.0))
     floor = phi_tol * max(1.0, top, -np.min(fI, initial=0.0))
     satisfied = fI <= floor
-    iplus = np.flatnonzero(~satisfied)
-    iminus = np.flatnonzero(satisfied)
-    phi = top if iplus.size else 0.0
-    fbar = fI.copy()
-    fbar[iplus] -= phi
-    if top > 0.0 and floor > 0.0:  # clip satisfied values in (0, floor] to 0
-        fbar[satisfied & (fI > 0.0)] = 0.0
-    izero = np.flatnonzero(fbar == 0.0)
-    f0 = objective_value(problem, x, counters) if objective else None
-    return PointValues(
-        x=x, f0=f0, fI=fI, phi=phi, fbar=fbar,
-        iplus=iplus, iminus=iminus, izero=izero, m_ineq=problem.m_ineq,
-    )
+    phi = 0.0 if satisfied.all() else top
+    return PointValues(x=x, f0=None, fI=fI, phi=phi, satisfied=satisfied,
+                       m_ineq=problem.m_ineq)
 
 
 def with_objective(problem: NlpProblem, values: PointValues,
@@ -188,37 +185,33 @@ def fd_jacobian(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
                                 problem.n, x, (problem.m,))
 
 
-def evaluate(problem: NlpProblem, x, counters: EvalCounters,
-             values: Optional[PointValues] = None, phi_tol: float = 0.0) -> Evaluation:
-    """Full evaluation at x.
-
-    Passing ``values`` reuses function values already paid for at the same
-    point (for example the accepted line-search trial), so each point is
-    tallied once; otherwise they are computed with the roundoff floor
-    ``phi_tol`` of :func:`point_values`.
-    """
-    if values is None:
-        values = point_values(problem, x, counters, phi_tol=phi_tol)
+def evaluate(problem: NlpProblem, values: PointValues,
+             counters: EvalCounters) -> Evaluation:
+    """Full evaluation at the point of ``values``, which must be complete
+    (f0 added by :func:`with_objective`): the function values are paid for
+    once per point, and only the gradients are evaluated here."""
+    x = values.x
     if problem.grad_f0 is not None:
-        g0 = np.asarray(problem.grad_f0(values.x), dtype=float).reshape(problem.n)
+        g0 = np.asarray(problem.grad_f0(x), dtype=float).reshape(problem.n)
     else:
-        g0 = fd_gradient(problem, values.x, counters)
+        g0 = fd_gradient(problem, x, counters)
     if problem.m == 0:
         gI = np.zeros((problem.n, 0))
     elif problem.grad_f is not None:
         # One memory layout whatever the callback returns: products round
         # differently by layout, and the run must depend on the program only.
-        gI = np.ascontiguousarray(problem.grad_f(values.x), dtype=float).reshape(
+        gI = np.ascontiguousarray(problem.grad_f(x), dtype=float).reshape(
             problem.n, problem.m)
     else:
-        gI = fd_jacobian(problem, values.x, counters)
+        gI = fd_jacobian(problem, x, counters)
     if not np.all(np.isfinite(g0)) or not np.all(np.isfinite(gI)):
-        raise EvaluationFailure(f"non-finite gradient at x={values.x!r}")
-    return Evaluation(
-        x=values.x, f0=values.f0, fI=values.fI, phi=values.phi, fbar=values.fbar,
-        iplus=values.iplus, iminus=values.iminus, izero=values.izero,
-        m_ineq=values.m_ineq, g0=g0, gI=gI,
-    )
+        raise EvaluationFailure(f"non-finite gradient at x={x!r}")
+    # In place rather than np.minimum, which would turn a -0.0 into 0.0.
+    fbar = values.fI.copy()
+    fbar[~values.satisfied] -= values.phi
+    fbar[values.satisfied & (values.fI > 0.0)] = 0.0  # values within the floor
+    return Evaluation(**vars(values), g0=g0, gI=gI, fbar=fbar,
+                      izero=np.flatnonzero(fbar == 0.0))
 
 
 def penalty_value(values: PointValues, c: float) -> float:

@@ -87,6 +87,11 @@ class TestRunCommand:
         assert _run(["run", "--problem", "HS035", "--alpha", "1.5"]) == 1
         assert "alpha" in capsys.readouterr().err
 
+    def test_negative_kkt_tolerance_exits_one(self, capsys):
+        # No residual passes a negative bound, so no run could converge.
+        assert _run(["run", "--problem", "HS035", "--kkt-tol", "-1"]) == 1
+        assert "kkt_tol" in capsys.readouterr().err
+
     def test_trace_goes_to_stderr(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 0
         captured = capsys.readouterr()

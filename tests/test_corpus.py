@@ -108,11 +108,6 @@ class TestStartPoints:
         with pytest.raises(TypeError):
             starts["b"] = np.zeros(2)
 
-    def test_only_the_book_infeasible_start_is_flagged_reference(self):
-        flagged = [name for name in corpus.list_problems()
-                   if corpus.get_problem(name).infeasible_start_is_reference]
-        assert flagged == ["HS065"]
-
 
 class TestGradients:
     @pytest.mark.parametrize("name", EXPECTED_NAMES)
@@ -193,10 +188,6 @@ class TestReferenceValues:
         for name in corpus.list_problems():
             entry = corpus.get_problem(name)
             assert entry.fv_reference == entry.fv_candidates[0]
-
-    def test_tolerances_are_positive(self):
-        for name in corpus.list_problems():
-            assert corpus.get_problem(name).fv_tolerance > 0.0
 
 
 # (status, ni, nf0, nf) of every corpus run under default options.  The

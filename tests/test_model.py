@@ -8,6 +8,14 @@ from isqp import corpus, engine, model
 from isqp.errors import DegenerateConstraints, EvaluationFailure
 
 
+def _evaluate(problem, x, counters=None, phi_tol=0.0):
+    """The solver's evaluation pipeline at x: constraint values, then f0,
+    then gradients."""
+    counters = model.EvalCounters() if counters is None else counters
+    vals = model.point_values(problem, x, counters, phi_tol)
+    return model.evaluate(problem, model.with_objective(problem, vals, counters), counters)
+
+
 def _toy_problem():
     """min (x-2)^2 s.t. x - 1 <= 0 and -x <= 0: one variable, two
     inequalities, minimizer at the boundary x = 1."""
@@ -54,31 +62,31 @@ class TestIndexSets:
         # f = (x - 1, -x) at x = 3: values (2, -3), so phi = 2, the violated
         # row shifts to zero and the satisfied row stays put.
         prob = _toy_problem()
-        vals = model.point_values(prob, [3.0], model.EvalCounters())
-        assert vals.phi == 2.0
-        assert np.array_equal(vals.fI, [2.0, -3.0])
-        assert np.array_equal(vals.fbar, [0.0, -3.0])
-        assert np.array_equal(vals.iplus, [0])
-        assert np.array_equal(vals.iminus, [1])
-        assert np.array_equal(vals.izero, [0])
+        ev = _evaluate(prob, [3.0])
+        assert ev.phi == 2.0
+        assert np.array_equal(ev.fI, [2.0, -3.0])
+        assert np.array_equal(ev.fbar, [0.0, -3.0])
+        assert np.array_equal(ev.satisfied, [False, True])
+        assert ev.n_satisfied == 1
+        assert np.array_equal(ev.izero, [0])
 
     def test_boundary_point_counts_satisfied(self):
         # f = (x - 1, -x) at x = 0: values (-1, 0); a zero value is
         # satisfied, phi = 0, and the zero row is the active one.
         prob = _toy_problem()
-        vals = model.point_values(prob, [0.0], model.EvalCounters())
-        assert vals.phi == 0.0
-        assert np.array_equal(vals.fbar, vals.fI)
-        assert vals.iplus.size == 0
-        assert np.array_equal(vals.iminus, [0, 1])
-        assert np.array_equal(vals.izero, [1])
+        ev = _evaluate(prob, [0.0])
+        assert ev.phi == 0.0
+        assert np.array_equal(ev.fbar, ev.fI)
+        assert np.array_equal(ev.satisfied, [True, True])
+        assert ev.n_satisfied == 2
+        assert np.array_equal(ev.izero, [1])
 
     def test_interior_point_has_no_active_rows(self):
         prob = _toy_problem()
-        vals = model.point_values(prob, [0.5], model.EvalCounters())
-        assert vals.phi == 0.0
-        assert vals.izero.size == 0
-        assert vals.iminus.size == 2
+        ev = _evaluate(prob, [0.5])
+        assert ev.phi == 0.0
+        assert ev.izero.size == 0
+        assert ev.n_satisfied == 2
 
     def test_feasible_corpus_start_has_zero_violation(self):
         entry = corpus.get_problem("HS076")
@@ -91,9 +99,9 @@ class TestIndexSets:
             n=1, m_ineq=2, m_eq=0, f0=lambda x: 0.0,
             f=lambda x: np.array([x[0], 3.0 * x[0]]),
         )
-        vals = model.point_values(prob, [2.0], model.EvalCounters())
-        assert vals.phi == 6.0
-        assert np.array_equal(vals.fbar, [-4.0, 0.0])
+        ev = _evaluate(prob, [2.0])
+        assert ev.phi == 6.0
+        assert np.array_equal(ev.fbar, [-4.0, 0.0])
 
 
 class TestRoundoffFloor:
@@ -109,22 +117,19 @@ class TestRoundoffFloor:
                                 f=lambda x: np.array(x, dtype=float))
 
     def _values(self, f, phi_tol):
-        return model.point_values(self._identity(len(f)), f, model.EvalCounters(),
-                                  phi_tol=phi_tol)
+        return _evaluate(self._identity(len(f)), f, phi_tol=phi_tol)
 
     def test_roundoff_violation_is_satisfied(self):
         vals = self._values([-1.0, 1e-12, -0.5], self.TOL)  # max|f| = 1
         assert vals.phi == 0.0
-        assert vals.iplus.size == 0
-        assert np.array_equal(vals.iminus, [0, 1, 2])
+        assert np.array_equal(vals.satisfied, [True, True, True])
         assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
         assert np.array_equal(vals.izero, [1])
 
     def test_violation_above_the_floor_counts(self):
         vals = self._values([-1.0, 1e-9, -0.5], self.TOL)
         assert vals.phi == 1e-9
-        assert np.array_equal(vals.iplus, [1])
-        assert np.array_equal(vals.iminus, [0, 2])
+        assert np.array_equal(vals.satisfied, [True, False, True])
         assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
 
     def test_floor_scales_with_the_largest_value(self):
@@ -134,8 +139,7 @@ class TestRoundoffFloor:
     def test_zero_tolerance_keeps_the_exact_sets(self):
         vals = self._values([-1.0, 1e-12, -0.5], 0.0)
         assert vals.phi == 1e-12
-        assert np.array_equal(vals.iplus, [1])
-        assert np.array_equal(vals.iminus, [0, 2])
+        assert np.array_equal(vals.satisfied, [True, False, True])
         assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
 
     def test_sets_against_the_rule(self):
@@ -147,8 +151,8 @@ class TestRoundoffFloor:
                 vals = self._values(f, phi_tol)
                 floor = phi_tol * max(1.0, np.max(np.abs(f)))
                 satisfied = f <= floor
-                assert np.array_equal(vals.iminus, np.flatnonzero(satisfied))
-                assert np.array_equal(vals.iplus, np.flatnonzero(~satisfied))
+                assert np.array_equal(vals.satisfied, satisfied)
+                assert vals.n_satisfied == np.count_nonzero(satisfied)
                 assert vals.phi == (np.max(f) if not satisfied.all() else 0.0)
                 assert np.all(vals.fbar <= 0.0)
                 assert np.array_equal(vals.fbar[satisfied], np.minimum(f[satisfied], 0.0))
@@ -159,18 +163,20 @@ class TestRoundoffFloor:
 
     def test_evaluate_applies_the_floor(self):
         prob = self._identity(2)
-        ev = model.evaluate(prob, [-1.0, 1e-12], model.EvalCounters(), phi_tol=self.TOL)
-        assert ev.phi == 0.0
-        assert model.evaluate(prob, [-1.0, 1e-12], model.EvalCounters()).phi == 1e-12
+        assert _evaluate(prob, [-1.0, 1e-12], phi_tol=self.TOL).phi == 0.0
+        assert _evaluate(prob, [-1.0, 1e-12]).phi == 1e-12
 
 
 class TestCounters:
     def test_point_values_tallies(self):
         prob = _toy_problem()
         counters = model.EvalCounters()
-        model.point_values(prob, [0.0], counters)
-        assert counters.nf0 == 1
+        vals = model.point_values(prob, [0.0], counters)
+        assert vals.f0 is None
+        assert counters.nf0 == 0  # the objective is left for with_objective
         assert counters.nf == 2  # one constraint vector of length 2
+        assert model.with_objective(prob, vals, counters).f0 == 4.0
+        assert counters.nf0 == 1
 
     def test_fd_probes_are_tallied(self):
         prob = model.NlpProblem(
@@ -179,7 +185,7 @@ class TestCounters:
             f=lambda x: np.array([x[0] - 1.0]),
         )
         counters = model.EvalCounters()
-        model.evaluate(prob, [1.0, 2.0], counters)
+        _evaluate(prob, [1.0, 2.0], counters)
         # point values: 1 objective + 1 constraint; objective gradient: 4
         # probes; Jacobian: 4 probes of the length-1 constraint vector.
         assert counters.nf0 == 1 + 4
@@ -188,14 +194,14 @@ class TestCounters:
     def test_analytic_gradients_cost_nothing(self):
         prob = _toy_problem()
         counters = model.EvalCounters()
-        model.evaluate(prob, [0.5], counters)
+        _evaluate(prob, [0.5], counters)
         assert (counters.nf0, counters.nf) == (1, 2)
 
     def test_evaluate_reuses_paid_values(self):
         prob = _toy_problem()
         counters = model.EvalCounters()
-        vals = model.point_values(prob, [0.5], counters)
-        model.evaluate(prob, vals.x, counters, values=vals)
+        vals = model.with_objective(prob, model.point_values(prob, [0.5], counters), counters)
+        model.evaluate(prob, vals, counters)
         assert (counters.nf0, counters.nf) == (1, 2)
 
 
@@ -221,7 +227,7 @@ class TestJacobianLayout:
         x0 = 3.0 * np.ones(n)
         runs = [engine.solve(program(layout), x0)
                 for layout in (np.ascontiguousarray, np.asfortranarray)]
-        ev = model.evaluate(program(np.asfortranarray), x0, model.EvalCounters())
+        ev = _evaluate(program(np.asfortranarray), x0)
         assert ev.gI.flags.c_contiguous
         assert runs[0].status is engine.SolveStatus.CONVERGED
         c_run, f_run = runs
@@ -236,8 +242,10 @@ class TestJacobianLayout:
 class TestEvaluationFailures:
     def test_nan_objective_raises(self):
         prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0, f0=lambda x: float("nan"))
+        counters = model.EvalCounters()
+        vals = model.point_values(prob, [0.0], counters)
         with pytest.raises(EvaluationFailure):
-            model.point_values(prob, [0.0], model.EvalCounters())
+            model.with_objective(prob, vals, counters)
 
     def test_infinite_constraint_raises(self):
         prob = model.NlpProblem(
@@ -253,7 +261,7 @@ class TestEvaluationFailures:
             grad_f0=lambda x: np.array([float("nan")]),
         )
         with pytest.raises(EvaluationFailure):
-            model.evaluate(prob, [0.0], model.EvalCounters())
+            _evaluate(prob, [0.0])
 
 
 class TestFiniteDifferences:
@@ -278,13 +286,13 @@ class TestFiniteDifferences:
 class TestPenalty:
     def test_value_subtracts_weighted_equalities(self):
         prob = _eq_problem()
-        vals = model.point_values(prob, [2.0, 1.0], model.EvalCounters())
+        vals = _evaluate(prob, [2.0, 1.0])
         # f0 = 5, equality value = 2; penalized objective = 5 - c*2.
         assert model.penalty_value(vals, 3.0) == pytest.approx(5.0 - 6.0)
 
     def test_value_ignores_inequalities(self):
         prob = _toy_problem()
-        vals = model.point_values(prob, [3.0], model.EvalCounters())
+        vals = _evaluate(prob, [3.0])
         assert model.penalty_value(vals, 7.0) == vals.f0
 
     def test_gradient_matches_finite_differences(self):
@@ -292,22 +300,22 @@ class TestPenalty:
         c = 2.5
         counters = model.EvalCounters()
         x = np.array([0.3, -0.7])
-        ev = model.evaluate(prob, x, counters)
+        ev = _evaluate(prob, x, counters)
         g = model.penalty_gradient(ev, c)
         for j in range(prob.n):
             h = 1e-6
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fp = model.penalty_value(model.point_values(prob, xp, counters), c)
-            fm = model.penalty_value(model.point_values(prob, xm, counters), c)
+            fp = model.penalty_value(_evaluate(prob, xp, counters), c)
+            fm = model.penalty_value(_evaluate(prob, xm, counters), c)
             assert g[j] == pytest.approx((fp - fm) / (2 * h), abs=1e-5)
 
 
 class TestMultiplierEstimate:
     def test_no_constraints_gives_empty(self):
         prob = model.NlpProblem(n=2, m_ineq=0, m_eq=0, f0=lambda x: float(x @ x))
-        ev = model.evaluate(prob, [1.0, 1.0], model.EvalCounters())
+        ev = _evaluate(prob, [1.0, 1.0])
         assert model.compute_pi(ev, 2.0).size == 0
 
     def test_single_active_constraint_recovers_multiplier(self):
@@ -315,7 +323,7 @@ class TestMultiplierEstimate:
         # (x-2)^2 + pi*(x-1) gives pi = 2. The damping vanishes on the
         # active row, so the estimate is exact.
         prob = _toy_problem()
-        ev = model.evaluate(prob, [1.0], model.EvalCounters())
+        ev = _evaluate(prob, [1.0])
         pi = model.compute_pi(ev, 2.0)
         # System: (N'N + diag(0, 1)) pi = -N'g0 with N = [[1, -1]], g0 = -2.
         sys = np.array([[1.0, -1.0], [-1.0, 2.0]])
@@ -324,8 +332,7 @@ class TestMultiplierEstimate:
 
     def test_solves_the_damped_normal_equations(self):
         entry = corpus.get_problem("HS043")
-        ev = model.evaluate(entry.problem, entry.x0_infeasible,
-                            model.EvalCounters())
+        ev = _evaluate(entry.problem, entry.x0_infeasible)
         p = 2.0
         pi = model.compute_pi(ev, p)
         diag = np.abs(ev.fbar) ** p
@@ -343,7 +350,7 @@ class TestMultiplierEstimate:
             grad_f0=lambda x: np.array([1.0]),
             grad_f=lambda x: np.array([[1.0, 1.0]]),
         )
-        ev = model.evaluate(prob, [0.0], model.EvalCounters())
+        ev = _evaluate(prob, [0.0])
         with pytest.raises(DegenerateConstraints):
             model.compute_pi(ev, 2.0)
 
@@ -373,25 +380,25 @@ class TestKktResidual:
     def test_zero_at_exact_kkt_point(self):
         # x = 1 with mu = (2, 0) is the exact KKT point of the toy problem.
         prob = _toy_problem()
-        ev = model.evaluate(prob, [1.0], model.EvalCounters())
+        ev = _evaluate(prob, [1.0])
         assert model.kkt_residual_original(ev, np.array([2.0, 0.0])) == 0.0
 
     def test_stationarity_violation_detected(self):
         prob = _toy_problem()
-        ev = model.evaluate(prob, [1.0], model.EvalCounters())
+        ev = _evaluate(prob, [1.0])
         # g0 = -2, so mu = 0 leaves stationarity residual 2, divided by the
         # gradient scale max(1, |g0|) = 2.
         assert model.kkt_residual_original(ev, np.zeros(2)) == pytest.approx(1.0)
 
     def test_negative_multiplier_detected(self):
         prob = _toy_problem()
-        ev = model.evaluate(prob, [1.0], model.EvalCounters())
+        ev = _evaluate(prob, [1.0])
         res = model.kkt_residual_original(ev, np.array([2.0, -0.5]))
         assert res >= 0.25  # dual infeasibility 0.5 over gradient scale 2
 
     def test_complementarity_detected(self):
         prob = _toy_problem()
-        ev = model.evaluate(prob, [0.5], model.EvalCounters())
+        ev = _evaluate(prob, [0.5])
         # Inactive constraint (value -0.5) with positive multiplier 1.
         res = model.kkt_residual_original(ev, np.array([1.0, 0.0]))
         assert res >= 0.5
@@ -406,7 +413,7 @@ class TestKktResidual:
             grad_f0=lambda x: np.array([1000.0]),
             grad_f=lambda x: np.array([[1.0]]),
         )
-        ev = model.evaluate(big, [1.5], model.EvalCounters())
+        ev = _evaluate(big, [1.5])
         assert model.kkt_residual_original(ev, np.array([1000.0])) >= 0.5
 
     def test_invariant_under_objective_rescaling(self):
@@ -421,13 +428,13 @@ class TestKktResidual:
 
         res = []
         for scale in (10.0, 10000.0):
-            ev = model.evaluate(make(scale), [1.0], model.EvalCounters())
+            ev = _evaluate(make(scale), [1.0])
             # Slightly wrong multiplier, off by 1% of the exact 2*scale.
             res.append(model.kkt_residual_original(ev, np.array([2.02 * scale])))
         assert res[0] == pytest.approx(res[1], rel=1e-9)
 
     def test_equality_violation_counts_both_signs(self):
         prob = _eq_problem()
-        ev = model.evaluate(prob, [0.2, 0.2], model.EvalCounters())
+        ev = _evaluate(prob, [0.2, 0.2])
         res = model.kkt_residual_original(ev, np.array([0.0, -0.4]))
         assert res >= 0.6  # equality value is -0.6
