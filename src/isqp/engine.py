@@ -128,8 +128,7 @@ class IterateState:
     c: float
     counters: model.EvalCounters
     k: int = 0
-    nio: int = 0
-    nii: int = 0
+    nio: int = 0                    # iterations started outside the feasible set
     ev: Optional[model.Evaluation] = None  # set by solve() before the first step
 
 
@@ -378,7 +377,7 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
     y = grad_l_next - grad_l_cur
     sy = float(s @ y)
     gamma_k = min(float(d0 @ d0), options.kappa)
-    a_cols = ev.gI[:, active] if active.size else np.zeros((ev.x.size, 0))
+    a_cols = ev.gI[:, active]
     ats = a_cols.T @ s
     saas = float(ats @ ats)
     if sy >= options.mu_bfgs * ss:
@@ -533,7 +532,6 @@ def step(problem: model.NlpProblem, state: IterateState,
     new_state = IterateState(
         x=vals.x, H=h_next, c=c, counters=counters, k=state.k + 1,
         nio=state.nio + (1 if phi > 0.0 else 0),
-        nii=state.nii + (1 if phi == 0.0 else 0),
         ev=ev_next,
     )
     return new_state, record
@@ -626,7 +624,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
         phi_final = float("inf")
     return SolveReport(
         status=status, x=state.x, fv=fv, kkt_residual=kkt, phi_final=phi_final,
-        ni=state.k, nio=state.nio, nii=state.nii,
+        ni=state.k, nio=state.nio, nii=state.k - state.nio,
         nf0=counters.nf0, nf=counters.nf, wall_seconds=wall, cpu_seconds=cpu,
         lam=lam, mu=mu, trace=trace, message=message,
     )

@@ -3,10 +3,14 @@
     min  0.5 d'H d + grad'd   subject to   A d <= b,   b >= 0.
 
 Nonnegative right-hand sides make the origin feasible, so no phase-1 is
-needed and the solver always returns the unique minimizer.  Working-set
-changes are deterministic: ties pick the smallest constraint index, and a
-Bland-style selection kicks in after a stretch of non-decreasing objective
-values to rule out cycling on degenerate vertices.
+needed, and positive definite H makes the minimizer unique.  The loop is
+the primal active-set method (Nocedal & Wright, *Numerical Optimization*,
+Algorithm 16.3), and its working set is one boolean mask over the rows.
+Working-set changes are deterministic: a blocking tie picks the smallest
+constraint index, and a drop takes the most negative multiplier.  Nothing
+rules out cycling on a degenerate vertex; the step limit 50(n+m) bounds a
+cycle by raising MaxQpIterationsError, which ``engine.solve`` reports as
+``degenerate``.
 
 H is factored once per QP, and every n-sized solve is done then: Y = H^-1 A'
 for all constraint rows and u = H^-1 grad (Nocedal & Wright, *Numerical
@@ -125,20 +129,16 @@ def solve_qp(inst: QpInstance) -> QpSolution:
     abs_grad = np.abs(grad)
     abs_h = np.abs(H)
     d = np.zeros(n)
-    work: list[int] = []
     in_work = np.zeros(m, dtype=bool)
-    lam_work = np.zeros(0)
     grad_scale = max(1.0, abs_grad.max(initial=0.0))
     limit = 50 * (n + m)
-    bland_after = 10 * (n + m)
     stall = 0
-    best = np.inf
-    bland = False
-    done = False
+    best = 0.0  # the objective at the feasible start d = 0
 
     for _ in range(limit):
         a_d = A @ d
-        if work:
+        work = np.flatnonzero(in_work)
+        if work.size:
             try:
                 lam_work = linalg.spd_solve(ay[np.ix_(work, work)], -(a_d[work] + au[work]))
             except NotPositiveDefiniteError as exc:
@@ -164,16 +164,8 @@ def solve_qp(inst: QpInstance) -> QpSolution:
             if tiny_norm:
                 d = d + p  # absorb the residual step so stationarity holds to roundoff
             if lam_work.size == 0 or lam_work.min() >= -10 * KKT_TOL * grad_scale:
-                done = True
                 break
-            if bland:
-                neg = [work[j] for j in range(len(work)) if lam_work[j] < -10 * KKT_TOL * grad_scale]
-                leave = min(neg)
-            else:
-                j = int(np.argmin(lam_work))
-                leave = work[j]
-            work.remove(leave)
-            in_work[leave] = False
+            in_work[work[np.argmin(lam_work)]] = False
             stall = 0  # the working set changed; give it a fresh chance
             continue
 
@@ -191,8 +183,6 @@ def solve_qp(inst: QpInstance) -> QpSolution:
                 alpha, blocker = ratio, i
         d = d + alpha * p
         if blocker >= 0:
-            work.append(blocker)
-            work.sort()
             in_work[blocker] = True
 
         obj = inst.objective(d)
@@ -201,18 +191,12 @@ def solve_qp(inst: QpInstance) -> QpSolution:
             stall = 0
         else:
             stall += 1
-            if stall >= bland_after:
-                bland = True
-    if not done:
+    else:
         raise MaxQpIterationsError(f"active-set loop exceeded {limit} iterations")
 
     lam = np.zeros(m)
-    if work:
-        lam[work] = np.maximum(lam_work, 0.0)
-    if m > 0:
-        active = np.flatnonzero(b - A @ d <= inst.active_tol)
-    else:
-        active = np.zeros(0, dtype=int)
+    lam[work] = np.maximum(lam_work, 0.0)
+    active = np.flatnonzero(b - A @ d <= inst.active_tol)
     _certify(inst, d, lam)
     return QpSolution(d0=d, lam=lam, active=active, y=y_all, ay=ay)
 

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from isqp import corpus, engine, linalg, model
+from isqp import corpus, engine, linalg, model, qp
 from isqp.errors import LineSearchStall, NumericalBreakdown, SingularMatrixError
 
 
@@ -80,6 +80,28 @@ def _convex_problem(seed, n):
         grad_f=lambda x: a.T + 0.2 * x[:, None],
     )
     return problem, 3.0 * np.ones(n)
+
+
+def _logit_problem(seed, n=10, samples=5000):
+    """Seeded constrained logistic regression: X ~ N(0,1) (samples x n),
+    w ~ N(0,1), y = sign(X w + 0.5 eps); f0 = mean(log(1 + exp(-y X x)))
+    subject to |x|^2 <= 4, C x <= d (C ~ N(0,1) of shape 4 x n,
+    d = |N(0,1)| + 0.5) and sum(x) = 0.5, from x0 = 3*1 + arange(n)/n."""
+    rng = np.random.default_rng(seed)
+    x_data = rng.standard_normal((samples, n))
+    w = rng.standard_normal(n)
+    eps = rng.standard_normal(samples)
+    yx = np.sign(x_data @ w + 0.5 * eps)[:, None] * x_data
+    c_mat = rng.standard_normal((4, n))
+    d = np.abs(rng.standard_normal(4)) + 0.5
+    problem = model.NlpProblem(
+        n=n, m_ineq=5, m_eq=1,
+        f0=lambda x: float(np.mean(np.logaddexp(0.0, -(yx @ x)))),
+        f=lambda x: np.concatenate(([x @ x - 4.0], c_mat @ x - d, [np.sum(x) - 0.5])),
+        grad_f0=lambda x: -(yx.T @ (0.5 * (1.0 - np.tanh(0.5 * (yx @ x))))) / samples,
+        grad_f=lambda x: np.column_stack([2.0 * x, c_mat.T, np.ones(n)]),
+    )
+    return problem, 3.0 * np.ones(n) + np.arange(n) / n
 
 
 class TestOptionsValidation:
@@ -873,6 +895,25 @@ class TestFixedPoint:
         assert not engine._is_fixed_point(ev, flipped, False)
 
 
+class TestPenaltyPath:
+    # (ni, nf0, nf) of each data seed at 5 000 samples under default
+    # options.  Every seed raises c on its way to a solution with the
+    # equality active; like the convex pins, the counts follow every
+    # rounding decision of the solver.
+    CONVERGED_COUNTS = {0: (65, 237, 2052), 1: (75, 320, 2712), 2: (78, 318, 2766),
+                        3: (111, 502, 5166)}
+
+    @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
+    def test_logit_seed_converges_after_raising_c(self, seed):
+        problem, x0 = _logit_problem(seed)
+        options = engine.SolverOptions(keep_trace=True)
+        report = engine.solve(problem, x0, options)
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.kkt_residual <= options.kkt_tol
+        assert report.trace[-1].c > 2.0 > options.c_init
+        assert (report.ni, report.nf0, report.nf) == self.CONVERGED_COUNTS[seed]
+
+
 class TestRuntimeCertificates:
     """A failed runtime check inside an iteration ends the run as
     degenerate with the check's reason; it never escapes solve()."""
@@ -917,6 +958,23 @@ class TestRuntimeCertificates:
         )
         message = self._degenerate_message(prob, [5.0])
         assert message == "penalty parameter update broke its jump rule"
+
+    def test_qp_step_limit(self, monkeypatch):
+        # With no multiplier passing the drop test, the first QP (H = I,
+        # grad = (-1, -1), A = [[1, 0]], b = [0.5]) adds and drops row 0
+        # until its step limit 50(n+m) runs out.
+        monkeypatch.setattr(qp, "KKT_TOL", -1e300)
+        prob = model.NlpProblem(
+            n=2, m_ineq=1, m_eq=0,
+            f0=lambda x: float(x @ x - np.sum(x)),
+            f=lambda x: np.array([x[0] - 0.5]),
+            grad_f0=lambda x: 2.0 * x - 1.0,
+            grad_f=lambda x: np.array([[1.0], [0.0]]),
+        )
+        report = engine.solve(prob, [0.0, 0.0])
+        assert report.status is engine.SolveStatus.DEGENERATE
+        assert report.message == "active-set loop exceeded 150 iterations"
+        assert report.ni == 0
 
 
 class TestTraceRecords:

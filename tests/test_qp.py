@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from isqp import linalg, qp
-from isqp.errors import CertificateViolation, NumericalBreakdown
+from isqp.errors import CertificateViolation, MaxQpIterationsError, NumericalBreakdown
 
 
 def _oracle(H, grad, A, b):
@@ -301,6 +301,19 @@ class TestAgainstUnhoistedLoop:
             qp._certify(inst, d, sol.lam)
             assert np.max(np.abs(sol.d0 - d)) <= inst.kkt_tol
             assert np.array_equal(sol.active, active)
+
+
+class TestStepLimit:
+    def test_cycle_raises_at_the_step_limit(self, monkeypatch):
+        # No multiplier passes the drop test, so the loop adds row 0 at
+        # d = (0.5, 0.5), moves along it to (0.5, 1), drops it, and from
+        # then on adds and drops it at (0.5, 1) forever.
+        monkeypatch.setattr(qp, "KKT_TOL", -1e300)
+        inst = qp.QpInstance(H=np.eye(2), grad=np.array([-1.0, -1.0]),
+                             A=np.array([[1.0, 0.0]]), b=np.array([0.5]))
+        with pytest.raises(MaxQpIterationsError,
+                           match=r"^active-set loop exceeded 150 iterations$"):
+            qp.solve_qp(inst)
 
 
 class TestPerQpWork:
