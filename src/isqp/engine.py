@@ -75,7 +75,9 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolverOptions:
-    """Algorithm parameters.  Defaults follow the benchmark configuration."""
+    """Algorithm parameters.  Defaults follow the paper's benchmark
+    configuration except ``rho``, which tools/calibrate_rho.py selects;
+    ``SolverOptions(rho=2.0)`` restores the paper's configuration."""
 
     # The paper's analysis takes both merit fractions below 1/2; the benchmark
     # configuration's 0.5 is that limit, and solve() warns only above it.
@@ -84,7 +86,10 @@ class SolverOptions:
     eta: float = 0.5          # step shrink factor, feasible-direction search
     theta: float = 0.4        # descent retention fraction of the blended direction
     sigma: float = 0.6        # exponent taming the violation measure in right-hand sides
-    rho: float = 2.0          # reward of infeasible iterates for shrinking the violation
+    # Reward of infeasible iterates for shrinking the violation: outside the
+    # feasible set a trial may raise the penalized objective by up to
+    # rho (1 - alpha) phi**theta t.  The paper's 2 rejects most arcs there.
+    rho: float = 1000.0
     tau: float = 2.5          # exponent of the correction shift (between 2 and 3)
     epsilon: float = 0.125    # arc-search abandon threshold on t
     p: float = 2.0            # exponent on |fbar| in the multiplier-estimate damping
@@ -556,11 +561,11 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     classified into the report status.  Per-problem failures never raise.
     ``fv`` and ``phi_final`` are those of the last iterate reached, x0
     itself for a run that stops in its first iteration; they are nan and
-    inf only when the evaluation at x0 fails.  When the run stops by
-    converging, at a fixed point or on the iteration budget,
-    ``kkt_residual`` is that of the last iterate under the last QP's
-    multipliers ``lam`` (``mu`` for the original program); after a
-    failure it is inf.
+    inf only when the evaluation at x0 fails.  Once an iteration has
+    completed, whatever the exit, ``kkt_residual`` is that of the last
+    iterate under the last completed iteration's QP multipliers ``lam``
+    (``mu`` for the original program); a run that stops in its first
+    iteration reports inf and no multipliers.
     """
     options = options if options is not None else SolverOptions()
     if options.alpha > 0.5 or options.alpha_hat > 0.5:
@@ -574,9 +579,9 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
         x=x0.copy(), H=np.eye(problem.n), c=options.c_init, counters=counters,
     )
     trace: Optional[list[IterationRecord]] = [] if options.keep_trace else None
+    record: Optional[IterationRecord] = None  # of the last completed iteration
+    status: Optional[SolveStatus] = None      # set here only by a failure
     message = ""
-    lam = mu = None
-    kkt = np.inf
     started = time.perf_counter()
     cpu_started = time.process_time()
     try:
@@ -589,11 +594,27 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
                 trace.append(record)
             if record.converged or record.fixed_point:
                 break
+    except _DEGENERATE_ERRORS as exc:
+        status = SolveStatus.DEGENERATE
+        message = str(exc)
+    except LineSearchStall as exc:
+        status = SolveStatus.LINE_SEARCH_STALL
+        message = str(exc)
+    except EvaluationFailure as exc:
+        status = SolveStatus.EVALUATION_FAILURE
+        message = str(exc)
+
+    # Every exit after a completed iteration reports the last iterate's
+    # residual under that iteration's multipliers; a converged record
+    # carries the residual its termination test read.
+    lam = mu = None
+    kkt = np.inf
+    if record is not None:
         lam = record.lam
         mu = _recover_multipliers(lam, problem.m_ineq, record.c)
-        # A converged record carries the residual its termination test read.
         kkt = (record.kkt_residual if record.converged
                else model.kkt_residual_original(state.ev, mu))
+    if status is None:
         if record.converged:
             status = SolveStatus.CONVERGED
         elif record.fixed_point:
@@ -604,15 +625,6 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
             status = SolveStatus.MAX_ITERATIONS
             message = (f"iteration budget of {options.max_iter} exhausted at |d0|="
                        f"{record.norm_d0:.3e}, phi={state.ev.phi:.3e}")
-    except _DEGENERATE_ERRORS as exc:
-        status = SolveStatus.DEGENERATE
-        message = str(exc)
-    except LineSearchStall as exc:
-        status = SolveStatus.LINE_SEARCH_STALL
-        message = str(exc)
-    except EvaluationFailure as exc:
-        status = SolveStatus.EVALUATION_FAILURE
-        message = str(exc)
     wall = time.perf_counter() - started
     cpu = time.process_time() - cpu_started
 

@@ -183,12 +183,13 @@ class TestConfig:
             assert f"--{key.replace('_', '-')} " in out
 
     def test_flag_and_config_set_the_same_value(self, tmp_path):
-        # HS044-b takes a different path with the roundoff floor off, so
-        # the two tables match only if both routes set it.
+        # HS044-b takes a different path under the paper's rho = 2 than
+        # under the default, so the two tables match only if both routes
+        # set it.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"phi_tol": 0}), encoding="utf-8")
+        cfg.write_text(json.dumps({"rho": 2}), encoding="utf-8")
         tables = {}
-        for tag, extra in (("default", []), ("flag", ["--phi-tol", "0"]),
+        for tag, extra in (("default", []), ("flag", ["--rho", "2"]),
                            ("config", ["--config", str(cfg)])):
             path = tmp_path / f"{tag}.csv"
             assert _run(["run", "--problem", "HS044", "--start", "b",

@@ -217,16 +217,16 @@ PINNED_RUNS = {
     ("HS037", "a"): ("converged", 10, 26, 288),
     ("HS037", "b"): ("converged", 12, 29, 384),
     ("HS043", "a"): ("converged", 11, 22, 123),
-    ("HS043", "b"): ("converged", 19, 64, 285),
+    ("HS043", "b"): ("converged", 11, 22, 138),
     ("HS044", "a"): ("converged", 11, 31, 440),
-    ("HS044", "b"): ("converged", 35, 162, 1990),
+    ("HS044", "b"): ("converged", 10, 26, 380),
     ("HS065", "a"): ("converged", 8, 18, 182),
     ("HS065", "b"): ("converged", 13, 30, 322),
     ("HS066", "a"): ("converged", 6, 15, 168),
     ("HS066", "b"): ("converged", 16, 45, 512),
     ("HS076", "a"): ("converged", 8, 20, 203),
     ("HS100", "a"): ("converged", 15, 36, 276),
-    ("HS100", "b"): ("converged", 25, 50, 440),
+    ("HS100", "b"): ("converged", 31, 61, 532),
 }
 
 
@@ -241,4 +241,4 @@ class TestPinnedRuns:
                     runs[(name, start)] = (r.status.value, r.ni, r.nf0, r.nf)
         assert runs == PINNED_RUNS
         totals = [sum(run[k] for run in runs.values()) for k in (1, 2, 3)]
-        assert totals == [317, 830, 8307]
+        assert totals == [290, 663, 6642]
