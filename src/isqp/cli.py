@@ -98,8 +98,6 @@ def _merge_options(args) -> engine.SolverOptions:
         value = getattr(args, cli_key)
         if value is not None:
             overrides[field] = value
-    if "max_iter" in overrides:
-        overrides["max_iter"] = int(overrides["max_iter"])
     try:
         return engine.SolverOptions(keep_trace=args.trace, **overrides)
     except ValueError as exc:

@@ -1,17 +1,20 @@
 """Benchmark corpus: classic Hock-Schittkowski test problems.
 
-Every problem is normalized to ``f_i(x) <= 0`` with inequality rows first;
-simple bounds become explicit rows.  Each builder's comment records the
-source formulation (objective, constraints in their published sense, and
-the published start).  ``x0_feasible`` is the standard start whenever that
-point is feasible; ``x0_infeasible`` is a documented perturbation chosen to
-violate at least one constraint (these are not reference starts from any
-published comparison, except HS065 where the book's own start is
-infeasible and serves as the infeasible one).
+Every problem is normalized to ``f_i(x) <= 0`` with inequality rows first.
+A builder writes only its general rows and declares its simple bounds as
+data, ``bounds=((i, lo, hi), ...)`` with None for a missing side;
+``_entry`` expands them through ``_expand_bounds`` into explicit rows after
+the general ones, variable by variable, lower bound before upper.  Each
+builder's comment records the source formulation (objective, constraints in
+their published sense, and the published start).  ``x0_feasible`` is the
+standard start whenever that point is feasible; ``x0_infeasible`` is a
+documented perturbation chosen to violate at least one constraint (these
+are not reference starts from any published comparison, except HS065 where
+the book's own start is infeasible and serves as the infeasible one).
 
 ``fv_candidates`` lists the reference objective values the solver is
 expected to reproduce; entries with several candidates converge to a
-different KKT point depending on the method (HS030, HS100) and any listed
+different KKT point depending on the method (HS100) and any listed
 value counts as a pass.
 """
 
@@ -67,10 +70,47 @@ class GradientCheck:
     max_rel_error: float
 
 
-def _entry(name, problem, x0_feasible, x0_infeasible, fv_candidates):
+def _expand_bounds(n, f, gf, m, bounds):
+    """Append one row per finite bound to the m general rows of f and their
+    gradient columns gf: -x_i + lo <= 0 for a lower bound, x_i - hi <= 0 for
+    an upper one.  Returns the expanded (f, gf, row count).
+
+    A row is evaluated as ``sign * x[i] - offset`` with ``offset = 0.0 - lo``
+    for a lower bound, which rounds exactly like the written-out ``-x[i]``,
+    ``1.0 - x[i]`` and ``-x[i] - 10.0``, signed zeros included (``lo - x[i]``
+    would give +0.0 where ``-x[i]`` gives -0.0)."""
+    rows = []
+    for i, lo, hi in sorted(bounds, key=lambda bound: bound[0]):
+        if lo is not None:
+            rows.append((i, -1.0, 0.0 - lo))
+        if hi is not None:
+            rows.append((i, 1.0, hi))
+    if not rows:
+        return f, gf, m
+    idx = np.array([i for i, _, _ in rows])
+    sign = np.array([s for _, s, _ in rows])
+    offset = np.array([o for _, _, o in rows], dtype=float)
+    columns = np.zeros((n, len(rows)))
+    columns[idx, np.arange(len(rows))] = sign
+
+    def f_all(x):
+        return np.concatenate((f(x), sign * x[idx] - offset))
+
+    def gf_all(x):
+        return np.concatenate((gf(x), columns), axis=1)
+
+    return f_all, gf_all, m + len(rows)
+
+
+def _entry(name, n, f0, g0, f, gf, m, x0_feasible, x0_infeasible, fv_candidates,
+           bounds=()):
+    """Build one inequality-constrained entry: objective f0 with gradient g0,
+    m general rows f with gradient columns gf, then the simple bounds."""
+    f, gf, m_ineq = _expand_bounds(n, f, gf, m, bounds)
     return CorpusEntry(
         name=name,
-        problem=problem,
+        problem=model.NlpProblem(n=n, m_ineq=m_ineq, m_eq=0, f0=f0, f=f,
+                                 grad_f0=g0, grad_f=gf, name=name),
         x0_feasible=None if x0_feasible is None else np.asarray(x0_feasible, dtype=float),
         x0_infeasible=None if x0_infeasible is None else np.asarray(x0_infeasible, dtype=float),
         fv_candidates=fv_candidates,
@@ -92,9 +132,7 @@ def _hs012() -> CorpusEntry:
     def gf(x):
         return np.array([[8.0 * x[0]], [2.0 * x[1]]])
 
-    problem = model.NlpProblem(n=2, m_ineq=1, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS012")
-    return _entry("HS012", problem, [0.0, 0.0], None, (-30.0,))
+    return _entry("HS012", 2, f0, g0, f, gf, 1, [0.0, 0.0], None, (-30.0,))
 
 
 # HS024: min ((x1-3)^2 - 9) x2^3 / (27 sqrt 3)  s.t. x1/sqrt3 - x2 >= 0,
@@ -117,19 +155,16 @@ def _hs024() -> CorpusEntry:
             x[1] - x[0] / root3,
             -x[0] - root3 * x[1],
             x[0] + root3 * x[1] - 6.0,
-            -x[0],
-            -x[1],
         ])
 
     def gf(x):
         return np.array([
-            [-1.0 / root3, -1.0, 1.0, -1.0, 0.0],
-            [1.0, -root3, root3, 0.0, -1.0],
+            [-1.0 / root3, -1.0, 1.0],
+            [1.0, -root3, root3],
         ])
 
-    problem = model.NlpProblem(n=2, m_ineq=5, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS024")
-    return _entry("HS024", problem, [1.0, 0.5], None, (-1.0,))
+    return _entry("HS024", 2, f0, g0, f, gf, 3, [1.0, 0.5], None, (-1.0,),
+                  bounds=((0, 0.0, None), (1, 0.0, None)))
 
 
 # HS029: min -x1 x2 x3  s.t. 48 - x1^2 - 2 x2^2 - 4 x3^2 >= 0; start (1, 1, 1),
@@ -147,14 +182,13 @@ def _hs029() -> CorpusEntry:
     def gf(x):
         return np.array([[2.0 * x[0]], [4.0 * x[1]], [8.0 * x[2]]])
 
-    problem = model.NlpProblem(n=3, m_ineq=1, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS029")
-    return _entry("HS029", problem, [1.0, 1.0, 1.0], None, (-22.62741700,))
+    return _entry("HS029", 3, f0, g0, f, gf, 1, [1.0, 1.0, 1.0], None, (-22.62741700,))
 
 
 # HS030: min x1^2 + x2^2 + x3^2  s.t. x1^2 + x2^2 - 1 >= 0, 1 <= x1 <= 10,
-# |x2| <= 10, |x3| <= 10; start (1, 1, 1).  Reference methods split between
-# two stationary values, so both are listed.
+# |x2| <= 10, |x3| <= 10; start (1, 1, 1).  The bound x1 >= 1 forces f >= 1;
+# the feasible set is convex and f strictly convex, so (1, 0, 0) with f = 1
+# is the only KKT point.
 def _hs030() -> CorpusEntry:
     def f0(x):
         return float(x @ x)
@@ -163,27 +197,13 @@ def _hs030() -> CorpusEntry:
         return 2.0 * x
 
     def f(x):
-        return np.array([
-            1.0 - x[0] ** 2 - x[1] ** 2,
-            1.0 - x[0],
-            x[0] - 10.0,
-            -x[1] - 10.0,
-            x[1] - 10.0,
-            -x[2] - 10.0,
-            x[2] - 10.0,
-        ])
+        return np.array([1.0 - x[0] ** 2 - x[1] ** 2])
 
     def gf(x):
-        return np.array([
-            [-2.0 * x[0], -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [-2.0 * x[1], 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
-        ])
+        return np.array([[-2.0 * x[0]], [-2.0 * x[1]], [0.0]])
 
-    problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS030")
-    return _entry("HS030", problem, [1.0, 1.0, 1.0], None,
-                  (4.016837909e-18, 1.0))
+    return _entry("HS030", 3, f0, g0, f, gf, 1, [1.0, 1.0, 1.0], None, (1.0,),
+                  bounds=((0, 1.0, 10.0), (1, -10.0, 10.0), (2, -10.0, 10.0)))
 
 
 # HS031: min 9 x1^2 + x2^2 + 9 x3^2  s.t. x1 x2 - 1 >= 0, |x1| <= 10,
@@ -196,26 +216,13 @@ def _hs031() -> CorpusEntry:
         return np.array([18.0 * x[0], 2.0 * x[1], 18.0 * x[2]])
 
     def f(x):
-        return np.array([
-            1.0 - x[0] * x[1],
-            -x[0] - 10.0,
-            x[0] - 10.0,
-            1.0 - x[1],
-            x[1] - 10.0,
-            -x[2] - 10.0,
-            x[2] - 1.0,
-        ])
+        return np.array([1.0 - x[0] * x[1]])
 
     def gf(x):
-        return np.array([
-            [-x[1], -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [-x[0], 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
-        ])
+        return np.array([[-x[1]], [-x[0]], [0.0]])
 
-    problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS031")
-    return _entry("HS031", problem, [1.0, 1.0, 1.0], None, (6.0,))
+    return _entry("HS031", 3, f0, g0, f, gf, 1, [1.0, 1.0, 1.0], None, (6.0,),
+                  bounds=((0, -10.0, 10.0), (1, 1.0, 10.0), (2, -10.0, 1.0)))
 
 
 # HS033: min (x1-1)(x1-2)(x1-3) + x3  s.t. x3^2 - x1^2 - x2^2 >= 0,
@@ -233,58 +240,42 @@ def _hs033() -> CorpusEntry:
         return np.array([
             x[0] ** 2 + x[1] ** 2 - x[2] ** 2,
             4.0 - x[0] ** 2 - x[1] ** 2 - x[2] ** 2,
-            -x[0],
-            -x[1],
-            -x[2],
-            x[2] - 5.0,
         ])
 
     def gf(x):
         return np.array([
-            [2.0 * x[0], -2.0 * x[0], -1.0, 0.0, 0.0, 0.0],
-            [2.0 * x[1], -2.0 * x[1], 0.0, -1.0, 0.0, 0.0],
-            [-2.0 * x[2], -2.0 * x[2], 0.0, 0.0, -1.0, 1.0],
+            [2.0 * x[0], -2.0 * x[0]],
+            [2.0 * x[1], -2.0 * x[1]],
+            [-2.0 * x[2], -2.0 * x[2]],
         ])
 
-    problem = model.NlpProblem(n=3, m_ineq=6, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS033")
-    return _entry("HS033", problem, [0.0, 0.0, 3.0], None, (-4.585785958,))
+    return _entry("HS033", 3, f0, g0, f, gf, 2, [0.0, 0.0, 3.0], None, (-4.585785958,),
+                  bounds=((0, 0.0, None), (1, 0.0, None), (2, 0.0, 5.0)))
 
 
 def _exp_chain_constraints():
     def f(x):
-        return np.array([
-            np.exp(x[0]) - x[1],
-            np.exp(x[1]) - x[2],
-            -x[0],
-            x[0] - 100.0,
-            -x[1],
-            x[1] - 100.0,
-            -x[2],
-            x[2] - 10.0,
-        ])
+        return np.array([np.exp(x[0]) - x[1], np.exp(x[1]) - x[2]])
 
     def gf(x):
         return np.array([
-            [np.exp(x[0]), 0.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [-1.0, np.exp(x[1]), 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
+            [np.exp(x[0]), 0.0],
+            [-1.0, np.exp(x[1])],
+            [0.0, -1.0],
         ])
 
     return f, gf
 
 
+_EXP_CHAIN_BOUNDS = ((0, 0.0, 100.0), (1, 0.0, 100.0), (2, 0.0, 10.0))
+
+
 # HS034: min -x1  s.t. x2 >= exp(x1), x3 >= exp(x2), 0 <= x1 <= 100,
 # 0 <= x2 <= 100, 0 <= x3 <= 10; start (0, 1.05, 2.9), minimum -ln(ln 10).
 def _hs034() -> CorpusEntry:
-    f, gf = _exp_chain_constraints()
-    problem = model.NlpProblem(
-        n=3, m_ineq=8, m_eq=0,
-        f0=lambda x: -x[0], f=f,
-        grad_f0=lambda x: np.array([-1.0, 0.0, 0.0]), grad_f=gf, name="HS034",
-    )
-    return _entry("HS034", problem, [0.0, 1.05, 2.9], [1.0, 1.0, 1.0],
-                  (-0.83403244521568,))
+    return _entry("HS034", 3, lambda x: -x[0], lambda x: np.array([-1.0, 0.0, 0.0]),
+                  *_exp_chain_constraints(), 2, [0.0, 1.05, 2.9], [1.0, 1.0, 1.0],
+                  (-0.83403244521568,), bounds=_EXP_CHAIN_BOUNDS)
 
 
 # HS035 (Beale): min 9 - 8x1 - 6x2 - 4x3 + 2x1^2 + 2x2^2 + x3^2 + 2x1x2 + 2x1x3
@@ -303,19 +294,13 @@ def _hs035() -> CorpusEntry:
         ])
 
     def f(x):
-        return np.array([x[0] + x[1] + 2.0 * x[2] - 3.0, -x[0], -x[1], -x[2]])
+        return np.array([x[0] + x[1] + 2.0 * x[2] - 3.0])
 
     def gf(x):
-        return np.array([
-            [1.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, -1.0, 0.0],
-            [2.0, 0.0, 0.0, -1.0],
-        ])
+        return np.array([[1.0], [1.0], [2.0]])
 
-    problem = model.NlpProblem(n=3, m_ineq=4, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS035")
-    return _entry("HS035", problem, [0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
-                  (0.11111111111111,))
+    return _entry("HS035", 3, f0, g0, f, gf, 1, [0.5, 0.5, 0.5], [1.0, 1.0, 1.0],
+                  (0.11111111111111,), bounds=[(i, 0.0, None) for i in range(3)])
 
 
 # HS036: min -x1 x2 x3  s.t. 72 - x1 - 2x2 - 2x3 >= 0, 0 <= x1 <= 20,
@@ -328,27 +313,14 @@ def _hs036() -> CorpusEntry:
         return np.array([-x[1] * x[2], -x[0] * x[2], -x[0] * x[1]])
 
     def f(x):
-        return np.array([
-            x[0] + 2.0 * x[1] + 2.0 * x[2] - 72.0,
-            -x[0],
-            x[0] - 20.0,
-            -x[1],
-            x[1] - 11.0,
-            -x[2],
-            x[2] - 42.0,
-        ])
+        return np.array([x[0] + 2.0 * x[1] + 2.0 * x[2] - 72.0])
 
     def gf(x):
-        return np.array([
-            [1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [2.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [2.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
-        ])
+        return np.array([[1.0], [2.0], [2.0]])
 
-    problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS036")
-    return _entry("HS036", problem, [10.0, 10.0, 10.0], [12.0, 12.0, 12.0],
-                  (-3299.99999999996,))
+    return _entry("HS036", 3, f0, g0, f, gf, 1, [10.0, 10.0, 10.0], [12.0, 12.0, 12.0],
+                  (-3299.99999999996,),
+                  bounds=((0, 0.0, 20.0), (1, 0.0, 11.0), (2, 0.0, 42.0)))
 
 
 # HS037: min -x1 x2 x3  s.t. 72 - x1 - 2x2 - 2x3 >= 0, x1 + 2x2 + 2x3 >= 0,
@@ -362,33 +334,18 @@ def _hs037() -> CorpusEntry:
 
     def f(x):
         s = x[0] + 2.0 * x[1] + 2.0 * x[2]
-        return np.array([
-            s - 72.0,
-            -s,
-            -x[0],
-            x[0] - 42.0,
-            -x[1],
-            x[1] - 42.0,
-            -x[2],
-            x[2] - 42.0,
-        ])
+        return np.array([s - 72.0, -s])
 
     def gf(x):
-        return np.array([
-            [1.0, -1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [2.0, -2.0, 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [2.0, -2.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
-        ])
+        return np.array([[1.0, -1.0], [2.0, -2.0], [2.0, -2.0]])
 
     # The infeasible start drops x1 below its lower bound.  Starts beyond
     # the budget face (e.g. (20,20,20)) are avoided: iterates from there
     # drift onto the ray x = (2s, s, s), where the objective gradient is
     # parallel to the violated constraint normal and any feasible-direction
     # method crawls.
-    problem = model.NlpProblem(n=3, m_ineq=8, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS037")
-    return _entry("HS037", problem, [10.0, 10.0, 10.0], [-5.0, 10.0, 10.0],
-                  (-3455.999999999965,))
+    return _entry("HS037", 3, f0, g0, f, gf, 2, [10.0, 10.0, 10.0], [-5.0, 10.0, 10.0],
+                  (-3455.999999999965,), bounds=[(i, 0.0, 42.0) for i in range(3)])
 
 
 # HS043 (Rosen-Suzuki): min x1^2 + x2^2 + 2x3^2 + x4^2 - 5x1 - 5x2 - 21x3 + 7x4
@@ -419,9 +376,7 @@ def _hs043() -> CorpusEntry:
             [2.0 * x[3] - 1.0, 4.0 * x[3] - 1.0, -1.0],
         ])
 
-    problem = model.NlpProblem(n=4, m_ineq=3, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS043")
-    return _entry("HS043", problem, [0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0],
+    return _entry("HS043", 4, f0, g0, f, gf, 3, [0.0, 0.0, 0.0, 0.0], [2.0, 2.0, 2.0, 2.0],
                   (-44.0,))
 
 
@@ -448,28 +403,22 @@ def _hs044() -> CorpusEntry:
             2.0 * x[2] + x[3] - 8.0,
             x[2] + 2.0 * x[3] - 8.0,
             x[2] + x[3] - 5.0,
-            -x[0],
-            -x[1],
-            -x[2],
-            -x[3],
         ])
 
     def gf(x):
         return np.array([
-            [1.0, 4.0, 3.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0],
-            [2.0, 1.0, 4.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.0, 0.0, -1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0, 2.0, 1.0, 0.0, 0.0, 0.0, -1.0],
+            [1.0, 4.0, 3.0, 0.0, 0.0, 0.0],
+            [2.0, 1.0, 4.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 2.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0, 1.0, 2.0, 1.0],
         ])
 
     # The infeasible start must not activate five of the ten constraints at
     # once (e.g. (0,4,0,5) does), since four-variable problems cannot have
     # five independent active gradients; (1,4,1,5) violates three
     # constraints while keeping the active set regular.
-    problem = model.NlpProblem(n=4, m_ineq=10, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS044")
-    return _entry("HS044", problem, [0.0, 0.0, 0.0, 0.0], [1.0, 4.0, 1.0, 5.0],
-                  (-14.99999999935652,))
+    return _entry("HS044", 4, f0, g0, f, gf, 6, [0.0, 0.0, 0.0, 0.0], [1.0, 4.0, 1.0, 5.0],
+                  (-14.99999999935652,), bounds=[(i, 0.0, None) for i in range(4)])
 
 
 # HS065: min (x1-x2)^2 + (x1+x2-10)^2/9 + (x3-5)^2  s.t. 48 - x1^2 - x2^2
@@ -490,41 +439,24 @@ def _hs065() -> CorpusEntry:
         ])
 
     def f(x):
-        return np.array([
-            x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - 48.0,
-            -x[0] - 4.5,
-            x[0] - 4.5,
-            -x[1] - 4.5,
-            x[1] - 4.5,
-            -x[2] - 5.0,
-            x[2] - 5.0,
-        ])
+        return np.array([x[0] ** 2 + x[1] ** 2 + x[2] ** 2 - 48.0])
 
     def gf(x):
-        return np.array([
-            [2.0 * x[0], -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
-            [2.0 * x[1], 0.0, 0.0, -1.0, 1.0, 0.0, 0.0],
-            [2.0 * x[2], 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
-        ])
+        return np.array([[2.0 * x[0]], [2.0 * x[1]], [2.0 * x[2]]])
 
-    problem = model.NlpProblem(n=3, m_ineq=7, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS065")
-    return _entry("HS065", problem, [3.0, 3.0, 0.0], [-5.0, 5.0, 0.0],
-                  (0.95352885680478,))
+    return _entry("HS065", 3, f0, g0, f, gf, 1, [3.0, 3.0, 0.0], [-5.0, 5.0, 0.0],
+                  (0.95352885680478,),
+                  bounds=((0, -4.5, 4.5), (1, -4.5, 4.5), (2, -5.0, 5.0)))
 
 
 # HS066: min 0.2 x3 - 0.8 x1  s.t. x2 >= exp(x1), x3 >= exp(x2),
 # 0 <= x1 <= 100, 0 <= x2 <= 100, 0 <= x3 <= 10; start (0, 1.05, 2.9),
 # minimum 0.5181632741.
 def _hs066() -> CorpusEntry:
-    f, gf = _exp_chain_constraints()
-    problem = model.NlpProblem(
-        n=3, m_ineq=8, m_eq=0,
-        f0=lambda x: 0.2 * x[2] - 0.8 * x[0], f=f,
-        grad_f0=lambda x: np.array([-0.8, 0.0, 0.2]), grad_f=gf, name="HS066",
-    )
-    return _entry("HS066", problem, [0.0, 1.05, 2.9], [1.0, 1.0, 1.0],
-                  (0.51816327418156,))
+    return _entry("HS066", 3, lambda x: 0.2 * x[2] - 0.8 * x[0],
+                  lambda x: np.array([-0.8, 0.0, 0.2]),
+                  *_exp_chain_constraints(), 2, [0.0, 1.05, 2.9], [1.0, 1.0, 1.0],
+                  (0.51816327418156,), bounds=_EXP_CHAIN_BOUNDS)
 
 
 # HS076: min x1^2 + 0.5 x2^2 + x3^2 + 0.5 x4^2 - x1 x3 + x3 x4 - x1 - 3 x2
@@ -549,24 +481,18 @@ def _hs076() -> CorpusEntry:
             x[0] + 2.0 * x[1] + x[2] + x[3] - 5.0,
             3.0 * x[0] + x[1] + 2.0 * x[2] - x[3] - 4.0,
             1.5 - x[1] - 4.0 * x[2],
-            -x[0],
-            -x[1],
-            -x[2],
-            -x[3],
         ])
 
     def gf(x):
         return np.array([
-            [1.0, 3.0, 0.0, -1.0, 0.0, 0.0, 0.0],
-            [2.0, 1.0, -1.0, 0.0, -1.0, 0.0, 0.0],
-            [1.0, 2.0, -4.0, 0.0, 0.0, -1.0, 0.0],
-            [1.0, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0],
+            [1.0, 3.0, 0.0],
+            [2.0, 1.0, -1.0],
+            [1.0, 2.0, -4.0],
+            [1.0, -1.0, 0.0],
         ])
 
-    problem = model.NlpProblem(n=4, m_ineq=7, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS076")
-    return _entry("HS076", problem, [0.5, 0.5, 0.5, 0.5], None,
-                  (-4.681818182,))
+    return _entry("HS076", 4, f0, g0, f, gf, 3, [0.5, 0.5, 0.5, 0.5], None,
+                  (-4.681818182,), bounds=[(i, 0.0, None) for i in range(4)])
 
 
 # HS100: min (x1-10)^2 + 5(x2-12)^2 + x3^4 + 3(x4-11)^2 + 10 x5^6 + 7 x6^2
@@ -610,9 +536,7 @@ def _hs100() -> CorpusEntry:
             [0.0, 0.0, -8.0, -11.0],
         ])
 
-    problem = model.NlpProblem(n=7, m_ineq=4, m_eq=0, f0=f0, f=f,
-                               grad_f0=g0, grad_f=gf, name="HS100")
-    return _entry("HS100", problem, [1.0, 2.0, 0.0, 4.0, 0.0, 1.0, 1.0],
+    return _entry("HS100", 7, f0, g0, f, gf, 4, [1.0, 2.0, 0.0, 4.0, 0.0, 1.0, 1.0],
                   [2.0] * 7, (682.5663838261504, 680.6300573744018))
 
 

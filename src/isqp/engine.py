@@ -116,12 +116,13 @@ class SolverOptions:
         if not 2.0 < self.tau < 3.0:
             raise ValueError("tau must lie in (2, 3)")
         for name in ("epsilon", "p", "gamma", "gamma0", "c_init", "term_tol", "kkt_tol"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:  # NaN fails every comparison
                 raise ValueError(f"{name} must be positive")
         if not self.phi_tol >= 0.0:  # a negative floor would count f_i = 0 as violated
             raise ValueError("phi_tol must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (self.max_iter >= 1 and self.max_iter % 1 == 0):  # inf % 1 is NaN
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
+        self.max_iter = int(self.max_iter)
 
 
 @dataclass

@@ -92,6 +92,11 @@ class TestRunCommand:
         assert _run(["run", "--problem", "HS035", "--kkt-tol", "-1"]) == 1
         assert "kkt_tol" in capsys.readouterr().err
 
+    def test_nan_kkt_tolerance_exits_one(self, capsys):
+        # No residual compares below NaN, so no run could converge.
+        assert _run(["run", "--problem", "HS035", "--kkt-tol", "nan"]) == 1
+        assert "kkt_tol" in capsys.readouterr().err
+
     def test_trace_goes_to_stderr(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 0
         captured = capsys.readouterr()
@@ -144,6 +149,20 @@ class TestConfig:
         cfg.write_text(json.dumps({"max_iter": 1}), encoding="utf-8")
         assert _run(["run", "--problem", "HS035", "--start", "a",
                      "--config", str(cfg), "--max-iter", "500"]) == 0
+
+    @pytest.mark.parametrize("text", ["2.5", "1e999", "NaN"])
+    def test_non_integral_iteration_budget_exits_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"max_iter": %s}' % text, encoding="utf-8")
+        assert _run(["run", "--problem", "HS035", "--start", "a",
+                     "--config", str(cfg)]) == 1
+        assert "max_iter" in capsys.readouterr().err
+
+    def test_integral_float_iteration_budget_is_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iter": 1.0}), encoding="utf-8")
+        assert _run(["run", "--problem", "HS035", "--start", "a",
+                     "--config", str(cfg)]) == 2
 
     def test_config_can_set_any_solver_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -4,6 +4,7 @@ problems."""
 
 import dataclasses
 import logging
+import math
 import re
 
 import numpy as np
@@ -115,10 +116,18 @@ class TestOptionsValidation:
         ("p", 0.0), ("gamma", 0.0), ("gamma0", -1.0), ("c_init", 0.0),
         ("term_tol", 0.0), ("phi_tol", -1e-10), ("kkt_tol", -1.0), ("kkt_tol", 0.0),
         ("max_iter", 0),
+        ("epsilon", math.nan), ("p", math.nan), ("gamma", math.nan),
+        ("gamma0", math.nan), ("c_init", math.nan), ("term_tol", math.nan),
+        ("kkt_tol", math.nan),
+        ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", math.inf),
     ])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError):
             engine.SolverOptions(**{field: value})
+
+    def test_integral_float_iteration_budget_becomes_int(self):
+        options = engine.SolverOptions(max_iter=200.0)
+        assert options.max_iter == 200 and type(options.max_iter) is int
 
     def test_descent_fraction_must_stay_below_violation_exponent(self):
         with pytest.raises(ValueError):
