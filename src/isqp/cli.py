@@ -110,6 +110,9 @@ def _select_problems(selector: str) -> list[str]:
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
         raise _UsageError("--problem got an empty selection")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise _UsageError(f"--problem names {', '.join(repeated)} more than once")
     return names
 
 
@@ -139,6 +142,10 @@ def _cmd_run(args) -> int:
             x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
         except ValueError as exc:
             raise _UsageError(f"--x0 is not a comma-separated real vector: {exc}") from exc
+        bad = np.flatnonzero(~np.isfinite(x0))
+        if bad.size:
+            i = int(bad[0])
+            raise _UsageError(f"--x0 component {i} is not finite: {float(x0[i])!r}")
         entry = corpus.get_problem(names[0])
         if x0.shape != (entry.problem.n,):
             raise _UsageError(

@@ -7,17 +7,20 @@ the constraints along the QP direction) and, only when the corrected arc is
 rejected, a feasibility direction that is blended with the QP direction
 through a convex combination.  Both right-hand sides vanish in their top
 block, so the systems are solved through the QP's Y = H^-1 N and the
-Cholesky factor of the m-by-m Schur complement N'Y + diag(q): H is factored
-once per iteration, inside the QP.  Step lengths come from two searches
-that both insist the count of satisfied constraints never drops, the
-violation measure strictly shrinks outside the feasible set, and the
-penalized objective decreases once inside it.  Each search trial is
-tested on its constraint values first (the constraint bound, then the
-satisfied count); the objective is evaluated, and its decrease tested,
-only at a trial that passes both, so a trial rejected on its constraints
-costs no objective evaluation.
+Cholesky factor of the m-by-m Schur complement N'Y + diag(q).  Step
+lengths come from two searches that both insist the count of satisfied
+constraints never drops, the violation measure strictly shrinks outside
+the feasible set, and the penalized objective decreases once inside it.
+Each search trial is tested on its constraint values first (the
+constraint bound, then the satisfied count); the objective is evaluated,
+and its decrease tested, only at a trial that passes both, so a trial
+rejected on its constraints costs no objective evaluation.
 Curvature is maintained by a BFGS update whose difference vector is bent
-just enough to keep the update positive definite.
+just enough to keep the update positive definite.  Each curvature matrix
+is factored exactly once: ``step`` factors each new candidate from the
+update, and that Cholesky factorization is its positive-definiteness test
+(a candidate that fails it is skipped).  The iterate keeps H together with
+its factor, the identity at x0, and the next QP solves against that factor.
 
 In floating point a search can accept a step too short to change x.  With
 the penalty parameter unchanged, such a step also leaves the curvature
@@ -127,10 +130,10 @@ class SolverOptions:
 
 @dataclass
 class IterateState:
-    """Mutable per-run state threaded through step()."""
+    """Mutable per-run state threaded through step(); the iterate is ev.x."""
 
-    x: np.ndarray
     H: np.ndarray
+    low: np.ndarray                 # lower Cholesky factor of H
     c: float
     counters: model.EvalCounters
     k: int = 0
@@ -370,9 +373,10 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
 
     The difference vector y is replaced by y + a*(g*s + A A's) with weight a
     chosen by the observed curvature s'y; g caps at kappa and shrinks with
-    |d0|^2 so the bending vanishes near a solution.  The update is skipped
-    (H returned unchanged) when the bent pair still fails the curvature
-    test or the candidate is not positive definite.
+    |d0|^2 so the bending vanishes near a solution.  The update is skipped,
+    and H itself returned, when the bent pair still fails the curvature
+    test.  A returned candidate is not yet known to be positive definite:
+    step() factors it once, and that factorization is the test.
     """
     s = ev_next.x - ev.x
     ss = float(s @ s)
@@ -404,12 +408,7 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
     if shs <= 0.0:
         return H
     candidate = H - np.outer(hs, hs) / shs + np.outer(yhat, yhat) / syh
-    candidate = 0.5 * (candidate + candidate.T)
-    try:
-        linalg.cholesky(candidate)
-    except NotPositiveDefiniteError:
-        return H
-    return candidate
+    return 0.5 * (candidate + candidate.T)
 
 
 def _recover_multipliers(lam: np.ndarray, m_ineq: int, c: float) -> np.ndarray:
@@ -440,7 +439,7 @@ def _is_fixed_point(ev: model.Evaluation, accepted: model.PointValues,
 
 def step(problem: model.NlpProblem, state: IterateState,
          options: SolverOptions) -> tuple[IterateState, IterationRecord]:
-    """Run one full iteration starting at state.x; returns the advanced
+    """Run one full iteration starting at state.ev.x; returns the advanced
     state and its trace record.  A record with converged=True or
     fixed_point=True leaves the iterate unchanged and carries the final
     multipliers."""
@@ -458,11 +457,11 @@ def step(problem: model.NlpProblem, state: IterateState,
         _require(c >= state.c and (not c_changed or c >= state.c + options.gamma),
                  "penalty parameter update broke its jump rule")
 
-    # Main direction from the always-feasible QP (the factorization inside
-    # doubles as the positive-definiteness certificate of H).
+    # Main direction from the always-feasible QP, solved against the factor
+    # of H that certified it positive definite.
     grad_fc = model.penalty_gradient(ev, c)
     inst = qpmod.QpInstance(H=state.H, grad=grad_fc, A=ev.gI.T, b=-ev.fbar)
-    sol = qpmod.solve_qp(inst)
+    sol = qpmod.solve_qp(inst, state.low)
     d0 = sol.d0
     norm_d0 = float(np.linalg.norm(d0))
     fc0 = model.penalty_value(ev, c)
@@ -522,6 +521,12 @@ def step(problem: model.NlpProblem, state: IterateState,
     _require(vals.n_satisfied >= ev.n_satisfied, "accepted step lost a satisfied constraint")
     ev_next = model.evaluate(problem, vals, counters)
     h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0, options)
+    low_next = state.low
+    if h_next is not state.H:
+        try:  # the one factorization of h_next, and its positive-definiteness test
+            low_next = linalg.cholesky(h_next)
+        except NotPositiveDefiniteError:
+            h_next = state.H
     fixed_point = _is_fixed_point(ev, vals, c_changed)
 
     record = IterationRecord(
@@ -536,7 +541,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     if fixed_point:
         return state, record
     new_state = IterateState(
-        x=vals.x, H=h_next, c=c, counters=counters, k=state.k + 1,
+        H=h_next, low=low_next, c=c, counters=counters, k=state.k + 1,
         nio=state.nio + (1 if phi > 0.0 else 0),
         ev=ev_next,
     )
@@ -574,10 +579,10 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
             "merit decrease fraction %.3g is above 0.5; convergence "
             "guarantees assume a value below 0.5", max(options.alpha, options.alpha_hat),
         )
-    x0 = np.asarray(x0, dtype=float).reshape(problem.n)
+    x0 = np.array(x0, dtype=float).reshape(problem.n)  # copied: report.x never aliases it
     counters = model.EvalCounters()
     state = IterateState(
-        x=x0.copy(), H=np.eye(problem.n), c=options.c_init, counters=counters,
+        H=np.eye(problem.n), low=np.eye(problem.n), c=options.c_init, counters=counters,
     )
     trace: Optional[list[IterationRecord]] = [] if options.keep_trace else None
     record: Optional[IterationRecord] = None  # of the last completed iteration
@@ -586,7 +591,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     started = time.perf_counter()
     cpu_started = time.process_time()
     try:
-        start = model.point_values(problem, state.x, counters, options.phi_tol)
+        start = model.point_values(problem, x0, counters, options.phi_tol)
         state.ev = model.evaluate(problem, model.with_objective(problem, start, counters),
                                   counters)
         while state.k < options.max_iter:  # runs at least once: max_iter >= 1
@@ -630,13 +635,11 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     cpu = time.process_time() - cpu_started
 
     if state.ev is not None:
-        fv = state.ev.f0
-        phi_final = state.ev.phi
+        x, fv, phi_final = state.ev.x, state.ev.f0, state.ev.phi
     else:
-        fv = float("nan")
-        phi_final = float("inf")
+        x, fv, phi_final = x0, float("nan"), float("inf")
     return SolveReport(
-        status=status, x=state.x, fv=fv, kkt_residual=kkt, phi_final=phi_final,
+        status=status, x=x, fv=fv, kkt_residual=kkt, phi_final=phi_final,
         ni=state.k, nio=state.nio, nii=state.k - state.nio,
         nf0=counters.nf0, nf=counters.nf, wall_seconds=wall, cpu_seconds=cpu,
         lam=lam, mu=mu, trace=trace, message=message,

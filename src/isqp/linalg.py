@@ -7,9 +7,20 @@ pivot floor, which doubles as the positive-definiteness test for curvature
 matrices and, on the Schur complement of the engine's shared matrix, as
 its singularity test.  LU with partial pivoting keeps the same pivot
 floor; it is the package's general square solver, and no solver path
-calls it.  Every solve checks its scaled residual with ``check_residual``,
-which takes the product A x rather than A, so a caller holding A in blocks
-(the engine's shared matrix) checks without assembling it.
+calls it.  ``cholesky`` reads only the lower triangle of its input, as
+LAPACK's potrf does: it never checks symmetry, because every caller builds
+an exactly symmetric matrix; the upper triangle enters only the row-sum
+norm that scales the pivot floor.
+
+``LuFactorization.solve`` and ``spd_solve`` check the scaled residual of
+every solve against the full matrix, so ``spd_solve`` also fails an
+asymmetric input whose upper triangle changes the product.
+``solve_cholesky`` has only the factor and checks nothing; its callers
+certify what they solve (the QP's KKT certificate covers its solves
+against H, and the engine's shared-matrix solves check their residual).
+``check_residual`` takes the product A x rather than A, so a caller
+holding A in blocks (the engine's shared matrix) checks without
+assembling it.
 
 The triangular solves are column sweeps of elementwise products and
 differences, so their results do not depend on how right-hand sides are
@@ -30,10 +41,8 @@ from .errors import NotPositiveDefiniteError, NumericalBreakdown, SingularMatrix
 
 # Pivot floor for both factorizations, relative to the row-sum norm.
 PIVOT_FLOOR = 1e-14
-# Post-condition on every solve: inf-norm residual relative to max(1, |b|).
+# Post-condition on a checked solve: inf-norm residual relative to max(1, |b|).
 RESIDUAL_TOL = 1e-10
-# Symmetry slack allowed on inputs that must be symmetric.
-SYMMETRY_TOL = 1e-12
 
 
 def _as_square(a) -> np.ndarray:
@@ -41,13 +50,6 @@ def _as_square(a) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def check_symmetric(a: np.ndarray) -> None:
-    """Raise ValueError unless |a_ij - a_ji| <= tol * max(1, |a_ij|)."""
-    bound = SYMMETRY_TOL * np.maximum(1.0, np.abs(a))
-    if np.any(np.abs(a - a.T) > bound):
-        raise ValueError("matrix is not symmetric within tolerance")
 
 
 def check_residual(ax: np.ndarray, b: np.ndarray) -> float:
@@ -133,13 +135,14 @@ def lu_factor(a) -> LuFactorization:
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
+    """Lower-triangular Cholesky factor of the symmetric matrix whose lower
+    triangle is that of ``a``; the strict upper triangle is not read, except
+    by the row-sum norm of ``a`` that scales the pivot floor.
 
     Raises NotPositiveDefiniteError when any diagonal pivot is at or below
-    the pivot floor, which doubles as the package's SPD test.
+    PIVOT_FLOOR times that norm, which doubles as the package's SPD test.
     """
     a = _as_square(a)
-    check_symmetric(a)
     n = a.shape[0]
     norm = np.max(np.sum(np.abs(a), axis=1), initial=0.0)
     floor = PIVOT_FLOOR * norm
@@ -181,8 +184,10 @@ def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
 
 
 def spd_solve(m, b) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M."""
-    m = _as_square(m)
+    """Solve M x = b for symmetric positive definite M, checking the
+    residual against all of M."""
+    m = np.asarray(m, dtype=float)
+    b = np.asarray(b, dtype=float)
     x = solve_cholesky(cholesky(m), b)
-    check_residual(m @ x, np.asarray(b, dtype=float))
+    check_residual(m @ x, b)
     return x

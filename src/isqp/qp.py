@@ -12,14 +12,18 @@ rules out cycling on a degenerate vertex; the step limit 50(n+m) bounds a
 cycle by raising MaxQpIterationsError, which ``engine.solve`` reports as
 ``degenerate``.
 
-H is factored once per QP, and every n-sized solve is done then: Y = H^-1 A'
+The caller passes the lower Cholesky factor of H, which the engine forms
+once per curvature matrix (that factorization is H's positive-definiteness
+certificate), and every n-sized solve is done before the loop: Y = H^-1 A'
 for all constraint rows and u = H^-1 grad (Nocedal & Wright, *Numerical
 Optimization*, section 16.5).  Since H^-1 (H d + grad) = d + u, a step with
 working set W finds its multipliers from the |W|-sized system
 (A_W Y_W) lam = -A_W (d + u), whose matrix is sliced out of the precomputed
 A Y, and its direction as p = -(d + u + Y_W lam).  The ratio test reads the
 vectors A p and b - A d.  Y and A Y are handed back on the solution, so the
-caller can solve systems in H and A' without factoring H again.
+caller can solve systems in H and A' without solving against H again.  The
+KKT certificate of the result reads H itself, so a factor that is not H's
+fails it.
 """
 
 from __future__ import annotations
@@ -111,15 +115,11 @@ def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
             raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
 
 
-def solve_qp(inst: QpInstance) -> QpSolution:
-    """Solve the subproblem, certifying the KKT conditions of the result."""
+def solve_qp(inst: QpInstance, hfac: np.ndarray) -> QpSolution:
+    """Solve the subproblem, given the lower Cholesky factor ``hfac`` of
+    inst.H, certifying the KKT conditions of the result against inst.H."""
     n, m = inst.n, inst.m
     H, grad, A, b = inst.H, inst.grad, inst.A, inst.b
-    try:
-        hfac = linalg.cholesky(H)
-    except NotPositiveDefiniteError as exc:
-        raise NumericalBreakdown("QP curvature matrix is not positive definite") from exc
-
     y_all = linalg.solve_cholesky(hfac, A.T)
     ay = A @ y_all
     ay = 0.5 * (ay + ay.T)  # A H^-1 A' is symmetric; the product is only to roundoff

@@ -118,7 +118,7 @@ def test_criterion_4_subproblem_oracle_equivalence():
     """At least 1000 random strictly convex subproblems (n <= 3, m <= 4)
     match exhaustive active-subset enumeration to 1e-7 in the minimizer and
     the objective."""
-    from isqp import qp
+    from isqp import linalg, qp
 
     def oracle(H, grad, A, b):
         n, m = grad.size, b.size
@@ -160,7 +160,7 @@ def test_criterion_4_subproblem_oracle_equivalence():
         b[rng.uniform(size=m) < 0.2] = 0.0
         inst = qp.QpInstance(H=H, grad=grad, A=A, b=b)
         d_ref, obj_ref = oracle(H, grad, A, b)
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         d_err = float(np.max(np.abs(sol.d0 - d_ref), initial=0.0))
         obj_err = abs(inst.objective(sol.d0) - obj_ref)
         assert d_err <= 1e-7, (d_err, inst)

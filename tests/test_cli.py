@@ -39,6 +39,14 @@ class TestRunCommand:
         assert _run(["run", "--problem", "HS999"]) == 1
         assert "unknown problem" in capsys.readouterr().err
 
+    def test_repeated_problem_exits_one(self, capsys):
+        # Two rows for one (problem, start) would make the table unusable
+        # by the profile command.
+        assert _run(["run", "--problem", "HS035,HS024,HS035", "--start", "a"]) == 1
+        captured = capsys.readouterr()
+        assert "--problem names HS035 more than once" in captured.err
+        assert captured.out == ""
+
     def test_empty_selection_exits_one(self):
         assert _run(["run", "--problem", ",,"]) == 1
 
@@ -82,6 +90,15 @@ class TestRunCommand:
 
     def test_custom_start_not_numeric(self):
         assert _run(["run", "--problem", "HS035", "--x0", "1,two,3"]) == 1
+
+    @pytest.mark.parametrize("x0, component, value", [
+        ("nan,1,1", 0, "nan"), ("1,1e999,1", 1, "inf"), ("1,1,-inf", 2, "-inf")])
+    def test_custom_start_not_finite(self, capsys, x0, component, value):
+        # A non-finite start is the caller's error, not an evaluation
+        # failure of the problem.
+        assert _run(["run", "--problem", "HS035", "--x0", x0]) == 1
+        err = capsys.readouterr().err
+        assert f"--x0 component {component} is not finite: {value}" in err
 
     def test_invalid_parameter_value_exits_one(self, capsys):
         assert _run(["run", "--problem", "HS035", "--alpha", "1.5"]) == 1

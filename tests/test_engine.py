@@ -620,6 +620,59 @@ class TestCurvatureUpdate:
         assert np.array_equal(H, H.T)
 
 
+class TestOneFactorPerCurvatureMatrix:
+    def test_each_h_is_factored_once(self, monkeypatch):
+        # Every curvature matrix a QP sees was factored exactly once, by the
+        # test that certified it (the start's identity is its own factor),
+        # and the QP solves against that very factor: solve_qp makes no
+        # Cholesky call of its own (its working-set solves go through
+        # spd_solve).
+        factored = []  # (argument, factor, innermost wrapped caller)
+        handed = []    # (H, factor) handed to each QP
+        where = ["engine"]
+        real_cholesky, real_spd_solve, real_solve_qp = (
+            linalg.cholesky, linalg.spd_solve, qp.solve_qp)
+
+        def cholesky(a):
+            low = real_cholesky(a)
+            factored.append((a, low, where[-1]))
+            return low
+
+        def inside(label, fn):
+            def wrapped(*args):
+                where.append(label)
+                try:
+                    return fn(*args)
+                finally:
+                    where.pop()
+            return wrapped
+
+        def solve_qp(inst, hfac):
+            handed.append((inst.H, hfac))
+            return inside("qp", real_solve_qp)(inst, hfac)
+
+        monkeypatch.setattr(linalg, "cholesky", cholesky)
+        monkeypatch.setattr(linalg, "spd_solve", inside("spd_solve", real_spd_solve))
+        monkeypatch.setattr(qp, "solve_qp", solve_qp)
+        entry = corpus.get_problem("HS043")
+        report = engine.solve(entry.problem, entry.x0_infeasible,
+                              engine.SolverOptions(keep_trace=True))
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert sum(bool(rec.h_updated) for rec in report.trace) >= 5
+        assert not [caller for _, _, caller in factored if caller == "qp"]
+        first_h, first_low = handed[0]
+        assert np.array_equal(first_h, np.eye(4)) and np.array_equal(first_low, np.eye(4))
+        assert not [a for a, _, _ in factored if a is first_h]
+        for H, hfac in handed[1:]:
+            if H is first_h:
+                continue
+            factors = [low for a, low, _ in factored if a is H]
+            assert len(factors) == 1
+            assert factors[0] is hfac
+        assert len({id(H) for H, _ in handed}) == 1 + sum(
+            bool(rec.h_updated) for rec in report.trace)
+
+
 class TestSolveSynthetic:
     def test_unconstrained_quadratic(self):
         prob = model.NlpProblem(
@@ -812,7 +865,7 @@ class TestFixedPoint:
 
     @staticmethod
     def _state_bytes(state):
-        return state.x.tobytes(), state.H.tobytes(), np.float64(state.c).tobytes()
+        return state.ev.x.tobytes(), state.H.tobytes(), np.float64(state.c).tobytes()
 
     def _recorded_steps(self, monkeypatch, problem, x0, options):
         """Solve while recording the (x, H, c) bytes into and out of every
@@ -1146,16 +1199,21 @@ class TestTraceRecords:
                 assert rec.iminus_size_next >= rec.iminus_size
 
     def test_curvature_matrix_audited_every_iteration(self, monkeypatch):
-        # The QP factors H in every iteration, so an indefinite H coming out
-        # of the update ends the run at the next iteration.
+        # step factors every candidate the update returns, so an indefinite
+        # candidate is refused in every iteration and no QP ever sees it.
+        seen = []
+        real_solve_qp = qp.solve_qp
         monkeypatch.setattr(engine, "bfgs_update",
                             lambda H, *args: -np.eye(H.shape[0]))
+        monkeypatch.setattr(qp, "solve_qp",
+                            lambda inst, hfac: seen.append(inst.H) or real_solve_qp(inst, hfac))
         report = engine.solve(_toy_problem(), [3.0],
                               engine.SolverOptions(keep_trace=True))
-        assert report.status is engine.SolveStatus.DEGENERATE
-        assert report.message == "QP curvature matrix is not positive definite"
-        assert report.ni == 1
-        assert len(report.trace) == 1
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.ni == 4
+        assert not any(rec.h_updated for rec in report.trace[:-1])
+        assert len(seen) == report.ni + 1
+        assert all(np.array_equal(H, np.eye(1)) for H in seen)
 
     def test_directions_carry_subproblem_certificates(self):
         report = engine.solve(_toy_problem(), [3.0],

@@ -98,9 +98,18 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefiniteError):
             linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            linalg.cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    def test_reads_only_the_lower_triangle(self):
+        # The factor of a matrix is bitwise that of the symmetric matrix
+        # with its lower triangle, whatever its strict upper triangle holds.
+        rng = np.random.default_rng(13)
+        for n in (2, 5, 12):
+            g = rng.normal(size=(n, n))
+            sym = g @ g.T + np.eye(n)
+            sym = np.tril(sym) + np.tril(sym, -1).T
+            asym = sym + np.triu(rng.normal(size=(n, n)), 1)
+            assert linalg.cholesky(asym).tobytes() == linalg.cholesky(sym).tobytes()
+        a = np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert np.array_equal(linalg.cholesky(a), np.eye(2))
 
     def test_succeeds_iff_eigenvalues_positive(self):
         # Oracle: factorization success must agree with the spectrum for
@@ -152,6 +161,12 @@ class TestSpdSolve:
     def test_indefinite_propagates(self):
         with pytest.raises(NotPositiveDefiniteError):
             linalg.spd_solve(np.array([[1.0, 2.0], [2.0, 1.0]]), np.ones(2))
+
+    def test_asymmetric_rejected(self):
+        # The factor reads only the lower triangle (the identity here); the
+        # residual check against all of M catches the upper triangle.
+        with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
+            linalg.spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
 
 class TestColumnwiseSolves:

@@ -136,11 +136,13 @@ class TestValidation:
             qp.QpInstance(H=np.eye(2), grad=np.zeros(1),
                           A=np.zeros((0, 1)), b=np.zeros(0))
 
-    def test_indefinite_curvature_rejected(self):
-        inst = qp.QpInstance(H=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                             grad=np.zeros(2), A=np.zeros((0, 2)), b=np.zeros(0))
-        with pytest.raises(NumericalBreakdown):
-            qp.solve_qp(inst)
+    def test_factor_of_another_matrix_fails_the_certificate(self):
+        # The KKT certificate reads H itself.  Solving against the factor of
+        # 4I instead of I gives d = -grad/4, which is not stationary for I.
+        inst = qp.QpInstance(H=np.eye(2), grad=np.array([1.0, -2.0]),
+                             A=np.array([[1.0, 1.0]]), b=np.array([5.0]))
+        with pytest.raises(NumericalBreakdown, match="QP stationarity residual"):
+            qp.solve_qp(inst, linalg.cholesky(4.0 * inst.H))
 
 
 class TestAnalyticCases:
@@ -148,7 +150,7 @@ class TestAnalyticCases:
         # min 0.5 d'd + (1, -2)'d has minimizer (-1, 2).
         inst = qp.QpInstance(H=np.eye(2), grad=np.array([1.0, -2.0]),
                              A=np.zeros((0, 2)), b=np.zeros(0))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert np.allclose(sol.d0, [-1.0, 2.0], atol=1e-12)
         assert sol.lam.size == 0
         assert sol.active.size == 0
@@ -157,7 +159,7 @@ class TestAnalyticCases:
         # min 0.5 d^2 + d s.t. d <= 5: unconstrained d = -1 already works.
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([1.0]),
                              A=np.array([[1.0]]), b=np.array([5.0]))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert sol.d0[0] == pytest.approx(-1.0, abs=1e-12)
         assert sol.lam[0] == 0.0
 
@@ -165,7 +167,7 @@ class TestAnalyticCases:
         # min 0.5 d^2 - 3 d s.t. d <= 1: clipped at d = 1, multiplier 2.
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([-3.0]),
                              A=np.array([[1.0]]), b=np.array([1.0]))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert sol.d0[0] == pytest.approx(1.0, abs=1e-12)
         assert sol.lam[0] == pytest.approx(2.0, abs=1e-10)
         assert np.array_equal(sol.active, [0])
@@ -175,7 +177,7 @@ class TestAnalyticCases:
         # the origin, so d = 0 with multiplier 1.
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([-1.0]),
                              A=np.array([[1.0]]), b=np.array([0.0]))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert sol.d0[0] == pytest.approx(0.0, abs=1e-12)
         assert sol.lam[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -184,7 +186,7 @@ class TestAnalyticCases:
         # both multipliers 1.
         inst = qp.QpInstance(H=np.eye(2), grad=np.array([-2.0, -2.0]),
                              A=np.eye(2), b=np.ones(2))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert np.allclose(sol.d0, [1.0, 1.0], atol=1e-12)
         assert np.allclose(sol.lam, [1.0, 1.0], atol=1e-10)
         assert np.array_equal(sol.active, [0, 1])
@@ -197,7 +199,7 @@ class TestAnalyticCases:
             A=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             b=np.array([1.0, 1.0, 5.0]),
         )
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert np.allclose(sol.d0, [1.0, 0.0], atol=1e-10)
         assert sol.lam[0] + sol.lam[1] == pytest.approx(1.0, abs=1e-9)
 
@@ -208,7 +210,7 @@ class TestSolutionContracts:
         seen_inactive = 0
         for _ in range(200):
             inst = _random_instance(rng)
-            sol = qp.solve_qp(inst)
+            sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
             slack = inst.b - inst.A @ sol.d0
             for i in range(inst.m):
                 if sol.lam[i] != 0.0:
@@ -223,15 +225,15 @@ class TestSolutionContracts:
         rng = np.random.default_rng(6)
         for _ in range(300):
             inst = _random_instance(rng)
-            sol = qp.solve_qp(inst)
+            sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
             assert inst.objective(sol.d0) <= inst.kkt_tol
 
     def test_deterministic_resolve(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             inst = _random_instance(rng)
-            a = qp.solve_qp(inst)
-            b = qp.solve_qp(inst)
+            a = qp.solve_qp(inst, linalg.cholesky(inst.H))
+            b = qp.solve_qp(inst, linalg.cholesky(inst.H))
             assert np.array_equal(a.d0, b.d0)
             assert np.array_equal(a.lam, b.lam)
             assert np.array_equal(a.active, b.active)
@@ -239,7 +241,7 @@ class TestSolutionContracts:
     def test_active_set_reports_tight_constraints(self):
         inst = qp.QpInstance(H=np.eye(2), grad=np.array([-2.0, -2.0]),
                              A=np.eye(2), b=np.array([1.0, 9.0]))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert np.array_equal(sol.active, [0])
 
 
@@ -250,7 +252,7 @@ class TestAgainstOracle:
         for _ in range(1000):
             inst = _random_instance(rng)
             d_ref, obj_ref = _oracle(inst.H, inst.grad, inst.A, inst.b)
-            sol = qp.solve_qp(inst)
+            sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
             scale = max(1.0, float(np.max(np.abs(d_ref))))
             assert np.max(np.abs(sol.d0 - d_ref)) <= 1e-6 * scale, (
                 f"minimizer mismatch: {sol.d0} vs {d_ref}"
@@ -269,7 +271,7 @@ class TestAgainstOracle:
                                  A=rng.normal(size=(m, n)),
                                  b=np.abs(rng.normal(size=m)))
             d_ref, obj_ref = _oracle(inst.H, inst.grad, inst.A, inst.b)
-            sol = qp.solve_qp(inst)
+            sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
             assert np.max(np.abs(sol.d0 - d_ref)) <= 1e-6 * max(1.0, np.max(np.abs(d_ref)))
 
 
@@ -295,7 +297,7 @@ class TestAgainstUnhoistedLoop:
                 A[1] = A[0]  # degenerate vertex
             b = np.abs(rng.normal(size=m)) * (rng.uniform(size=m) < 0.8)
             inst = qp.QpInstance(H=H, grad=3.0 * rng.normal(size=n), A=layout(A), b=b)
-            sol = qp.solve_qp(inst)
+            sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
             d, lam, active = _reference_solve_qp(inst)
             qp._certify(inst, sol.d0, lam)
             qp._certify(inst, d, sol.lam)
@@ -313,7 +315,7 @@ class TestStepLimit:
                              A=np.array([[1.0, 0.0]]), b=np.array([0.5]))
         with pytest.raises(MaxQpIterationsError,
                            match=r"^active-set loop exceeded 150 iterations$"):
-            qp.solve_qp(inst)
+            qp.solve_qp(inst, linalg.cholesky(inst.H))
 
 
 class TestPerQpWork:
@@ -337,7 +339,7 @@ class TestPerQpWork:
         monkeypatch.setattr(linalg, "solve_cholesky", recording)
         monkeypatch.setattr(qp.QpInstance, "objective",
                             lambda self, d: steps.append(1) or real_objective(self, d))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert sol.active.size > 1
         assert len(steps) > 2
         assert sizes.count(n) == 2
@@ -348,7 +350,7 @@ class TestPerQpWork:
         inst = _random_instance(rng)
         while inst.m == 0:
             inst = _random_instance(rng)
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         assert np.allclose(inst.H @ sol.y, inst.A.T, atol=1e-12)
         assert np.allclose(sol.ay, inst.A @ sol.y, atol=1e-12)
         assert np.array_equal(sol.ay, sol.ay.T)
@@ -358,7 +360,7 @@ class TestCertificates:
     def test_decrease_certificate_returns_slope(self):
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([1.0]),
                              A=np.zeros((0, 1)), b=np.zeros(0))
-        sol = qp.solve_qp(inst)
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
         slope = qp.objective_decrease_certificate(inst, sol)
         assert slope == pytest.approx(-1.0, abs=1e-12)
 
@@ -375,7 +377,7 @@ class TestCertificates:
         rng = np.random.default_rng(77)
         for _ in range(200):
             inst = _random_instance(rng)
-            sol = qp.solve_qp(inst)
+            sol = qp.solve_qp(inst, linalg.cholesky(inst.H))
             tol = inst.kkt_tol
             stat = inst.H @ sol.d0 + inst.grad + inst.A.T @ sol.lam
             assert np.max(np.abs(stat), initial=0.0) <= tol
