@@ -14,6 +14,8 @@ from . import corpus, engine
 from .errors import InconsistentRecordsError
 
 CSV_HEADER = "problem,n,m1,m2,start,status,nio,nii,ni,nf0,nf,fv,kkt_residual,cpu_seconds"
+# The record fields a performance profile ranks runs by: nonnegative costs.
+PROFILE_METRICS = ("ni", "nf0", "nf", "cpu_seconds")
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,9 @@ def compute_profiles(metric_by_solver: Mapping[str, Mapping[str, float]]) -> lis
 
 def profile_metric(records: Iterable[RunRecord], metric: str) -> dict[str, float]:
     """Extract {problem/start key -> metric} from run records; failed runs
-    map to inf.  Metrics: ni, nf0, nf, cpu_seconds."""
+    map to inf.  ``metric`` is one of PROFILE_METRICS, else ValueError."""
+    if metric not in PROFILE_METRICS:
+        raise ValueError(f"metric must be one of {', '.join(PROFILE_METRICS)}, got {metric!r}")
     out: dict[str, float] = {}
     for r in records:
         key = f"{r.problem}:{r.start}"

@@ -20,8 +20,8 @@ EXIT_USAGE = 1
 EXIT_RUN_FAILURES = 2
 
 # CLI/config key -> SolverOptions field: every numeric field under its own
-# name, except the two spelled as their flags --mu and --tol.
-_RENAMED = {"mu_bfgs": "mu", "term_tol": "tol"}
+# name, except term_tol, spelled as its flag --tol.
+_RENAMED = {"term_tol": "tol"}
 _OPTION_KEYS = {
     _RENAMED.get(f.name, f.name): f.name
     for f in dataclasses.fields(engine.SolverOptions) if f.name != "keep_trace"
@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     profile = sub.add_parser("profile", help="build performance profiles from result CSVs")
     profile.add_argument("results", nargs="+",
                          help="result CSV files; the file stem is the solver label")
-    profile.add_argument("--metric", choices=("ni", "nf0", "nf", "cpu_seconds"),
+    profile.add_argument("--metric", choices=bench.PROFILE_METRICS,
                          default="ni", help="performance metric (default ni)")
     profile.add_argument("--out", default=None)
 

@@ -33,6 +33,9 @@ residual against Gamma's blocks.  Each iteration's trace record carries its
 QP multipliers and, when the termination test ran, the KKT residual that
 test read; a converged run reports that residual without evaluating it
 again.
+
+The paper's fixed parameters are the module constants ETA ... MU_BFGS;
+``SolverOptions`` holds only what a caller sets.
 """
 
 from __future__ import annotations
@@ -67,6 +70,21 @@ LAMBDA_SNAP = 1e-12
 # Trial budget of the feasible-direction search.
 SEARCH_TRIALS = 60
 
+# The paper's fixed parameters, at the values of its benchmark configuration.
+# Its analysis needs ETA, THETA, SIGMA, KAPPA and MU_BFGS in (0, 1),
+# THETA < SIGMA, 2 < TAU < 3, and the rest positive.
+ETA = 0.5        # step shrink factor, feasible-direction search
+THETA = 0.4      # descent retention fraction of the blended direction
+SIGMA = 0.6      # exponent taming the violation measure in right-hand sides
+TAU = 2.5        # exponent of the correction shift
+EPSILON = 0.125  # arc-search abandon threshold on t
+P = 2.0          # exponent on |fbar| in the multiplier-estimate damping
+GAMMA = 1.0      # minimum jump of the penalty parameter
+GAMMA0 = 2.0     # safety margin added to the equality multiplier bound
+C_INIT = 0.5     # initial penalty parameter
+KAPPA = 0.5      # cap on the BFGS bending weight
+MU_BFGS = 0.5    # curvature fraction below which the update is bent
+
 
 class SolveStatus(str, Enum):
     CONVERGED = "converged"
@@ -78,7 +96,7 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolverOptions:
-    """Algorithm parameters.  Defaults follow the paper's benchmark
+    """What a caller sets.  Defaults follow the paper's benchmark
     configuration except ``rho``, which tools/calibrate_rho.py selects;
     ``SolverOptions(rho=2.0)`` restores the paper's configuration."""
 
@@ -86,21 +104,10 @@ class SolverOptions:
     # configuration's 0.5 is that limit, and solve() warns only above it.
     alpha: float = 0.5        # merit decrease fraction, arc search
     alpha_hat: float = 0.5    # merit decrease fraction, feasible-direction search
-    eta: float = 0.5          # step shrink factor, feasible-direction search
-    theta: float = 0.4        # descent retention fraction of the blended direction
-    sigma: float = 0.6        # exponent taming the violation measure in right-hand sides
     # Reward of infeasible iterates for shrinking the violation: outside the
     # feasible set a trial may raise the penalized objective by up to
     # rho (1 - alpha) phi**theta t.  The paper's 2 rejects most arcs there.
     rho: float = 1000.0
-    tau: float = 2.5          # exponent of the correction shift (between 2 and 3)
-    epsilon: float = 0.125    # arc-search abandon threshold on t
-    p: float = 2.0            # exponent on |fbar| in the multiplier-estimate damping
-    gamma: float = 1.0        # minimum jump of the penalty parameter
-    gamma0: float = 2.0       # safety margin added to the equality multiplier bound
-    c_init: float = 0.5       # initial penalty parameter
-    kappa: float = 0.5        # cap on the BFGS bending weight
-    mu_bfgs: float = 0.5      # curvature fraction below which the update is bent
     term_tol: float = 1e-6    # stop when |d0| falls below this at a feasible point
     phi_tol: float = 1e-10    # f_i <= phi_tol * max(1, max|f|) counts as satisfied
     kkt_tol: float = 1e-7     # certified bound on the final KKT residual
@@ -108,17 +115,13 @@ class SolverOptions:
     keep_trace: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "alpha_hat", "eta", "theta", "sigma", "kappa", "mu_bfgs"):
+        for name in ("alpha", "alpha_hat"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if not self.theta < self.sigma:
-            raise ValueError("theta must be smaller than sigma")
         if not self.rho > 1.0:
             raise ValueError("rho must exceed 1")
-        if not 2.0 < self.tau < 3.0:
-            raise ValueError("tau must lie in (2, 3)")
-        for name in ("epsilon", "p", "gamma", "gamma0", "c_init", "term_tol", "kkt_tol"):
+        for name in ("term_tol", "kkt_tol"):
             if not getattr(self, name) > 0.0:  # NaN fails every comparison
                 raise ValueError(f"{name} must be positive")
         if not self.phi_tol >= 0.0:  # a negative floor would count f_i = 0 as violated
@@ -291,22 +294,22 @@ def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
     return trial
 
 
-def _halving(epsilon: float):
-    """Step lengths 1, 1/2, 1/4, ... down to the last one >= epsilon."""
+def _halving():
+    """Step lengths 1, 1/2, 1/4, ... down to the last one >= EPSILON."""
     t = 1.0
     while True:
         yield t
         t *= 0.5
-        if t < epsilon:
+        if t < EPSILON:
             return
 
 
-def _shrinking(eta: float):
-    """The SEARCH_TRIALS + 1 step lengths 1, eta, eta*eta, ..."""
+def _shrinking():
+    """The SEARCH_TRIALS + 1 step lengths 1, ETA, ETA*ETA, ..."""
     t = 1.0
     for _ in range(SEARCH_TRIALS + 1):
         yield t
-        t *= eta
+        t *= ETA
 
 
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
@@ -317,7 +320,7 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     trial values) at the first accepted t, or None."""
     phi = ev.phi
     n_satisfied = ev.n_satisfied
-    bonus_scale = options.rho * (1.0 - alpha) * phi ** options.theta
+    bonus_scale = options.rho * (1.0 - alpha) * phi ** THETA
     for t in steps:
         trial = model.point_values(problem, ev.x + t * d, counters, options.phi_tol)
         accepted = _merit_accepts(problem, trial, counters, c, fc0, alpha * t * slope,
@@ -340,7 +343,7 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     trial values) or None as soon as t would drop below the abandon
     threshold.
     """
-    return _search(problem, ev, d, _halving(options.epsilon), options.alpha, slope,
+    return _search(problem, ev, d, _halving(), options.alpha, slope,
                    shift, c, fc0, options, counters)
 
 
@@ -356,7 +359,7 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     beta * (|d0| + phi**sigma): the constraint bound and the satisfied
     count first, and f0 only at a trial that passes both.
     """
-    hit = _search(problem, ev, dhat, _shrinking(options.eta), options.alpha_hat,
+    hit = _search(problem, ev, dhat, _shrinking(), options.alpha_hat,
                   slope_hat, shift, c, fc0, options, counters)
     if hit is None:
         raise LineSearchStall(
@@ -366,13 +369,13 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
 
 
 def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
-                lam: np.ndarray, active: np.ndarray, c: float, d0: np.ndarray,
-                options: SolverOptions) -> np.ndarray:
+                lam: np.ndarray, active: np.ndarray, c: float,
+                d0: np.ndarray) -> np.ndarray:
     """BFGS update on the penalized Lagrangian, bent toward positive
     curvature when the raw pair fails it.
 
     The difference vector y is replaced by y + a*(g*s + A A's) with weight a
-    chosen by the observed curvature s'y; g caps at kappa and shrinks with
+    chosen by the observed curvature s'y; g caps at KAPPA and shrinks with
     |d0|^2 so the bending vanishes near a solution.  The update is skipped,
     and H itself returned, when the bent pair still fails the curvature
     test.  A returned candidate is not yet known to be positive definite:
@@ -386,11 +389,11 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
     grad_l_cur = model.penalty_gradient(ev, c) + ev.gI @ lam
     y = grad_l_next - grad_l_cur
     sy = float(s @ y)
-    gamma_k = min(float(d0 @ d0), options.kappa)
+    gamma_k = min(float(d0 @ d0), KAPPA)
     a_cols = ev.gI[:, active]
     ats = a_cols.T @ s
     saas = float(ats @ ats)
-    if sy >= options.mu_bfgs * ss:
+    if sy >= MU_BFGS * ss:
         weight = 0.0
     elif sy >= 0.0:
         weight = 1.0
@@ -451,10 +454,10 @@ def step(problem: model.NlpProblem, state: IterateState,
     c = state.c
     c_changed = False
     if problem.m_eq > 0:
-        pi = model.compute_pi(ev, options.p)
-        c = model.update_c(c, pi[problem.m_ineq:], options.gamma, options.gamma0)
+        pi = model.compute_pi(ev, P)
+        c = model.update_c(c, pi[problem.m_ineq:], GAMMA, GAMMA0)
         c_changed = c > state.c
-        _require(c >= state.c and (not c_changed or c >= state.c + options.gamma),
+        _require(c >= state.c and (not c_changed or c >= state.c + GAMMA),
                  "penalty parameter update broke its jump rule")
 
     # Main direction from the always-feasible QP, solved against the factor
@@ -491,7 +494,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     gd0 = ev.gI.T @ d0
     fac = factor_shared(state.H, ev.gI, compute_q_diag(ev, gd0, norm_d0), sol.y, sol.ay)
     curvature = second_order_residual(problem, ev, d0, gd0, counters)
-    arc_shift = norm_d0 ** options.tau + phi ** options.sigma
+    arc_shift = norm_d0 ** TAU + phi ** SIGMA
     d2, _, gamma_residual = solve_shared(fac, -arc_shift - curvature)
     beta = descent_lhs = descent_rhs = i0_margin = None
 
@@ -500,15 +503,15 @@ def step(problem: model.NlpProblem, state: IterateState,
         t, vals = hit
         branch = "arc"
     else:
-        push = norm_d0 + phi ** options.sigma
+        push = norm_d0 + phi ** SIGMA
         d1, _, res1 = solve_shared(fac, -push)
         gamma_residual = max(gamma_residual, res1)
         slope_d1 = float(grad_fc @ d1)
-        beta = compute_beta(slope, slope_d1, options.theta, phi)
+        beta = compute_beta(slope, slope_d1, THETA, phi)
         dhat = (1.0 - beta) * d0 + beta * d1
         slope_hat = float(grad_fc @ dhat)
         descent_lhs = slope_hat
-        descent_rhs = options.theta * slope + phi ** options.theta
+        descent_rhs = THETA * slope + phi ** THETA
         _require(descent_lhs <= descent_rhs + CERT_SLACK, "blended direction lost descent")
         shift = beta * push
         if ev.izero.size:
@@ -520,7 +523,7 @@ def step(problem: model.NlpProblem, state: IterateState,
 
     _require(vals.n_satisfied >= ev.n_satisfied, "accepted step lost a satisfied constraint")
     ev_next = model.evaluate(problem, vals, counters)
-    h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0, options)
+    h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0)
     low_next = state.low
     if h_next is not state.H:
         try:  # the one factorization of h_next, and its positive-definiteness test
@@ -582,7 +585,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     x0 = np.array(x0, dtype=float).reshape(problem.n)  # copied: report.x never aliases it
     counters = model.EvalCounters()
     state = IterateState(
-        H=np.eye(problem.n), low=np.eye(problem.n), c=options.c_init, counters=counters,
+        H=np.eye(problem.n), low=np.eye(problem.n), c=C_INIT, counters=counters,
     )
     trace: Optional[list[IterationRecord]] = [] if options.keep_trace else None
     record: Optional[IterationRecord] = None  # of the last completed iteration

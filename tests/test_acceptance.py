@@ -180,7 +180,6 @@ def test_criterion_5_runtime_invariants(corpus_runs):
     every run converges, so every curvature matrix reaching the QP was
     positive definite; the shared-matrix solves stay accurate; and both
     blended-direction certificates hold."""
-    options = engine.SolverOptions()
     pairs_checked = 0
     for (name, start), (entry, report) in corpus_runs.items():
         trace = report.trace
@@ -193,12 +192,12 @@ def test_criterion_5_runtime_invariants(corpus_runs):
                 counts.append(rec.iminus_size_next)
         assert all(b >= a for a, b in zip(counts, counts[1:])), (name, start)
 
-        prev_c = options.c_init
+        prev_c = engine.C_INIT
         changes = 0
         for rec in trace:
             if rec.c_changed:
                 changes += 1
-                assert rec.c >= prev_c + options.gamma - 1e-12, (name, start)
+                assert rec.c >= prev_c + engine.GAMMA - 1e-12, (name, start)
             else:
                 assert rec.c == prev_c, (name, start)
             prev_c = rec.c

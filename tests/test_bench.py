@@ -211,6 +211,12 @@ class TestProfileMetric:
         with pytest.raises(InconsistentRecordsError):
             bench.profile_metric([_record(), _record()], "ni")
 
+    @pytest.mark.parametrize("metric", ["fv", "kkt_residual", "nio", "problem"])
+    def test_field_that_is_not_a_cost_rejected(self, metric):
+        # fv can be negative and would be floored to 1e-9 without a word.
+        with pytest.raises(ValueError, match="metric must be one of"):
+            bench.profile_metric([_record(fv=-44.0)], metric)
+
 
 class TestComputeProfiles:
     def test_hand_example_two_solvers(self):

@@ -183,10 +183,19 @@ class TestConfig:
 
     def test_config_can_set_any_solver_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": 1e-5, "mu": 0.4, "eta": 0.5}),
+        cfg.write_text(json.dumps({"tol": 1e-5, "alpha_hat": 0.4, "phi_tol": 1e-12}),
                        encoding="utf-8")
         assert _run(["run", "--problem", "HS035", "--start", "a",
                      "--config", str(cfg)]) == 0
+
+    def test_paper_constant_is_neither_flag_nor_key(self, tmp_path, capsys):
+        # The paper's fixed parameters are engine constants, not options.
+        assert _run(["run", "--problem", "HS035", "--tau", "2.2"]) == 1
+        assert "unrecognized arguments: --tau 2.2" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eta": 0.5}), encoding="utf-8")
+        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
+        assert "unknown key 'eta'" in capsys.readouterr().err
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert _run(["run", "--problem", "HS035",
@@ -217,6 +226,8 @@ class TestConfig:
         out = capsys.readouterr().out
         for key in cli._OPTION_KEYS:
             assert f"--{key.replace('_', '-')} " in out
+        assert sorted(cli._OPTION_KEYS) == [
+            "alpha", "alpha_hat", "kkt_tol", "max_iter", "phi_tol", "rho", "tol"]
 
     def test_flag_and_config_set_the_same_value(self, tmp_path):
         # HS044-b takes a different path under the paper's rho = 2 than

@@ -41,9 +41,9 @@ def _evaluate(problem, x):
     return model.evaluate(problem, vals, counters)
 
 
-def _arc_shift(ev, d0, options=engine.SolverOptions()):
+def _arc_shift(ev, d0):
     """The shift |d0|**tau + phi**sigma that step passes to the arc search."""
-    return float(np.linalg.norm(d0)) ** options.tau + ev.phi ** options.sigma
+    return float(np.linalg.norm(d0)) ** engine.TAU + ev.phi ** engine.SIGMA
 
 
 def _q_diag(ev, d0):
@@ -109,6 +109,9 @@ class TestOptionsValidation:
     def test_defaults_are_valid(self):
         engine.SolverOptions()
 
+    # Each value breaks the range the paper's analysis needs.  The paper's
+    # fixed parameters (eta ... c_init) are engine constants, so SolverOptions
+    # has no field to take any value for them.
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha_hat", 1.2), ("eta", 0.0),
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
@@ -122,16 +125,32 @@ class TestOptionsValidation:
         ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", math.inf),
     ])
     def test_out_of_range_rejected(self, field, value):
-        with pytest.raises(ValueError):
+        settable = field in {f.name for f in dataclasses.fields(engine.SolverOptions)}
+        with pytest.raises(ValueError if settable else TypeError):
             engine.SolverOptions(**{field: value})
 
     def test_integral_float_iteration_budget_becomes_int(self):
         options = engine.SolverOptions(max_iter=200.0)
         assert options.max_iter == 200 and type(options.max_iter) is int
 
+    def test_caller_sets_only_these_fields(self):
+        assert [f.name for f in dataclasses.fields(engine.SolverOptions)] == [
+            "alpha", "alpha_hat", "rho", "term_tol", "phi_tol", "kkt_tol", "max_iter",
+            "keep_trace"]
+
+    def test_paper_constants_keep_its_configuration_and_ranges(self):
+        # The paper's benchmark values, inside the ranges its analysis needs.
+        assert (engine.ETA, engine.THETA, engine.SIGMA, engine.TAU, engine.EPSILON,
+                engine.P, engine.GAMMA, engine.GAMMA0, engine.C_INIT, engine.KAPPA,
+                engine.MU_BFGS) == (0.5, 0.4, 0.6, 2.5, 0.125, 2.0, 1.0, 2.0, 0.5, 0.5, 0.5)
+        for value in (engine.ETA, engine.THETA, engine.SIGMA, engine.KAPPA, engine.MU_BFGS):
+            assert 0.0 < value < 1.0
+        assert 2.0 < engine.TAU < 3.0
+        for value in (engine.EPSILON, engine.P, engine.GAMMA, engine.GAMMA0, engine.C_INIT):
+            assert value > 0.0
+
     def test_descent_fraction_must_stay_below_violation_exponent(self):
-        with pytest.raises(ValueError):
-            engine.SolverOptions(theta=0.6, sigma=0.6)
+        assert engine.THETA < engine.SIGMA
 
     def test_large_merit_fraction_logs_warning(self, caplog):
         prob = _quadratic([1.0])
@@ -458,7 +477,7 @@ class TestFeasibleDirectionSearch:
         dhat = np.array([-1.0])
         slope = float(ev.g0 @ dhat)
         options = engine.SolverOptions()
-        shift = 0.5 * (np.linalg.norm(dhat) + ev.phi ** options.sigma)  # beta = 0.5
+        shift = 0.5 * (np.linalg.norm(dhat) + ev.phi ** engine.SIGMA)  # beta = 0.5
         t, trial = engine.feasible_direction_search(
             prob, ev, dhat, shift, slope, 0.5, ev.f0, options, model.EvalCounters())
         assert trial.phi < ev.phi
@@ -535,8 +554,7 @@ class TestCurvatureUpdate:
         s = ev_next.x - ev.x
         y = ev_next.g0 - ev.g0
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([1.0, 0.0]),
-                               engine.SolverOptions())
+                               np.zeros(0, dtype=int), 0.5, np.array([1.0, 0.0]))
         assert np.allclose(H @ s, y, atol=1e-12)
         linalg.cholesky(H)  # stays positive definite
 
@@ -549,8 +567,7 @@ class TestCurvatureUpdate:
         s = ev_next.x - ev.x
         y = ev_next.g0 - ev.g0
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([0.3, 0.0]),
-                               engine.SolverOptions())
+                               np.zeros(0, dtype=int), 0.5, np.array([0.3, 0.0]))
         assert np.allclose(H @ s, y + 0.09 * s, atol=1e-12)
 
     def test_negative_curvature_identity_without_constraints(self):
@@ -563,8 +580,7 @@ class TestCurvatureUpdate:
         s = ev_next.x - ev.x
         gamma_k = 0.16  # |d0|^2 with d0 = (0.4, 0)
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([0.4, 0.0]),
-                               engine.SolverOptions())
+                               np.zeros(0, dtype=int), 0.5, np.array([0.4, 0.0]))
         assert float(s @ H @ s) == pytest.approx(2.0 * gamma_k * float(s @ s),
                                                  abs=1e-12)
         linalg.cholesky(H)
@@ -585,8 +601,7 @@ class TestCurvatureUpdate:
         gamma_k = 0.16
         expected = 2.0 * gamma_k * float(s @ s) + float(s[0] ** 2)
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.array([0.7]),
-                               np.array([0]), 0.5, np.array([0.4, 0.0]),
-                               engine.SolverOptions())
+                               np.array([0]), 0.5, np.array([0.4, 0.0]))
         assert float(s @ H @ s) == pytest.approx(expected, abs=1e-12)
 
     def test_skip_returns_same_object_when_bending_impossible(self):
@@ -598,8 +613,7 @@ class TestCurvatureUpdate:
         ev, ev_next = self._pair(prob, [0.0, 0.0], [0.5, 0.5])
         H0 = np.eye(2)
         H = engine.bfgs_update(H0, ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.zeros(2),
-                               engine.SolverOptions())
+                               np.zeros(0, dtype=int), 0.5, np.zeros(2))
         assert H is H0
 
     def test_zero_displacement_skips(self):
@@ -607,16 +621,14 @@ class TestCurvatureUpdate:
         ev = _evaluate(prob, [1.0])
         H0 = np.eye(1)
         H = engine.bfgs_update(H0, ev, ev, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([1.0]),
-                               engine.SolverOptions())
+                               np.zeros(0, dtype=int), 0.5, np.array([1.0]))
         assert H is H0
 
     def test_result_is_symmetric(self):
         prob = _quadratic([2.0, 5.0, 1.0])
         ev, ev_next = self._pair(prob, [1.0, 1.0, 1.0], [0.3, -0.2, 0.8])
         H = engine.bfgs_update(np.eye(3), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.ones(3),
-                               engine.SolverOptions())
+                               np.zeros(0, dtype=int), 0.5, np.ones(3))
         assert np.array_equal(H, H.T)
 
 
@@ -976,7 +988,7 @@ class TestPenaltyPath:
         report = engine.solve(problem, x0, options)
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= options.kkt_tol
-        assert report.trace[-1].c > 2.0 > options.c_init
+        assert report.trace[-1].c > 2.0 > engine.C_INIT
         assert (report.ni, report.nf0, report.nf) == self.CONVERGED_COUNTS[seed]
 
     def test_benchmark_seed_that_stalled_converges(self):
