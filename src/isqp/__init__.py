@@ -5,8 +5,6 @@ iteration, and a damped BFGS Hessian update.  Includes a Hock-Schittkowski
 benchmark corpus and a CLI for result tables and performance profiles.
 """
 
-import logging
-
 from . import bench, corpus, engine, errors, linalg, model, qp
 from .bench import RunRecord, compute_profiles, emit_profiles, emit_table, run_benchmark
 from .corpus import CorpusEntry, get_problem, list_problems, verify_gradients
@@ -41,5 +39,3 @@ __all__ = [
     "solve",
     "verify_gradients",
 ]
-
-logging.getLogger(__name__).addHandler(logging.NullHandler())

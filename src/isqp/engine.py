@@ -11,7 +11,9 @@ Cholesky factor of the m-by-m Schur complement N'Y + diag(q).  Step
 lengths come from two searches that both insist the count of satisfied
 constraints never drops, the violation measure strictly shrinks outside
 the feasible set, and the penalized objective decreases once inside it.
-Each search trial is tested on its constraint values first (the
+The two searches run one trial loop with one merit decrease fraction,
+``alpha``, and differ only in their step lengths (ARC_STEPS, FD_STEPS),
+slope and shift.  Each trial is tested on its constraint values first (the
 constraint bound, then the satisfied count); the objective is evaluated,
 and its decrease tested, only at a trial that passes both, so a trial
 rejected on its constraints costs no objective evaluation.
@@ -40,7 +42,7 @@ The paper's fixed parameters are the module constants ETA ... MU_BFGS;
 
 from __future__ import annotations
 
-import logging
+import math
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -60,8 +62,6 @@ from .errors import (
     NumericalBreakdown,
     SingularMatrixError,
 )
-
-logger = logging.getLogger(__name__)
 
 # Slack used by runtime certificate assertions.
 CERT_SLACK = 1e-9
@@ -85,6 +85,11 @@ C_INIT = 0.5     # initial penalty parameter
 KAPPA = 0.5      # cap on the BFGS bending weight
 MU_BFGS = 0.5    # curvature fraction below which the update is bent
 
+# Step lengths of the two searches: the arc search halves t from 1 while
+# t >= EPSILON, and the feasible-direction search tries 1, ETA, ..., ETA**SEARCH_TRIALS.
+ARC_STEPS = tuple(0.5 ** k for k in range(1 + math.floor(math.log2(1.0 / EPSILON))))
+FD_STEPS = tuple(ETA ** k for k in range(SEARCH_TRIALS + 1))
+
 
 class SolveStatus(str, Enum):
     CONVERGED = "converged"
@@ -100,10 +105,8 @@ class SolverOptions:
     configuration except ``rho``, which tools/calibrate_rho.py selects;
     ``SolverOptions(rho=2.0)`` restores the paper's configuration."""
 
-    # The paper's analysis takes both merit fractions below 1/2; the benchmark
-    # configuration's 0.5 is that limit, and solve() warns only above it.
-    alpha: float = 0.5        # merit decrease fraction, arc search
-    alpha_hat: float = 0.5    # merit decrease fraction, feasible-direction search
+    # Merit decrease fraction of both searches, in the paper's range (0, 1/2].
+    alpha: float = 0.5
     # Reward of infeasible iterates for shrinking the violation: outside the
     # feasible set a trial may raise the penalized objective by up to
     # rho (1 - alpha) phi**theta t.  The paper's 2 rejects most arcs there.
@@ -115,17 +118,18 @@ class SolverOptions:
     keep_trace: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "alpha_hat"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
-        if not self.rho > 1.0:
-            raise ValueError("rho must exceed 1")
+        # Every test is written so that NaN fails it, and inf fails isfinite.
+        if not 0.0 < self.alpha <= 0.5:
+            raise ValueError(f"alpha must lie in (0, 0.5], got {self.alpha}")
+        if not (math.isfinite(self.rho) and self.rho > 1.0):
+            raise ValueError(f"rho must be finite and exceed 1, got {self.rho}")
         for name in ("term_tol", "kkt_tol"):
-            if not getattr(self, name) > 0.0:  # NaN fails every comparison
-                raise ValueError(f"{name} must be positive")
-        if not self.phi_tol >= 0.0:  # a negative floor would count f_i = 0 as violated
-            raise ValueError("phi_tol must be nonnegative")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {v}")
+        # A negative floor would count f_i = 0 as violated.
+        if not (math.isfinite(self.phi_tol) and self.phi_tol >= 0.0):
+            raise ValueError(f"phi_tol must be finite and nonnegative, got {self.phi_tol}")
         if not (self.max_iter >= 1 and self.max_iter % 1 == 0):  # inf % 1 is NaN
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
         self.max_iter = int(self.max_iter)
@@ -271,96 +275,59 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
     return float(min(1.0, max(0.0, r / (b - a))))
 
 
-def _merit_accepts(problem: model.NlpProblem, trial: model.PointValues,
-                   counters: model.EvalCounters, c: float, fc0: float, slope_term: float,
-                   bonus: float, phi: float, decrement: float,
-                   n_satisfied: int) -> Optional[model.PointValues]:
-    """The three acceptance tests of one search trial, whose objective value
-    is not yet evaluated.  The constraint bound and the satisfied count are
-    tested first, on the constraint values alone; f0 is evaluated only for a
-    trial that passes both, and then the penalized-objective decrease is
-    tested.  Returns the trial completed with f0 when all three pass, else
-    None."""
-    # The bound is nonnegative and a satisfied constraint counts as 0, so
-    # it holds for every constraint exactly when it holds for the trial's
-    # violation phi.
-    if trial.phi > max(0.0, phi - decrement):
-        return None
-    if trial.n_satisfied < n_satisfied:
-        return None
-    trial = model.with_objective(problem, trial, counters)
-    if model.penalty_value(trial, c) > fc0 + slope_term + bonus:
-        return None
-    return trial
-
-
-def _halving():
-    """Step lengths 1, 1/2, 1/4, ... down to the last one >= EPSILON."""
-    t = 1.0
-    while True:
-        yield t
-        t *= 0.5
-        if t < EPSILON:
-            return
-
-
-def _shrinking():
-    """The SEARCH_TRIALS + 1 step lengths 1, ETA, ETA*ETA, ..."""
-    t = 1.0
-    for _ in range(SEARCH_TRIALS + 1):
-        yield t
-        t *= ETA
-
-
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
-            alpha: float, slope: float, shift: float, c: float, fc0: float,
+            slope: float, shift: float, c: float, fc0: float,
             options: SolverOptions, counters: model.EvalCounters):
-    """Try ev.x + t * d for each t in ``steps`` under the acceptance tests of
-    :func:`_merit_accepts` with decrease fraction ``alpha``; returns (t,
-    trial values) at the first accepted t, or None."""
+    """Try ev.x + t * d for each t in ``steps``; returns (t, trial values)
+    at the first accepted t, or None.
+
+    A trial is accepted when every constraint lies below
+    max(0, phi - alpha * t * shift), no satisfied constraint is lost, and
+    the penalized objective is at most fc0 + alpha * t * slope plus the
+    infeasible-phase reward rho (1 - alpha) phi**theta t, tested in that
+    order.  The two constraint tests read the constraint values alone; f0
+    is evaluated only at a trial that passes both.
+    """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
+    alpha = options.alpha
     bonus_scale = options.rho * (1.0 - alpha) * phi ** THETA
     for t in steps:
         trial = model.point_values(problem, ev.x + t * d, counters, options.phi_tol)
-        accepted = _merit_accepts(problem, trial, counters, c, fc0, alpha * t * slope,
-                                  bonus_scale * t, phi, alpha * t * shift, n_satisfied)
-        if accepted:
-            return t, accepted
+        # The bound is nonnegative and a satisfied constraint counts as 0, so
+        # it holds for every constraint exactly when it holds for the trial's
+        # violation phi.
+        if trial.phi > max(0.0, phi - alpha * t * shift):
+            continue
+        if trial.n_satisfied < n_satisfied:
+            continue
+        trial = model.with_objective(problem, trial, counters)
+        if model.penalty_value(trial, c) > fc0 + alpha * t * slope + bonus_scale * t:
+            continue
+        return t, trial
     return None
 
 
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
                shift: float, slope: float, c: float, fc0: float,
                options: SolverOptions, counters: model.EvalCounters):
-    """Backtrack t over {1, 1/2, 1/4, ...} along the corrected direction d.
-
-    Acceptance needs every constraint below max(0, phi - t * shift), for
-    the correction's shift |d0|**tau + phi**sigma, no loss in the count of
-    satisfied constraints, and decrease of the penalized objective (fc0 at
-    ev) proportional to the QP slope, tested in that order: f0 is evaluated
-    only at a trial that passes the two constraint tests.  Returns (t,
-    trial values) or None as soon as t would drop below the abandon
-    threshold.
+    """Backtrack t over ARC_STEPS along the corrected direction d, under the
+    tests of :func:`_search` with the correction's shift
+    |d0|**tau + phi**sigma and the QP slope.  Returns (t, trial values), or
+    None once t would drop below the abandon threshold.
     """
-    return _search(problem, ev, d, _halving(), options.alpha, slope,
-                   shift, c, fc0, options, counters)
+    return _search(problem, ev, d, ARC_STEPS, slope, shift, c, fc0, options, counters)
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
                               dhat: np.ndarray, shift: float, slope_hat: float,
                               c: float, fc0: float, options: SolverOptions,
                               counters: model.EvalCounters):
-    """Accept the first t in {1, eta, eta^2, ...} along the blended
-    direction; raises LineSearchStall after the trial budget.
-
-    The tests and their order are those of :func:`arc_search`, with the
-    bound max(0, phi - t * shift) for the blend's shift
-    beta * (|d0| + phi**sigma): the constraint bound and the satisfied
-    count first, and f0 only at a trial that passes both.
+    """Accept the first t in FD_STEPS along the blended direction, under the
+    tests of :func:`_search` with the blend's shift beta * (|d0| + phi**sigma)
+    and slope; raises LineSearchStall after the trial budget.
     """
-    hit = _search(problem, ev, dhat, _shrinking(), options.alpha_hat,
-                  slope_hat, shift, c, fc0, options, counters)
+    hit = _search(problem, ev, dhat, FD_STEPS, slope_hat, shift, c, fc0, options, counters)
     if hit is None:
         raise LineSearchStall(
             f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"
@@ -577,11 +544,6 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     iteration reports inf and no multipliers.
     """
     options = options if options is not None else SolverOptions()
-    if options.alpha > 0.5 or options.alpha_hat > 0.5:
-        logger.warning(
-            "merit decrease fraction %.3g is above 0.5; convergence "
-            "guarantees assume a value below 0.5", max(options.alpha, options.alpha_hat),
-        )
     x0 = np.array(x0, dtype=float).reshape(problem.n)  # copied: report.x never aliases it
     counters = model.EvalCounters()
     state = IterateState(

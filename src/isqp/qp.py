@@ -130,7 +130,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray) -> QpSolution:
     abs_h = np.abs(H)
     d = np.zeros(n)
     in_work = np.zeros(m, dtype=bool)
-    grad_scale = max(1.0, abs_grad.max(initial=0.0))
+    kkt_tol = inst.kkt_tol
     limit = 50 * (n + m)
     stall = 0
     best = 0.0  # the objective at the feasible start d = 0
@@ -163,7 +163,10 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray) -> QpSolution:
         if tiny_norm or flat or stuck:
             if tiny_norm:
                 d = d + p  # absorb the residual step so stationarity holds to roundoff
-            if lam_work.size == 0 or lam_work.min() >= -10 * KKT_TOL * grad_scale:
+            # Clipping a negative multiplier lam_i to 0 moves stationarity
+            # by up to |lam_i| max|A_i|; stop only when that stays within
+            # half the certificate's tolerance, else drop the row.
+            if lam_work.size == 0 or lam_work.min() * row_scale[work].max() >= -0.5 * kkt_tol:
                 break
             in_work[work[np.argmin(lam_work)]] = False
             stall = 0  # the working set changed; give it a fresh chance

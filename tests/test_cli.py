@@ -114,6 +114,16 @@ class TestRunCommand:
         assert _run(["run", "--problem", "HS035", "--kkt-tol", "nan"]) == 1
         assert "kkt_tol" in capsys.readouterr().err
 
+    def test_infinite_reward_exits_one(self, capsys):
+        # At phi = 0 the reward inf * 0**theta is NaN, which no merit test rejects.
+        assert _run(["run", "--problem", "HS035", "--rho", "inf"]) == 1
+        assert "rho" in capsys.readouterr().err
+
+    def test_merit_fraction_above_half_exits_one(self, capsys):
+        # The paper's analysis takes alpha in (0, 1/2].
+        assert _run(["run", "--problem", "HS035", "--alpha", "0.7"]) == 1
+        assert "alpha must lie in (0, 0.5]" in capsys.readouterr().err
+
     def test_trace_goes_to_stderr(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 0
         captured = capsys.readouterr()
@@ -183,8 +193,8 @@ class TestConfig:
 
     def test_config_can_set_any_solver_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": 1e-5, "alpha_hat": 0.4, "phi_tol": 1e-12}),
-                       encoding="utf-8")
+        cfg.write_text(json.dumps({"alpha": 0.4, "rho": 100, "tol": 1e-5, "phi_tol": 1e-12,
+                                   "kkt_tol": 1e-7, "max_iter": 400}), encoding="utf-8")
         assert _run(["run", "--problem", "HS035", "--start", "a",
                      "--config", str(cfg)]) == 0
 
@@ -227,7 +237,7 @@ class TestConfig:
         for key in cli._OPTION_KEYS:
             assert f"--{key.replace('_', '-')} " in out
         assert sorted(cli._OPTION_KEYS) == [
-            "alpha", "alpha_hat", "kkt_tol", "max_iter", "phi_tol", "rho", "tol"]
+            "alpha", "kkt_tol", "max_iter", "phi_tol", "rho", "tol"]
 
     def test_flag_and_config_set_the_same_value(self, tmp_path):
         # HS044-b takes a different path under the paper's rho = 2 than

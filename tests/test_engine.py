@@ -3,7 +3,6 @@ step searches, the curvature update, and end-to-end solves on synthetic
 problems."""
 
 import dataclasses
-import logging
 import math
 import re
 
@@ -105,15 +104,50 @@ def _logit_problem(seed, n=10, samples=5000):
     return problem, 3.0 * np.ones(n) + np.arange(n) / n
 
 
+def _failing_from(monkeypatch, k):
+    """Track the iteration engine.step runs; returns a predicate that holds
+    from iteration k on (and not while x0 is evaluated)."""
+    current = []
+    real_step = engine.step
+
+    def tracking(problem, state, options):
+        current.append(state.k)
+        return real_step(problem, state, options)
+
+    monkeypatch.setattr(engine, "step", tracking)
+    return lambda: bool(current) and current[-1] >= k
+
+
+def _reject_trials(monkeypatch, failing):
+    """Wrap model.point_values so that, while ``failing()`` holds, every
+    point it evaluates reports violation inf: each search trial then fails
+    the constraint bound, and the wrapped model.with_objective checks that
+    no trial reaches the objective."""
+    real_values = model.point_values
+    real_objective = model.with_objective
+
+    def values(*args, **kwargs):
+        vals = real_values(*args, **kwargs)
+        return dataclasses.replace(vals, phi=math.inf) if failing() else vals
+
+    def objective(*args):
+        assert not failing(), "a rejected trial reached the objective"
+        return real_objective(*args)
+
+    monkeypatch.setattr(model, "point_values", values)
+    monkeypatch.setattr(model, "with_objective", objective)
+
+
 class TestOptionsValidation:
     def test_defaults_are_valid(self):
         engine.SolverOptions()
 
-    # Each value breaks the range the paper's analysis needs.  The paper's
-    # fixed parameters (eta ... c_init) are engine constants, so SolverOptions
-    # has no field to take any value for them.
+    # Each value breaks the range the paper's analysis needs, or is not
+    # finite.  The paper's fixed parameters (eta ... c_init) are engine
+    # constants, and alpha serves both searches, so SolverOptions has no
+    # field to take any value for them or for alpha_hat.
     @pytest.mark.parametrize("field,value", [
-        ("alpha", 0.0), ("alpha", 1.0), ("alpha_hat", 1.2), ("eta", 0.0),
+        ("alpha", 0.0), ("alpha", 1.0), ("alpha", 0.7), ("alpha_hat", 1.2), ("eta", 0.0),
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
         ("rho", 1.0), ("tau", 2.0), ("tau", 3.0), ("epsilon", 0.0),
         ("p", 0.0), ("gamma", 0.0), ("gamma0", -1.0), ("c_init", 0.0),
@@ -121,7 +155,10 @@ class TestOptionsValidation:
         ("max_iter", 0),
         ("epsilon", math.nan), ("p", math.nan), ("gamma", math.nan),
         ("gamma0", math.nan), ("c_init", math.nan), ("term_tol", math.nan),
-        ("kkt_tol", math.nan),
+        ("kkt_tol", math.nan), ("alpha", math.nan), ("rho", math.nan),
+        ("phi_tol", math.nan),
+        ("rho", math.inf), ("term_tol", math.inf), ("phi_tol", math.inf),
+        ("kkt_tol", math.inf),
         ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", math.inf),
     ])
     def test_out_of_range_rejected(self, field, value):
@@ -135,8 +172,7 @@ class TestOptionsValidation:
 
     def test_caller_sets_only_these_fields(self):
         assert [f.name for f in dataclasses.fields(engine.SolverOptions)] == [
-            "alpha", "alpha_hat", "rho", "term_tol", "phi_tol", "kkt_tol", "max_iter",
-            "keep_trace"]
+            "alpha", "rho", "term_tol", "phi_tol", "kkt_tol", "max_iter", "keep_trace"]
 
     def test_paper_constants_keep_its_configuration_and_ranges(self):
         # The paper's benchmark values, inside the ranges its analysis needs.
@@ -152,24 +188,16 @@ class TestOptionsValidation:
     def test_descent_fraction_must_stay_below_violation_exponent(self):
         assert engine.THETA < engine.SIGMA
 
-    def test_large_merit_fraction_logs_warning(self, caplog):
-        prob = _quadratic([1.0])
-        with caplog.at_level(logging.WARNING, logger="isqp.engine"):
-            engine.solve(prob, [1.0], engine.SolverOptions(alpha=0.7))
-        assert any("0.7" in rec.message for rec in caplog.records)
+    # The default sits exactly at the analysis' limit of 0.5.
+    @pytest.mark.parametrize("alpha", [0.5, 0.25])
+    def test_merit_fraction_in_range_accepted(self, alpha):
+        assert engine.SolverOptions(alpha=alpha).alpha == alpha
 
-    def test_default_merit_fractions_are_quiet(self, caplog):
-        # The defaults sit exactly at the analysis' limit of 0.5.
-        prob = _quadratic([1.0])
-        with caplog.at_level(logging.WARNING, logger="isqp.engine"):
-            engine.solve(prob, [1.0])
-        assert not caplog.records
-
-    def test_small_merit_fraction_is_quiet(self, caplog):
-        prob = _quadratic([1.0])
-        with caplog.at_level(logging.WARNING, logger="isqp.engine"):
-            engine.solve(prob, [1.0], engine.SolverOptions(alpha=0.4, alpha_hat=0.4))
-        assert not caplog.records
+    def test_search_step_lengths(self):
+        assert engine.ARC_STEPS == (1.0, 0.5, 0.25, 0.125)
+        assert engine.ARC_STEPS[-1] >= engine.EPSILON > 0.5 * engine.ARC_STEPS[-1]
+        assert len(engine.FD_STEPS) == engine.SEARCH_TRIALS + 1
+        assert all(t == engine.ETA ** k for k, t in enumerate(engine.FD_STEPS))
 
 
 class TestDampingDiagonal:
@@ -828,11 +856,11 @@ class TestSolveSynthetic:
         assert report.message != ""
 
     def test_line_search_stall_status(self, monkeypatch):
-        monkeypatch.setattr(engine, "_merit_accepts",
-                            lambda *args, **kwargs: False)
+        _reject_trials(monkeypatch, _failing_from(monkeypatch, 0))
         report = engine.solve(_toy_problem(), [0.0])
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert "reductions" in report.message
+        assert report.nf0 == 1  # x0 alone
 
     def test_first_iteration_stop_reports_the_start_point(self, monkeypatch):
         # x0 is evaluated before the first step, so a run that stops in
@@ -1103,20 +1131,6 @@ class TestFailureResiduals:
     TRACED = engine.SolverOptions(keep_trace=True)
 
     @staticmethod
-    def _failing_from(monkeypatch, k):
-        """Track the iteration engine.step runs; returns a predicate that
-        holds from iteration k on (and not while x0 is evaluated)."""
-        current = []
-        real_step = engine.step
-
-        def tracking(problem, state, options):
-            current.append(state.k)
-            return real_step(problem, state, options)
-
-        monkeypatch.setattr(engine, "step", tracking)
-        return lambda: bool(current) and current[-1] >= k
-
-    @staticmethod
     def _check_residual(report, problem, k):
         assert report.ni == k
         assert len(report.trace) == k
@@ -1131,7 +1145,7 @@ class TestFailureResiduals:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_degenerate(self, monkeypatch, k):
-        failing = self._failing_from(monkeypatch, k)
+        failing = _failing_from(monkeypatch, k)
         real = engine.factor_shared
 
         def factor(*args):
@@ -1147,7 +1161,7 @@ class TestFailureResiduals:
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_evaluation_failure(self, monkeypatch, k):
-        failing = self._failing_from(monkeypatch, k)
+        failing = _failing_from(monkeypatch, k)
         prob = _toy_problem()
         real_f0 = prob.f0
         prob = dataclasses.replace(prob, f0=lambda x: float("nan") if failing() else real_f0(x))
@@ -1160,12 +1174,11 @@ class TestFailureResiduals:
     def test_search_budget_stall(self, monkeypatch, k):
         # The arc is rejected outright, so the feasible-direction search
         # runs out its trial budget once every trial is rejected.
-        failing = self._failing_from(monkeypatch, k)
-        real = engine._merit_accepts
+        failing = _failing_from(monkeypatch, k)
         monkeypatch.setattr(engine, "arc_search", lambda *args: None)
-        monkeypatch.setattr(engine, "_merit_accepts",
-                            lambda *args: None if failing() else real(*args))
+        _reject_trials(monkeypatch, failing)
         report = engine.solve(_toy_problem(), [3.0], self.TRACED)
+        monkeypatch.undo()  # the residual check below evaluates with the real model
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert "reductions" in report.message
         self._check_residual(report, _toy_problem(), k)

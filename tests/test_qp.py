@@ -67,7 +67,6 @@ def _reference_solve_qp(inst):
     d = np.zeros(n)
     work = []
     lam_work = np.zeros(0)
-    grad_scale = max(1.0, np.max(np.abs(inst.grad), initial=0.0))
     stall, best, bland = 0, np.inf, False
     for _ in range(50 * (n + m)):
         g_cur = inst.H @ d + inst.grad
@@ -87,8 +86,10 @@ def _reference_solve_qp(inst):
         if tiny_norm or flat or stall >= 2 * (n + m) + 4:
             if tiny_norm:
                 d = d + p
-            floor = -10 * qp.KKT_TOL * grad_scale
-            if lam_work.size == 0 or np.min(lam_work) >= floor:
+            if lam_work.size == 0:
+                break
+            floor = -0.5 * inst.kkt_tol / np.max(np.abs(inst.A[work]))
+            if np.min(lam_work) >= floor:
                 break
             if bland:
                 leave = min(w for w, lw in zip(work, lam_work) if lw < floor)

@@ -1,8 +1,8 @@
-"""Study of the infeasible-phase reward ``rho`` and the merit fractions
-``alpha = alpha_hat``: solve a fixed instance set under every configuration
-of a grid, print each configuration's totals and the Dolan-More performance
-profiles of the configurations on ni, nf0 and cpu_seconds, and name the
-configuration the selection rule picks.
+"""Study of the infeasible-phase reward ``rho`` and the merit fraction
+``alpha`` of both searches: solve a fixed instance set under every
+configuration of a grid, print each configuration's totals and the
+Dolan-More performance profiles of the configurations on ni, nf0 and
+cpu_seconds, and name the configuration the selection rule picks.
 
 Usage, from the root of a checkout:
 
@@ -26,14 +26,14 @@ tau times the best configuration's cost, at a few tau, and ``area``: the
 area under the curve over log2(tau) from 1 to the largest finite ratio,
 divided by that width (1 means best on every instance).
 
-The selection rule: among configurations with alpha = alpha_hat = 0.5,
-keep those that solve every instance the paper's configuration (rho = 2,
-alpha = alpha_hat = 0.5) solves and leave every counter of the benchmark's
-workloads (hs-corpus, convex-n20 seeds 0-2, logit-eq) at or below the
-paper configuration's; of those, pick the one with the largest sum of the
-ni and nf0 profile areas.  cpu_seconds is printed for the record; it varies
-by up to 30% between identical runs, so it does not decide.  The paper's
-configuration is always part of the grid.
+The selection rule: among configurations with alpha = 0.5, keep those
+that solve every instance the paper's configuration (rho = 2, alpha = 0.5)
+solves and leave every counter of the benchmark's workloads (hs-corpus,
+convex-n20 seeds 0-2, logit-eq) at or below the paper configuration's; of
+those, pick the one with the largest sum of the ni and nf0 profile areas.
+cpu_seconds is printed for the record; it varies by up to 30% between
+identical runs, so it does not decide.  The paper's configuration is always
+part of the grid.
 """
 
 import os
@@ -55,7 +55,7 @@ from isqp import bench, engine  # noqa: E402
 
 RHOS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
 ALPHAS = (0.5, 0.4, 0.25)
-PAPER = (2.0, 0.5)  # (rho, alpha = alpha_hat) of the paper's benchmark configuration
+PAPER = (2.0, 0.5)  # (rho, alpha) of the paper's benchmark configuration
 SEEDS = range(10)
 LOGIT_SEEDS = range(8)
 METRICS = ("ni", "nf0", "cpu_seconds")
@@ -111,7 +111,7 @@ def label(rho: float, alpha: float) -> str:
 
 def solve_all(instances, rho: float, alpha: float) -> list[Run]:
     """Solve every (family, instance) pair under one configuration."""
-    options = engine.SolverOptions(rho=rho, alpha=alpha, alpha_hat=alpha)
+    options = engine.SolverOptions(rho=rho, alpha=alpha)
     runs = []
     for family, inst in instances:
         report = engine.solve(inst.problem, inst.x0, options)
@@ -249,7 +249,7 @@ def parse_args(argv):
     parser.add_argument("--rho", type=floats, default=RHOS,
                         help="comma-separated rho values (default: %(default)s)")
     parser.add_argument("--alpha", type=floats, default=ALPHAS,
-                        help="comma-separated alpha = alpha_hat values (default: %(default)s)")
+                        help="comma-separated alpha values (default: %(default)s)")
     parser.add_argument("--family", type=lambda t: tuple(t.split(",")), default=tuple(FAMILIES),
                         help="comma-separated instance families (default: all)")
     parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
