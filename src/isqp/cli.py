@@ -19,13 +19,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUN_FAILURES = 2
 
-# CLI/config key -> SolverOptions field: every numeric field under its own
-# name, except term_tol, spelled as its flag --tol.
-_RENAMED = {"term_tol": "tol"}
-_OPTION_KEYS = {
-    _RENAMED.get(f.name, f.name): f.name
-    for f in dataclasses.fields(engine.SolverOptions) if f.name != "keep_trace"
-}
+# The SolverOptions fields a flag or config key sets, each under its own name.
+_OPTION_KEYS = tuple(f.name for f in dataclasses.fields(engine.SolverOptions)
+                     if f.name != "keep_trace")
 
 
 class _UsageError(Exception):
@@ -44,15 +40,16 @@ def _build_parser() -> _Parser:
     run = sub.add_parser("run", help="solve benchmark problems and emit a result table")
     run.add_argument("--problem", default="all",
                      help="problem name, comma-separated names, or 'all' (default)")
-    run.add_argument("--start", choices=("a", "b", "both"), default="both",
+    run.add_argument("--start", choices=("a", "b", "both"), default=None,
                      help="feasible (a), infeasible (b), or both starts (default both)")
     run.add_argument("--x0", default=None,
-                     help="comma-separated custom start (single problem only)")
+                     help="comma-separated custom start (single problem only; "
+                          "excludes --start)")
     defaults = engine.SolverOptions()
-    for key, field in _OPTION_KEYS.items():
-        default = getattr(defaults, field)
+    for key in _OPTION_KEYS:
+        default = getattr(defaults, key)
         run.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=None,
-                         dest=key, help=f"solver parameter {field} (default {default:g})")
+                         dest=key, help=f"solver parameter {key} (default {default:g})")
     run.add_argument("--trace", action="store_true",
                      help="print per-iteration diagnostics to stderr")
     run.add_argument("--config", default=None,
@@ -86,7 +83,7 @@ def _load_config(path: str) -> dict:
             raise _UsageError(f"config {path!r}: unknown key {key!r}")
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise _UsageError(f"config {path!r}: {key!r} must be a number")
-        overrides[_OPTION_KEYS[key]] = value
+        overrides[key] = value
     return overrides
 
 
@@ -94,10 +91,10 @@ def _merge_options(args) -> engine.SolverOptions:
     overrides: dict = {}
     if args.config:
         overrides.update(_load_config(args.config))
-    for cli_key, field in _OPTION_KEYS.items():
-        value = getattr(args, cli_key)
+    for key in _OPTION_KEYS:
+        value = getattr(args, key)
         if value is not None:
-            overrides[field] = value
+            overrides[key] = value
     try:
         return engine.SolverOptions(keep_trace=args.trace, **overrides)
     except ValueError as exc:
@@ -138,6 +135,8 @@ def _cmd_run(args) -> int:
     if args.x0 is not None:
         if len(names) != 1:
             raise _UsageError("--x0 requires exactly one --problem")
+        if args.start is not None:
+            raise _UsageError("--start cannot be combined with --x0")
         try:
             x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
         except ValueError as exc:
@@ -153,7 +152,7 @@ def _cmd_run(args) -> int:
             )
         runs = [(entry, "custom", x0)]
     else:
-        runs = bench.select_runs(names, args.start)
+        runs = bench.select_runs(names, args.start or "both")
     if not runs:
         raise _UsageError("selection produced no runs (no matching start points)")
 

@@ -30,11 +30,17 @@ matrix as it was, so every later iteration would repeat it bit for bit.
 The run then stops at once with status ``line_search_stall``, reporting
 the KKT residual reached under that iteration's QP multipliers.
 
+A run has one stopping rule: it converges at its first feasible iterate
+(phi = 0) whose KKT residual of the original program, under that
+iteration's QP multipliers, is at most ``kkt_tol``.  There is no separate
+test on the length of the QP direction: the paper's test, d0 = 0, is a
+proxy for the same KKT point, and the certificate is required anyway.
+
 Gamma itself is never assembled: each shared-matrix solve checks its
 residual against Gamma's blocks.  Each iteration's trace record carries its
-QP multipliers and, when the termination test ran, the KKT residual that
-test read; a converged run reports that residual without evaluating it
-again.
+QP multipliers and, at a feasible iterate, the KKT residual the
+termination test read; a converged run reports that residual without
+evaluating it again.
 
 The paper's fixed parameters are the module constants ETA ... MU_BFGS;
 ``SolverOptions`` holds only what a caller sets.
@@ -103,7 +109,9 @@ class SolveStatus(str, Enum):
 class SolverOptions:
     """What a caller sets.  Defaults follow the paper's benchmark
     configuration except ``rho``, which tools/calibrate_rho.py selects;
-    ``SolverOptions(rho=2.0)`` restores the paper's configuration."""
+    ``SolverOptions(rho=2.0)`` restores the paper's configuration.  The
+    paper's stopping test on |d0| has no setting: a run stops at its first
+    feasible iterate whose KKT residual is at most ``kkt_tol``."""
 
     # Merit decrease fraction of both searches, in the paper's range (0, 1/2].
     alpha: float = 0.5
@@ -111,9 +119,8 @@ class SolverOptions:
     # feasible set a trial may raise the penalized objective by up to
     # rho (1 - alpha) phi**theta t.  The paper's 2 rejects most arcs there.
     rho: float = 1000.0
-    term_tol: float = 1e-6    # stop when |d0| falls below this at a feasible point
     phi_tol: float = 1e-10    # f_i <= phi_tol * max(1, max|f|) counts as satisfied
-    kkt_tol: float = 1e-7     # certified bound on the final KKT residual
+    kkt_tol: float = 1e-7     # a feasible iterate with KKT residual <= this converges
     max_iter: int = 500
     keep_trace: bool = False
 
@@ -123,10 +130,8 @@ class SolverOptions:
             raise ValueError(f"alpha must lie in (0, 0.5], got {self.alpha}")
         if not (math.isfinite(self.rho) and self.rho > 1.0):
             raise ValueError(f"rho must be finite and exceed 1, got {self.rho}")
-        for name in ("term_tol", "kkt_tol"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.kkt_tol) and self.kkt_tol > 0.0):
+            raise ValueError(f"kkt_tol must be finite and positive, got {self.kkt_tol}")
         # A negative floor would count f_i = 0 as violated.
         if not (math.isfinite(self.phi_tol) and self.phi_tol >= 0.0):
             raise ValueError(f"phi_tol must be finite and nonnegative, got {self.phi_tol}")
@@ -172,7 +177,7 @@ class IterationRecord:
     h_updated: Optional[bool] = None
     fixed_point: bool = False               # the accepted step left the state unchanged
     lam: Optional[np.ndarray] = None        # QP multipliers, entries below LAMBDA_SNAP zeroed
-    kkt_residual: Optional[float] = None    # what the termination test read, if it ran
+    kkt_residual: Optional[float] = None    # what the termination test read; set when phi = 0
 
 
 @dataclass
@@ -438,12 +443,11 @@ def step(problem: model.NlpProblem, state: IterateState,
     lam_clean = sol.lam.copy()
     lam_clean[lam_clean < LAMBDA_SNAP] = 0.0
 
-    # Termination needs a short direction, a feasible point (every
-    # constraint satisfied, so phi is 0), AND a certified KKT residual: a
-    # short direction alone can reflect an inflated H, and the reported
-    # status promises the residual bound.
+    # The one stopping rule: a feasible point (every constraint satisfied,
+    # so phi is 0) whose KKT residual under this QP's multipliers is at most
+    # kkt_tol, whatever |d0| is.
     kkt_residual = None
-    if norm_d0 <= options.term_tol and phi == 0.0:
+    if phi == 0.0:
         mu = _recover_multipliers(lam_clean, problem.m_ineq, c)
         kkt_residual = model.kkt_residual_original(ev, mu)
         if kkt_residual <= options.kkt_tol:
@@ -531,8 +535,9 @@ _DEGENERATE_ERRORS = (
 def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None) -> SolveReport:
     """Run the solver from any starting point, feasible or not.
 
-    Iterates until the QP direction is below term_tol at a point where
-    every constraint is satisfied, a step leaves the state unchanged (a
+    Iterates until a point where every constraint is satisfied has a KKT
+    residual of at most kkt_tol (checked at every such iterate, whatever
+    the length of the QP direction), a step leaves the state unchanged (a
     fixed point), the iteration budget runs out, or a numerical failure is
     classified into the report status.  Per-problem failures never raise.
     ``fv`` and ``phi_final`` are those of the last iterate reached, x0

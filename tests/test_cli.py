@@ -80,6 +80,15 @@ class TestRunCommand:
         row = capsys.readouterr().out.strip().split("\n")[1]
         assert row.split(",")[4] == "custom"
 
+    @pytest.mark.parametrize("start", ["a", "b", "both"])
+    def test_custom_start_excludes_start_flag(self, capsys, start):
+        # --x0 replaces the problem's starts, so a --start beside it would
+        # be ignored; it is refused instead.
+        assert _run(["run", "--problem", "HS035", "--x0", "1,1,1", "--start", start]) == 1
+        captured = capsys.readouterr()
+        assert "--start cannot be combined with --x0" in captured.err
+        assert captured.out == ""
+
     def test_custom_start_needs_single_problem(self, capsys):
         assert _run(["run", "--problem", "HS035,HS024", "--x0", "1,1,1"]) == 1
         assert "exactly one" in capsys.readouterr().err
@@ -159,9 +168,25 @@ class TestRunCommand:
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_tolerance_flag_applies(self, capsys):
-        # A loose tolerance still converges on an easy problem.
-        assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--tol", "1e-4"]) == 0
+        # A loose certificate bound still converges on an easy problem, and
+        # sooner: the run stops at its first feasible iterate that meets it.
+        ni = {}
+        for bound in (None, "1e-4"):
+            extra = [] if bound is None else ["--kkt-tol", bound]
+            assert _run(["run", "--problem", "HS035", "--start", "a", *extra]) == 0
+            row = capsys.readouterr().out.strip().split("\n")[1].split(",")
+            ni[bound] = int(row[8])
+            assert float(row[12]) <= float(bound or engine.SolverOptions().kkt_tol)
+        assert ni["1e-4"] < ni[None]
+
+    def test_direction_tolerance_is_neither_flag_nor_key(self, tmp_path, capsys):
+        # The run stops on the KKT certificate alone; no |d0| test to set.
+        assert _run(["run", "--problem", "HS035", "--start", "a", "--tol", "1e-4"]) == 1
+        assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1e-4}), encoding="utf-8")
+        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
+        assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 class TestConfig:
@@ -193,7 +218,7 @@ class TestConfig:
 
     def test_config_can_set_any_solver_key(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": 0.4, "rho": 100, "tol": 1e-5, "phi_tol": 1e-12,
+        cfg.write_text(json.dumps({"alpha": 0.4, "rho": 100, "phi_tol": 1e-12,
                                    "kkt_tol": 1e-7, "max_iter": 400}), encoding="utf-8")
         assert _run(["run", "--problem", "HS035", "--start", "a",
                      "--config", str(cfg)]) == 0
@@ -226,7 +251,7 @@ class TestConfig:
 
     def test_non_numeric_value_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": "tight"}), encoding="utf-8")
+        cfg.write_text(json.dumps({"kkt_tol": "tight"}), encoding="utf-8")
         assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
         assert "must be a number" in capsys.readouterr().err
 
@@ -237,7 +262,7 @@ class TestConfig:
         for key in cli._OPTION_KEYS:
             assert f"--{key.replace('_', '-')} " in out
         assert sorted(cli._OPTION_KEYS) == [
-            "alpha", "kkt_tol", "max_iter", "phi_tol", "rho", "tol"]
+            "alpha", "kkt_tol", "max_iter", "phi_tol", "rho"]
 
     def test_flag_and_config_set_the_same_value(self, tmp_path):
         # HS044-b takes a different path under the paper's rho = 2 than
@@ -284,7 +309,7 @@ class TestProfileCommand:
     def test_end_to_end(self, tmp_path, capsys):
         fast = self._write_results(tmp_path, "fast", ["HS024", "HS035"])
         slow = self._write_results(tmp_path, "slow", ["HS024", "HS035"],
-                                   ["--tol", "1e-8"])
+                                   ["--kkt-tol", "1e-9"])
         assert _run(["profile", str(fast), str(slow)]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "solver,tau,rho"

@@ -1,7 +1,7 @@
 """Benchmark-corpus contracts: registry lookups, declared dimensions,
 start-point feasibility, analytic-gradient correctness against central
-differences, reference objective values, and the pinned counts of every
-corpus run."""
+differences, reference objective values, the pinned counts of every
+corpus run, and the stopping rule that every corpus run ends on."""
 
 import numpy as np
 import pytest
@@ -271,7 +271,7 @@ PINNED_RUNS = {
     ("HS012", "a"): ("converged", 6, 11, 19),
     ("HS024", "a"): ("converged", 8, 11, 105),
     ("HS029", "a"): ("converged", 13, 26, 39),
-    ("HS030", "a"): ("converged", 14, 22, 252),
+    ("HS030", "a"): ("converged", 12, 20, 224),
     ("HS031", "a"): ("converged", 9, 21, 259),
     ("HS033", "a"): ("converged", 11, 26, 276),
     ("HS034", "a"): ("converged", 17, 46, 528),
@@ -307,4 +307,50 @@ class TestPinnedRuns:
                     runs[(name, start)] = (r.status.value, r.ni, r.nf0, r.nf)
         assert runs == PINNED_RUNS
         totals = [sum(run[k] for run in runs.values()) for k in (1, 2, 3)]
-        assert totals == [290, 663, 6642]
+        assert totals == [288, 661, 6614]
+
+
+@pytest.fixture(scope="module")
+def traced_runs():
+    """Every corpus run under default options, with its trace."""
+    options = engine.SolverOptions(keep_trace=True)
+    runs = {}
+    for name in corpus.list_problems():
+        entry = corpus.get_problem(name)
+        for start, x0 in entry.starts.items():
+            runs[(name, start)] = engine.solve(entry.problem, x0, options)
+    return runs
+
+
+class TestStoppingRule:
+    """A run converges at its first feasible iterate whose KKT residual is
+    at most kkt_tol, whatever the length of its QP direction."""
+
+    KKT_TOL = engine.SolverOptions().kkt_tol
+
+    def test_converged_run_stops_at_its_first_certified_iterate(self, traced_runs):
+        for key, report in traced_runs.items():
+            assert report.status is engine.SolveStatus.CONVERGED, key
+            trace = report.trace
+            certified = [i for i, r in enumerate(trace)
+                         if r.phi == 0.0 and r.kkt_residual <= self.KKT_TOL]
+            assert certified[0] == len(trace) - 1, key
+            final = trace[-1]
+            assert final.converged and final.k == report.ni, key
+            assert report.kkt_residual == final.kkt_residual, key
+
+    def test_every_earlier_feasible_record_carries_a_failing_residual(self, traced_runs):
+        for key, report in traced_runs.items():
+            for record in report.trace[:-1]:
+                if record.phi == 0.0:
+                    assert record.kkt_residual > self.KKT_TOL, (key, record.k)
+                else:
+                    assert record.kkt_residual is None, (key, record.k)
+
+    def test_hs030_a_stops_before_its_direction_is_short(self, traced_runs):
+        # Its residual passes at k = 12 while |d0| is still 3.25e-6; a test
+        # on |d0| <= 1e-6 would run two more iterations.
+        final = traced_runs[("HS030", "a")].trace[-1]
+        assert final.converged and final.k == 12
+        assert final.norm_d0 > 1e-6
+        assert final.kkt_residual <= self.KKT_TOL

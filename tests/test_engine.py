@@ -144,8 +144,9 @@ class TestOptionsValidation:
 
     # Each value breaks the range the paper's analysis needs, or is not
     # finite.  The paper's fixed parameters (eta ... c_init) are engine
-    # constants, and alpha serves both searches, so SolverOptions has no
-    # field to take any value for them or for alpha_hat.
+    # constants, alpha serves both searches, and a run stops on the KKT
+    # certificate alone, so SolverOptions has no field to take any value for
+    # them, for alpha_hat or for term_tol.
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", 0.7), ("alpha_hat", 1.2), ("eta", 0.0),
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
@@ -172,7 +173,7 @@ class TestOptionsValidation:
 
     def test_caller_sets_only_these_fields(self):
         assert [f.name for f in dataclasses.fields(engine.SolverOptions)] == [
-            "alpha", "rho", "term_tol", "phi_tol", "kkt_tol", "max_iter", "keep_trace"]
+            "alpha", "rho", "phi_tol", "kkt_tol", "max_iter", "keep_trace"]
 
     def test_paper_constants_keep_its_configuration_and_ranges(self):
         # The paper's benchmark values, inside the ranges its analysis needs.

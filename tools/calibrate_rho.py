@@ -1,8 +1,11 @@
 """Study of the infeasible-phase reward ``rho`` and the merit fraction
 ``alpha`` of both searches: solve a fixed instance set under every
 configuration of a grid, print each configuration's totals and the
-Dolan-More performance profiles of the configurations on ni, nf0 and
-cpu_seconds, and name the configuration the selection rule picks.
+Dolan-More performance profiles of the configurations on every metric of
+``isqp.bench.PROFILE_METRICS`` (ni, nf0, nf and cpu_seconds), and name the
+configuration the selection rule picks.  Every grid point is checked as a
+``SolverOptions`` before anything is solved, so a value out of range is a
+usage error.
 
 Usage, from the root of a checkout:
 
@@ -17,23 +20,26 @@ The instance families come from the benchmark's generators
 - ``logit-5k``: logit data seeds 0-7 at 5 000 samples;
 - ``logit-eq``: the four logit instances of the benchmark (50 000 samples).
 
-A run counts as solved when it converges and passes its family's check
-(the corpus fv rule, or the KKT residual recomputed from the callbacks); any
-other run is infinitely expensive in the profiles.  The profiles are
-``isqp.bench.compute_profiles`` over every configuration of the grid.  Each
-profile row gives the fraction of instances a configuration solves within
-tau times the best configuration's cost, at a few tau, and ``area``: the
-area under the curve over log2(tau) from 1 to the largest finite ratio,
-divided by that width (1 means best on every instance).
+A run counts as solved when it converges, that is, stops at a feasible
+iterate that passes the KKT certificate, and also passes its family's check
+(the corpus fv rule, or the KKT residual recomputed from the callbacks).
+Each run's cost is read by ``isqp.bench.profile_metric``, the rule that
+``isqp profile`` ranks runs by, so any other run is infinitely expensive in
+the profiles.  The profiles are ``isqp.bench.compute_profiles`` over every
+configuration of the grid.  Each profile row gives the fraction of
+instances a configuration solves within tau times the best configuration's
+cost, at a few tau, and ``area``: the area under the curve over log2(tau)
+from 1 to the largest finite ratio, divided by that width (1 means best on
+every instance).
 
 The selection rule: among configurations with alpha = 0.5, keep those
 that solve every instance the paper's configuration (rho = 2, alpha = 0.5)
 solves and leave every counter of the benchmark's workloads (hs-corpus,
 convex-n20 seeds 0-2, logit-eq) at or below the paper configuration's; of
 those, pick the one with the largest sum of the ni and nf0 profile areas.
-cpu_seconds is printed for the record; it varies by up to 30% between
-identical runs, so it does not decide.  The paper's configuration is always
-part of the grid.
+nf and cpu_seconds are printed for the record; cpu_seconds varies by up to
+30% between identical runs, so it does not decide.  The paper's
+configuration is always part of the grid.
 """
 
 import os
@@ -43,6 +49,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import itertools  # noqa: E402
 import math  # noqa: E402
 import sys  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
@@ -58,7 +65,6 @@ ALPHAS = (0.5, 0.4, 0.25)
 PAPER = (2.0, 0.5)  # (rho, alpha) of the paper's benchmark configuration
 SEEDS = range(10)
 LOGIT_SEEDS = range(8)
-METRICS = ("ni", "nf0", "cpu_seconds")
 DECIDING = ("ni", "nf0")
 TAUS = (1.0, 1.25, 2.0, 4.0)
 
@@ -90,19 +96,17 @@ BENCH_WORKLOADS = {
 
 @dataclass(frozen=True)
 class Run:
-    """One solve: the counters the study reads and whether it is solved."""
+    """One solve: the counters the study reads, under the names that
+    bench.profile_metric reads from a result row.  ``converged`` means the
+    run converged and passed its family's check."""
 
-    family: str
-    name: str
-    solved: bool
+    problem: str  # the instance family
+    start: str    # the instance within it
+    converged: bool
     ni: int
     nf0: int
     nf: int
     cpu_seconds: float
-
-    @property
-    def key(self) -> str:
-        return f"{self.family}/{self.name}"
 
 
 def label(rho: float, alpha: float) -> str:
@@ -115,16 +119,16 @@ def solve_all(instances, rho: float, alpha: float) -> list[Run]:
     runs = []
     for family, inst in instances:
         report = engine.solve(inst.problem, inst.x0, options)
-        solved = (report.status is engine.SolveStatus.CONVERGED
-                  and inst.check(report) is None)
-        runs.append(Run(family, inst.name, solved, report.ni, report.nf0, report.nf,
+        converged = (report.status is engine.SolveStatus.CONVERGED
+                     and inst.check(report) is None)
+        runs.append(Run(family, inst.name, converged, report.ni, report.nf0, report.nf,
                         report.cpu_seconds))
     return runs
 
 
 def totals(runs) -> tuple[int, int, int, int]:
     """(solved, ni, nf0, nf) summed over runs."""
-    return (sum(r.solved for r in runs), sum(r.ni for r in runs),
+    return (sum(r.converged for r in runs), sum(r.ni for r in runs),
             sum(r.nf0 for r in runs), sum(r.nf for r in runs))
 
 
@@ -136,21 +140,17 @@ def bench_totals(runs) -> dict[str, tuple[int, int, int, int]]:
     """Totals on each benchmark workload whose family was solved."""
     out = {}
     for workload, (family, names) in BENCH_WORKLOADS.items():
-        chosen = [r for r in runs if r.family == family and (names is None or r.name in names)]
+        chosen = [r for r in runs
+                  if r.problem == family and (names is None or r.start in names)]
         if chosen:
             out[workload] = totals(chosen)
     return out
 
 
 def profiles(results: dict[str, list[Run]], metric: str) -> dict[str, tuple]:
-    """Profile points per configuration label, from bench.compute_profiles.
-    An unsolved run is inf; a zero cost ranks first, as in
-    bench.profile_metric."""
-    by_config = {
-        name: {r.key: max(float(getattr(r, metric)), 1e-9) if r.solved else math.inf
-               for r in runs}
-        for name, runs in results.items()
-    }
+    """Profile points per configuration label, from bench.compute_profiles
+    over the costs bench.profile_metric reads."""
+    by_config = {name: bench.profile_metric(runs, metric) for name, runs in results.items()}
     return {curve.solver: curve.points for curve in bench.compute_profiles(by_config)}
 
 
@@ -173,7 +173,7 @@ def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]],
            grid) -> tuple[float, float] | None:
     """The configuration the selection rule picks, or None."""
     paper = results[label(*PAPER)]
-    solved_by_paper = {r.key for r in paper if r.solved}
+    solved_by_paper = {(r.problem, r.start) for r in paper if r.converged}
     limits = bench_totals(paper)
     best, best_score = None, -math.inf
     for rho, alpha in grid:
@@ -181,7 +181,7 @@ def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]],
             continue
         name = label(rho, alpha)
         runs = results[name]
-        if not solved_by_paper <= {r.key for r in runs if r.solved}:
+        if not solved_by_paper <= {(r.problem, r.start) for r in runs if r.converged}:
             continue
         mine = bench_totals(runs)
         if any(mine[w][0] < limits[w][0] or any(a > b for a, b in zip(mine[w][1:], limits[w][1:]))
@@ -217,7 +217,7 @@ def report(grid, results, families) -> None:
     for rho, alpha in grid:
         name = label(rho, alpha)
         runs = results[name]
-        cells = [slashed(totals([r for r in runs if r.family == f])) for f in families]
+        cells = [slashed(totals([r for r in runs if r.problem == f])) for f in families]
         print(f"{name:22s} " + " ".join(f"{c:>26s}" for c in cells))
     for rho, alpha in grid:
         name = label(rho, alpha)
@@ -227,7 +227,7 @@ def report(grid, results, families) -> None:
     areas = {}
     print("profile metric configuration area " + " ".join(f"tau<={t:g}" for t in TAUS)
           + " solved")
-    for metric in METRICS:
+    for metric in bench.PROFILE_METRICS:
         curves = profiles(results, metric)
         areas[metric] = {name: area(points) for name, points in curves.items()}
         for rho, alpha in grid:
@@ -258,6 +258,11 @@ def parse_args(argv):
     unknown = set(args.family) - set(FAMILIES)
     if unknown:
         parser.error(f"unknown family {sorted(unknown)}; choose from {list(FAMILIES)}")
+    for rho, alpha in itertools.product(args.rho, args.alpha):
+        try:
+            engine.SolverOptions(rho=rho, alpha=alpha)
+        except ValueError as exc:
+            parser.error(str(exc))
     return args
 
 
