@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -19,13 +18,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUN_FAILURES = 2
 
-# The SolverOptions fields a flag or config key sets, each under its own name.
+# The SolverOptions fields a flag sets, each under its own name.
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(engine.SolverOptions)
                      if f.name != "keep_trace")
 
 
 class _UsageError(Exception):
-    """Bad flags/config; maps to exit code 1."""
+    """Bad flags; maps to exit code 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,8 +51,6 @@ def _build_parser() -> _Parser:
                          dest=key, help=f"solver parameter {key} (default {default:g})")
     run.add_argument("--trace", action="store_true",
                      help="print per-iteration diagnostics to stderr")
-    run.add_argument("--config", default=None,
-                     help="flat JSON file of parameter overrides (flags win)")
     run.add_argument("--out", default=None, help="write the table here instead of stdout")
     run.add_argument("--format", choices=("csv", "markdown"), default="csv")
 
@@ -68,33 +65,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_config(path: str) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"config {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise _UsageError(f"config {path!r} must be a flat JSON object")
-    overrides = {}
-    for key, value in raw.items():
-        if key not in _OPTION_KEYS:
-            raise _UsageError(f"config {path!r}: unknown key {key!r}")
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _UsageError(f"config {path!r}: {key!r} must be a number")
-        overrides[key] = value
-    return overrides
-
-
 def _merge_options(args) -> engine.SolverOptions:
-    overrides: dict = {}
-    if args.config:
-        overrides.update(_load_config(args.config))
-    for key in _OPTION_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
+    overrides = {key: getattr(args, key) for key in _OPTION_KEYS
+                 if getattr(args, key) is not None}
     try:
         return engine.SolverOptions(keep_trace=args.trace, **overrides)
     except ValueError as exc:

@@ -39,10 +39,12 @@ proxy for the same KKT point, and the certificate is required anyway.
 Gamma itself is never assembled: each shared-matrix solve checks its
 residual against Gamma's blocks.  Each iteration's trace record carries its
 QP multipliers and, at a feasible iterate, the KKT residual the
-termination test read; a converged run reports that residual without
-evaluating it again.
+termination test read; a run that ends at that record's iterate (converged,
+or at a feasible fixed point) reports that residual without evaluating it
+again.
 
-The paper's fixed parameters are the module constants ETA ... MU_BFGS;
+The paper's fixed parameters are the module constants ETA ... MU_BFGS, and
+the roundoff floor that classifies constraints is ``model.PHI_TOL``;
 ``SolverOptions`` holds only what a caller sets.
 """
 
@@ -119,7 +121,6 @@ class SolverOptions:
     # feasible set a trial may raise the penalized objective by up to
     # rho (1 - alpha) phi**theta t.  The paper's 2 rejects most arcs there.
     rho: float = 1000.0
-    phi_tol: float = 1e-10    # f_i <= phi_tol * max(1, max|f|) counts as satisfied
     kkt_tol: float = 1e-7     # a feasible iterate with KKT residual <= this converges
     max_iter: int = 500
     keep_trace: bool = False
@@ -132,9 +133,6 @@ class SolverOptions:
             raise ValueError(f"rho must be finite and exceed 1, got {self.rho}")
         if not (math.isfinite(self.kkt_tol) and self.kkt_tol > 0.0):
             raise ValueError(f"kkt_tol must be finite and positive, got {self.kkt_tol}")
-        # A negative floor would count f_i = 0 as violated.
-        if not (math.isfinite(self.phi_tol) and self.phi_tol >= 0.0):
-            raise ValueError(f"phi_tol must be finite and nonnegative, got {self.phi_tol}")
         if not (self.max_iter >= 1 and self.max_iter % 1 == 0):  # inf % 1 is NaN
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
         self.max_iter = int(self.max_iter)
@@ -217,8 +215,6 @@ def second_order_residual(problem: model.NlpProblem, ev: model.Evaluation,
                           counters: model.EvalCounters) -> np.ndarray:
     """Constraint curvature along d0: f(x + d0) - f(x) - J'd0, given
     gd0 = J'd0 (one full constraint evaluation, no objective evaluation)."""
-    if problem.m == 0:
-        return np.zeros(0)
     shifted = model.constraint_values(problem, ev.x + d0, counters)
     return shifted - ev.fI - gd0
 
@@ -281,7 +277,7 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
 
 
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
-            slope: float, shift: float, c: float, fc0: float,
+            shift: float, slope: float, c: float, fc0: float,
             options: SolverOptions, counters: model.EvalCounters):
     """Try ev.x + t * d for each t in ``steps``; returns (t, trial values)
     at the first accepted t, or None.
@@ -298,7 +294,7 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     alpha = options.alpha
     bonus_scale = options.rho * (1.0 - alpha) * phi ** THETA
     for t in steps:
-        trial = model.point_values(problem, ev.x + t * d, counters, options.phi_tol)
+        trial = model.point_values(problem, ev.x + t * d, counters)
         # The bound is nonnegative and a satisfied constraint counts as 0, so
         # it holds for every constraint exactly when it holds for the trial's
         # violation phi.
@@ -321,7 +317,7 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     |d0|**tau + phi**sigma and the QP slope.  Returns (t, trial values), or
     None once t would drop below the abandon threshold.
     """
-    return _search(problem, ev, d, ARC_STEPS, slope, shift, c, fc0, options, counters)
+    return _search(problem, ev, d, ARC_STEPS, shift, slope, c, fc0, options, counters)
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
@@ -332,7 +328,7 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     tests of :func:`_search` with the blend's shift beta * (|d0| + phi**sigma)
     and slope; raises LineSearchStall after the trial budget.
     """
-    hit = _search(problem, ev, dhat, FD_STEPS, slope_hat, shift, c, fc0, options, counters)
+    hit = _search(problem, ev, dhat, FD_STEPS, shift, slope_hat, c, fc0, options, counters)
     if hit is None:
         raise LineSearchStall(
             f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"
@@ -561,7 +557,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     started = time.perf_counter()
     cpu_started = time.process_time()
     try:
-        start = model.point_values(problem, x0, counters, options.phi_tol)
+        start = model.point_values(problem, x0, counters)
         state.ev = model.evaluate(problem, model.with_objective(problem, start, counters),
                                   counters)
         while state.k < options.max_iter:  # runs at least once: max_iter >= 1
@@ -581,14 +577,16 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
         message = str(exc)
 
     # Every exit after a completed iteration reports the last iterate's
-    # residual under that iteration's multipliers; a converged record
-    # carries the residual its termination test read.
+    # residual under that iteration's multipliers.  A converged or
+    # fixed-point record leaves the iterate unchanged, so a residual it
+    # carries is already that one.
     lam = mu = None
     kkt = np.inf
     if record is not None:
         lam = record.lam
         mu = _recover_multipliers(lam, problem.m_ineq, record.c)
-        kkt = (record.kkt_residual if record.converged
+        last_iterate = record.converged or record.fixed_point
+        kkt = (record.kkt_residual if last_iterate and record.kkt_residual is not None
                else model.kkt_residual_original(state.ev, mu))
     if status is None:
         if record.converged:

@@ -24,6 +24,8 @@ from .errors import DegenerateConstraints, EvaluationFailure, NotPositiveDefinit
 
 # Relative step for central finite differences.
 FD_STEP = 1e-6
+# Roundoff floor: f_i <= PHI_TOL * max(1, max|f|) counts as satisfied.
+PHI_TOL = 1e-10
 
 
 @dataclass
@@ -76,7 +78,7 @@ class NlpProblem:
 class PointValues:
     """Function values at one point and what a search trial is judged on.
 
-    A constraint is satisfied when f_i <= phi_tol * max(1, max|f|), the
+    A constraint is satisfied when f_i <= PHI_TOL * max(1, max|f|), the
     roundoff floor of :func:`point_values`, and violated otherwise.  The
     violation measure phi is max f_i when some constraint is violated and 0
     when none is.  f0 is None until the objective is evaluated (see
@@ -130,20 +132,18 @@ def constraint_values(problem: NlpProblem, x: np.ndarray, counters: EvalCounters
     return vals
 
 
-def point_values(problem: NlpProblem, x, counters: EvalCounters,
-                 phi_tol: float = 0.0) -> PointValues:
+def point_values(problem: NlpProblem, x, counters: EvalCounters) -> PointValues:
     """Evaluate every constraint at x and classify it; f0 is left as None,
     for a caller that may reject x on its constraint values alone.
 
-    ``phi_tol`` sets the roundoff floor phi_tol * max(1, max|f|) up to
-    which a positive constraint value counts as satisfied.  The solver
-    passes ``SolverOptions.phi_tol``; the default 0 counts exactly the
-    values f_i <= 0 as satisfied.
+    A positive constraint value up to the roundoff floor
+    PHI_TOL * max(1, max|f|) counts as satisfied, for the solver and for
+    any other caller alike.
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     fI = constraint_values(problem, x, counters)
     top = max(0.0, np.max(fI, initial=0.0))
-    floor = phi_tol * max(1.0, top, -np.min(fI, initial=0.0))
+    floor = PHI_TOL * max(1.0, top, -np.min(fI, initial=0.0))
     satisfied = fI <= floor
     phi = 0.0 if satisfied.all() else top
     return PointValues(x=x, f0=None, fI=fI, phi=phi, satisfied=satisfied,

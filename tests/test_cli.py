@@ -1,7 +1,6 @@
 """Command-line interface contracts: argument handling, exit codes,
-output layout, config precedence, and determinism."""
+output layout, solver flags, and determinism."""
 
-import json
 import re
 
 import pytest
@@ -179,111 +178,74 @@ class TestRunCommand:
             assert float(row[12]) <= float(bound or engine.SolverOptions().kkt_tol)
         assert ni["1e-4"] < ni[None]
 
-    def test_direction_tolerance_is_neither_flag_nor_key(self, tmp_path, capsys):
+    def test_direction_tolerance_is_neither_flag_nor_key(self, capsys):
         # The run stops on the KKT certificate alone; no |d0| test to set.
         assert _run(["run", "--problem", "HS035", "--start", "a", "--tol", "1e-4"]) == 1
         assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"tol": 1e-4}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
-        assert "unknown key 'tol'" in capsys.readouterr().err
 
 
 class TestConfig:
-    def test_config_overrides_defaults(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iter": 1}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--config", str(cfg)]) == 2
+    """Solver configuration: ``isqp run`` sets each SolverOptions field
+    through one flag of the same name, and has no other way to set one."""
 
-    def test_flags_beat_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iter": 1}), encoding="utf-8")
+    def test_config_overrides_defaults(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--config", str(cfg), "--max-iter", "500"]) == 0
+                     "--max-iter", "1"]) == 2
 
     @pytest.mark.parametrize("text", ["2.5", "1e999", "NaN"])
-    def test_non_integral_iteration_budget_exits_one(self, tmp_path, capsys, text):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"max_iter": %s}' % text, encoding="utf-8")
+    def test_non_integral_iteration_budget_exits_one(self, capsys, text):
         assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--config", str(cfg)]) == 1
-        assert "max_iter" in capsys.readouterr().err
+                     "--max-iter", text]) == 1
+        assert "--max-iter" in capsys.readouterr().err
 
-    def test_integral_float_iteration_budget_is_accepted(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max_iter": 1.0}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--config", str(cfg)]) == 2
+    def test_every_flag_sets_its_field(self):
+        args = cli._build_parser().parse_args([
+            "run", "--alpha", "0.4", "--rho", "100", "--kkt-tol", "1e-8",
+            "--max-iter", "400", "--trace"])
+        assert cli._merge_options(args) == engine.SolverOptions(
+            alpha=0.4, rho=100.0, kkt_tol=1e-8, max_iter=400, keep_trace=True)
 
-    def test_config_can_set_any_solver_key(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": 0.4, "rho": 100, "phi_tol": 1e-12,
-                                   "kkt_tol": 1e-7, "max_iter": 400}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--config", str(cfg)]) == 0
-
-    def test_paper_constant_is_neither_flag_nor_key(self, tmp_path, capsys):
+    def test_paper_constant_is_neither_flag_nor_key(self, capsys):
         # The paper's fixed parameters are engine constants, not options.
         assert _run(["run", "--problem", "HS035", "--tau", "2.2"]) == 1
         assert "unrecognized arguments: --tau 2.2" in capsys.readouterr().err
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"eta": 0.5}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
-        assert "unknown key 'eta'" in capsys.readouterr().err
 
-    def test_missing_config_exits_one(self, tmp_path, capsys):
-        assert _run(["run", "--problem", "HS035",
-                     "--config", str(tmp_path / "nope.json")]) == 1
-        assert "cannot read" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [["--phi-tol", "0"], ["--config", "f.json"]],
+                             ids=["phi-tol", "config"])
+    def test_roundoff_floor_and_config_file_are_not_flags(self, capsys, argv):
+        # The floor is the constant model.PHI_TOL, and the flags are the only
+        # way to configure a run.
+        assert _run(["run", "--problem", "HS035", *argv]) == 1
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
-    def test_malformed_json_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{not json", encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
-        assert "not valid JSON" in capsys.readouterr().err
+    def test_non_numeric_value_exits_one(self, capsys):
+        assert _run(["run", "--problem", "HS035", "--kkt-tol", "tight"]) == 1
+        assert "--kkt-tol" in capsys.readouterr().err
 
-    def test_unknown_key_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"momentum": 0.9}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
-        assert "unknown key" in capsys.readouterr().err
-
-    def test_non_numeric_value_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"kkt_tol": "tight"}), encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
-        assert "must be a number" in capsys.readouterr().err
-
-    def test_help_names_every_config_key(self, capsys):
+    def test_help_names_every_solver_flag(self, capsys):
         with pytest.raises(SystemExit):
             _run(["run", "--help"])
         out = capsys.readouterr().out
         for key in cli._OPTION_KEYS:
             assert f"--{key.replace('_', '-')} " in out
-        assert sorted(cli._OPTION_KEYS) == [
-            "alpha", "kkt_tol", "max_iter", "phi_tol", "rho"]
+        assert sorted(cli._OPTION_KEYS) == ["alpha", "kkt_tol", "max_iter", "rho"]
 
-    def test_flag_and_config_set_the_same_value(self, tmp_path):
+    def test_flag_and_library_option_set_the_same_value(self, tmp_path):
         # HS044-b takes a different path under the paper's rho = 2 than
-        # under the default, so the two tables match only if both routes
-        # set it.
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"rho": 2}), encoding="utf-8")
+        # under the default, so the tables match only if the flag reaches
+        # the solver.
         tables = {}
-        for tag, extra in (("default", []), ("flag", ["--rho", "2"]),
-                           ("config", ["--config", str(cfg)])):
+        for tag, extra in (("default", []), ("flag", ["--rho", "2"])):
             path = tmp_path / f"{tag}.csv"
             assert _run(["run", "--problem", "HS044", "--start", "b",
                          "--out", str(path), *extra]) == 0
-            rows = path.read_text(encoding="utf-8").strip().split("\n")
-            tables[tag] = [row.rsplit(",", 1)[0] for row in rows]  # drop cpu_seconds
-        assert tables["flag"] == tables["config"] != tables["default"]
-
-    def test_non_object_config_exits_one(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("[1, 2]", encoding="utf-8")
-        assert _run(["run", "--problem", "HS035", "--config", str(cfg)]) == 1
+            tables[tag] = path.read_text(encoding="utf-8")
+        (entry, start, x0), = bench.select_runs(["HS044"], "b")
+        report = engine.solve(entry.problem, x0, engine.SolverOptions(rho=2.0))
+        tables["library"] = bench.emit_table([bench.make_record(entry, start, report)])
+        rows = {tag: [row.rsplit(",", 1)[0] for row in text.strip().split("\n")]
+                for tag, text in tables.items()}  # drop cpu_seconds
+        assert rows["flag"] == rows["library"] != rows["default"]
 
 
 class TestListCommand:

@@ -33,8 +33,8 @@ def _shared_factor(H, N, q):
 
 
 def _evaluate(problem, x):
-    """The solver's evaluation pipeline at x, with constraint values
-    compared with 0 exactly."""
+    """The solver's evaluation pipeline at x, under the roundoff floor
+    model.PHI_TOL."""
     counters = model.EvalCounters()
     vals = model.with_objective(problem, model.point_values(problem, x, counters), counters)
     return model.evaluate(problem, vals, counters)
@@ -144,9 +144,10 @@ class TestOptionsValidation:
 
     # Each value breaks the range the paper's analysis needs, or is not
     # finite.  The paper's fixed parameters (eta ... c_init) are engine
-    # constants, alpha serves both searches, and a run stops on the KKT
-    # certificate alone, so SolverOptions has no field to take any value for
-    # them, for alpha_hat or for term_tol.
+    # constants, alpha serves both searches, a run stops on the KKT
+    # certificate alone, and the roundoff floor is model.PHI_TOL, so
+    # SolverOptions has no field to take any value for them, for alpha_hat,
+    # for term_tol or for phi_tol.
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", 0.7), ("alpha_hat", 1.2), ("eta", 0.0),
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
@@ -173,7 +174,7 @@ class TestOptionsValidation:
 
     def test_caller_sets_only_these_fields(self):
         assert [f.name for f in dataclasses.fields(engine.SolverOptions)] == [
-            "alpha", "rho", "phi_tol", "kkt_tol", "max_iter", "keep_trace"]
+            "alpha", "rho", "kkt_tol", "max_iter", "keep_trace"]
 
     def test_paper_constants_keep_its_configuration_and_ranges(self):
         # The paper's benchmark values, inside the ranges its analysis needs.
@@ -892,17 +893,22 @@ class TestFixedPoint:
     line_search_stall: every later iteration would repeat it exactly.
 
     Convex data seed 7 reaches such a point (at k = 56) only when
-    constraint values are compared with 0 exactly (phi_tol = 0): an active
-    constraint lands at about +1e-16 after a move and the searches shrink t
-    until x stops moving.  Under the default roundoff floor it converges.
-    Which exact-mode runs stall depends on rounding in the linear algebra,
-    and on the path: the exact-mode cases run under the paper's rho = 2,
-    where seed 7 stalls and seeds 0 and 2 converge.
+    constraint values are compared with 0 exactly (the ``exact`` fixture
+    sets model.PHI_TOL to 0 for each test that uses it): an active
+    constraint lands at about +1e-16 after a move and the searches shrink
+    t until x stops moving.  Under the default roundoff floor it converges.  Which
+    exact-mode runs stall depends on rounding in the linear algebra, and on
+    the path: the exact-mode cases run under the paper's rho = 2, where
+    seed 7 stalls and seeds 0 and 2 converge.
     """
 
     STALLS = 7  # a convex data seed that stalls in exact mode within 75 iterations
 
-    EXACT = engine.SolverOptions(phi_tol=0.0, rho=2.0)
+    PAPER_RHO = engine.SolverOptions(rho=2.0)
+
+    @pytest.fixture
+    def exact(self, monkeypatch):
+        monkeypatch.setattr(model, "PHI_TOL", 0.0)
 
     @staticmethod
     def _state_bytes(state):
@@ -923,9 +929,9 @@ class TestFixedPoint:
         monkeypatch.setattr(engine, "step", recording_step)
         return engine.solve(problem, x0, options), steps
 
-    def test_stops_at_the_first_step_that_repeats(self, monkeypatch):
+    def test_stops_at_the_first_step_that_repeats(self, monkeypatch, exact):
         problem, x0 = _convex_problem(self.STALLS, 20)
-        options = dataclasses.replace(self.EXACT, max_iter=75)
+        options = dataclasses.replace(self.PAPER_RHO, max_iter=75)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_is_fixed_point", lambda *args: False)
             unstopped, reference = self._recorded_steps(patch, problem, x0, options)
@@ -942,9 +948,10 @@ class TestFixedPoint:
         assert report.fv == unstopped.fv
         assert report.phi_final == unstopped.phi_final
 
-    def test_stall_reports_its_residual(self):
+    def test_stall_reports_its_residual(self, exact):
         problem, x0 = _convex_problem(self.STALLS, 20)
-        report = engine.solve(problem, x0, dataclasses.replace(self.EXACT, keep_trace=True))
+        report = engine.solve(problem, x0,
+                              dataclasses.replace(self.PAPER_RHO, keep_trace=True))
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert re.fullmatch(r"fixed point: step t=\S+ along \|d0\|=\S+ "
                             r"leaves x unchanged at phi=\S+", report.message)
@@ -962,9 +969,9 @@ class TestFixedPoint:
         assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
 
     @pytest.mark.parametrize("seed", [0, 2])
-    def test_other_seeds_still_converge(self, seed):
+    def test_other_seeds_still_converge(self, seed, exact):
         problem, x0 = _convex_problem(seed, 20)
-        report = engine.solve(problem, x0, self.EXACT)
+        report = engine.solve(problem, x0, self.PAPER_RHO)
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= 1e-7
 
@@ -1187,8 +1194,10 @@ class TestFailureResiduals:
 
 class TestTraceRecords:
     def test_convergence_is_certified_once(self, monkeypatch):
-        # Each termination test evaluates the KKT residual once and the
-        # converged run reports the value its last test read.
+        # Each termination test evaluates the KKT residual once, and a run
+        # that ends at the iterate of its last test, converged or at a
+        # feasible fixed point (convex data seed 7 in exact mode under the
+        # paper's rho; see TestFixedPoint), reports the value it read.
         calls = []
         real = model.kkt_residual_original
 
@@ -1198,12 +1207,20 @@ class TestTraceRecords:
 
         monkeypatch.setattr(model, "kkt_residual_original", counting)
         entry = corpus.get_problem("HS035")
-        report = engine.solve(entry.problem, entry.x0_feasible,
-                              engine.SolverOptions(keep_trace=True))
-        assert report.status is engine.SolveStatus.CONVERGED
-        tested = [rec.kkt_residual for rec in report.trace if rec.kkt_residual is not None]
+        converged = engine.solve(entry.problem, entry.x0_feasible,
+                                 engine.SolverOptions(keep_trace=True))
+        monkeypatch.setattr(model, "PHI_TOL", 0.0)
+        stalled = engine.solve(*_convex_problem(7, 20),
+                               engine.SolverOptions(rho=2.0, keep_trace=True))
+        assert converged.status is engine.SolveStatus.CONVERGED
+        assert stalled.status is engine.SolveStatus.LINE_SEARCH_STALL
+        assert stalled.trace[-1].fixed_point
+        tested = []
+        for report in (converged, stalled):
+            read = [rec.kkt_residual for rec in report.trace if rec.kkt_residual is not None]
+            assert report.kkt_residual == read[-1] == report.trace[-1].kkt_residual
+            tested += read
         assert calls == tested
-        assert report.kkt_residual == tested[-1] == report.trace[-1].kkt_residual
 
     def test_no_trace_by_default(self):
         report = engine.solve(_toy_problem(), [0.0])

@@ -1,9 +1,13 @@
 """Smoke test of the run fingerprints (tools/fingerprint_runs.py): two corpus
-problems, fingerprinted twice as a script."""
+problems, fingerprinted twice as a script, and the trace-free hash."""
 
+import importlib.util
+import math
 import os
 import subprocess
 import sys
+
+from isqp import corpus, engine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "fingerprint_runs.py")
@@ -23,7 +27,30 @@ def test_two_problems_fingerprint_identically_twice():
         ["hs-corpus", f"{name}-{start}", "converged"]
         for name in ("HS035", "HS044") for start in "ab"]
     for line in lines:
-        assert len(line) == 7
+        assert len(line) == 8
         assert all(int(count) > 0 for count in line[3:6])
-        assert len(line[6]) == 64 and int(line[6], 16) >= 0
+        for digest in line[6:]:
+            assert len(digest) == 64 and int(digest, 16) >= 0
+        assert line[6] != line[7]
+
+
+def test_report_hash_leaves_out_the_trace(monkeypatch):
+    # The script pins the BLAS thread variables and extends sys.path on
+    # import; monkeypatch restores both.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("fingerprint_runs", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    entry = corpus.get_problem("HS035")
+    report = engine.solve(entry.problem, entry.x0_feasible,
+                          engine.SolverOptions(keep_trace=True))
+    full, alone = tool.fingerprint(report), tool.fingerprint(report, with_trace=False)
+    report.trace[0].fc = math.nextafter(report.trace[0].fc, math.inf)
+    assert tool.fingerprint(report) != full
+    assert tool.fingerprint(report, with_trace=False) == alone
+    report.fv = math.nextafter(report.fv, math.inf)
+    assert tool.fingerprint(report, with_trace=False) != alone
 

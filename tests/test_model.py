@@ -8,11 +8,11 @@ from isqp import corpus, engine, model
 from isqp.errors import DegenerateConstraints, EvaluationFailure
 
 
-def _evaluate(problem, x, counters=None, phi_tol=0.0):
+def _evaluate(problem, x, counters=None):
     """The solver's evaluation pipeline at x: constraint values, then f0,
     then gradients."""
     counters = model.EvalCounters() if counters is None else counters
-    vals = model.point_values(problem, x, counters, phi_tol)
+    vals = model.point_values(problem, x, counters)
     return model.evaluate(problem, model.with_objective(problem, vals, counters), counters)
 
 
@@ -105,10 +105,11 @@ class TestIndexSets:
 
 
 class TestRoundoffFloor:
-    """A constraint value up to phi_tol * max(1, max|f|) counts as
-    satisfied; phi_tol = 0 compares with 0 exactly."""
+    """A constraint value up to PHI_TOL * max(1, max|f|) counts as
+    satisfied; PHI_TOL = 0, set here only through monkeypatch, compares with
+    0 exactly."""
 
-    TOL = engine.SolverOptions().phi_tol  # 1e-10
+    TOL = model.PHI_TOL  # 1e-10
 
     @staticmethod
     def _identity(m):
@@ -116,39 +117,41 @@ class TestRoundoffFloor:
         return model.NlpProblem(n=m, m_ineq=m, m_eq=0, f0=lambda x: 0.0,
                                 f=lambda x: np.array(x, dtype=float))
 
-    def _values(self, f, phi_tol):
-        return _evaluate(self._identity(len(f)), f, phi_tol=phi_tol)
+    def _values(self, f):
+        return _evaluate(self._identity(len(f)), f)
 
     def test_roundoff_violation_is_satisfied(self):
-        vals = self._values([-1.0, 1e-12, -0.5], self.TOL)  # max|f| = 1
+        vals = self._values([-1.0, 1e-12, -0.5])  # max|f| = 1
         assert vals.phi == 0.0
         assert np.array_equal(vals.satisfied, [True, True, True])
         assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
         assert np.array_equal(vals.izero, [1])
 
     def test_violation_above_the_floor_counts(self):
-        vals = self._values([-1.0, 1e-9, -0.5], self.TOL)
+        vals = self._values([-1.0, 1e-9, -0.5])
         assert vals.phi == 1e-9
         assert np.array_equal(vals.satisfied, [True, False, True])
         assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
 
     def test_floor_scales_with_the_largest_value(self):
-        assert self._values([-1e4, 1e-7], self.TOL).phi == 0.0
-        assert self._values([-1e4, 1e-5], self.TOL).phi == 1e-5
+        assert self._values([-1e4, 1e-7]).phi == 0.0
+        assert self._values([-1e4, 1e-5]).phi == 1e-5
 
-    def test_zero_tolerance_keeps_the_exact_sets(self):
-        vals = self._values([-1.0, 1e-12, -0.5], 0.0)
+    def test_zero_tolerance_keeps_the_exact_sets(self, monkeypatch):
+        monkeypatch.setattr(model, "PHI_TOL", 0.0)
+        vals = self._values([-1.0, 1e-12, -0.5])
         assert vals.phi == 1e-12
         assert np.array_equal(vals.satisfied, [True, False, True])
         assert np.array_equal(vals.fbar, [-1.0, 0.0, -0.5])
 
-    def test_sets_against_the_rule(self):
+    def test_sets_against_the_rule(self, monkeypatch):
         rng = np.random.default_rng(0)
         for _ in range(200):
             f = rng.standard_normal(6) * 10.0 ** rng.integers(-12, 3, size=6)
             f[rng.random(6) < 0.3] = 0.0
             for phi_tol in (0.0, self.TOL, 1e-3):
-                vals = self._values(f, phi_tol)
+                monkeypatch.setattr(model, "PHI_TOL", phi_tol)
+                vals = self._values(f)
                 floor = phi_tol * max(1.0, np.max(np.abs(f)))
                 satisfied = f <= floor
                 assert np.array_equal(vals.satisfied, satisfied)
@@ -162,9 +165,20 @@ class TestRoundoffFloor:
                     assert vals.phi == max(0.0, np.max(f))
 
     def test_evaluate_applies_the_floor(self):
+        # The floor holds by default: a library call classifies as solve does.
         prob = self._identity(2)
-        assert _evaluate(prob, [-1.0, 1e-12], phi_tol=self.TOL).phi == 0.0
-        assert _evaluate(prob, [-1.0, 1e-12]).phi == 1e-12
+        assert _evaluate(prob, [-1.0, 1e-12]).phi == 0.0
+        assert _evaluate(prob, [-1.0, 1e-9]).phi == 1e-9
+
+    def test_library_call_and_solve_share_the_floor(self):
+        # A start with one constraint at +1e-12: point_values and the first
+        # iteration of solve count the same satisfied constraints.
+        prob = model.NlpProblem(n=2, m_ineq=2, m_eq=0, f0=lambda x: float(x @ x),
+                                f=lambda x: np.array(x, dtype=float))
+        x0 = [-1.0, 1e-12]
+        vals = model.point_values(prob, x0, model.EvalCounters())
+        report = engine.solve(prob, x0, engine.SolverOptions(keep_trace=True))
+        assert vals.n_satisfied == report.trace[0].iminus_size == 2
 
 
 class TestCounters:

@@ -7,10 +7,13 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint_runs.py --workload hs-corpus --problems HS035,HS044
 
 Each solve runs under default ``SolverOptions`` with ``keep_trace=True``
-and prints one line: workload, instance, status, ni, nf0, nf and a sha256.
-The hash covers the status, every counter and the message, the bytes of
-x, fv, kkt_residual, phi_final, lam and mu, and every field of every
-``IterationRecord``; it leaves out only the two timings.  The instances
+and prints one line: workload, instance, status, ni, nf0, nf and two
+sha256 hashes.  The first covers the status, every counter and the
+message, the bytes of x, fv, kkt_residual, phi_final, lam and mu, and every
+field of every ``IterationRecord``; it leaves out only the two timings.
+The second covers the same report fields without the trace, so a change
+that moves only the trace changes the first hash and keeps the second.
+``cut -d' ' -f1-7`` keeps the columns up to the first hash.  The instances
 are those of ``perfbench/workloads.py``, which is imported and not
 changed; ``--problems`` keeps the instances whose program has one of the
 given names (``HS035``, ``convex-n20-s1``, ``logit-n10-s0``, ...).
@@ -55,12 +58,12 @@ def _update(digest, obj) -> None:
         digest.update(field.name.encode() + b"=" + _encode(getattr(obj, field.name)) + b"\0")
 
 
-def fingerprint(report: engine.SolveReport) -> str:
-    """sha256 over every field of the report but its timings, and every
-    field of its trace records."""
+def fingerprint(report: engine.SolveReport, with_trace: bool = True) -> str:
+    """sha256 over every field of the report but its timings, and, unless
+    ``with_trace`` is false, every field of its trace records."""
     digest = hashlib.sha256()
     _update(digest, report)
-    for record in report.trace:
+    for record in report.trace if with_trace else ():
         digest.update(b"record\0")
         _update(digest, record)
     return digest.hexdigest()
@@ -85,7 +88,8 @@ def main(argv=None) -> int:
                 continue
             report = engine.solve(inst.problem, inst.x0, options)
             print(workload, inst.name, report.status.value, report.ni, report.nf0,
-                  report.nf, fingerprint(report), flush=True)
+                  report.nf, fingerprint(report), fingerprint(report, with_trace=False),
+                  flush=True)
     return 0
 
 
