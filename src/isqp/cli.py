@@ -18,9 +18,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RUN_FAILURES = 2
 
-# The SolverOptions fields a flag sets, each under its own name.
-_OPTION_KEYS = tuple(f.name for f in dataclasses.fields(engine.SolverOptions)
-                     if f.name != "keep_trace")
+# Every SolverOptions field is a flag under its own name.
+_OPTION_KEYS = tuple(f.name for f in dataclasses.fields(engine.SolverOptions))
 
 
 class _UsageError(Exception):
@@ -50,7 +49,7 @@ def _build_parser() -> _Parser:
         run.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=None,
                          dest=key, help=f"solver parameter {key} (default {default:g})")
     run.add_argument("--trace", action="store_true",
-                     help="print per-iteration diagnostics to stderr")
+                     help="print each run's trace records to stderr")
     run.add_argument("--out", default=None, help="write the table here instead of stdout")
     run.add_argument("--format", choices=("csv", "markdown"), default="csv")
 
@@ -66,10 +65,9 @@ def _build_parser() -> _Parser:
 
 
 def _merge_options(args) -> engine.SolverOptions:
-    overrides = {key: getattr(args, key) for key in _OPTION_KEYS
-                 if getattr(args, key) is not None}
     try:
-        return engine.SolverOptions(keep_trace=args.trace, **overrides)
+        return engine.SolverOptions(**{key: getattr(args, key) for key in _OPTION_KEYS
+                                       if getattr(args, key) is not None})
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
 

@@ -41,7 +41,7 @@ residual against Gamma's blocks.  Each iteration's trace record carries its
 QP multipliers and, at a feasible iterate, the KKT residual the
 termination test read; a run that ends at that record's iterate (converged,
 or at a feasible fixed point) reports that residual without evaluating it
-again.
+again.  The report keeps every record, and counts ``nio`` from them.
 
 The paper's fixed parameters are the module constants ETA ... MU_BFGS, and
 the roundoff floor that classifies constraints is ``model.PHI_TOL``;
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -109,11 +109,12 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolverOptions:
-    """What a caller sets.  Defaults follow the paper's benchmark
-    configuration except ``rho``, which tools/calibrate_rho.py selects;
-    ``SolverOptions(rho=2.0)`` restores the paper's configuration.  The
-    paper's stopping test on |d0| has no setting: a run stops at its first
-    feasible iterate whose KKT residual is at most ``kkt_tol``."""
+    """The four numbers a caller sets; every run keeps its trace.  Defaults
+    follow the paper's benchmark configuration except ``rho``, which
+    tools/calibrate_rho.py selects; ``SolverOptions(rho=2.0)`` restores the
+    paper's configuration.  The paper's stopping test on |d0| has no
+    setting: a run stops at its first feasible iterate whose KKT residual is
+    at most ``kkt_tol``."""
 
     # Merit decrease fraction of both searches, in the paper's range (0, 1/2].
     alpha: float = 0.5
@@ -123,7 +124,6 @@ class SolverOptions:
     rho: float = 1000.0
     kkt_tol: float = 1e-7     # a feasible iterate with KKT residual <= this converges
     max_iter: int = 500
-    keep_trace: bool = False
 
     def __post_init__(self) -> None:
         # Every test is written so that NaN fails it, and inf fails isfinite.
@@ -147,7 +147,6 @@ class IterateState:
     c: float
     counters: model.EvalCounters
     k: int = 0
-    nio: int = 0                    # iterations started outside the feasible set
     ev: Optional[model.Evaluation] = None  # set by solve() before the first step
 
 
@@ -180,7 +179,8 @@ class IterationRecord:
 
 @dataclass
 class SolveReport:
-    """Outcome of one run."""
+    """Outcome of one run.  ``trace`` holds every record ``step`` returned,
+    and ``nio`` counts those at phi > 0 among the first ``ni``."""
 
     status: SolveStatus
     x: np.ndarray
@@ -196,7 +196,7 @@ class SolveReport:
     cpu_seconds: float        # CPU time of this process during the run
     lam: Optional[np.ndarray] = None
     mu: Optional[np.ndarray] = None
-    trace: Optional[list[IterationRecord]] = None
+    trace: list[IterationRecord] = field(default_factory=list)
     message: str = ""
 
 
@@ -511,9 +511,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     if fixed_point:
         return state, record
     new_state = IterateState(
-        H=h_next, low=low_next, c=c, counters=counters, k=state.k + 1,
-        nio=state.nio + (1 if phi > 0.0 else 0),
-        ev=ev_next,
+        H=h_next, low=low_next, c=c, counters=counters, k=state.k + 1, ev=ev_next,
     )
     return new_state, record
 
@@ -550,7 +548,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     state = IterateState(
         H=np.eye(problem.n), low=np.eye(problem.n), c=C_INIT, counters=counters,
     )
-    trace: Optional[list[IterationRecord]] = [] if options.keep_trace else None
+    trace: list[IterationRecord] = []
     record: Optional[IterationRecord] = None  # of the last completed iteration
     status: Optional[SolveStatus] = None      # set here only by a failure
     message = ""
@@ -562,8 +560,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
                                   counters)
         while state.k < options.max_iter:  # runs at least once: max_iter >= 1
             state, record = step(problem, state, options)
-            if trace is not None:
-                trace.append(record)
+            trace.append(record)
             if record.converged or record.fixed_point:
                 break
     except _DEGENERATE_ERRORS as exc:
@@ -606,9 +603,11 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
         x, fv, phi_final = state.ev.x, state.ev.f0, state.ev.phi
     else:
         x, fv, phi_final = x0, float("nan"), float("inf")
+    # A converged or fixed-point record sits past the ni completed ones.
+    nio = sum(1 for rec in trace[:state.k] if rec.phi > 0.0)  # an int, not np.int64
     return SolveReport(
         status=status, x=x, fv=fv, kkt_residual=kkt, phi_final=phi_final,
-        ni=state.k, nio=state.nio, nii=state.k - state.nio,
+        ni=state.k, nio=nio, nii=state.k - nio,
         nf0=counters.nf0, nf=counters.nf, wall_seconds=wall, cpu_seconds=cpu,
         lam=lam, mu=mu, trace=trace, message=message,
     )

@@ -36,16 +36,15 @@ INFEASIBLE_REFERENCE = {
 
 @pytest.fixture(scope="module")
 def corpus_runs():
-    """Every corpus problem solved from every defined start with tracing,
-    under default options; shared by the criteria below."""
-    options = engine.SolverOptions(keep_trace=True)
+    """Every corpus problem solved from every defined start, under default
+    options; shared by the criteria below."""
     runs = {}
     for name in corpus.list_problems():
         entry = corpus.get_problem(name)
         for start, x0 in (("a", entry.x0_feasible), ("b", entry.x0_infeasible)):
             if x0 is None:
                 continue
-            runs[(name, start)] = (entry, engine.solve(entry.problem, x0, options))
+            runs[(name, start)] = (entry, engine.solve(entry.problem, x0))
     return runs
 
 
@@ -236,7 +235,7 @@ def test_criterion_6_equality_constraint_path():
         grad_f=lambda x: np.array([[1.0], [1.0]]),
         name="synthetic-equality",
     )
-    report = engine.solve(problem, [3.0, -1.0], engine.SolverOptions(keep_trace=True))
+    report = engine.solve(problem, [3.0, -1.0])
     assert report.status is engine.SolveStatus.CONVERGED
     assert np.max(np.abs(report.x - 1.0)) <= 1e-6, report.x
     assert abs(report.mu[0] - (-2.0)) <= 1e-6, report.mu

@@ -1,10 +1,13 @@
 """Smoke test of the rho calibration study (tools/calibrate_rho.py): a
 two-configuration grid over two corpus problems, run as a script, and a
-grid point out of range refused before anything is solved."""
+grid point out of range, a repeated grid value or family, and an unknown
+corpus name refused before anything is solved."""
 
 import os
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "calibrate_rho.py")
@@ -37,14 +40,26 @@ def test_two_configurations_over_two_problems():
     assert lines[-1] == "selected: rho=1000,alpha=0.5"
 
 
-def test_grid_point_out_of_range_is_refused_before_any_solve():
-    # rho = 0.5 is checked as a SolverOptions at parse time, so the paper's
-    # configuration is not solved first.
+# rho = 0.5 is checked as a SolverOptions at parse time, so the paper's
+# configuration is not solved first.  A repeated family once ran the whole
+# study and then died in bench.profile_metric; a repeated rho solved and
+# printed the same configuration twice.
+@pytest.mark.parametrize("changed,message", [
+    ({"--rho": "2,0.5"}, "rho must be finite and exceed 1, got 0.5"),
+    ({"--rho": "2,2.0"}, "--rho names 2.0 more than once"),
+    ({"--alpha": "0.5,0.25,0.5"}, "--alpha names 0.5 more than once"),
+    ({"--family": "hs-corpus,hs-corpus"}, "--family names hs-corpus more than once"),
+    ({"--problems": "HS35,HS035"}, "unknown corpus problem ['HS35']"),
+    ({"--family": "convex-n20"}, "--problems selects corpus problems, but --family leaves out"),
+], ids=["rho-out-of-range", "repeated-rho", "repeated-alpha", "repeated-family",
+        "unknown-problem", "problems-without-corpus"])
+def test_bad_grid_is_refused_before_any_solve(changed, message):
+    flags = {"--rho": "2", "--alpha": "0.5", "--family": "hs-corpus",
+             "--problems": "HS035", **changed}
     done = subprocess.run(
-        [sys.executable, SCRIPT, "--rho", "2,0.5", "--alpha", "0.5",
-         "--family", "hs-corpus", "--problems", "HS035"],
+        [sys.executable, SCRIPT, *(item for pair in flags.items() for item in pair)],
         capture_output=True, text=True, timeout=60)
     assert done.returncode == 2
     assert done.stdout == ""
-    assert "error: rho must be finite and exceed 1, got 0.5" in done.stderr
+    assert f"error: {message}" in done.stderr
     assert "solved" not in done.stderr and "Traceback" not in done.stderr

@@ -203,7 +203,7 @@ class TestConfig:
             "run", "--alpha", "0.4", "--rho", "100", "--kkt-tol", "1e-8",
             "--max-iter", "400", "--trace"])
         assert cli._merge_options(args) == engine.SolverOptions(
-            alpha=0.4, rho=100.0, kkt_tol=1e-8, max_iter=400, keep_trace=True)
+            alpha=0.4, rho=100.0, kkt_tol=1e-8, max_iter=400)
 
     def test_paper_constant_is_neither_flag_nor_key(self, capsys):
         # The paper's fixed parameters are engine constants, not options.

@@ -313,12 +313,11 @@ class TestPinnedRuns:
 @pytest.fixture(scope="module")
 def traced_runs():
     """Every corpus run under default options, with its trace."""
-    options = engine.SolverOptions(keep_trace=True)
     runs = {}
     for name in corpus.list_problems():
         entry = corpus.get_problem(name)
         for start, x0 in entry.starts.items():
-            runs[(name, start)] = engine.solve(entry.problem, x0, options)
+            runs[(name, start)] = engine.solve(entry.problem, x0)
     return runs
 
 

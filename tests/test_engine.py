@@ -145,9 +145,10 @@ class TestOptionsValidation:
     # Each value breaks the range the paper's analysis needs, or is not
     # finite.  The paper's fixed parameters (eta ... c_init) are engine
     # constants, alpha serves both searches, a run stops on the KKT
-    # certificate alone, and the roundoff floor is model.PHI_TOL, so
-    # SolverOptions has no field to take any value for them, for alpha_hat,
-    # for term_tol or for phi_tol.
+    # certificate alone, the roundoff floor is model.PHI_TOL, and every
+    # report keeps its trace, so SolverOptions has no field to take any
+    # value for them, for alpha_hat, for term_tol, for phi_tol or for
+    # keep_trace.
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", 0.7), ("alpha_hat", 1.2), ("eta", 0.0),
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
@@ -162,6 +163,7 @@ class TestOptionsValidation:
         ("rho", math.inf), ("term_tol", math.inf), ("phi_tol", math.inf),
         ("kkt_tol", math.inf),
         ("max_iter", 2.5), ("max_iter", math.nan), ("max_iter", math.inf),
+        ("keep_trace", True),
     ])
     def test_out_of_range_rejected(self, field, value):
         settable = field in {f.name for f in dataclasses.fields(engine.SolverOptions)}
@@ -174,7 +176,7 @@ class TestOptionsValidation:
 
     def test_caller_sets_only_these_fields(self):
         assert [f.name for f in dataclasses.fields(engine.SolverOptions)] == [
-            "alpha", "rho", "kkt_tol", "max_iter", "keep_trace"]
+            "alpha", "rho", "kkt_tol", "max_iter"]
 
     def test_paper_constants_keep_its_configuration_and_ranges(self):
         # The paper's benchmark values, inside the ranges its analysis needs.
@@ -697,8 +699,7 @@ class TestOneFactorPerCurvatureMatrix:
         monkeypatch.setattr(linalg, "spd_solve", inside("spd_solve", real_spd_solve))
         monkeypatch.setattr(qp, "solve_qp", solve_qp)
         entry = corpus.get_problem("HS043")
-        report = engine.solve(entry.problem, entry.x0_infeasible,
-                              engine.SolverOptions(keep_trace=True))
+        report = engine.solve(entry.problem, entry.x0_infeasible)
         assert report.status is engine.SolveStatus.CONVERGED
         assert sum(bool(rec.h_updated) for rec in report.trace) >= 5
         assert not [caller for _, _, caller in factored if caller == "qp"]
@@ -776,7 +777,7 @@ class TestSolveSynthetic:
             grad_f0=lambda x: 2.0 * x,
             grad_f=lambda x: np.array([[1.0], [1.0]]),
         )
-        report = engine.solve(prob, [2.0, -3.0], engine.SolverOptions(keep_trace=True))
+        report = engine.solve(prob, [2.0, -3.0])
         assert report.status is engine.SolveStatus.CONVERGED
         assert np.allclose(report.x, [0.5, 0.5], atol=1e-6)
         assert report.mu[0] == pytest.approx(-1.0, abs=1e-6)
@@ -804,7 +805,7 @@ class TestSolveSynthetic:
     def test_max_iterations_status(self):
         prob = _toy_problem()
         report = engine.solve(prob, [0.0],
-                              engine.SolverOptions(max_iter=1, keep_trace=True))
+                              engine.SolverOptions(max_iter=1))
         assert report.status is engine.SolveStatus.MAX_ITERATIONS
         assert report.ni == 1
         assert np.isfinite(report.fv)
@@ -950,8 +951,7 @@ class TestFixedPoint:
 
     def test_stall_reports_its_residual(self, exact):
         problem, x0 = _convex_problem(self.STALLS, 20)
-        report = engine.solve(problem, x0,
-                              dataclasses.replace(self.PAPER_RHO, keep_trace=True))
+        report = engine.solve(problem, x0, self.PAPER_RHO)
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert re.fullmatch(r"fixed point: step t=\S+ along \|d0\|=\S+ "
                             r"leaves x unchanged at phi=\S+", report.message)
@@ -1020,7 +1020,7 @@ class TestPenaltyPath:
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_logit_seed_converges_after_raising_c(self, seed):
         problem, x0 = _logit_problem(seed)
-        options = engine.SolverOptions(keep_trace=True)
+        options = engine.SolverOptions()
         report = engine.solve(problem, x0, options)
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= options.kkt_tol
@@ -1048,8 +1048,7 @@ class TestInfeasiblePhaseReward:
     @staticmethod
     def _first_records(options):
         entry = corpus.get_problem("HS044")
-        report = engine.solve(entry.problem, entry.x0_infeasible,
-                              dataclasses.replace(options, keep_trace=True))
+        report = engine.solve(entry.problem, entry.x0_infeasible, options)
         assert report.status is engine.SolveStatus.CONVERGED
         return report.trace[0], report.trace[1]
 
@@ -1136,8 +1135,6 @@ class TestFailureResiduals:
     x = 3 the toy problem converges in four iterations, so each failure
     below is forced from iteration k on."""
 
-    TRACED = engine.SolverOptions(keep_trace=True)
-
     @staticmethod
     def _check_residual(report, problem, k):
         assert report.ni == k
@@ -1162,7 +1159,7 @@ class TestFailureResiduals:
             return real(*args)
 
         monkeypatch.setattr(engine, "factor_shared", factor)
-        report = engine.solve(_toy_problem(), [3.0], self.TRACED)
+        report = engine.solve(_toy_problem(), [3.0])
         assert report.status is engine.SolveStatus.DEGENERATE
         assert report.message == "shared coefficient matrix is singular"
         self._check_residual(report, _toy_problem(), k)
@@ -1173,7 +1170,7 @@ class TestFailureResiduals:
         prob = _toy_problem()
         real_f0 = prob.f0
         prob = dataclasses.replace(prob, f0=lambda x: float("nan") if failing() else real_f0(x))
-        report = engine.solve(prob, [3.0], self.TRACED)
+        report = engine.solve(prob, [3.0])
         assert report.status is engine.SolveStatus.EVALUATION_FAILURE
         assert report.message != ""
         self._check_residual(report, _toy_problem(), k)
@@ -1185,7 +1182,7 @@ class TestFailureResiduals:
         failing = _failing_from(monkeypatch, k)
         monkeypatch.setattr(engine, "arc_search", lambda *args: None)
         _reject_trials(monkeypatch, failing)
-        report = engine.solve(_toy_problem(), [3.0], self.TRACED)
+        report = engine.solve(_toy_problem(), [3.0])
         monkeypatch.undo()  # the residual check below evaluates with the real model
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert "reductions" in report.message
@@ -1207,11 +1204,10 @@ class TestTraceRecords:
 
         monkeypatch.setattr(model, "kkt_residual_original", counting)
         entry = corpus.get_problem("HS035")
-        converged = engine.solve(entry.problem, entry.x0_feasible,
-                                 engine.SolverOptions(keep_trace=True))
+        converged = engine.solve(entry.problem, entry.x0_feasible)
         monkeypatch.setattr(model, "PHI_TOL", 0.0)
         stalled = engine.solve(*_convex_problem(7, 20),
-                               engine.SolverOptions(rho=2.0, keep_trace=True))
+                               engine.SolverOptions(rho=2.0))
         assert converged.status is engine.SolveStatus.CONVERGED
         assert stalled.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert stalled.trace[-1].fixed_point
@@ -1222,21 +1218,49 @@ class TestTraceRecords:
             tested += read
         assert calls == tested
 
-    def test_no_trace_by_default(self):
-        report = engine.solve(_toy_problem(), [0.0])
-        assert report.trace is None
+    def test_trace_is_the_iteration_ledger(self, monkeypatch):
+        # Each completed iteration leaves one record, and a converged or
+        # fixed-point record sits past them at index ni, so nio is counted
+        # from the records.  Every corpus run, one that spends its budget,
+        # one that ends at a fixed point (see TestFixedPoint) and one whose
+        # evaluation at x0 fails.
+        runs = {f"{name}-{start}": engine.solve(entry.problem, x0)
+                for name in corpus.list_problems()
+                for entry in [corpus.get_problem(name)]
+                for start, x0 in entry.starts.items()}
+        runs["budget"] = engine.solve(_toy_problem(), [3.0], engine.SolverOptions(max_iter=2))
+        broken = dataclasses.replace(_toy_problem(), f0=lambda x: math.nan)
+        runs["x0-fails"] = engine.solve(broken, [3.0])
+        monkeypatch.setattr(model, "PHI_TOL", 0.0)
+        runs["fixed-point"] = engine.solve(*_convex_problem(7, 20),
+                                           engine.SolverOptions(rho=2.0))
+        assert runs["budget"].status is engine.SolveStatus.MAX_ITERATIONS
+        assert runs["x0-fails"].status is engine.SolveStatus.EVALUATION_FAILURE
+        assert runs["x0-fails"].trace == []
+        assert runs["fixed-point"].message.startswith("fixed point")
+        for name, report in runs.items():
+            trace, ni = report.trace, report.ni
+            assert isinstance(trace, list), name
+            assert [rec.k for rec in trace[:ni]] == list(range(ni)), name
+            ends_at_record = (report.status is engine.SolveStatus.CONVERGED
+                              or report.message.startswith("fixed point"))
+            assert len(trace) - ni == (1 if ends_at_record else 0), name
+            assert report.nio == sum(rec.phi > 0.0 for rec in trace[:ni]), name
+            assert type(report.nio) is int, name  # hashed by its repr
+            assert report.nii == ni - report.nio, name
+            if trace:
+                assert np.array_equal(report.lam, trace[-1].lam), name
+        assert runs["budget"].nio >= 1
 
     def test_converged_run_ends_with_terminal_record(self):
-        report = engine.solve(_toy_problem(), [0.0],
-                              engine.SolverOptions(keep_trace=True))
+        report = engine.solve(_toy_problem(), [0.0])
         assert report.trace[-1].converged
         assert all(not rec.converged for rec in report.trace[:-1])
         assert len(report.trace) == report.ni + 1
         assert [rec.k for rec in report.trace] == list(range(report.ni + 1))
 
     def test_satisfied_count_never_drops(self):
-        report = engine.solve(_toy_problem(), [3.0],
-                              engine.SolverOptions(keep_trace=True))
+        report = engine.solve(_toy_problem(), [3.0])
         for rec in report.trace:
             if rec.iminus_size_next is not None:
                 assert rec.iminus_size_next >= rec.iminus_size
@@ -1250,8 +1274,7 @@ class TestTraceRecords:
                             lambda H, *args: -np.eye(H.shape[0]))
         monkeypatch.setattr(qp, "solve_qp",
                             lambda inst, hfac: seen.append(inst.H) or real_solve_qp(inst, hfac))
-        report = engine.solve(_toy_problem(), [3.0],
-                              engine.SolverOptions(keep_trace=True))
+        report = engine.solve(_toy_problem(), [3.0])
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.ni == 4
         assert not any(rec.h_updated for rec in report.trace[:-1])
@@ -1259,8 +1282,7 @@ class TestTraceRecords:
         assert all(np.array_equal(H, np.eye(1)) for H in seen)
 
     def test_directions_carry_subproblem_certificates(self):
-        report = engine.solve(_toy_problem(), [3.0],
-                              engine.SolverOptions(keep_trace=True))
+        report = engine.solve(_toy_problem(), [3.0])
         for rec in report.trace:
             assert rec.lam is not None
             assert np.all(rec.lam >= 0.0)
@@ -1272,8 +1294,7 @@ class TestTraceRecords:
         # fall back to the blended direction and keep its descent and
         # active-set certificates.
         monkeypatch.setattr(engine, "arc_search", lambda *a, **k: None)
-        report = engine.solve(_toy_problem(), [0.0],
-                              engine.SolverOptions(keep_trace=True))
+        report = engine.solve(_toy_problem(), [0.0])
         assert report.status is engine.SolveStatus.CONVERGED
         advancing = [rec for rec in report.trace if not rec.converged]
         assert advancing

@@ -1,11 +1,14 @@
 """Smoke test of the run fingerprints (tools/fingerprint_runs.py): two corpus
-problems, fingerprinted twice as a script, and the trace-free hash."""
+problems, fingerprinted twice as a script, the trace-free hash, and the
+selections refused before anything is solved."""
 
 import importlib.util
 import math
 import os
 import subprocess
 import sys
+
+import pytest
 
 from isqp import corpus, engine
 
@@ -45,8 +48,7 @@ def test_report_hash_leaves_out_the_trace(monkeypatch):
     spec.loader.exec_module(tool)
 
     entry = corpus.get_problem("HS035")
-    report = engine.solve(entry.problem, entry.x0_feasible,
-                          engine.SolverOptions(keep_trace=True))
+    report = engine.solve(entry.problem, entry.x0_feasible)
     full, alone = tool.fingerprint(report), tool.fingerprint(report, with_trace=False)
     report.trace[0].fc = math.nextafter(report.trace[0].fc, math.inf)
     assert tool.fingerprint(report) != full
@@ -54,3 +56,23 @@ def test_report_hash_leaves_out_the_trace(monkeypatch):
     report.fv = math.nextafter(report.fv, math.inf)
     assert tool.fingerprint(report, with_trace=False) != alone
 
+
+
+# A name that matched nothing once printed no line for it and exited 0, so
+# two empty outputs compared as identical.
+@pytest.mark.parametrize("args,message", [
+    (("--workload", "hs-corpus", "--problems", "HS35,HS044"),
+     "--problems names ['HS35'] match no instance of ['hs-corpus']"),
+    (("--problems", "HS35,convex-n20-s9"),
+     "--problems names ['HS35', 'convex-n20-s9'] match no instance"),
+    (("--workload", "convex-n20", "--problems", "HS035"),
+     "--problems names ['HS035'] match no instance of ['convex-n20']"),
+    (("--workload", "hs-corpus,hs-corpus", "--problems", "HS035"),
+     "--workload names ['hs-corpus'] more than once"),
+], ids=["misspelt", "all-workloads", "other-workload", "repeated-workload"])
+def test_bad_selection_is_refused_before_any_solve(args, message):
+    done = subprocess.run([sys.executable, SCRIPT, *args], capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert f"error: {message}" in done.stderr

@@ -177,7 +177,7 @@ class TestRoundoffFloor:
                                 f=lambda x: np.array(x, dtype=float))
         x0 = [-1.0, 1e-12]
         vals = model.point_values(prob, x0, model.EvalCounters())
-        report = engine.solve(prob, x0, engine.SolverOptions(keep_trace=True))
+        report = engine.solve(prob, x0)
         assert vals.n_satisfied == report.trace[0].iminus_size == 2
 
 

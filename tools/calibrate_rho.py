@@ -39,7 +39,9 @@ convex-n20 seeds 0-2, logit-eq) at or below the paper configuration's; of
 those, pick the one with the largest sum of the ni and nf0 profile areas.
 nf and cpu_seconds are printed for the record; cpu_seconds varies by up to
 30% between identical runs, so it does not decide.  The paper's
-configuration is always part of the grid.
+configuration is always part of the grid.  A repeated ``--rho``,
+``--alpha`` or ``--family`` value, or a ``--problems`` name that is not in
+the corpus or without the ``hs-corpus`` family, is a usage error too.
 """
 
 import os
@@ -58,7 +60,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 
 import workloads  # noqa: E402
-from isqp import bench, engine  # noqa: E402
+from isqp import bench, corpus, engine  # noqa: E402
 
 RHOS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
 ALPHAS = (0.5, 0.4, 0.25)
@@ -255,9 +257,19 @@ def parse_args(argv):
     parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
                         help="comma-separated corpus problem names to keep (default: all)")
     args = parser.parse_args(argv)
+    for flag in ("rho", "alpha", "family"):
+        values = getattr(args, flag)
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            parser.error(f"--{flag} names {', '.join(map(str, repeated))} more than once")
     unknown = set(args.family) - set(FAMILIES)
     if unknown:
         parser.error(f"unknown family {sorted(unknown)}; choose from {list(FAMILIES)}")
+    unknown = set(args.problems or ()) - set(corpus.list_problems())
+    if unknown:
+        parser.error(f"unknown corpus problem {sorted(unknown)}")
+    if args.problems is not None and "hs-corpus" not in args.family:
+        parser.error("--problems selects corpus problems, but --family leaves out hs-corpus")
     for rho, alpha in itertools.product(args.rho, args.alpha):
         try:
             engine.SolverOptions(rho=rho, alpha=alpha)

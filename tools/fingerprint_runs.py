@@ -6,17 +6,20 @@ Usage, from the root of a checkout:
     python3 tools/fingerprint_runs.py > before.txt
     python3 tools/fingerprint_runs.py --workload hs-corpus --problems HS035,HS044
 
-Each solve runs under default ``SolverOptions`` with ``keep_trace=True``
-and prints one line: workload, instance, status, ni, nf0, nf and two
-sha256 hashes.  The first covers the status, every counter and the
-message, the bytes of x, fv, kkt_residual, phi_final, lam and mu, and every
-field of every ``IterationRecord``; it leaves out only the two timings.
+Each solve runs under default ``SolverOptions``, whose report always
+carries its trace records, and prints one line: workload, instance,
+status, ni, nf0, nf and two sha256 hashes.  The first covers the status,
+every counter and the message, the bytes of x, fv, kkt_residual,
+phi_final, lam and mu, and every field of every ``IterationRecord``; it
+leaves out only the two timings.
 The second covers the same report fields without the trace, so a change
 that moves only the trace changes the first hash and keeps the second.
 ``cut -d' ' -f1-7`` keeps the columns up to the first hash.  The instances
 are those of ``perfbench/workloads.py``, which is imported and not
 changed; ``--problems`` keeps the instances whose program has one of the
-given names (``HS035``, ``convex-n20-s1``, ``logit-n10-s0``, ...).
+given names (``HS035``, ``convex-n20-s1``, ``logit-n10-s0``, ...).  A
+repeated workload, or a name that no instance of the selected workloads
+has, is a usage error (exit 2) raised before anything is solved.
 """
 
 import os
@@ -80,16 +83,22 @@ def main(argv=None) -> int:
     unknown = sorted(set(args.workload) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload {unknown}; choose from {list(workloads.WORKLOADS)}")
+    repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
+    if repeated:
+        parser.error(f"--workload names {repeated} more than once")
+    selected = [(workload, inst) for workload in args.workload
+                for inst in workloads.build(workload)]
+    if args.problems is not None:
+        unmatched = sorted(args.problems - {inst.problem.name for _, inst in selected})
+        if unmatched:
+            parser.error(f"--problems names {unmatched} match no instance of {args.workload}")
+        selected = [(w, inst) for w, inst in selected if inst.problem.name in args.problems]
 
-    options = engine.SolverOptions(keep_trace=True)
-    for workload in args.workload:
-        for inst in workloads.build(workload):
-            if args.problems is not None and inst.problem.name not in args.problems:
-                continue
-            report = engine.solve(inst.problem, inst.x0, options)
-            print(workload, inst.name, report.status.value, report.ni, report.nf0,
-                  report.nf, fingerprint(report), fingerprint(report, with_trace=False),
-                  flush=True)
+    for workload, inst in selected:
+        report = engine.solve(inst.problem, inst.x0)
+        print(workload, inst.name, report.status.value, report.ni, report.nf0,
+              report.nf, fingerprint(report), fingerprint(report, with_trace=False),
+              flush=True)
     return 0
 
 
