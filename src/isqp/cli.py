@@ -15,24 +15,18 @@ from . import bench, corpus, engine
 from .errors import InconsistentRecordsError, SolverError
 
 EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_RUN_FAILURES = 2
+EXIT_RUN_FAILURES = 1
 
 # Every SolverOptions field is a flag under its own name.
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(engine.SolverOptions))
 
 
 class _UsageError(Exception):
-    """Bad flags; maps to exit code 1."""
+    """A flag value or input file the command cannot use."""
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse default exits with 2
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="isqp", description=__doc__)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="isqp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="solve benchmark problems and emit a result table")
@@ -82,6 +76,17 @@ def _select_problems(selector: str) -> list[str]:
     if repeated:
         raise _UsageError(f"--problem names {', '.join(repeated)} more than once")
     return names
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    """Write a command's output to the file ``out``, or to stdout."""
+    if out is None:
+        sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _UsageError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _trace_line(record: engine.IterationRecord) -> str:
@@ -134,11 +139,7 @@ def _cmd_run(args) -> int:
             _print_trace(entry.name, start, report)
         records.append(bench.make_record(entry, start, report))
 
-    text = bench.emit_table(records, fmt=args.format)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(bench.emit_table(records, fmt=args.format), args.out)
     return EXIT_OK if all(r.converged for r in records) else EXIT_RUN_FAILURES
 
 
@@ -150,7 +151,7 @@ def _cmd_profile(args) -> int:
             raise _UsageError(f"duplicate solver label {label!r}")
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise _UsageError(f"cannot read {path!r}: {exc}") from exc
         try:
             by_solver[label] = bench.profile_metric(bench.read_table(text), args.metric)
@@ -158,43 +159,35 @@ def _cmd_profile(args) -> int:
             raise _UsageError(f"{path!r}: {exc}") from exc
         if not by_solver[label]:
             raise _UsageError(f"{path!r} contains no result rows")
-    try:
-        curves = bench.compute_profiles(by_solver)
-    except InconsistentRecordsError as exc:
-        raise _UsageError(str(exc)) from exc
-    text = bench.emit_profiles(curves)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write(bench.emit_profiles(bench.compute_profiles(by_solver)), args.out)
     return EXIT_OK
 
 
 def _cmd_list(_args) -> int:
-    print(f"{'name':8s} {'n':>3s} {'m1':>3s} {'m2':>3s} {'starts':7s} fv_reference")
+    lines = [f"{'name':8s} {'n':>3s} {'m1':>3s} {'m2':>3s} {'starts':7s} fv_reference"]
     for name in corpus.list_problems():
         entry = corpus.get_problem(name)
         n, m1, m2 = entry.dims
         starts = "".join(entry.starts)
-        print(f"{name:8s} {n:3d} {m1:3d} {m2:3d} {starts:7s} {entry.fv_reference:.10g}")
+        lines.append(f"{name:8s} {n:3d} {m1:3d} {m2:3d} {starts:7s} {entry.fv_reference:.10g}")
+    _write("\n".join(lines) + "\n", None)
     return EXIT_OK
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command; returns 0 when every run converged and 1 when some
+    run did not.  A usage or input error, or a SolverError that no run
+    captured, exits 2 through ``parser.error``, as argparse's own errors do."""
     parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        args = parser.parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "profile":
             return _cmd_profile(args)
         return _cmd_list(args)
-    except _UsageError as exc:
-        print(f"isqp: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SolverError as exc:  # batch-level failures not captured per-run
-        print(f"isqp: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (_UsageError, SolverError) as exc:
+        parser.error(str(exc))
 
 
 def entry() -> None:

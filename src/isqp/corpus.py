@@ -170,19 +170,14 @@ def _hs024() -> CorpusEntry:
 # HS029: min -x1 x2 x3  s.t. 48 - x1^2 - 2 x2^2 - 4 x3^2 >= 0; start (1, 1, 1),
 # minimum -16 sqrt 2.
 def _hs029() -> CorpusEntry:
-    def f0(x):
-        return -x[0] * x[1] * x[2]
-
-    def g0(x):
-        return np.array([-x[1] * x[2], -x[0] * x[2], -x[0] * x[1]])
-
     def f(x):
         return np.array([x[0] ** 2 + 2.0 * x[1] ** 2 + 4.0 * x[2] ** 2 - 48.0])
 
     def gf(x):
         return np.array([[2.0 * x[0]], [4.0 * x[1]], [8.0 * x[2]]])
 
-    return _entry("HS029", 3, f0, g0, f, gf, 1, [1.0, 1.0, 1.0], None, (-22.62741700,))
+    return _entry("HS029", 3, _neg_product, _neg_product_gradient, f, gf, 1,
+                  [1.0, 1.0, 1.0], None, (-22.62741700,))
 
 
 # HS030: min x1^2 + x2^2 + x3^2  s.t. x1^2 + x2^2 - 1 >= 0, 1 <= x1 <= 10,
@@ -253,6 +248,15 @@ def _hs033() -> CorpusEntry:
                   bounds=((0, 0.0, None), (1, 0.0, None), (2, 0.0, 5.0)))
 
 
+# -x1 x2 x3, the objective of HS029, HS036 and HS037, and its gradient.
+def _neg_product(x):
+    return -x[0] * x[1] * x[2]
+
+
+def _neg_product_gradient(x):
+    return np.array([-x[1] * x[2], -x[0] * x[2], -x[0] * x[1]])
+
+
 def _exp_chain_constraints():
     def f(x):
         return np.array([np.exp(x[0]) - x[1], np.exp(x[1]) - x[2]])
@@ -306,32 +310,20 @@ def _hs035() -> CorpusEntry:
 # HS036: min -x1 x2 x3  s.t. 72 - x1 - 2x2 - 2x3 >= 0, 0 <= x1 <= 20,
 # 0 <= x2 <= 11, 0 <= x3 <= 42; start (10, 10, 10), minimum -3300.
 def _hs036() -> CorpusEntry:
-    def f0(x):
-        return -x[0] * x[1] * x[2]
-
-    def g0(x):
-        return np.array([-x[1] * x[2], -x[0] * x[2], -x[0] * x[1]])
-
     def f(x):
         return np.array([x[0] + 2.0 * x[1] + 2.0 * x[2] - 72.0])
 
     def gf(x):
         return np.array([[1.0], [2.0], [2.0]])
 
-    return _entry("HS036", 3, f0, g0, f, gf, 1, [10.0, 10.0, 10.0], [12.0, 12.0, 12.0],
-                  (-3299.99999999996,),
+    return _entry("HS036", 3, _neg_product, _neg_product_gradient, f, gf, 1,
+                  [10.0, 10.0, 10.0], [12.0, 12.0, 12.0], (-3299.99999999996,),
                   bounds=((0, 0.0, 20.0), (1, 0.0, 11.0), (2, 0.0, 42.0)))
 
 
 # HS037: min -x1 x2 x3  s.t. 72 - x1 - 2x2 - 2x3 >= 0, x1 + 2x2 + 2x3 >= 0,
 # 0 <= xi <= 42; start (10, 10, 10), minimum -3456 at (24, 12, 12).
 def _hs037() -> CorpusEntry:
-    def f0(x):
-        return -x[0] * x[1] * x[2]
-
-    def g0(x):
-        return np.array([-x[1] * x[2], -x[0] * x[2], -x[0] * x[1]])
-
     def f(x):
         s = x[0] + 2.0 * x[1] + 2.0 * x[2]
         return np.array([s - 72.0, -s])
@@ -344,8 +336,9 @@ def _hs037() -> CorpusEntry:
     # drift onto the ray x = (2s, s, s), where the objective gradient is
     # parallel to the violated constraint normal and any feasible-direction
     # method crawls.
-    return _entry("HS037", 3, f0, g0, f, gf, 2, [10.0, 10.0, 10.0], [-5.0, 10.0, 10.0],
-                  (-3455.999999999965,), bounds=[(i, 0.0, 42.0) for i in range(3)])
+    return _entry("HS037", 3, _neg_product, _neg_product_gradient, f, gf, 2,
+                  [10.0, 10.0, 10.0], [-5.0, 10.0, 10.0], (-3455.999999999965,),
+                  bounds=[(i, 0.0, 42.0) for i in range(3)])
 
 
 # HS043 (Rosen-Suzuki): min x1^2 + x2^2 + 2x3^2 + x4^2 - 5x1 - 5x2 - 21x3 + 7x4

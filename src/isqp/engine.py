@@ -62,12 +62,10 @@ from . import linalg, model
 from . import qp as qpmod
 from .errors import (
     CertificateViolation,
-    DegenerateConstraints,
     EvaluationFailure,
     LineSearchStall,
-    MaxQpIterationsError,
     NotPositiveDefiniteError,
-    NumericalBreakdown,
+    NumericalFailure,
     SingularMatrixError,
 )
 
@@ -516,24 +514,17 @@ def step(problem: model.NlpProblem, state: IterateState,
     return new_state, record
 
 
-_DEGENERATE_ERRORS = (
-    DegenerateConstraints,
-    SingularMatrixError,
-    NotPositiveDefiniteError,
-    MaxQpIterationsError,
-    NumericalBreakdown,
-    CertificateViolation,
-)
-
-
 def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None) -> SolveReport:
     """Run the solver from any starting point, feasible or not.
 
     Iterates until a point where every constraint is satisfied has a KKT
     residual of at most kkt_tol (checked at every such iterate, whatever
     the length of the QP direction), a step leaves the state unchanged (a
-    fixed point), the iteration budget runs out, or a numerical failure is
-    classified into the report status.  Per-problem failures never raise.
+    fixed point), the iteration budget runs out, or a failure ends the run:
+    any NumericalFailure as ``degenerate``, a LineSearchStall as
+    ``line_search_stall``, an EvaluationFailure as ``evaluation_failure``,
+    with the exception's text as ``message``.  Per-problem failures never
+    raise.
     ``fv`` and ``phi_final`` are those of the last iterate reached, x0
     itself for a run that stops in its first iteration; they are nan and
     inf only when the evaluation at x0 fails.  Once an iteration has
@@ -563,7 +554,7 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
             trace.append(record)
             if record.converged or record.fixed_point:
                 break
-    except _DEGENERATE_ERRORS as exc:
+    except NumericalFailure as exc:
         status = SolveStatus.DEGENERATE
         message = str(exc)
     except LineSearchStall as exc:

@@ -1,16 +1,32 @@
 """Command-line interface contracts: argument handling, exit codes,
-output layout, solver flags, and determinism."""
+output layout, solver flags, and determinism.
 
+Exit codes: 0 when every run converged, 1 when some run did not, 2 on a
+usage or input error.  Tests named before the codes took these values keep
+their "exits_one" / "exits_two" names, so their ids stay stable; the
+asserts carry the codes."""
+
+import os
 import re
+import subprocess
+import sys
+import types
 
 import pytest
 
 from isqp import bench, cli, engine
 from isqp.errors import LineSearchStall
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 
 def _run(argv):
-    return cli.main(argv)
+    """Exit code of ``isqp argv``: what main returns, or the code of the
+    SystemExit that argparse raises on a usage or input error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestRunCommand:
@@ -35,27 +51,27 @@ class TestRunCommand:
         assert lines[1].split(",")[4] == "a"
 
     def test_unknown_problem_exits_one(self, capsys):
-        assert _run(["run", "--problem", "HS999"]) == 1
+        assert _run(["run", "--problem", "HS999"]) == 2
         assert "unknown problem" in capsys.readouterr().err
 
     def test_repeated_problem_exits_one(self, capsys):
         # Two rows for one (problem, start) would make the table unusable
         # by the profile command.
-        assert _run(["run", "--problem", "HS035,HS024,HS035", "--start", "a"]) == 1
+        assert _run(["run", "--problem", "HS035,HS024,HS035", "--start", "a"]) == 2
         captured = capsys.readouterr()
         assert "--problem names HS035 more than once" in captured.err
         assert captured.out == ""
 
     def test_empty_selection_exits_one(self):
-        assert _run(["run", "--problem", ",,"]) == 1
+        assert _run(["run", "--problem", ",,"]) == 2
 
     def test_start_without_point_exits_one(self, capsys):
-        assert _run(["run", "--problem", "HS012", "--start", "b"]) == 1
+        assert _run(["run", "--problem", "HS012", "--start", "b"]) == 2
         assert "no runs" in capsys.readouterr().err
 
     def test_failed_run_exits_two(self, capsys):
         assert _run(["run", "--problem", "HS100", "--start", "a",
-                     "--max-iter", "2"]) == 2
+                     "--max-iter", "2"]) == 1
         out = capsys.readouterr().out
         assert "max_iterations" in out
 
@@ -66,6 +82,16 @@ class TestRunCommand:
         assert capsys.readouterr().out == ""
         text = target.read_text(encoding="utf-8")
         assert text.startswith(bench.CSV_HEADER + "\n")
+
+    @pytest.mark.parametrize("target", ["", "missing/results.csv"],
+                             ids=["directory", "missing-parent"])
+    def test_unwritable_out_exits_two(self, tmp_path, capsys, target):
+        # Refused as an input error naming the path, with nothing on stdout.
+        out = str(tmp_path / target)
+        assert _run(["run", "--problem", "HS035", "--start", "a", "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"isqp: error: cannot write {out!r}" in captured.err
 
     def test_markdown_format(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a",
@@ -83,53 +109,53 @@ class TestRunCommand:
     def test_custom_start_excludes_start_flag(self, capsys, start):
         # --x0 replaces the problem's starts, so a --start beside it would
         # be ignored; it is refused instead.
-        assert _run(["run", "--problem", "HS035", "--x0", "1,1,1", "--start", start]) == 1
+        assert _run(["run", "--problem", "HS035", "--x0", "1,1,1", "--start", start]) == 2
         captured = capsys.readouterr()
         assert "--start cannot be combined with --x0" in captured.err
         assert captured.out == ""
 
     def test_custom_start_needs_single_problem(self, capsys):
-        assert _run(["run", "--problem", "HS035,HS024", "--x0", "1,1,1"]) == 1
+        assert _run(["run", "--problem", "HS035,HS024", "--x0", "1,1,1"]) == 2
         assert "exactly one" in capsys.readouterr().err
 
     def test_custom_start_wrong_length(self, capsys):
-        assert _run(["run", "--problem", "HS035", "--x0", "1,1"]) == 1
+        assert _run(["run", "--problem", "HS035", "--x0", "1,1"]) == 2
         assert "components" in capsys.readouterr().err
 
     def test_custom_start_not_numeric(self):
-        assert _run(["run", "--problem", "HS035", "--x0", "1,two,3"]) == 1
+        assert _run(["run", "--problem", "HS035", "--x0", "1,two,3"]) == 2
 
     @pytest.mark.parametrize("x0, component, value", [
         ("nan,1,1", 0, "nan"), ("1,1e999,1", 1, "inf"), ("1,1,-inf", 2, "-inf")])
     def test_custom_start_not_finite(self, capsys, x0, component, value):
         # A non-finite start is the caller's error, not an evaluation
         # failure of the problem.
-        assert _run(["run", "--problem", "HS035", "--x0", x0]) == 1
+        assert _run(["run", "--problem", "HS035", "--x0", x0]) == 2
         err = capsys.readouterr().err
         assert f"--x0 component {component} is not finite: {value}" in err
 
     def test_invalid_parameter_value_exits_one(self, capsys):
-        assert _run(["run", "--problem", "HS035", "--alpha", "1.5"]) == 1
+        assert _run(["run", "--problem", "HS035", "--alpha", "1.5"]) == 2
         assert "alpha" in capsys.readouterr().err
 
     def test_negative_kkt_tolerance_exits_one(self, capsys):
         # No residual passes a negative bound, so no run could converge.
-        assert _run(["run", "--problem", "HS035", "--kkt-tol", "-1"]) == 1
+        assert _run(["run", "--problem", "HS035", "--kkt-tol", "-1"]) == 2
         assert "kkt_tol" in capsys.readouterr().err
 
     def test_nan_kkt_tolerance_exits_one(self, capsys):
         # No residual compares below NaN, so no run could converge.
-        assert _run(["run", "--problem", "HS035", "--kkt-tol", "nan"]) == 1
+        assert _run(["run", "--problem", "HS035", "--kkt-tol", "nan"]) == 2
         assert "kkt_tol" in capsys.readouterr().err
 
     def test_infinite_reward_exits_one(self, capsys):
         # At phi = 0 the reward inf * 0**theta is NaN, which no merit test rejects.
-        assert _run(["run", "--problem", "HS035", "--rho", "inf"]) == 1
+        assert _run(["run", "--problem", "HS035", "--rho", "inf"]) == 2
         assert "rho" in capsys.readouterr().err
 
     def test_merit_fraction_above_half_exits_one(self, capsys):
         # The paper's analysis takes alpha in (0, 1/2].
-        assert _run(["run", "--problem", "HS035", "--alpha", "0.7"]) == 1
+        assert _run(["run", "--problem", "HS035", "--alpha", "0.7"]) == 2
         assert "alpha must lie in (0, 0.5]" in capsys.readouterr().err
 
     def test_trace_goes_to_stderr(self, capsys):
@@ -152,7 +178,7 @@ class TestRunCommand:
             raise LineSearchStall("arc search gave up")
 
         monkeypatch.setattr(engine, "arc_search", stalled)
-        assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 2
+        assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 1
         captured = capsys.readouterr()
         err = captured.err.strip().split("\n")
         assert err[0] == "HS035 start=a"
@@ -163,7 +189,7 @@ class TestRunCommand:
     def test_seed_flag_is_rejected(self, capsys):
         # The solver is deterministic, so there is no seed to set.
         assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--seed", "7"]) == 1
+                     "--seed", "7"]) == 2
         assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
     def test_tolerance_flag_applies(self, capsys):
@@ -180,7 +206,7 @@ class TestRunCommand:
 
     def test_direction_tolerance_is_neither_flag_nor_key(self, capsys):
         # The run stops on the KKT certificate alone; no |d0| test to set.
-        assert _run(["run", "--problem", "HS035", "--start", "a", "--tol", "1e-4"]) == 1
+        assert _run(["run", "--problem", "HS035", "--start", "a", "--tol", "1e-4"]) == 2
         assert "unrecognized arguments: --tol 1e-4" in capsys.readouterr().err
 
 
@@ -190,12 +216,12 @@ class TestConfig:
 
     def test_config_overrides_defaults(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--max-iter", "1"]) == 2
+                     "--max-iter", "1"]) == 1
 
     @pytest.mark.parametrize("text", ["2.5", "1e999", "NaN"])
     def test_non_integral_iteration_budget_exits_one(self, capsys, text):
         assert _run(["run", "--problem", "HS035", "--start", "a",
-                     "--max-iter", text]) == 1
+                     "--max-iter", text]) == 2
         assert "--max-iter" in capsys.readouterr().err
 
     def test_every_flag_sets_its_field(self):
@@ -207,7 +233,7 @@ class TestConfig:
 
     def test_paper_constant_is_neither_flag_nor_key(self, capsys):
         # The paper's fixed parameters are engine constants, not options.
-        assert _run(["run", "--problem", "HS035", "--tau", "2.2"]) == 1
+        assert _run(["run", "--problem", "HS035", "--tau", "2.2"]) == 2
         assert "unrecognized arguments: --tau 2.2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--phi-tol", "0"], ["--config", "f.json"]],
@@ -215,16 +241,15 @@ class TestConfig:
     def test_roundoff_floor_and_config_file_are_not_flags(self, capsys, argv):
         # The floor is the constant model.PHI_TOL, and the flags are the only
         # way to configure a run.
-        assert _run(["run", "--problem", "HS035", *argv]) == 1
+        assert _run(["run", "--problem", "HS035", *argv]) == 2
         assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
     def test_non_numeric_value_exits_one(self, capsys):
-        assert _run(["run", "--problem", "HS035", "--kkt-tol", "tight"]) == 1
+        assert _run(["run", "--problem", "HS035", "--kkt-tol", "tight"]) == 2
         assert "--kkt-tol" in capsys.readouterr().err
 
     def test_help_names_every_solver_flag(self, capsys):
-        with pytest.raises(SystemExit):
-            _run(["run", "--help"])
+        assert _run(["run", "--help"]) == 0
         out = capsys.readouterr().out
         for key in cli._OPTION_KEYS:
             assert f"--{key.replace('_', '-')} " in out
@@ -257,6 +282,14 @@ class TestListCommand:
         assert lines[1].startswith("HS012")
         assert lines[-1].startswith("HS100")
 
+    def test_writes_the_table_in_one_call(self, monkeypatch):
+        # Written in one piece, so a reader that stops after the first line
+        # (isqp list | head -1) cannot break a later write.
+        writes = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+        assert _run(["list"]) == 0
+        assert len(writes) == 1 and writes[0].count("\n") == 17
+
 
 class TestProfileCommand:
     def _write_results(self, tmp_path, name, problems, options=None):
@@ -265,7 +298,7 @@ class TestProfileCommand:
                 "--out", str(path)]
         if options:
             args.extend(options)
-        assert _run(args) in (0, 2)
+        assert _run(args) in (0, 1)
         return path
 
     def test_end_to_end(self, tmp_path, capsys):
@@ -294,21 +327,36 @@ class TestProfileCommand:
 
     def test_unknown_metric_exits_one(self, tmp_path):
         res = self._write_results(tmp_path, "only", ["HS035"])
-        assert _run(["profile", str(res), "--metric", "bogus"]) == 1
+        assert _run(["profile", str(res), "--metric", "bogus"]) == 2
 
     def test_wrong_header_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
-        assert _run(["profile", str(bad)]) == 1
+        assert _run(["profile", str(bad)]) == 2
         assert "header" in capsys.readouterr().err
 
     def test_missing_file_exits_one(self, tmp_path):
-        assert _run(["profile", str(tmp_path / "nope.csv")]) == 1
+        assert _run(["profile", str(tmp_path / "nope.csv")]) == 2
+
+    def test_non_utf8_file_exits_two(self, tmp_path, capsys):
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(b"\xff\xfe\x00bad")
+        assert _run(["profile", str(binary)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"isqp: error: cannot read {str(binary)!r}: 'utf-8' codec" in captured.err
+
+    def test_unwritable_out_exits_two(self, tmp_path, capsys):
+        res = self._write_results(tmp_path, "only", ["HS035"])
+        assert _run(["profile", str(res), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"isqp: error: cannot write {str(tmp_path)!r}" in captured.err
 
     def test_empty_results_exit_one(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(bench.CSV_HEADER + "\n", encoding="utf-8")
-        assert _run(["profile", str(empty)]) == 1
+        assert _run(["profile", str(empty)]) == 2
 
     def test_duplicate_labels_exit_one(self, tmp_path, capsys):
         first = tmp_path / "one"
@@ -317,13 +365,13 @@ class TestProfileCommand:
         second.mkdir()
         a = self._write_results(first, "results", ["HS035"])
         b = self._write_results(second, "results", ["HS035"])
-        assert _run(["profile", str(a), str(b)]) == 1
+        assert _run(["profile", str(a), str(b)]) == 2
         assert "duplicate" in capsys.readouterr().err
 
     def test_mismatched_problem_sets_exit_one(self, tmp_path, capsys):
         a = self._write_results(tmp_path, "a", ["HS035"])
         b = self._write_results(tmp_path, "b", ["HS024"])
-        assert _run(["profile", str(a), str(b)]) == 1
+        assert _run(["profile", str(a), str(b)]) == 2
 
     def test_duplicate_rows_exit_one(self, tmp_path, capsys):
         res = self._write_results(tmp_path, "dup", ["HS024", "HS035"])
@@ -331,14 +379,14 @@ class TestProfileCommand:
         row = next(r for r in text.split("\n") if r.startswith("HS035,"))
         res.write_text(text + row.replace(",converged,", ",max_iterations,") + "\n",
                        encoding="utf-8")
-        assert _run(["profile", str(res)]) == 1
+        assert _run(["profile", str(res)]) == 2
         assert "duplicate record for 'HS035:a'" in capsys.readouterr().err
 
     def test_unknown_status_exits_one(self, tmp_path, capsys):
         res = self._write_results(tmp_path, "odd", ["HS035"])
         text = res.read_text(encoding="utf-8")
         res.write_text(text.replace(",converged,", ",solved,"), encoding="utf-8")
-        assert _run(["profile", str(res)]) == 1
+        assert _run(["profile", str(res)]) == 2
         assert "'solved' is not a valid SolveStatus" in capsys.readouterr().err
 
     def test_failed_rows_profile_as_failures(self, tmp_path, capsys):
@@ -354,13 +402,30 @@ class TestProfileCommand:
 
 class TestUsage:
     def test_no_subcommand_exits_one(self):
-        assert _run([]) == 1
+        assert _run([]) == 2
 
     def test_unknown_subcommand_exits_one(self):
-        assert _run(["frobnicate"]) == 1
+        assert _run(["frobnicate"]) == 2
 
     def test_unknown_flag_exits_one(self):
-        assert _run(["run", "--problem", "HS035", "--does-not-exist", "1"]) == 1
+        assert _run(["run", "--problem", "HS035", "--does-not-exist", "1"]) == 2
+
+
+class TestEntryPoints:
+    """isqp and the repository's scripts share argparse's usage contract:
+    an unknown flag exits 2 with nothing on stdout."""
+
+    @pytest.mark.parametrize("command", [
+        ["-m", "isqp.cli", "run"], ["tools/fingerprint_runs.py"],
+        ["tools/calibrate_rho.py"], ["perfbench/run.py"]],
+        ids=["isqp", "fingerprint_runs", "calibrate_rho", "perfbench"])
+    def test_unknown_flag_exits_two(self, command):
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, *command, "--no-such-flag"], cwd=ROOT,
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestDeterminism:

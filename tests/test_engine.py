@@ -9,7 +9,7 @@ import re
 import numpy as np
 import pytest
 
-from isqp import corpus, engine, linalg, model, qp
+from isqp import corpus, engine, errors, linalg, model, qp
 from isqp.errors import LineSearchStall, NumericalBreakdown, SingularMatrixError
 
 
@@ -1149,20 +1149,31 @@ class TestFailureResiduals:
         assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
 
     @pytest.mark.parametrize("k", [0, 2])
-    def test_degenerate(self, monkeypatch, k):
+    @pytest.mark.parametrize("error", [
+        errors.SingularMatrixError, errors.NotPositiveDefiniteError,
+        errors.DegenerateConstraints, errors.MaxQpIterationsError,
+        errors.NumericalBreakdown, errors.CertificateViolation,
+    ], ids=lambda cls: cls.__name__)
+    def test_degenerate(self, monkeypatch, error, k):
+        # Every NumericalFailure ends the run degenerate, through one handler.
+        assert issubclass(error, errors.NumericalFailure)
         failing = _failing_from(monkeypatch, k)
         real = engine.factor_shared
 
         def factor(*args):
             if failing():
-                raise SingularMatrixError("shared coefficient matrix is singular")
+                raise error(f"forced {error.__name__}")
             return real(*args)
 
         monkeypatch.setattr(engine, "factor_shared", factor)
         report = engine.solve(_toy_problem(), [3.0])
         assert report.status is engine.SolveStatus.DEGENERATE
-        assert report.message == "shared coefficient matrix is singular"
+        assert report.message == f"forced {error.__name__}"
         self._check_residual(report, _toy_problem(), k)
+
+    @pytest.mark.parametrize("error", [errors.LineSearchStall, errors.EvaluationFailure])
+    def test_stall_and_evaluation_failure_are_not_numerical_failures(self, error):
+        assert not issubclass(error, errors.NumericalFailure)
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_evaluation_failure(self, monkeypatch, k):
