@@ -345,7 +345,10 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
     |d0|^2 so the bending vanishes near a solution.  The update is skipped,
     and H itself returned, when the bent pair still fails the curvature
     test.  A returned candidate is not yet known to be positive definite:
-    step() factors it once, and that factorization is the test.
+    step() factors it once, and that factorization is the test.  It is
+    exactly symmetric whenever H is: each entry of the two outer products
+    is a product of two floats, which commutes in IEEE arithmetic, so no
+    symmetrization is needed (H starts at I).
     """
     s = ev_next.x - ev.x
     ss = float(s @ s)
@@ -376,8 +379,7 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
     shs = float(s @ hs)
     if shs <= 0.0:
         return H
-    candidate = H - np.outer(hs, hs) / shs + np.outer(yhat, yhat) / syh
-    return 0.5 * (candidate + candidate.T)
+    return H - np.outer(hs, hs) / shs + np.outer(yhat, yhat) / syh
 
 
 def _recover_multipliers(lam: np.ndarray, m_ineq: int, c: float) -> np.ndarray:

@@ -15,6 +15,7 @@ gradients and the shifted values that drive the next step.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,6 +63,8 @@ class NlpProblem:
     name: str = ""
 
     def __post_init__(self) -> None:
+        if not all(isinstance(k, Integral) for k in (self.n, self.m_ineq, self.m_eq)):
+            raise ValueError("n, m_ineq and m_eq must be integers")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.m_ineq < 0 or self.m_eq < 0:
@@ -232,11 +235,9 @@ def compute_pi(ev: Evaluation, p: float) -> np.ndarray:
     Solves (N^T N + D) pi = -N^T g0 where N stacks all constraint gradients
     and D carries |fbar_i|^p on inequality rows and zero on equality rows.
     The system is positive definite whenever the gradients active at the
-    point are independent; otherwise DegenerateConstraints is raised.
+    point are independent; otherwise DegenerateConstraints is raised.  With
+    no constraints the system is 0-by-0 and the estimate is empty.
     """
-    m = ev.fI.size
-    if m == 0:
-        return np.zeros(0)
     nmat = ev.gI
     diag = np.abs(ev.fbar) ** p
     diag[ev.m_ineq:] = 0.0

@@ -705,6 +705,9 @@ class TestOneFactorPerCurvatureMatrix:
         assert not [caller for _, _, caller in factored if caller == "qp"]
         first_h, first_low = handed[0]
         assert np.array_equal(first_h, np.eye(4)) and np.array_equal(first_low, np.eye(4))
+        # bfgs_update does not symmetrize: every chained update of I must
+        # come out exactly symmetric on its own.
+        assert all(np.array_equal(h, h.T) for h, _ in handed)
         assert not [a for a, _, _ in factored if a is first_h]
         for H, hfac in handed[1:]:
             if H is first_h:

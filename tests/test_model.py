@@ -48,6 +48,18 @@ class TestNlpProblemValidation:
         with pytest.raises(ValueError):
             model.NlpProblem(n=1, m_ineq=-1, m_eq=0, f0=lambda x: 0.0)
 
+    @pytest.mark.parametrize("counts", [
+        {"n": 2.0, "m_ineq": 0, "m_eq": 0},
+        {"n": 2, "m_ineq": 0, "m_eq": 0.5},
+    ])
+    def test_rejects_non_integral_counts(self, counts):
+        with pytest.raises(ValueError, match="integers"):
+            model.NlpProblem(f0=lambda x: 0.0, **counts)
+
+    def test_accepts_numpy_integer_counts(self):
+        prob = model.NlpProblem(n=np.int64(2), m_ineq=0, m_eq=0, f0=lambda x: float(x @ x))
+        assert prob.m == 0
+
     def test_requires_constraint_callback(self):
         with pytest.raises(ValueError):
             model.NlpProblem(n=1, m_ineq=1, m_eq=0, f0=lambda x: 0.0)
