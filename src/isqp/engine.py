@@ -71,8 +71,6 @@ from .errors import (
 
 # Slack used by runtime certificate assertions.
 CERT_SLACK = 1e-9
-# Multipliers below this are treated as exact zeros.
-LAMBDA_SNAP = 1e-12
 # Trial budget of the feasible-direction search.
 SEARCH_TRIALS = 60
 
@@ -171,7 +169,7 @@ class IterationRecord:
     i0_margin: Optional[float] = None       # max over izero of g_i'dhat + beta*(|d0|+phi**sigma)
     h_updated: Optional[bool] = None
     fixed_point: bool = False               # the accepted step left the state unchanged
-    lam: Optional[np.ndarray] = None        # QP multipliers, entries below LAMBDA_SNAP zeroed
+    lam: Optional[np.ndarray] = None        # QP multipliers, exact zeros off its working set
     kkt_residual: Optional[float] = None    # what the termination test read; set when phi = 0
 
 
@@ -420,13 +418,10 @@ def step(problem: model.NlpProblem, state: IterateState,
 
     # Penalty update: only equality multiplier estimates can raise c.
     c = state.c
-    c_changed = False
     if problem.m_eq > 0:
         pi = model.compute_pi(ev, P)
         c = model.update_c(c, pi[problem.m_ineq:], GAMMA, GAMMA0)
-        c_changed = c > state.c
-        _require(c >= state.c and (not c_changed or c >= state.c + GAMMA),
-                 "penalty parameter update broke its jump rule")
+    c_changed = c > state.c
 
     # Main direction from the always-feasible QP, solved against the factor
     # of H that certified it positive definite.
@@ -436,20 +431,18 @@ def step(problem: model.NlpProblem, state: IterateState,
     d0 = sol.d0
     norm_d0 = float(np.linalg.norm(d0))
     fc0 = model.penalty_value(ev, c)
-    lam_clean = sol.lam.copy()
-    lam_clean[lam_clean < LAMBDA_SNAP] = 0.0
 
     # The one stopping rule: a feasible point (every constraint satisfied,
     # so phi is 0) whose KKT residual under this QP's multipliers is at most
     # kkt_tol, whatever |d0| is.
     kkt_residual = None
     if phi == 0.0:
-        mu = _recover_multipliers(lam_clean, problem.m_ineq, c)
+        mu = _recover_multipliers(sol.lam, problem.m_ineq, c)
         kkt_residual = model.kkt_residual_original(ev, mu)
         if kkt_residual <= options.kkt_tol:
             record = IterationRecord(
                 k=state.k, converged=True, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
-                c_changed=c_changed, iminus_size=ev.n_satisfied, lam=lam_clean,
+                c_changed=c_changed, iminus_size=ev.n_satisfied, lam=sol.lam,
                 kkt_residual=kkt_residual,
             )
             return state, record
@@ -488,9 +481,8 @@ def step(problem: model.NlpProblem, state: IterateState,
                                             options, counters)
         branch = "feasible_direction"
 
-    _require(vals.n_satisfied >= ev.n_satisfied, "accepted step lost a satisfied constraint")
     ev_next = model.evaluate(problem, vals, counters)
-    h_next = bfgs_update(state.H, ev, ev_next, lam_clean, sol.active, c, d0)
+    h_next = bfgs_update(state.H, ev, ev_next, sol.lam, sol.active, c, d0)
     low_next = state.low
     if h_next is not state.H:
         try:  # the one factorization of h_next, and its positive-definiteness test
@@ -505,7 +497,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         iminus_size_next=vals.n_satisfied, slope=slope,
         gamma_residual=gamma_residual, descent_lhs=descent_lhs,
         descent_rhs=descent_rhs, i0_margin=i0_margin,
-        h_updated=h_next is not state.H, fixed_point=fixed_point, lam=lam_clean,
+        h_updated=h_next is not state.H, fixed_point=fixed_point, lam=sol.lam,
         kkt_residual=kkt_residual,
     )
     if fixed_point:

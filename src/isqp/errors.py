@@ -22,7 +22,7 @@ class NotPositiveDefiniteError(NumericalFailure):
 
 
 class EvaluationFailure(SolverError):
-    """A problem callback returned a non-finite value."""
+    """A problem callback returned a misshapen or non-finite value."""
 
 
 class DegenerateConstraints(NumericalFailure):

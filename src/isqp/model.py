@@ -33,10 +33,10 @@ PHI_TOL = 1e-10
 class EvalCounters:
     """Evaluation tallies for one run.
 
-    nf0 counts objective values, nf counts scalar constraint values (a full
-    constraint vector adds m).  A line-search trial rejected on its
-    constraint values costs no objective evaluation.  Gradient calls are not
-    tallied; probing function values for finite differences is.
+    nf0 counts objective values, nf scalar constraint values (a full vector
+    adds m), each once the callback contract accepts it.  A trial rejected on
+    its constraint values costs no objective evaluation.  Gradient calls are
+    not tallied; probing function values for finite differences is.
     """
 
     nf0: int = 0
@@ -47,8 +47,9 @@ class EvalCounters:
 class NlpProblem:
     """A smooth nonlinear program in standard form.
 
-    ``f`` returns all m = m_ineq + m_eq constraint values as one vector,
-    inequalities first.  ``grad_f`` returns the n-by-m matrix whose columns
+    Callback shapes are exact: ``f0`` returns a scalar, ``f`` the (m,)
+    vector of all m = m_ineq + m_eq constraint values, inequalities first,
+    ``grad_f0`` an (n,) vector and ``grad_f`` the (n, m) matrix whose columns
     are constraint gradients.  Missing gradient callbacks fall back to
     central finite differences, whose probes are tallied.
     """
@@ -116,22 +117,33 @@ class Evaluation(PointValues):
     izero: np.ndarray
 
 
+def _vouch(name: str, value, shape: tuple, x: np.ndarray) -> np.ndarray:
+    """``value`` from ``name`` at x as a C-ordered float array of exactly
+    ``shape`` (never reshaped: an m-by-n Jacobian read as n-by-m is another
+    program; one layout, since products round by it), every entry finite."""
+    try:
+        arr = np.asarray(value, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:
+        raise EvaluationFailure(f"{name} returned no float array at x={x!r}: {exc}") from exc
+    if arr.shape != shape:
+        raise EvaluationFailure(f"{name} returned shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        bad = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
+        raise EvaluationFailure(f"{name} returned {arr[bad]} at entry {bad} at x={x!r}")
+    return arr
+
+
 def objective_value(problem: NlpProblem, x: np.ndarray, counters: EvalCounters) -> float:
-    val = float(problem.f0(x))
+    val = float(_vouch("f0", problem.f0(x), (), x))
     counters.nf0 += 1
-    if not np.isfinite(val):
-        raise EvaluationFailure(f"objective returned {val} at x={x!r}")
     return val
 
 
 def constraint_values(problem: NlpProblem, x: np.ndarray, counters: EvalCounters) -> np.ndarray:
     if problem.m == 0:
         return np.zeros(0)
-    vals = np.asarray(problem.f(x), dtype=float).reshape(problem.m)
+    vals = _vouch("f", problem.f(x), (problem.m,), x)
     counters.nf += problem.m
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise EvaluationFailure(f"constraint {bad} returned {vals[bad]} at x={x!r}")
     return vals
 
 
@@ -159,7 +171,7 @@ def with_objective(problem: NlpProblem, values: PointValues,
     return replace(values, f0=objective_value(problem, values.x, counters))
 
 
-def _central_differences(value, n: int, x, shape: tuple) -> np.ndarray:
+def _central_differences(name: str, value, n: int, x, shape: tuple) -> np.ndarray:
     """Rows j = (value(x + h e_j) - value(x - h e_j)) / 2h with
     h = FD_STEP * max(1, |x_j|), each row of the given shape; the probe at
     x + h e_j comes before the one at x - h e_j."""
@@ -172,19 +184,19 @@ def _central_differences(value, n: int, x, shape: tuple) -> np.ndarray:
         xp[j] += h
         xm[j] -= h
         out[j] = (value(xp) - value(xm)) / (2.0 * h)  # operands run left to right
-    return out
+    return _vouch(name, out, (n, *shape), x)
 
 
 def fd_gradient(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
     """Central-difference gradient of the objective.  Every probe is
     tallied."""
-    return _central_differences(lambda z: objective_value(problem, z, counters),
+    return _central_differences("fd_gradient", lambda z: objective_value(problem, z, counters),
                                 problem.n, x, ())
 
 
 def fd_jacobian(problem: NlpProblem, x, counters: EvalCounters) -> np.ndarray:
     """Central-difference constraint Jacobian, returned as n-by-m columns."""
-    return _central_differences(lambda z: constraint_values(problem, z, counters),
+    return _central_differences("fd_jacobian", lambda z: constraint_values(problem, z, counters),
                                 problem.n, x, (problem.m,))
 
 
@@ -193,22 +205,17 @@ def evaluate(problem: NlpProblem, values: PointValues,
     """Full evaluation at the point of ``values``, which must be complete
     (f0 added by :func:`with_objective`): the function values are paid for
     once per point, and only the gradients are evaluated here."""
-    x = values.x
+    x, n, m = values.x, problem.n, problem.m
     if problem.grad_f0 is not None:
-        g0 = np.asarray(problem.grad_f0(x), dtype=float).reshape(problem.n)
+        g0 = _vouch("grad_f0", problem.grad_f0(x), (n,), x)
     else:
         g0 = fd_gradient(problem, x, counters)
-    if problem.m == 0:
-        gI = np.zeros((problem.n, 0))
+    if m == 0:
+        gI = np.zeros((n, 0))
     elif problem.grad_f is not None:
-        # One memory layout whatever the callback returns: products round
-        # differently by layout, and the run must depend on the program only.
-        gI = np.ascontiguousarray(problem.grad_f(x), dtype=float).reshape(
-            problem.n, problem.m)
+        gI = _vouch("grad_f", problem.grad_f(x), (n, m), x)
     else:
         gI = fd_jacobian(problem, x, counters)
-    if not np.all(np.isfinite(g0)) or not np.all(np.isfinite(gI)):
-        raise EvaluationFailure(f"non-finite gradient at x={x!r}")
     # In place rather than np.minimum, which would turn a -0.0 into 0.0.
     fbar = values.fI.copy()
     fbar[~values.satisfied] -= values.phi

@@ -88,9 +88,9 @@ class QpInstance:
 
 @dataclass(frozen=True)
 class QpSolution:
-    """Minimizer, multipliers (exact zeros off the active set), and the
-    indices of constraints active at the minimizer.  ``y`` is H^-1 A' and
-    ``ay`` is A H^-1 A' (symmetrized), as the solve formed them."""
+    """Minimizer, multipliers (exact 0 off the final working set, clipped at
+    0 on it), indices of constraints active at the minimizer, and ``y`` =
+    H^-1 A' and ``ay`` = A H^-1 A' (symmetrized) as the solve formed them."""
 
     d0: np.ndarray
     lam: np.ndarray

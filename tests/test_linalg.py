@@ -128,6 +128,10 @@ class TestCholesky:
                 with pytest.raises(NotPositiveDefiniteError):
                     linalg.cholesky(sym)
 
+    def test_solve_rejects_wrong_rhs_length(self):
+        with pytest.raises(ValueError, match="right-hand side has wrong length"):
+            linalg.solve_cholesky(np.eye(2), np.ones(3))
+
 
 class TestSpdSolve:
     def test_scaled_identity(self):

@@ -1,6 +1,8 @@
 """Problem-model contracts: index sets, penalty bookkeeping, multiplier
 estimates, penalty-parameter updates, and the KKT residual."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,70 @@ class TestEvaluationFailures:
         )
         with pytest.raises(EvaluationFailure):
             _evaluate(prob, [0.0])
+
+
+class TestCallbackContract:
+    """Every callback value must have its documented shape; a run handed
+    another shape ends evaluation_failure at once instead of reshaping it
+    into a different program."""
+
+    @staticmethod
+    def _failure(problem, x0):
+        report = engine.solve(problem, x0)
+        assert report.status is engine.SolveStatus.EVALUATION_FAILURE
+        assert report.ni == 0
+        return report.message
+
+    @staticmethod
+    def _ball_program(jacobian):
+        """min x.x s.t. 1 - x1 - 2 x2 - 3 x3 <= 0 and 0.5 - x3 <= 0, whose
+        minimizer is (0, 0, 0.5) with fv 0.25; ``jacobian`` turns the 3x2
+        Jacobian into what grad_f returns."""
+        jac = np.array([[-1.0, 0.0], [-2.0, 0.0], [-3.0, -1.0]])
+        return model.NlpProblem(
+            n=3, m_ineq=2, m_eq=0,
+            f0=lambda x: float(x @ x),
+            f=lambda x: np.array([1.0 - x[0] - 2.0 * x[1] - 3.0 * x[2], 0.5 - x[2]]),
+            grad_f0=lambda x: 2.0 * x,
+            grad_f=lambda x: jacobian(jac),
+        )
+
+    def test_documented_jacobian_reaches_the_optimum(self):
+        report = engine.solve(self._ball_program(lambda jac: jac), [1.0, 1.0, 1.0])
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.fv == pytest.approx(0.25, abs=1e-7)
+
+    def test_transposed_jacobian_is_refused(self):
+        # Read as 3x2, the 2x3 Jacobian describes another program, on which
+        # the run once converged at fv 1.25.
+        message = self._failure(self._ball_program(lambda jac: jac.T), [1.0, 1.0, 1.0])
+        assert message == "grad_f returned shape (2, 3), expected (3, 2)"
+
+    def test_objective_of_shape_one_is_refused(self):
+        prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0,
+                                f0=lambda x: np.array([x[0] ** 2]))
+        assert self._failure(prob, [1.0]) == "f0 returned shape (1,), expected ()"
+
+    def test_constraint_vector_of_wrong_length_is_refused(self):
+        prob = dataclasses.replace(_toy_problem(), f=lambda x: np.array([x[0] - 1.0]))
+        assert self._failure(prob, [0.5]) == "f returned shape (1,), expected (2,)"
+
+    def test_column_gradient_is_refused(self):
+        prob = model.NlpProblem(n=2, m_ineq=0, m_eq=0,
+                                f0=lambda x: float(x @ x),
+                                grad_f0=lambda x: 2.0 * x[:, None])
+        message = self._failure(prob, [1.0, 1.0])
+        assert message == "grad_f0 returned shape (2, 1), expected (2,)"
+
+    def test_ragged_value_is_refused(self):
+        prob = dataclasses.replace(_toy_problem(), f=lambda x: [x[0] - 1.0, [-x[0]]])
+        assert self._failure(prob, [0.5]).startswith("f returned no float array")
+
+    def test_non_finite_entry_is_named(self):
+        prob = dataclasses.replace(
+            _toy_problem(), grad_f=lambda x: np.array([[1.0, float("nan")]]))
+        message = self._failure(prob, [0.5])
+        assert message.startswith("grad_f returned nan at entry (0, 1) at x=")
 
 
 class TestFiniteDifferences:

@@ -8,7 +8,12 @@ import numpy as np
 import pytest
 
 from isqp import linalg, qp
-from isqp.errors import CertificateViolation, MaxQpIterationsError, NumericalBreakdown
+from isqp.errors import (
+    CertificateViolation,
+    MaxQpIterationsError,
+    NotPositiveDefiniteError,
+    NumericalBreakdown,
+)
 
 
 def _oracle(H, grad, A, b):
@@ -136,6 +141,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             qp.QpInstance(H=np.eye(2), grad=np.zeros(1),
                           A=np.zeros((0, 1)), b=np.zeros(0))
+
+    def test_a_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="A shape does not match b and gradient"):
+            qp.QpInstance(H=np.eye(2), grad=np.zeros(2),
+                          A=np.zeros((1, 3)), b=np.zeros(1))
 
     def test_factor_of_another_matrix_fails_the_certificate(self):
         # The KKT certificate reads H itself.  Solving against the factor of
@@ -373,6 +383,32 @@ class TestCertificates:
                              ay=np.zeros((0, 0)))
         with pytest.raises(CertificateViolation):
             qp.objective_decrease_certificate(inst, fake)
+
+    # One case per exit of the KKT certificate past stationarity, on
+    # H = 1, A = [[1]]: (b, d, grad, lam) is stationary, and it breaks only
+    # the named condition.
+    @pytest.mark.parametrize("b, d, grad, lam, reason", [
+        (0.0, 1.0, -1.0, 0.0, "feasibility"),
+        (1.0, 0.0, 1.0, -1.0, "negative multiplier"),
+        (1.0, 0.0, -1.0, 1.0, "complementarity"),
+    ], ids=["feasibility", "negative-multiplier", "complementarity"])
+    def test_kkt_certificate_exits(self, b, d, grad, lam, reason):
+        inst = qp.QpInstance(H=np.eye(1), grad=np.array([grad]),
+                             A=np.ones((1, 1)), b=np.array([b]))
+        with pytest.raises(NumericalBreakdown, match=f"^QP {reason} "):
+            qp._certify(inst, np.array([d]), np.array([lam]))
+
+    def test_dependent_working_set_is_a_breakdown(self, monkeypatch):
+        # The first step from d = 0 is blocked by row 0 (H = I, grad = -1,
+        # b = 0.5), so the second solves a working-set system.
+        def singular(m, b):
+            raise NotPositiveDefiniteError("forced")
+
+        monkeypatch.setattr(linalg, "spd_solve", singular)
+        inst = qp.QpInstance(H=np.eye(1), grad=np.array([-1.0]),
+                             A=np.ones((1, 1)), b=np.array([0.5]))
+        with pytest.raises(NumericalBreakdown, match="dependent working set in QP"):
+            qp.solve_qp(inst, linalg.cholesky(inst.H))
 
     def test_kkt_certificate_holds_on_random_instances(self):
         rng = np.random.default_rng(77)
