@@ -24,11 +24,16 @@ update, and that Cholesky factorization is its positive-definiteness test
 (a candidate that fails it is skipped).  The iterate keeps H together with
 its factor, the identity at x0, and the next QP solves against that factor.
 
+Each QP starts its active-set loop from the rows that had a positive
+multiplier in the previous iteration's QP (none in the first iteration);
+the QP falls back to a cold start on its own when they do not fit.
+
 In floating point a search can accept a step too short to change x.  With
 the penalty parameter unchanged, such a step also leaves the curvature
-matrix as it was, so every later iteration would repeat it bit for bit.
-The run then stops at once with status ``line_search_stall``, reporting
-the KKT residual reached under that iteration's QP multipliers.
+matrix as it was; if the QP's positive-multiplier rows are also those it
+started from, every later iteration would repeat it bit for bit.  The run
+then stops at once with status ``line_search_stall``, reporting the KKT
+residual reached under that iteration's QP multipliers.
 
 A run has one stopping rule: it converges at its first feasible iterate
 (phi = 0) whose KKT residual of the original program, under that
@@ -144,6 +149,8 @@ class IterateState:
     counters: model.EvalCounters
     k: int = 0
     ev: Optional[model.Evaluation] = None  # set by solve() before the first step
+    # Rows with a positive multiplier in the last QP, where the next one starts.
+    warm_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))
 
 
 @dataclass
@@ -398,10 +405,11 @@ def _is_fixed_point(ev: model.Evaluation, accepted: model.PointValues,
     """Whether the accepted step leaves the iteration's state unchanged.
 
     A step too short to change x in floating point, with c unchanged, also
-    leaves H unchanged (s = 0 skips the update), so with deterministic
-    callbacks the next iteration would start from the same state and repeat
-    this one bit for bit.  x is compared on its bytes, so a flip from -0.0
-    to 0.0 counts as a move.
+    leaves H unchanged (s = 0 skips the update); ``step`` also requires the
+    rows the next QP starts from to be those this one started from.  With
+    deterministic callbacks the next iteration would then start from the
+    same state and repeat this one bit for bit.  x is compared on its
+    bytes, so a flip from -0.0 to 0.0 counts as a move.
     """
     return accepted.x.tobytes() == ev.x.tobytes() and not c_changed
 
@@ -427,7 +435,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     # of H that certified it positive definite.
     grad_fc = model.penalty_gradient(ev, c)
     inst = qpmod.QpInstance(H=state.H, grad=grad_fc, A=ev.gI.T, b=-ev.fbar)
-    sol = qpmod.solve_qp(inst, state.low)
+    sol = qpmod.solve_qp(inst, state.low, state.warm_rows)
     d0 = sol.d0
     norm_d0 = float(np.linalg.norm(d0))
     fc0 = model.penalty_value(ev, c)
@@ -472,7 +480,10 @@ def step(problem: model.NlpProblem, state: IterateState,
         slope_hat = float(grad_fc @ dhat)
         descent_lhs = slope_hat
         descent_rhs = THETA * slope + phi ** THETA
-        _require(descent_lhs <= descent_rhs + CERT_SLACK, "blended direction lost descent")
+        # Where beta binds, the two sides are equal in exact arithmetic, so
+        # their rounding error, and the slack, scale with their size.
+        _require(descent_lhs <= descent_rhs + CERT_SLACK * max(1.0, abs(descent_rhs)),
+                 "blended direction lost descent")
         shift = beta * push
         if ev.izero.size:
             i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + shift))
@@ -489,7 +500,9 @@ def step(problem: model.NlpProblem, state: IterateState,
             low_next = linalg.cholesky(h_next)
         except NotPositiveDefiniteError:
             h_next = state.H
-    fixed_point = _is_fixed_point(ev, vals, c_changed)
+    warm_rows = np.flatnonzero(sol.lam > 0)
+    fixed_point = (_is_fixed_point(ev, vals, c_changed)
+                   and np.array_equal(warm_rows, state.warm_rows))
 
     record = IterationRecord(
         k=state.k, converged=False, norm_d0=norm_d0, phi=phi, fc=fc0, c=c,
@@ -504,6 +517,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         return state, record
     new_state = IterateState(
         H=h_next, low=low_next, c=c, counters=counters, k=state.k + 1, ev=ev_next,
+        warm_rows=warm_rows,
     )
     return new_state, record
 

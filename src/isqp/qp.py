@@ -12,6 +12,17 @@ rules out cycling on a degenerate vertex; the step limit 50(n+m) bounds a
 cycle by raising MaxQpIterationsError, which ``engine.solve`` reports as
 ``degenerate``.
 
+The loop needs a feasible start and its working set there.  The caller
+may name rows to start from (the engine passes those with a positive
+multiplier in the previous iteration's QP; Nocedal & Wright, sections
+16.5 and 18.3): the minimizer d_W of the objective on the equalities
+A_W d = b_W is the start, with W as the working set, when every other row
+holds there exactly, A_i d_W <= b_i with no tolerance.  Otherwise, and
+when A_W Y_W fails its Cholesky pivot floor or residual check, the loop
+starts cold at d = 0 with an empty working set.  Both starts run the same
+loop; near a solution the rows barely change between iterations, and the
+warm loop only confirms the multipliers' signs.
+
 The caller passes the lower Cholesky factor of H, which the engine forms
 once per curvature matrix (that factorization is H's positive-definiteness
 certificate), and every n-sized solve is done before the loop: Y = H^-1 A'
@@ -115,9 +126,27 @@ def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
             raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
 
 
-def solve_qp(inst: QpInstance, hfac: np.ndarray) -> QpSolution:
+def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
+                y_all: np.ndarray, ay: np.ndarray, rows: np.ndarray):
+    """The minimizer d = -(u + Y_W lam) on the equalities A_W d = b_W of the
+    rows W, or None unless every other row holds at d exactly (or when
+    A_W Y_W is not numerically positive definite)."""
+    if rows.size == 0:
+        return None
+    try:
+        lam = linalg.spd_solve(ay[np.ix_(rows, rows)], -(b[rows] + au[rows]))
+    except (NotPositiveDefiniteError, NumericalBreakdown):
+        return None
+    d = -(u + y_all[:, rows] @ lam)
+    holds = A @ d <= b  # NaN fails
+    holds[rows] = True
+    return d if holds.all() else None
+
+
+def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
     """Solve the subproblem, given the lower Cholesky factor ``hfac`` of
-    inst.H, certifying the KKT conditions of the result against inst.H."""
+    inst.H and the rows ``warm`` to start the working set from, certifying
+    the KKT conditions of the result against inst.H."""
     n, m = inst.n, inst.m
     H, grad, A, b = inst.H, inst.grad, inst.A, inst.b
     y_all = linalg.solve_cholesky(hfac, A.T)
@@ -128,12 +157,20 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray) -> QpSolution:
     row_scale = np.abs(A).max(axis=1, initial=0.0)
     abs_grad = np.abs(grad)
     abs_h = np.abs(H)
-    d = np.zeros(n)
+    warm = np.asarray(warm, dtype=np.intp)
+    d = _warm_start(A, b, u, au, y_all, ay, warm)
     in_work = np.zeros(m, dtype=bool)
+    if d is None:
+        d = np.zeros(n)
+        best = 0.0  # the objective at the feasible start d = 0
+    else:
+        in_work[warm] = True
+        # Not inst.objective: perfbench/tracer.py counts the loop's steps
+        # through its calls.
+        best = float(0.5 * d @ H @ d + grad @ d)
     kkt_tol = inst.kkt_tol
     limit = 50 * (n + m)
     stall = 0
-    best = 0.0  # the objective at the feasible start d = 0
 
     for _ in range(limit):
         a_d = A @ d

@@ -70,6 +70,33 @@ def _quadratic(hess_diag):
     )
 
 
+def _half_ulp_problem():
+    """A program no double can solve to the KKT tolerance, with its start.
+
+    min 0.5 (u - 2^40)^2 + 2^-14 u - 2v  s.t.  v <= 1.  The minimizer
+    u* = 2^40 - 2^-14 lies halfway between the adjacent doubles
+    2^40 - 2^-13 and 2^40, where the gradient in u is -2^-14 and 2^-14, so
+    the KKT residual stays above 1e-5 at every iterate.  From
+    (2^40 - 0.75, 0.75) the run reaches u = 2^40 at k = 5 and, at k = 9, a
+    point where the corrected arc at t = 1 rounds back to x: its step in u
+    is half the spacing of the doubles there (a tie, rounded to the even
+    2^40), and its step in v is the correction's inward push cancelling the
+    QP's step to v = 1.  The row v <= 1 keeps multiplier 2 throughout, so
+    every QP after the first starts from it.
+    """
+    u_star = 2.0 ** 40
+    tie = 2.0 ** -14
+    problem = model.NlpProblem(
+        n=2, m_ineq=1, m_eq=0,
+        f0=lambda x: float(0.5 * (x[0] - u_star) ** 2 + tie * x[0] - 2.0 * x[1]),
+        grad_f0=lambda x: np.array([x[0] - u_star + tie, -2.0]),
+        f=lambda x: np.array([x[1] - 1.0]),
+        grad_f=lambda x: np.array([[0.0], [1.0]]),
+        name="half-ulp",
+    )
+    return problem, np.array([u_star - 0.75, 0.75])
+
+
 def _failing_from(monkeypatch, k):
     """Track the iteration engine.step runs; returns a predicate that holds
     from iteration k on (and not while x0 is evaluated)."""
@@ -682,9 +709,9 @@ class TestOneFactorPerCurvatureMatrix:
                     where.pop()
             return wrapped
 
-        def solve_qp(inst, hfac):
+        def solve_qp(inst, hfac, warm):
             handed.append((inst.H, hfac))
-            return inside("qp", real_solve_qp)(inst, hfac)
+            return inside("qp", real_solve_qp)(inst, hfac, warm)
 
         monkeypatch.setattr(linalg, "cholesky", cholesky)
         monkeypatch.setattr(linalg, "spd_solve", inside("spd_solve", real_spd_solve))
@@ -708,6 +735,24 @@ class TestOneFactorPerCurvatureMatrix:
             assert factors[0] is hfac
         assert len({id(H) for H, _ in handed}) == 1 + sum(
             bool(rec.h_updated) for rec in report.trace)
+
+
+class TestWarmRows:
+    def test_each_qp_starts_from_the_last_positive_rows(self, monkeypatch):
+        # The first QP gets no rows; each later one gets the rows with a
+        # positive multiplier in the QP of the iteration before it.
+        handed = []
+        real_solve_qp = qp.solve_qp
+        monkeypatch.setattr(qp, "solve_qp", lambda inst, hfac, warm: (
+            handed.append(warm) or real_solve_qp(inst, hfac, warm)))
+        entry = corpus.get_problem("HS100")
+        report = engine.solve(entry.problem, entry.x0_feasible)
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert len(handed) == len(report.trace)
+        assert handed[0].size == 0
+        for warm, before in zip(handed[1:], report.trace):
+            assert np.array_equal(warm, np.flatnonzero(before.lam > 0))
+        assert sum(warm.size > 0 for warm in handed) > len(handed) // 2
 
 
 class TestSolveSynthetic:
@@ -884,20 +929,17 @@ class TestSolveSynthetic:
 
 
 class TestFixedPoint:
-    """A step that leaves (x, H, c) unchanged ends the run as
-    line_search_stall: every later iteration would repeat it exactly.
+    """A step that leaves the state (x, H, c and the rows the next QP
+    starts from) unchanged ends the run as line_search_stall: every later
+    iteration would repeat it exactly.
 
-    Convex data seed 7 reaches such a point (at k = 56) only when
-    constraint values are compared with 0 exactly (the ``exact`` fixture
-    sets model.PHI_TOL to 0 for each test that uses it): an active
-    constraint lands at about +1e-16 after a move and the searches shrink
-    t until x stops moving.  Under the default roundoff floor it converges.  Which
-    exact-mode runs stall depends on rounding in the linear algebra, and on
-    the path: the exact-mode cases run under the paper's rho = 2, where
-    seed 7 stalls and seeds 0 and 2 converge.
+    The witness is ``_half_ulp_problem``, whose minimizer lies halfway
+    between two doubles: no iterate meets the KKT tolerance, and at k = 9
+    the accepted arc rounds back to x.  It stalls there with or without
+    the roundoff floor.  With constraint values compared with 0 exactly
+    (the ``exact`` fixture sets model.PHI_TOL to 0), convex data seeds 0, 2
+    and 7 converge under the paper's rho.
     """
-
-    STALLS = 7  # a convex data seed that stalls in exact mode within 75 iterations
 
     PAPER_RHO = engine.SolverOptions(rho=2.0)
 
@@ -907,10 +949,11 @@ class TestFixedPoint:
 
     @staticmethod
     def _state_bytes(state):
-        return state.ev.x.tobytes(), state.H.tobytes(), np.float64(state.c).tobytes()
+        return (state.ev.x.tobytes(), state.H.tobytes(), np.float64(state.c).tobytes(),
+                state.warm_rows.tobytes())
 
     def _recorded_steps(self, monkeypatch, problem, x0, options):
-        """Solve while recording the (x, H, c) bytes into and out of every
+        """Solve while recording the state bytes into and out of every
         step."""
         steps = []
         real_step = engine.step
@@ -924,8 +967,8 @@ class TestFixedPoint:
         monkeypatch.setattr(engine, "step", recording_step)
         return engine.solve(problem, x0, options), steps
 
-    def test_stops_at_the_first_step_that_repeats(self, monkeypatch, exact):
-        problem, x0 = workloads.convex_problem(self.STALLS, 20)
+    def test_stops_at_the_first_step_that_repeats(self, monkeypatch):
+        problem, x0 = _half_ulp_problem()
         options = dataclasses.replace(self.PAPER_RHO, max_iter=75)
         with monkeypatch.context() as patch:
             patch.setattr(engine, "_is_fixed_point", lambda *args: False)
@@ -943,8 +986,8 @@ class TestFixedPoint:
         assert report.fv == unstopped.fv
         assert report.phi_final == unstopped.phi_final
 
-    def test_stall_reports_its_residual(self, exact):
-        problem, x0 = workloads.convex_problem(self.STALLS, 20)
+    def test_stall_reports_its_residual(self):
+        problem, x0 = _half_ulp_problem()
         report = engine.solve(problem, x0, self.PAPER_RHO)
         assert report.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert re.fullmatch(r"fixed point: step t=\S+ along \|d0\|=\S+ "
@@ -962,7 +1005,26 @@ class TestFixedPoint:
         assert np.isfinite(report.kkt_residual)
         assert report.kkt_residual == model.kkt_residual_original(ev, report.mu)
 
-    @pytest.mark.parametrize("seed", [0, 2])
+    def test_changed_start_rows_are_not_a_fixed_point(self, monkeypatch):
+        # The witness's stall step, taken from a state whose QP had no rows
+        # to start from: x, H and c stay, but the next QP would start from
+        # row 0, so the step is not a fixed point; the step after it is.
+        problem, x0 = _half_ulp_problem()
+        states = []
+        real_step = engine.step
+        monkeypatch.setattr(engine, "step", lambda problem, state, options: (
+            states.append(state) or real_step(problem, state, options)))
+        engine.solve(problem, x0, self.PAPER_RHO)
+        stalled = states[-1]
+        assert stalled.warm_rows.tolist() == [0]
+        cold = dataclasses.replace(stalled, warm_rows=np.zeros(0, dtype=np.intp))
+        after, record = real_step(problem, cold, self.PAPER_RHO)
+        assert not record.fixed_point
+        assert self._state_bytes(after)[:3] == self._state_bytes(cold)[:3]
+        assert after.warm_rows.tolist() == [0]
+        assert real_step(problem, after, self.PAPER_RHO)[1].fixed_point
+
+    @pytest.mark.parametrize("seed", [0, 2, 7])
     def test_other_seeds_still_converge(self, seed, exact):
         problem, x0 = workloads.convex_problem(seed, 20)
         report = engine.solve(problem, x0, self.PAPER_RHO)
@@ -972,8 +1034,8 @@ class TestFixedPoint:
     # (ni, nf0, nf) of each data seed under default options; seeds 0-2 are
     # the convex-n20 benchmark workload.  Like test_corpus.PINNED_RUNS, the
     # counts follow every rounding decision of the solver.
-    CONVERGED_COUNTS = {0: (20, 35, 3040), 1: (21, 40, 3240), 2: (20, 29, 2840),
-                        7: (23, 39, 3360)}
+    CONVERGED_COUNTS = {0: (20, 35, 3040), 1: (20, 39, 3160), 2: (20, 30, 2880),
+                        7: (24, 41, 3480)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_every_seed_converges_under_the_roundoff_floor(self, seed):
@@ -1008,7 +1070,7 @@ class TestPenaltyPath:
     # options.  Every seed raises c on its way to a solution with the
     # equality active; like the convex pins, the counts follow every
     # rounding decision of the solver.
-    CONVERGED_COUNTS = {0: (46, 143, 1404), 1: (57, 200, 2352), 2: (46, 141, 1668),
+    CONVERGED_COUNTS = {0: (46, 143, 1404), 1: (57, 200, 2352), 2: (45, 139, 1650),
                         3: (70, 250, 2982)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
@@ -1175,8 +1237,8 @@ class TestTraceRecords:
     def test_convergence_is_certified_once(self, monkeypatch):
         # Each termination test evaluates the KKT residual once, and a run
         # that ends at the iterate of its last test, converged or at a
-        # feasible fixed point (convex data seed 7 in exact mode under the
-        # paper's rho; see TestFixedPoint), reports the value it read.
+        # feasible fixed point (see TestFixedPoint), reports the value it
+        # read.
         calls = []
         real = model.kkt_residual_original
 
@@ -1187,9 +1249,7 @@ class TestTraceRecords:
         monkeypatch.setattr(model, "kkt_residual_original", counting)
         entry = corpus.get_problem("HS035")
         converged = engine.solve(entry.problem, entry.x0_feasible)
-        monkeypatch.setattr(model, "PHI_TOL", 0.0)
-        stalled = engine.solve(*workloads.convex_problem(7, 20),
-                               engine.SolverOptions(rho=2.0))
+        stalled = engine.solve(*_half_ulp_problem(), engine.SolverOptions(rho=2.0))
         assert converged.status is engine.SolveStatus.CONVERGED
         assert stalled.status is engine.SolveStatus.LINE_SEARCH_STALL
         assert stalled.trace[-1].fixed_point
@@ -1200,7 +1260,7 @@ class TestTraceRecords:
             tested += read
         assert calls == tested
 
-    def test_trace_is_the_iteration_ledger(self, monkeypatch):
+    def test_trace_is_the_iteration_ledger(self):
         # Each completed iteration leaves one record, and a converged or
         # fixed-point record sits past them at index ni, so nio is counted
         # from the records.  Every corpus run, one that spends its budget,
@@ -1213,9 +1273,7 @@ class TestTraceRecords:
         runs["budget"] = engine.solve(_toy_problem(), [3.0], engine.SolverOptions(max_iter=2))
         broken = dataclasses.replace(_toy_problem(), f0=lambda x: math.nan)
         runs["x0-fails"] = engine.solve(broken, [3.0])
-        monkeypatch.setattr(model, "PHI_TOL", 0.0)
-        runs["fixed-point"] = engine.solve(*workloads.convex_problem(7, 20),
-                                           engine.SolverOptions(rho=2.0))
+        runs["fixed-point"] = engine.solve(*_half_ulp_problem(), engine.SolverOptions(rho=2.0))
         assert runs["budget"].status is engine.SolveStatus.MAX_ITERATIONS
         assert runs["x0-fails"].status is engine.SolveStatus.EVALUATION_FAILURE
         assert runs["x0-fails"].trace == []
@@ -1254,8 +1312,8 @@ class TestTraceRecords:
         real_solve_qp = qp.solve_qp
         monkeypatch.setattr(engine, "bfgs_update",
                             lambda H, *args: -np.eye(H.shape[0]))
-        monkeypatch.setattr(qp, "solve_qp",
-                            lambda inst, hfac: seen.append(inst.H) or real_solve_qp(inst, hfac))
+        monkeypatch.setattr(qp, "solve_qp", lambda inst, hfac, warm: (
+            seen.append(inst.H) or real_solve_qp(inst, hfac, warm)))
         report = engine.solve(_toy_problem(), [3.0])
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.ni == 4

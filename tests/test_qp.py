@@ -316,6 +316,159 @@ class TestAgainstUnhoistedLoop:
             assert np.array_equal(sol.active, active)
 
 
+def _equality_start(inst, rows):
+    """The warm start formed with numpy.linalg: the minimizer of the
+    objective on A_W d = b_W, from the KKT system of the rows W."""
+    n, k = inst.n, len(rows)
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = inst.H
+    kkt[:n, n:] = inst.A[rows].T
+    kkt[n:, :n] = inst.A[rows]
+    return np.linalg.solve(kkt, np.concatenate([-inst.grad, inst.b[rows]]))[:n]
+
+
+def _solve_counting_steps(monkeypatch, inst, warm):
+    """solve_qp with the hint ``warm``; returns (solution, active-set steps)."""
+    steps = []
+    real_objective = qp.QpInstance.objective
+    with monkeypatch.context() as patch:
+        patch.setattr(qp.QpInstance, "objective",
+                      lambda self, d: steps.append(1) or real_objective(self, d))
+        sol = qp.solve_qp(inst, linalg.cholesky(inst.H), warm)
+    return sol, len(steps)
+
+
+class TestWarmStart:
+    """A hint of rows to start the loop from changes where the loop starts,
+    never what it returns: each warm solve certifies, agrees with the cold
+    solve within the certificate's tolerance and with the enumeration
+    oracle, and a hint that does not fit falls back to the cold start, bit
+    for bit."""
+
+    @staticmethod
+    def _check(inst, warm, cold):
+        qp._certify(inst, warm.d0, warm.lam)
+        qp._certify(inst, cold.d0, warm.lam)
+        assert np.max(np.abs(warm.d0 - cold.d0), initial=0.0) <= inst.kkt_tol
+        d_ref, obj_ref = _oracle(inst.H, inst.grad, inst.A, inst.b)
+        assert np.max(np.abs(warm.d0 - d_ref), initial=0.0) <= 1e-6 * max(
+            1.0, float(np.max(np.abs(d_ref), initial=0.0)))
+        assert inst.objective(warm.d0) <= obj_ref + 1e-7 * max(1.0, abs(obj_ref))
+
+    @staticmethod
+    def _same(a, b):
+        return (np.array_equal(a.d0, b.d0) and np.array_equal(a.lam, b.lam)
+                and np.array_equal(a.active, b.active))
+
+    def test_own_positive_rows_restart_in_fewer_steps(self, monkeypatch):
+        rng = np.random.default_rng(1234)
+        cold_steps = warm_steps = hinted = 0
+        for _ in range(400):
+            inst = _random_instance(rng)
+            cold, n_cold = _solve_counting_steps(monkeypatch, inst, ())
+            rows = np.flatnonzero(cold.lam > 0)
+            warm, n_warm = _solve_counting_steps(monkeypatch, inst, rows)
+            self._check(inst, warm, cold)
+            if rows.size:
+                hinted += 1
+                cold_steps += n_cold
+                warm_steps += n_warm
+        assert hinted > 100
+        assert warm_steps < 0.5 * cold_steps
+
+    def test_random_hints_match_cold_and_oracle(self):
+        rng = np.random.default_rng(4321)
+        fell_back = 0
+        for _ in range(600):
+            inst = _random_instance(rng)
+            rows = np.sort(rng.choice(inst.m, size=int(rng.integers(0, inst.m + 1)),
+                                      replace=False))
+            cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+            warm = qp.solve_qp(inst, linalg.cholesky(inst.H), rows)
+            self._check(inst, warm, cold)
+            if rows.size and rows.size <= inst.n:
+                start = _equality_start(inst, rows)
+                others = np.setdiff1d(np.arange(inst.m), rows)
+                if np.any(inst.A[others] @ start > inst.b[others] + 1e-9):
+                    assert self._same(warm, cold)  # a start that breaks a row is not taken
+                    fell_back += 1
+        assert fell_back > 30
+
+    def test_hint_whose_start_breaks_another_row_falls_back(self):
+        # On d1 = 1 alone the minimizer is (1, 2), which breaks d2 <= 0.5.
+        inst = qp.QpInstance(H=np.eye(2), grad=np.array([-2.0, -2.0]),
+                             A=np.eye(2), b=np.array([1.0, 0.5]))
+        cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+        warm = qp.solve_qp(inst, linalg.cholesky(inst.H), [0])
+        assert self._same(warm, cold)
+        assert np.allclose(warm.d0, [1.0, 0.5], atol=1e-12)
+
+    def test_larger_instances_agree_with_the_cold_start(self, monkeypatch):
+        # The same sizes and degenerate rows as TestAgainstUnhoistedLoop,
+        # hinted with the cold solution's rows, a random subset of them
+        # with one other row, and every row.
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            n = int(rng.integers(1, 30))
+            m = int(rng.integers(1, 2 * n + 3))
+            g = rng.normal(size=(n, n))
+            H = g @ g.T + 10.0 ** rng.uniform(-2, 1) * np.eye(n)
+            A = rng.normal(size=(m, n))
+            if m > 2 and trial % 4 == 0:
+                A[1] = A[0]  # degenerate vertex
+            b = np.abs(rng.normal(size=m)) * (rng.uniform(size=m) < 0.8)
+            inst = qp.QpInstance(H=H, grad=3.0 * rng.normal(size=n), A=A, b=b)
+            cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+            own = np.flatnonzero(cold.lam > 0)
+            mixed = np.union1d(own[rng.uniform(size=own.size) < 0.5], rng.integers(0, m, 1))
+            for rows in (own, mixed, np.arange(m)):
+                warm = qp.solve_qp(inst, linalg.cholesky(inst.H), rows)
+                qp._certify(inst, warm.d0, cold.lam)
+                qp._certify(inst, cold.d0, warm.lam)
+                assert np.max(np.abs(warm.d0 - cold.d0)) <= inst.kkt_tol
+                assert np.array_equal(warm.active, cold.active)
+
+    def test_dependent_rows_fall_back(self):
+        # Rows 0 and 1 are the same face, so A_W Y_W is singular on W = {0, 1}.
+        inst = qp.QpInstance(
+            H=np.eye(2), grad=np.array([-2.0, -1.0]),
+            A=np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            b=np.array([1.0, 1.0, 5.0]),
+        )
+        cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+        warm = qp.solve_qp(inst, linalg.cholesky(inst.H), [0, 1])
+        assert self._same(warm, cold)
+        assert np.allclose(warm.d0, [1.0, 1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("error", [NotPositiveDefiniteError, NumericalBreakdown])
+    def test_failed_warm_solve_is_a_cold_start(self, monkeypatch, error):
+        # Only the first working-set solve, the warm start's, fails.
+        inst = qp.QpInstance(H=np.eye(2), grad=np.array([-2.0, -2.0]),
+                             A=np.eye(2), b=np.ones(2))
+        cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+        calls = []
+        real = linalg.spd_solve
+
+        def first_fails(m, b):
+            calls.append(1)
+            if len(calls) == 1:
+                raise error("forced")
+            return real(m, b)
+
+        monkeypatch.setattr(linalg, "spd_solve", first_fails)
+        warm = qp.solve_qp(inst, linalg.cholesky(inst.H), [0, 1])
+        assert len(calls) > 1
+        assert self._same(warm, cold)
+
+    def test_empty_hint_is_the_cold_start(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            inst = _random_instance(rng)
+            cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+            for empty in ((), [], np.zeros(0, dtype=np.intp)):
+                assert self._same(qp.solve_qp(inst, linalg.cholesky(inst.H), empty), cold)
+
+
 class TestStepLimit:
     def test_cycle_raises_at_the_step_limit(self, monkeypatch):
         # No multiplier passes the drop test, so the loop adds row 0 at
@@ -355,6 +508,23 @@ class TestPerQpWork:
         assert len(steps) > 2
         assert sizes.count(n) == 2
         assert max(sizes[2:]) < n
+
+    def test_warm_start_solves_only_its_working_set(self, monkeypatch):
+        # The warm start reuses Y and H^-1 grad: its one solve is |W|-sized.
+        rng = np.random.default_rng(3)
+        n, m = 12, 8
+        g = rng.normal(size=(n, n))
+        inst = qp.QpInstance(H=g @ g.T + np.eye(n), grad=10.0 * rng.normal(size=n),
+                             A=rng.normal(size=(m, n)), b=0.1 * np.ones(m))
+        rows = np.flatnonzero(qp.solve_qp(inst, linalg.cholesky(inst.H)).lam > 0)
+        sizes = []
+        real = linalg.solve_cholesky
+        monkeypatch.setattr(linalg, "solve_cholesky",
+                            lambda low, b: sizes.append(low.shape[0]) or real(low, b))
+        qp.solve_qp(inst, linalg.cholesky(inst.H), rows)
+        assert rows.size > 1
+        assert sizes.count(n) == 2
+        assert sizes[2] == rows.size and max(sizes[2:]) < n
 
     def test_hands_back_y_and_ay(self):
         rng = np.random.default_rng(4)
