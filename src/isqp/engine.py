@@ -21,8 +21,8 @@ Curvature is maintained by a BFGS update whose difference vector is bent
 just enough to keep the update positive definite.  Each curvature matrix
 is factored exactly once: ``step`` factors each new candidate from the
 update, and that Cholesky factorization is its positive-definiteness test
-(a candidate that fails it is skipped).  The iterate keeps H together with
-its factor, the identity at x0, and the next QP solves against that factor.
+(a candidate that fails it is skipped).  The iterate keeps H with its
+inverse Cholesky factor, the identity at x0, and the next QP solves with it.
 
 Each QP starts its active-set loop from the rows that had a positive
 multiplier in the previous iteration's QP (none in the first iteration);
@@ -144,7 +144,7 @@ class IterateState:
     """Mutable per-run state threaded through step(); the iterate is ev.x."""
 
     H: np.ndarray
-    low: np.ndarray                 # lower Cholesky factor of H
+    low: np.ndarray                 # W = L^-1 for the lower Cholesky factor L of H
     c: float
     counters: model.EvalCounters
     k: int = 0
@@ -225,8 +225,8 @@ def second_order_residual(problem: model.NlpProblem, ev: model.Evaluation,
 @dataclass(frozen=True)
 class SharedFactor:
     """The blocks of Gamma = [[H, N], [N', -diag(q)]], kept for the residual
-    checks, with Y = H^-1 N and the lower Cholesky factor of
-    S = N'Y + diag(q)."""
+    checks, with Y = H^-1 N and ``low`` = L^-1 for the lower Cholesky
+    factor L of S = N'Y + diag(q), as ``linalg.cholesky`` returns it."""
 
     H: np.ndarray
     N: np.ndarray

@@ -12,25 +12,26 @@ LAPACK's potrf does: it never checks symmetry, because every caller builds
 an exactly symmetric matrix; the upper triangle enters only the row-sum
 norm that scales the pivot floor.
 
+``cholesky`` returns W = L^-1, the inverse of the lower Cholesky factor,
+bordered row by row, so a solve against it is the two products
+x = W'(W b) and no triangular sweep.  They go through ``numpy.einsum``,
+which sums each entry in one fixed order, so column j of a solve against a
+2-D right-hand side B is bitwise the solve against B[:, j] (callers solve
+many columns once and slice them later); BLAS ``@`` picks its kernel by
+operand shape and breaks that.  The explicit inverse leaves residuals a
+few times larger on ill-conditioned matrices (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, ch. 8 and 14).
+``LuFactorization.solve`` sweeps a 2-D right-hand side column by column.
+
 ``LuFactorization.solve`` and ``spd_solve`` check the scaled residual of
 every solve against the full matrix, so ``spd_solve`` also fails an
 asymmetric input whose upper triangle changes the product.
-``solve_cholesky`` has only the factor and checks nothing; its callers
-certify what they solve (the QP's KKT certificate covers its solves
-against H, and the engine's shared-matrix solves check their residual).
-``check_residual`` takes the product A x rather than A, so a caller
-holding A in blocks (the engine's shared matrix) checks without
+``solve_cholesky`` checks nothing; its callers certify what they solve
+(the QP's KKT certificate covers its solves against H, and its
+working-set solves and the engine's shared-matrix solves check their
+residual).  ``check_residual`` takes the product A x rather than A, so a
+caller holding A in blocks (the engine's shared matrix) checks without
 assembling it.
-
-The triangular solves are column sweeps of elementwise products and
-differences, so their results do not depend on how right-hand sides are
-batched: column j of a solve against a 2-D right-hand side B is bitwise
-equal to the solve against the vector B[:, j].  Callers rely on this to
-solve many columns once and slice them later.  In ``solve_cholesky`` a 1-D
-right-hand side takes a separate path that performs the same floating-point
-operations without the 2-D broadcasting, which is most of the cost at these
-sizes.  ``LuFactorization.solve`` has only the vector sweep and solves a
-2-D right-hand side one column at a time.
 """
 
 from __future__ import annotations
@@ -135,9 +136,10 @@ def lu_factor(a) -> LuFactorization:
 
 
 def cholesky(a) -> np.ndarray:
-    """Lower-triangular Cholesky factor of the symmetric matrix whose lower
-    triangle is that of ``a``; the strict upper triangle is not read, except
-    by the row-sum norm of ``a`` that scales the pivot floor.
+    """Inverse W = L^-1 of the lower Cholesky factor L of the symmetric
+    matrix whose lower triangle is that of ``a``; the strict upper triangle
+    is not read, except by the row-sum norm of ``a`` that scales the pivot
+    floor.  W is lower triangular, and W A W' = I.
 
     Raises NotPositiveDefiniteError when any diagonal pivot is at or below
     PIVOT_FLOOR times that norm, which doubles as the package's SPD test.
@@ -146,48 +148,32 @@ def cholesky(a) -> np.ndarray:
     n = a.shape[0]
     norm = np.max(np.sum(np.abs(a), axis=1), initial=0.0)
     floor = PIVOT_FLOOR * norm
-    low = np.zeros_like(a)
+    w = np.zeros_like(a)
     for j in range(n):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
+        # Row j of L is (ell, sqrt(pivot)) with ell = W_j a[j, :j]; bordering
+        # L by it borders W by -(ell W_j) / sqrt(pivot) and 1 / sqrt(pivot).
+        ell = w[:j, :j] @ a[j, :j]
+        pivot = a[j, j] - ell @ ell
         if pivot <= floor:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at column {j} is not positive"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            low[j + 1:, j] = (a[j + 1:, j] - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
-    return low
+            raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j} is not positive")
+        root = np.sqrt(pivot)
+        w[j, :j] = -(ell @ w[:j, :j]) / root
+        w[j, j] = 1.0 / root
+    return w
 
 
-def solve_cholesky(low: np.ndarray, b) -> np.ndarray:
-    """Solve (L L^T) x = b given the lower Cholesky factor L."""
+def solve_cholesky(w: np.ndarray, b) -> np.ndarray:
+    """Solve (L L') x = b as x = W'(W b), given W = L^-1 from ``cholesky``."""
     b = np.asarray(b, dtype=float)
-    n = low.shape[0]
-    if b.shape[0] != n:
+    if b.shape[0] != np.shape(w)[0]:
         raise ValueError("right-hand side has wrong length")
-    x = np.array(b, dtype=float)
-    if b.ndim == 1:
-        for k in range(n):
-            x[k] /= low[k, k]
-            x[k + 1:] -= low[k + 1:, k] * x[k]
-        for k in range(n - 1, -1, -1):  # transpose sweep: column k of L^T is row k of L
-            x[k] /= low[k, k]
-            x[:k] -= low[k, :k] * x[k]
-        return x
-    for k in range(n):
-        x[k] /= low[k, k]
-        x[k + 1:] -= low[k + 1:, k:k + 1] * x[k:k + 1]
-    for k in range(n - 1, -1, -1):
-        x[k] /= low[k, k]
-        x[:k] -= low[k, :k].reshape(-1, 1) * x[k:k + 1]
-    return x
+    return np.einsum("ji,j...->i...", w, np.einsum("ij,j...->i...", w, b))
 
 
 def spd_solve(m, b) -> np.ndarray:
     """Solve M x = b for symmetric positive definite M, checking the
     residual against all of M."""
     m = np.asarray(m, dtype=float)
-    b = np.asarray(b, dtype=float)
     x = solve_cholesky(cholesky(m), b)
     check_residual(m @ x, b)
     return x

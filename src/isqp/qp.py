@@ -23,14 +23,16 @@ starts cold at d = 0 with an empty working set.  Both starts run the same
 loop; near a solution the rows barely change between iterations, and the
 warm loop only confirms the multipliers' signs.
 
-The caller passes the lower Cholesky factor of H, which the engine forms
-once per curvature matrix (that factorization is H's positive-definiteness
-certificate), and every n-sized solve is done before the loop: Y = H^-1 A'
+The caller passes L^-1 for the lower Cholesky factor L of H, which the
+engine forms once per curvature matrix as H's positive-definiteness
+certificate, and every n-sized solve is done before the loop: Y = H^-1 A'
 for all constraint rows and u = H^-1 grad (Nocedal & Wright, *Numerical
 Optimization*, section 16.5).  Since H^-1 (H d + grad) = d + u, a step with
 working set W finds its multipliers from the |W|-sized system
 (A_W Y_W) lam = -A_W (d + u), whose matrix is sliced out of the precomputed
-A Y, and its direction as p = -(d + u + Y_W lam).  The ratio test reads the
+A Y, and its direction as p = -(d + u + Y_W lam).  Each working set is
+factored once (the warm start's factor serves the first step), and each
+solve checks its residual against A_W Y_W.  The ratio test reads the
 vectors A p and b - A d.  Y and A Y are handed back on the solution, so the
 caller can solve systems in H and A' without solving against H again.  The
 KKT certificate of the result reads H itself, so a factor that is not H's
@@ -126,27 +128,39 @@ def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
             raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
 
 
+def _work_solve(ay: np.ndarray, work: np.ndarray, fac, rhs: np.ndarray):
+    """Solve (A_W Y_W) lam = rhs on the rows W = ``work`` and check its
+    residual; ``fac`` = (rows, factor) is reused when its rows are W, else
+    A_W Y_W is factored.  Returns (W's pair, lam)."""
+    ay_w = ay[np.ix_(work, work)]
+    if fac is None or not np.array_equal(fac[0], work):
+        fac = (work, linalg.cholesky(ay_w))
+    lam = linalg.solve_cholesky(fac[1], rhs)
+    linalg.check_residual(ay_w @ lam, rhs)
+    return fac, lam
+
+
 def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
                 y_all: np.ndarray, ay: np.ndarray, rows: np.ndarray):
     """The minimizer d = -(u + Y_W lam) on the equalities A_W d = b_W of the
-    rows W, or None unless every other row holds at d exactly (or when
-    A_W Y_W is not numerically positive definite)."""
+    rows W, and the factor pair that found it; d is None unless every other
+    row holds at d exactly, and both are None when the solve fails."""
     if rows.size == 0:
-        return None
+        return None, None
     try:
-        lam = linalg.spd_solve(ay[np.ix_(rows, rows)], -(b[rows] + au[rows]))
+        fac, lam = _work_solve(ay, rows, None, -(b[rows] + au[rows]))
     except (NotPositiveDefiniteError, NumericalBreakdown):
-        return None
+        return None, None
     d = -(u + y_all[:, rows] @ lam)
     holds = A @ d <= b  # NaN fails
     holds[rows] = True
-    return d if holds.all() else None
+    return (d if holds.all() else None), fac
 
 
 def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
-    """Solve the subproblem, given the lower Cholesky factor ``hfac`` of
-    inst.H and the rows ``warm`` to start the working set from, certifying
-    the KKT conditions of the result against inst.H."""
+    """Solve the subproblem, given the inverse ``hfac`` = L^-1 of the lower
+    Cholesky factor L of inst.H and the rows ``warm`` to start the working
+    set from, certifying the KKT conditions of the result against inst.H."""
     n, m = inst.n, inst.m
     H, grad, A, b = inst.H, inst.grad, inst.A, inst.b
     y_all = linalg.solve_cholesky(hfac, A.T)
@@ -158,7 +172,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
     abs_grad = np.abs(grad)
     abs_h = np.abs(H)
     warm = np.asarray(warm, dtype=np.intp)
-    d = _warm_start(A, b, u, au, y_all, ay, warm)
+    d, fac = _warm_start(A, b, u, au, y_all, ay, warm)
     in_work = np.zeros(m, dtype=bool)
     if d is None:
         d = np.zeros(n)
@@ -177,7 +191,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         work = np.flatnonzero(in_work)
         if work.size:
             try:
-                lam_work = linalg.spd_solve(ay[np.ix_(work, work)], -(a_d[work] + au[work]))
+                fac, lam_work = _work_solve(ay, work, fac, -(a_d[work] + au[work]))
             except NotPositiveDefiniteError as exc:
                 raise NumericalBreakdown("dependent working set in QP") from exc
             p = -(d + u + y_all[:, work] @ lam_work)

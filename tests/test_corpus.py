@@ -277,8 +277,8 @@ PINNED_RUNS = {
     ("HS035", "b"): ("converged", 7, 15, 88),
     ("HS036", "a"): ("converged", 10, 28, 287),
     ("HS036", "b"): ("converged", 9, 26, 273),
-    ("HS037", "a"): ("converged", 10, 26, 288),
-    ("HS037", "b"): ("converged", 11, 30, 384),
+    ("HS037", "a"): ("converged", 10, 20, 240),
+    ("HS037", "b"): ("converged", 12, 29, 384),
     ("HS043", "a"): ("converged", 11, 22, 123),
     ("HS043", "b"): ("converged", 11, 22, 138),
     ("HS044", "a"): ("converged", 11, 31, 440),
@@ -289,7 +289,7 @@ PINNED_RUNS = {
     ("HS066", "b"): ("converged", 16, 45, 512),
     ("HS076", "a"): ("converged", 8, 20, 203),
     ("HS100", "a"): ("converged", 14, 34, 264),
-    ("HS100", "b"): ("converged", 31, 61, 532),
+    ("HS100", "b"): ("converged", 32, 83, 624),
 }
 
 
@@ -304,7 +304,7 @@ class TestPinnedRuns:
                     runs[(name, start)] = (r.status.value, r.ni, r.nf0, r.nf)
         assert runs == PINNED_RUNS
         totals = [sum(run[k] for run in runs.values()) for k in (1, 2, 3)]
-        assert totals == [286, 660, 6602]
+        assert totals == [288, 675, 6646]
 
 
 class TestScaledDescentSlack:

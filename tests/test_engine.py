@@ -3,6 +3,7 @@ step searches, the curvature update, and end-to-end solves on synthetic
 problems."""
 
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -686,54 +687,52 @@ class TestOneFactorPerCurvatureMatrix:
     def test_each_h_is_factored_once(self, monkeypatch):
         # Every curvature matrix a QP sees was factored exactly once, by the
         # test that certified it (the start's identity is its own factor),
-        # and the QP solves against that very factor: solve_qp makes no
-        # Cholesky call of its own (its working-set solves go through
-        # spd_solve).
-        factored = []  # (argument, factor, innermost wrapped caller)
-        handed = []    # (H, factor) handed to each QP
-        where = ["engine"]
-        real_cholesky, real_spd_solve, real_solve_qp = (
-            linalg.cholesky, linalg.spd_solve, qp.solve_qp)
+        # and the QP solves against that very factor: every Cholesky call
+        # inside solve_qp factors a principal submatrix of that QP's
+        # A H^-1 A', never an n-by-n H.
+        factored = []  # (argument, factor, index of the enclosing QP or None)
+        handed = []    # (H, factor, solution) of each QP
+        where = [None]
+        real_cholesky, real_solve_qp = linalg.cholesky, qp.solve_qp
 
         def cholesky(a):
             low = real_cholesky(a)
             factored.append((a, low, where[-1]))
             return low
 
-        def inside(label, fn):
-            def wrapped(*args):
-                where.append(label)
-                try:
-                    return fn(*args)
-                finally:
-                    where.pop()
-            return wrapped
-
         def solve_qp(inst, hfac, warm):
-            handed.append((inst.H, hfac))
-            return inside("qp", real_solve_qp)(inst, hfac, warm)
+            where.append(len(handed))
+            try:
+                sol = real_solve_qp(inst, hfac, warm)
+            finally:
+                where.pop()
+            handed.append((inst.H, hfac, sol))
+            return sol
 
         monkeypatch.setattr(linalg, "cholesky", cholesky)
-        monkeypatch.setattr(linalg, "spd_solve", inside("spd_solve", real_spd_solve))
         monkeypatch.setattr(qp, "solve_qp", solve_qp)
         entry = corpus.get_problem("HS043")
         report = engine.solve(entry.problem, entry.x0_infeasible)
         assert report.status is engine.SolveStatus.CONVERGED
         assert sum(bool(rec.h_updated) for rec in report.trace) >= 5
-        assert not [caller for _, _, caller in factored if caller == "qp"]
-        first_h, first_low = handed[0]
+        inside = [(a, handed[i][2].ay) for a, _, i in factored if i is not None]
+        assert inside
+        for a, ay in inside:
+            assert any(np.array_equal(a, ay[np.ix_(rows, rows)])
+                       for rows in itertools.combinations(range(ay.shape[0]), a.shape[0]))
+        first_h, first_low, _ = handed[0]
         assert np.array_equal(first_h, np.eye(4)) and np.array_equal(first_low, np.eye(4))
         # bfgs_update does not symmetrize: every chained update of I must
         # come out exactly symmetric on its own.
-        assert all(np.array_equal(h, h.T) for h, _ in handed)
+        assert all(np.array_equal(h, h.T) for h, _, _ in handed)
         assert not [a for a, _, _ in factored if a is first_h]
-        for H, hfac in handed[1:]:
+        for H, hfac, _ in handed[1:]:
             if H is first_h:
                 continue
             factors = [low for a, low, _ in factored if a is H]
             assert len(factors) == 1
             assert factors[0] is hfac
-        assert len({id(H) for H, _ in handed}) == 1 + sum(
+        assert len({id(H) for H, _, _ in handed}) == 1 + sum(
             bool(rec.h_updated) for rec in report.trace)
 
 

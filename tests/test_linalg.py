@@ -79,9 +79,10 @@ class TestCholesky:
         assert np.array_equal(linalg.cholesky(np.eye(2)), np.eye(2))
 
     def test_two_by_two_hand_example(self):
+        # The factor is L = [[2, 0], [1, 2]]; cholesky returns its inverse.
         a = np.array([[4.0, 2.0], [2.0, 5.0]])
-        low = linalg.cholesky(a)
-        assert np.allclose(low, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
+        w = linalg.cholesky(a)
+        assert np.allclose(w, [[0.5, 0.0], [-0.25, 0.5]], atol=1e-14)
 
     def test_factor_multiplies_back(self):
         rng = np.random.default_rng(11)
@@ -89,9 +90,26 @@ class TestCholesky:
             n = int(rng.integers(1, 7))
             g = rng.normal(size=(n, n))
             a = g @ g.T + np.eye(n)
-            low = linalg.cholesky(a)
-            assert np.allclose(np.tril(low), low)
-            assert np.allclose(low @ low.T, a, atol=1e-10 * np.max(np.abs(a)))
+            w = linalg.cholesky(a)
+            assert np.array_equal(np.tril(w), w)
+            assert np.allclose(w @ a @ w.T, np.eye(n), atol=1e-10 * np.max(np.abs(a)))
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_ill_conditioned_solves_match_numpy(self, n):
+        # A = Q diag(1 .. 1/cond) Q': the solve's forward error against
+        # numpy.linalg.solve stays within a few cond * eps, and its
+        # normwise residual within n * eps.
+        rng = np.random.default_rng(n)
+        eps = np.finfo(float).eps
+        for cond in (1e2, 1e4, 1e6, 1e8):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            a = (q * np.logspace(0.0, -np.log10(cond), n)) @ q.T
+            a = np.tril(a) + np.tril(a, -1).T
+            b = rng.normal(size=n)
+            x = linalg.solve_cholesky(linalg.cholesky(a), b)
+            ref = np.linalg.solve(a, b)
+            assert np.max(np.abs(x - ref)) <= 5.0 * cond * eps * np.max(np.abs(ref))
+            assert np.max(np.abs(a @ x - b)) <= n * eps * np.max(np.abs(a)) * np.max(np.abs(x))
 
     def test_indefinite_raises(self):
         # Eigenvalues are 3 and -1.
@@ -115,18 +133,23 @@ class TestCholesky:
         # Oracle: factorization success must agree with the spectrum for
         # matrices whose eigenvalues are bounded away from zero.
         rng = np.random.default_rng(19)
+        verdicts = set()
         for _ in range(200):
-            n = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 41))
             g = rng.normal(size=(n, n))
-            sym = (g + g.T) / 2.0
+            # A shift up to twice the spectral radius of (g + g') / 2, about
+            # sqrt(2n), makes both verdicts common at every size.
+            sym = (g + g.T) / 2.0 + rng.uniform(0.0, 2.0 * np.sqrt(2.0 * n)) * np.eye(n)
             eigs = np.linalg.eigvalsh(sym)
             if np.min(np.abs(eigs)) < 1e-6 * max(1.0, np.max(np.abs(eigs))):
                 continue  # too close to the floor for a crisp verdict
+            verdicts.add((n > 6, bool(np.min(eigs) > 0)))
             if np.min(eigs) > 0:
                 linalg.cholesky(sym)
             else:
                 with pytest.raises(NotPositiveDefiniteError):
                     linalg.cholesky(sym)
+        assert len(verdicts) == 4
 
     def test_solve_rejects_wrong_rhs_length(self):
         with pytest.raises(ValueError, match="right-hand side has wrong length"):

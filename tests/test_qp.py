@@ -442,21 +442,24 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("error", [NotPositiveDefiniteError, NumericalBreakdown])
     def test_failed_warm_solve_is_a_cold_start(self, monkeypatch, error):
-        # Only the first working-set solve, the warm start's, fails.
+        # Only the first working-set solve, the warm start's, fails: in its
+        # factorization (the pivot floor) or in its residual check.
         inst = qp.QpInstance(H=np.eye(2), grad=np.array([-2.0, -2.0]),
                              A=np.eye(2), b=np.ones(2))
-        cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
+        hfac = linalg.cholesky(inst.H)
+        cold = qp.solve_qp(inst, hfac)
+        name = "cholesky" if error is NotPositiveDefiniteError else "check_residual"
         calls = []
-        real = linalg.spd_solve
+        real = getattr(linalg, name)
 
-        def first_fails(m, b):
+        def first_fails(*args):
             calls.append(1)
             if len(calls) == 1:
                 raise error("forced")
-            return real(m, b)
+            return real(*args)
 
-        monkeypatch.setattr(linalg, "spd_solve", first_fails)
-        warm = qp.solve_qp(inst, linalg.cholesky(inst.H), [0, 1])
+        monkeypatch.setattr(linalg, name, first_fails)
+        warm = qp.solve_qp(inst, hfac, [0, 1])
         assert len(calls) > 1
         assert self._same(warm, cold)
 
@@ -526,6 +529,75 @@ class TestPerQpWork:
         assert sizes.count(n) == 2
         assert sizes[2] == rows.size and max(sizes[2:]) < n
 
+    def test_each_working_set_is_factored_once(self, monkeypatch):
+        # Every working-set solve checks (A_W Y_W) lam against its right-hand
+        # side.  W is read off that check, as the rows whose principal
+        # submatrix of the returned ay reproduces the checked product bit
+        # for bit, and off a factorization that fails as the rows whose
+        # submatrix it was handed.  solve_qp factors once per run of equal
+        # consecutive working sets: a step that keeps its rows reuses the
+        # factor, and a warm start that holds shares its factor with the
+        # first step.
+        real_cholesky, real_solve, real_check = (
+            linalg.cholesky, linalg.solve_cholesky, linalg.check_residual)
+        factors, solves, events = [], [], []
+
+        def cholesky(a):
+            factors.append(a)
+            try:
+                return real_cholesky(a)
+            except NotPositiveDefiniteError:
+                events.append((None, a))
+                raise
+
+        def solve_cholesky(w, b):
+            solves.append(real_solve(w, b))
+            return solves[-1]
+
+        def check_residual(ax, b):
+            events.append((solves[-1], ax))
+            return real_check(ax, b)
+
+        monkeypatch.setattr(linalg, "cholesky", cholesky)
+        monkeypatch.setattr(linalg, "solve_cholesky", solve_cholesky)
+        monkeypatch.setattr(linalg, "check_residual", check_residual)
+        rng = np.random.default_rng(17)
+        factored = solved = warm_shared = 0
+        for _ in range(150):
+            n, m = int(rng.integers(2, 9)), int(rng.integers(1, 11))
+            g = rng.normal(size=(n, n))
+            inst = qp.QpInstance(H=g @ g.T + np.eye(n), grad=5.0 * rng.normal(size=n),
+                                 A=rng.normal(size=(m, n)),
+                                 b=np.abs(rng.normal(size=m)) * (rng.uniform(size=m) < 0.8))
+            hfac = real_cholesky(inst.H)
+            cold = qp.solve_qp(inst, hfac)
+            hints = ((), np.flatnonzero(cold.lam > 0), np.flatnonzero(rng.uniform(size=m) < 0.5))
+            for warm in hints:
+                del factors[:], solves[:], events[:]
+                sol = qp.solve_qp(inst, hfac, warm)
+                checks = [e for e in events if e[0] is not None]
+                assert len(solves) == 2 + len(checks)  # Y and u, then one per check
+                seen = []
+                for first, second in events:
+                    if first is None:
+                        rows = [r for r in itertools.combinations(range(m), second.shape[0])
+                                if np.array_equal(sol.ay[np.ix_(r, r)], second)]
+                    else:
+                        rows = [r for r in itertools.combinations(range(m), first.size)
+                                if np.array_equal(sol.ay[np.ix_(r, r)] @ first, second)]
+                    assert len(rows) == 1
+                    seen.append(rows[0])
+                starts = [w for i, w in enumerate(seen) if i == 0 or w != seen[i - 1]]
+                assert len(factors) == len(starts)
+                for a, w in zip(factors, starts):
+                    assert np.array_equal(a, sol.ay[np.ix_(w, w)])
+                if len(warm) and seen[:2] == [tuple(warm)] * 2:
+                    warm_shared += 1
+                factored += len(factors)
+                solved += len(checks)
+        assert warm_shared > 50
+        assert solved > 1.25 * factored
+
     def test_hands_back_y_and_ay(self):
         rng = np.random.default_rng(4)
         inst = _random_instance(rng)
@@ -571,14 +643,15 @@ class TestCertificates:
     def test_dependent_working_set_is_a_breakdown(self, monkeypatch):
         # The first step from d = 0 is blocked by row 0 (H = I, grad = -1,
         # b = 0.5), so the second solves a working-set system.
-        def singular(m, b):
+        def singular(a):
             raise NotPositiveDefiniteError("forced")
 
-        monkeypatch.setattr(linalg, "spd_solve", singular)
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([-1.0]),
                              A=np.ones((1, 1)), b=np.array([0.5]))
+        hfac = linalg.cholesky(inst.H)
+        monkeypatch.setattr(linalg, "cholesky", singular)
         with pytest.raises(NumericalBreakdown, match="dependent working set in QP"):
-            qp.solve_qp(inst, linalg.cholesky(inst.H))
+            qp.solve_qp(inst, hfac)
 
     def test_kkt_certificate_holds_on_random_instances(self):
         rng = np.random.default_rng(77)
