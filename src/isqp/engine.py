@@ -25,8 +25,11 @@ update, and that Cholesky factorization is its positive-definiteness test
 inverse Cholesky factor, the identity at x0, and the next QP solves with it.
 
 Each QP starts its active-set loop from the rows that had a positive
-multiplier in the previous iteration's QP (none in the first iteration);
-the QP falls back to a cold start on its own when they do not fit.
+multiplier in the previous iteration's QP (none in the first iteration).
+When the minimizer on those rows breaks another row, the QP adds the most
+violated row and solves again, on its own, until every row holds; it
+falls back to a cold start on its own only when the rows are dependent or
+reach n first.
 
 In floating point a search can accept a step too short to change x.  With
 the penalty parameter unchanged, such a step also leaves the curvature
@@ -481,9 +484,13 @@ def step(problem: model.NlpProblem, state: IterateState,
         descent_lhs = slope_hat
         descent_rhs = THETA * slope + phi ** THETA
         # Where beta binds, the two sides are equal in exact arithmetic, so
-        # their rounding error, and the slack, scale with their size.
+        # their rounding error, and the slack, scale with their size.  At
+        # phi = 0 a QP slope above zero (the QP certifies its minimizer only
+        # to its complementarity tolerance) forces beta = 0 whenever d1's
+        # slope is larger, and the test then reads slope <= THETA * slope.
         _require(descent_lhs <= descent_rhs + CERT_SLACK * max(1.0, abs(descent_rhs)),
-                 "blended direction lost descent")
+                 f"blended direction lost descent: slope {slope:.3e}, slope_d1 "
+                 f"{slope_d1:.3e}, beta {beta:.3e}, |d0| {norm_d0:.3e}, phi {phi:.3e}")
         shift = beta * push
         if ev.izero.size:
             i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + shift))

@@ -14,7 +14,13 @@ norm that scales the pivot floor.
 
 ``cholesky`` returns W = L^-1, the inverse of the lower Cholesky factor,
 bordered row by row, so a solve against it is the two products
-x = W'(W b) and no triangular sweep.  They go through ``numpy.einsum``,
+x = W'(W b) and no triangular sweep.  Row j of W depends only on the
+leading (j+1) x (j+1) block, so a factor grows by bordering: given the
+factor of a leading block and its pivots, ``cholesky`` keeps those rows,
+tests the kept pivots again against the larger matrix's floor, and runs
+its one border loop over the new rows only.  The result is bitwise the
+factor from scratch, and it raises exactly when that would (the QP grows
+and shrinks its working-set factor this way).  They go through ``numpy.einsum``,
 which sums each entry in one fixed order, so column j of a solve against a
 2-D right-hand side B is bitwise the solve against B[:, j] (callers solve
 many columns once and slice them later); BLAS ``@`` picks its kernel by
@@ -35,6 +41,8 @@ assembling it.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -135,11 +143,18 @@ def lu_factor(a) -> LuFactorization:
     return LuFactorization(a)
 
 
-def cholesky(a) -> np.ndarray:
+def cholesky(a, lead=None, pivots=None) -> np.ndarray:
     """Inverse W = L^-1 of the lower Cholesky factor L of the symmetric
     matrix whose lower triangle is that of ``a``; the strict upper triangle
     is not read, except by the row-sum norm of ``a`` that scales the pivot
     floor.  W is lower triangular, and W A W' = I.
+
+    ``pivots``, when given, receives the pivot of each row.  ``lead`` is the
+    factor an earlier call returned for the leading k x k block of ``a``,
+    with that call's pivots in ``pivots[:k]``: its rows are kept, its
+    pivots are tested again against the floor of ``a``, and only rows k..
+    are bordered.  Row j depends only on the leading (j+1) x (j+1) block,
+    so the result is bitwise the factor of ``a`` from scratch.
 
     Raises NotPositiveDefiniteError when any diagonal pivot is at or below
     PIVOT_FLOOR times that norm, which doubles as the package's SPD test.
@@ -149,15 +164,28 @@ def cholesky(a) -> np.ndarray:
     norm = np.max(np.sum(np.abs(a), axis=1), initial=0.0)
     floor = PIVOT_FLOOR * norm
     w = np.zeros_like(a)
-    for j in range(n):
+    k = 0
+    if lead is not None:
+        k = lead.shape[0]
+        w[:k, :k] = lead
+        if k and pivots[:k].min() <= floor:
+            j = int(np.argmax(pivots[:k] <= floor))
+            raise NotPositiveDefiniteError(f"pivot {pivots[j]:.3e} at column {j} is not positive")
+    diag = a.diagonal().tolist()
+    for j in range(k, n):
         # Row j of L is (ell, sqrt(pivot)) with ell = W_j a[j, :j]; bordering
         # L by it borders W by -(ell W_j) / sqrt(pivot) and 1 / sqrt(pivot).
-        ell = w[:j, :j] @ a[j, :j]
-        pivot = a[j, j] - ell @ ell
+        w_j = w[:j, :j]
+        ell = w_j @ a[j, :j]
+        pivot = diag[j] - float(ell @ ell)
         if pivot <= floor:
             raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j} is not positive")
-        root = np.sqrt(pivot)
-        w[j, :j] = -(ell @ w[:j, :j]) / root
+        if pivots is not None:
+            pivots[j] = pivot
+        root = math.sqrt(pivot)
+        row = w[j, :j]
+        np.matmul(ell, w_j, out=row)
+        row /= -root
         w[j, j] = 1.0 / root
     return w
 

@@ -5,7 +5,8 @@
 Nonnegative right-hand sides make the origin feasible, so no phase-1 is
 needed, and positive definite H makes the minimizer unique.  The loop is
 the primal active-set method (Nocedal & Wright, *Numerical Optimization*,
-Algorithm 16.3), and its working set is one boolean mask over the rows.
+Algorithm 16.3).  Its working set is an index array of rows in the order
+they joined, beside a boolean mask over the rows that the ratio test reads.
 Working-set changes are deterministic: a blocking tie picks the smallest
 constraint index, and a drop takes the most negative multiplier.  Nothing
 rules out cycling on a degenerate vertex; the step limit 50(n+m) bounds a
@@ -15,13 +16,17 @@ cycle by raising MaxQpIterationsError, which ``engine.solve`` reports as
 The loop needs a feasible start and its working set there.  The caller
 may name rows to start from (the engine passes those with a positive
 multiplier in the previous iteration's QP; Nocedal & Wright, sections
-16.5 and 18.3): the minimizer d_W of the objective on the equalities
-A_W d = b_W is the start, with W as the working set, when every other row
-holds there exactly, A_i d_W <= b_i with no tolerance.  Otherwise, and
-when A_W Y_W fails its Cholesky pivot floor or residual check, the loop
-starts cold at d = 0 with an empty working set.  Both starts run the same
-loop; near a solution the rows barely change between iterations, and the
-warm loop only confirms the multipliers' signs.
+16.5 and 18.3).  The start is the minimizer d_W of the objective on the
+equalities A_W d = b_W.  While d_W breaks another row (A_i d_W > b_i, with
+no tolerance), the most violated row joins W and d_W is solved again, one
+bordered factor row per retry.  Once every other row holds, d_W is the
+start and W its working set: it is feasible, holds A_W d = b_W, and its
+rows are independent.  When a factor of A_W Y_W fails its pivot floor or
+a solve its residual check, or W reaches n rows while a row is still
+broken, the loop starts cold at d = 0 with an empty working set instead.
+Every start runs the same loop; near a solution the rows barely change
+between iterations, and the warm loop only confirms the multipliers'
+signs.
 
 The caller passes L^-1 for the lower Cholesky factor L of H, which the
 engine forms once per curvature matrix as H's positive-definiteness
@@ -30,13 +35,16 @@ for all constraint rows and u = H^-1 grad (Nocedal & Wright, *Numerical
 Optimization*, section 16.5).  Since H^-1 (H d + grad) = d + u, a step with
 working set W finds its multipliers from the |W|-sized system
 (A_W Y_W) lam = -A_W (d + u), whose matrix is sliced out of the precomputed
-A Y, and its direction as p = -(d + u + Y_W lam).  Each working set is
-factored once (the warm start's factor serves the first step), and each
-solve checks its residual against A_W Y_W.  The ratio test reads the
-vectors A p and b - A d.  Y and A Y are handed back on the solution, so the
-caller can solve systems in H and A' without solving against H again.  The
-KKT certificate of the result reads H itself, so a factor that is not H's
-fails it.
+A Y in W's order, and its direction as p = -(d + u + Y_W lam).  The factor
+of A_W Y_W is kept from step to step (Gill, Golub, Murray & Saunders 1974):
+a step that keeps its rows reuses it, an added row borders it with one
+more row, and a row dropped at position k keeps its first k rows and
+borders the rest again, all through ``linalg.cholesky``, so each factor is
+bitwise the one from scratch.  Each solve checks its residual against
+A_W Y_W.  The ratio test reads the vectors A p and b - A d.  Y and A Y are
+handed back on the solution, so the caller can solve systems in H and A'
+without solving against H again.  The KKT certificate of the result reads
+H itself, so a factor that is not H's fails it.
 """
 
 from __future__ import annotations
@@ -128,14 +136,28 @@ def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
             raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
 
 
+_NO_FACTOR = (np.zeros(0, dtype=np.intp), np.zeros((0, 0)), np.zeros(0))
+
+
 def _work_solve(ay: np.ndarray, work: np.ndarray, fac, rhs: np.ndarray):
-    """Solve (A_W Y_W) lam = rhs on the rows W = ``work`` and check its
-    residual; ``fac`` = (rows, factor) is reused when its rows are W, else
-    A_W Y_W is factored.  Returns (W's pair, lam)."""
+    """Solve (A_W Y_W) lam = rhs on the rows W = ``work``, in the order they
+    joined, and check its residual.  ``fac`` = (rows, factor, pivots) is the
+    previous working set's: it is reused when its rows are W; otherwise the
+    leading rows it shares with W keep their factor rows, and
+    ``linalg.cholesky`` borders the rest.  Returns (W's triple, lam)."""
     ay_w = ay[np.ix_(work, work)]
-    if fac is None or not np.array_equal(fac[0], work):
-        fac = (work, linalg.cholesky(ay_w))
-    lam = linalg.solve_cholesky(fac[1], rhs)
+    rows, w, piv = fac
+    keep = 0
+    for old, new in zip(rows.tolist(), work.tolist()):
+        if old != new:
+            break
+        keep += 1
+    if keep < work.size or rows.size > work.size:
+        piv_w = np.empty(work.size)
+        piv_w[:keep] = piv[:keep]
+        w = linalg.cholesky(ay_w, w[:keep, :keep], piv_w)
+        fac = (work, w, piv_w)
+    lam = linalg.solve_cholesky(w, rhs)
     linalg.check_residual(ay_w @ lam, rhs)
     return fac, lam
 
@@ -143,18 +165,26 @@ def _work_solve(ay: np.ndarray, work: np.ndarray, fac, rhs: np.ndarray):
 def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
                 y_all: np.ndarray, ay: np.ndarray, rows: np.ndarray):
     """The minimizer d = -(u + Y_W lam) on the equalities A_W d = b_W of the
-    rows W, and the factor pair that found it; d is None unless every other
-    row holds at d exactly, and both are None when the solve fails."""
-    if rows.size == 0:
-        return None, None
-    try:
-        fac, lam = _work_solve(ay, rows, None, -(b[rows] + au[rows]))
-    except (NotPositiveDefiniteError, NumericalBreakdown):
-        return None, None
-    d = -(u + y_all[:, rows] @ lam)
-    holds = A @ d <= b  # NaN fails
-    holds[rows] = True
-    return (d if holds.all() else None), fac
+    rows W, grown from ``rows``: while d breaks another row, the most
+    violated one joins W and d is solved again, one bordered factor row per
+    retry.  Returns (d, W, W's factor triple) once every other row holds at
+    d exactly, or None when a solve fails or W reaches n rows first."""
+    fac = _NO_FACTOR
+    while rows.size:
+        try:
+            fac, lam = _work_solve(ay, rows, fac, -(b[rows] + au[rows]))
+        except (NotPositiveDefiniteError, NumericalBreakdown):
+            return None
+        d = -(u + y_all[:, rows] @ lam)
+        excess = A @ d - b
+        excess[rows] = 0.0
+        worst = int(np.argmax(excess))
+        if excess[worst] <= 0.0:  # a NaN row counts as broken
+            return d, rows, fac
+        if rows.size >= u.size:
+            return None
+        rows = np.concatenate((rows, [worst]))
+    return None
 
 
 def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
@@ -171,14 +201,14 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
     row_scale = np.abs(A).max(axis=1, initial=0.0)
     abs_grad = np.abs(grad)
     abs_h = np.abs(H)
-    warm = np.asarray(warm, dtype=np.intp)
-    d, fac = _warm_start(A, b, u, au, y_all, ay, warm)
+    start = _warm_start(A, b, u, au, y_all, ay, np.asarray(warm, dtype=np.intp))
     in_work = np.zeros(m, dtype=bool)
-    if d is None:
-        d = np.zeros(n)
+    if start is None:
+        d, work, fac = np.zeros(n), _NO_FACTOR[0], _NO_FACTOR
         best = 0.0  # the objective at the feasible start d = 0
     else:
-        in_work[warm] = True
+        d, work, fac = start
+        in_work[work] = True
         # Not inst.objective: perfbench/tracer.py counts the loop's steps
         # through its calls.
         best = float(0.5 * d @ H @ d + grad @ d)
@@ -188,7 +218,6 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
 
     for _ in range(limit):
         a_d = A @ d
-        work = np.flatnonzero(in_work)
         if work.size:
             try:
                 fac, lam_work = _work_solve(ay, work, fac, -(a_d[work] + au[work]))
@@ -219,7 +248,9 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
             # half the certificate's tolerance, else drop the row.
             if lam_work.size == 0 or lam_work.min() * row_scale[work].max() >= -0.5 * kkt_tol:
                 break
-            in_work[work[np.argmin(lam_work)]] = False
+            leave = int(np.argmin(lam_work))
+            in_work[work[leave]] = False
+            work = np.concatenate((work[:leave], work[leave + 1:]))
             stall = 0  # the working set changed; give it a fresh chance
             continue
 
@@ -238,6 +269,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         d = d + alpha * p
         if blocker >= 0:
             in_work[blocker] = True
+            work = np.concatenate((work, [blocker]))
 
         obj = inst.objective(d)
         if obj < best - 1e-12 * max(1.0, abs(best)):

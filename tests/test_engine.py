@@ -689,14 +689,15 @@ class TestOneFactorPerCurvatureMatrix:
         # test that certified it (the start's identity is its own factor),
         # and the QP solves against that very factor: every Cholesky call
         # inside solve_qp factors a principal submatrix of that QP's
-        # A H^-1 A', never an n-by-n H.
+        # A H^-1 A', its rows in the order they joined the working set,
+        # never an n-by-n H.
         factored = []  # (argument, factor, index of the enclosing QP or None)
         handed = []    # (H, factor, solution) of each QP
         where = [None]
         real_cholesky, real_solve_qp = linalg.cholesky, qp.solve_qp
 
-        def cholesky(a):
-            low = real_cholesky(a)
+        def cholesky(a, *rest):
+            low = real_cholesky(a, *rest)
             factored.append((a, low, where[-1]))
             return low
 
@@ -719,7 +720,7 @@ class TestOneFactorPerCurvatureMatrix:
         assert inside
         for a, ay in inside:
             assert any(np.array_equal(a, ay[np.ix_(rows, rows)])
-                       for rows in itertools.combinations(range(ay.shape[0]), a.shape[0]))
+                       for rows in itertools.permutations(range(ay.shape[0]), a.shape[0]))
         first_h, first_low, _ = handed[0]
         assert np.array_equal(first_h, np.eye(4)) and np.array_equal(first_low, np.eye(4))
         # bfgs_update does not symmetrize: every chained update of I must
@@ -1070,7 +1071,7 @@ class TestPenaltyPath:
     # equality active; like the convex pins, the counts follow every
     # rounding decision of the solver.
     CONVERGED_COUNTS = {0: (46, 143, 1404), 1: (57, 200, 2352), 2: (45, 139, 1650),
-                        3: (70, 250, 2982)}
+                        3: (70, 251, 2988)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_logit_seed_converges_after_raising_c(self, seed):
@@ -1140,7 +1141,40 @@ class TestRuntimeCertificates:
         monkeypatch.setattr(engine, "arc_search", lambda *args: None)
         monkeypatch.setattr(engine, "CERT_SLACK", -np.inf)
         message = self._degenerate_message(_toy_problem(), [0.5])
-        assert message == "blended direction lost descent"
+        assert message.startswith("blended direction lost descent: slope ")
+
+    def test_uphill_qp_slope_at_phi_zero_loses_descent(self, monkeypatch):
+        # HS037 from a perturbed start ends this way at k = 15: at phi = 0
+        # the QP's d0 climbs by 1.7e-8, inside the QP's tolerance, and d1
+        # climbs more, so beta = 0 and the test reads slope <= THETA*slope.
+        # Here a QP whose d0 climbs by 1e-8 (its tolerance is 3e-7 at
+        # max|grad| = 300) reaches the check under the default CERT_SLACK.
+        problem = model.NlpProblem(
+            n=2, m_ineq=1, m_eq=0,
+            f0=lambda x: float(100.0 * ((x[0] - 2.0) ** 2 + x[1] ** 2)),
+            f=lambda x: np.array([x[0] - 1.0]),
+            grad_f0=lambda x: np.array([200.0 * (x[0] - 2.0), 200.0 * x[1]]),
+            grad_f=lambda x: np.array([[1.0], [0.0]]),
+        )
+        real_solve_qp = qp.solve_qp
+
+        def uphill(inst, hfac, warm):
+            sol = real_solve_qp(inst, hfac, warm)
+            d0 = 1e-8 * inst.grad / (inst.grad @ inst.grad) + np.array([0.0, 1e-4])
+            return dataclasses.replace(sol, d0=d0)
+
+        monkeypatch.setattr(qp, "solve_qp", uphill)
+        monkeypatch.setattr(engine, "arc_search", lambda *args: None)
+        message = self._degenerate_message(problem, [0.5, 0.0])
+        match = re.fullmatch(
+            r"blended direction lost descent: slope (\S+), slope_d1 (\S+), "
+            r"beta (\S+), \|d0\| (\S+), phi (\S+)", message)
+        assert match
+        slope, slope_d1, beta, norm_d0, phi = map(float, match.groups())
+        assert slope == pytest.approx(1e-8, rel=1e-3)
+        assert slope_d1 > slope
+        assert (beta, phi) == (0.0, 0.0)
+        assert norm_d0 == pytest.approx(1e-4, rel=1e-3)
 
     def test_qp_step_limit(self, monkeypatch):
         # With no multiplier passing the drop test, the first QP (H = I,

@@ -156,6 +156,101 @@ class TestCholesky:
             linalg.solve_cholesky(np.eye(2), np.ones(3))
 
 
+def _grown(a, k, lead_of=None):
+    """cholesky(a) grown from the factor of a leading k x k block: that of
+    ``a`` itself, or of ``lead_of`` when given (a matrix whose leading
+    k x k block is a's), as the QP keeps the rows before a dropped one."""
+    source = a[:k, :k] if lead_of is None else lead_of
+    pivots = np.empty(source.shape[0])
+    lead = linalg.cholesky(source, pivots=pivots)
+    kept = np.concatenate((pivots[:k], np.empty(a.shape[0] - k)))
+    return linalg.cholesky(a, lead[:k, :k], kept)
+
+
+def _outcome(factor, *args):
+    """The factor, or the message of the NotPositiveDefiniteError raised."""
+    try:
+        return factor(*args)
+    except NotPositiveDefiniteError as exc:
+        return str(exc)
+
+
+def _same_outcome(x, y):
+    if isinstance(x, str) or isinstance(y, str):
+        return x == y
+    return np.array_equal(x, y)
+
+
+class TestGrownFactor:
+    """A factor grown from the factor of a leading block is bitwise the
+    factor from scratch of the same ordered matrix, and raises exactly when
+    that would, with the same message."""
+
+    def test_grown_is_bitwise_the_factor_from_scratch(self):
+        rng = np.random.default_rng(25)
+        for _ in range(300):
+            n = int(rng.integers(1, 41))
+            g = rng.normal(size=(n, n))
+            m = g @ g.T + 10.0 ** rng.uniform(-6, 1) * np.eye(n)
+            order = rng.permutation(n)
+            a = m[np.ix_(order, order)]
+            k = int(rng.integers(0, n + 1))
+            pivots = np.empty(n)
+            fresh = linalg.cholesky(a, pivots=pivots)
+            grown_pivots = np.concatenate((pivots[:k], np.empty(n - k)))
+            grown = linalg.cholesky(a, fresh[:k, :k].copy(), grown_pivots)
+            assert np.array_equal(grown, fresh)
+            assert np.array_equal(grown_pivots, pivots)
+            assert np.array_equal(fresh, linalg.cholesky(a))
+            # The rows before a dropped row keep their factor rows.
+            if n > 1:
+                p = int(rng.integers(0, n - 1))
+                dropped = np.delete(order, p + int(rng.integers(0, n - p)))
+                b = m[np.ix_(dropped, dropped)]
+                assert np.array_equal(_grown(b, p, lead_of=a), linalg.cholesky(b))
+
+    def test_grown_raises_exactly_when_the_factor_from_scratch_does(self):
+        rng = np.random.default_rng(26)
+        grown_raised = grown_held = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 41))
+            rank = n if rng.uniform() < 0.5 else int(rng.integers(1, n + 1))
+            g = rng.normal(size=(n, rank)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+            a = g @ g.T + 10.0 ** rng.uniform(-18, -8) * rng.normal() * np.eye(n)
+            fresh = _outcome(linalg.cholesky, a)
+            k = int(rng.integers(0, n + 1))
+            lead = _outcome(linalg.cholesky, a[:k, :k])
+            if isinstance(lead, str):
+                assert isinstance(fresh, str)  # a failed leading block fails a
+                continue
+            assert _same_outcome(_outcome(_grown, a, k), fresh)
+            grown_raised += isinstance(fresh, str)
+            grown_held += not isinstance(fresh, str)
+        assert grown_raised > 80 and grown_held > 150
+
+    @pytest.mark.parametrize("big", [1e2, 1e3, 1e6])
+    def test_reused_pivot_is_tested_against_the_grown_floor(self, big):
+        # The leading block diag(1, 1e-13) passes its own floor 1e-14.  The
+        # appended row lifts the row-sum norm to about ``big``, and so the
+        # floor to about 1e-14 * big, which the kept pivot 1e-13 fails.
+        a = np.diag([1.0, 1e-13, big])
+        a[2, 0] = a[0, 2] = 1e-3
+        fresh = _outcome(linalg.cholesky, a)
+        assert fresh == "pivot 1.000e-13 at column 1 is not positive"
+        assert _outcome(_grown, a, 2) == fresh
+
+    def test_dependent_appended_row_raises(self):
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            k = int(rng.integers(1, 40))
+            b = rng.normal(size=(k, int(rng.integers(k, 41))))
+            c = rng.normal(size=k) if rng.uniform() < 0.5 else np.eye(k)[rng.integers(k)]
+            rows = np.vstack([b, c @ b])
+            a = rows @ rows.T
+            with pytest.raises(NotPositiveDefiniteError, match=f"at column {k} "):
+                _grown(a, k)
+
+
 class TestSpdSolve:
     def test_scaled_identity(self):
         x = linalg.spd_solve(2.0 * np.eye(2), np.array([2.0, 4.0]))

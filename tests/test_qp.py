@@ -338,12 +338,33 @@ def _solve_counting_steps(monkeypatch, inst, warm):
     return sol, len(steps)
 
 
+def _ordered_rows(ay, a):
+    """Every ordered tuple of distinct rows r with ay[r][:, r] equal to
+    ``a`` bit for bit."""
+    found = []
+
+    def extend(rows):
+        i = len(rows)
+        if i == a.shape[0]:
+            found.append(tuple(rows))
+            return
+        for r in range(ay.shape[0]):
+            if (r not in rows and ay[r, r] == a[i, i]
+                    and np.array_equal(ay[r, rows], a[i, :i])
+                    and np.array_equal(ay[rows, r], a[:i, i])):
+                extend(rows + [r])
+
+    extend([])
+    return found
+
+
 class TestWarmStart:
     """A hint of rows to start the loop from changes where the loop starts,
     never what it returns: each warm solve certifies, agrees with the cold
     solve within the certificate's tolerance and with the enumeration
-    oracle, and a hint that does not fit falls back to the cold start, bit
-    for bit."""
+    oracle.  A hint whose start breaks another row grows by the most
+    violated row until every row holds; one whose factor fails, or that
+    grows to n rows first, falls back to the cold start, bit for bit."""
 
     @staticmethod
     def _check(inst, warm, cold):
@@ -376,32 +397,51 @@ class TestWarmStart:
         assert hinted > 100
         assert warm_steps < 0.5 * cold_steps
 
-    def test_random_hints_match_cold_and_oracle(self):
+    def test_random_hints_match_cold_and_oracle(self, monkeypatch):
+        # A start that breaks a row grows instead of restarting cold: it
+        # certifies and matches the oracle like any other, and it saves
+        # loop steps in aggregate.
         rng = np.random.default_rng(4321)
-        fell_back = 0
+        grown = cold_steps = grown_steps = 0
         for _ in range(600):
             inst = _random_instance(rng)
             rows = np.sort(rng.choice(inst.m, size=int(rng.integers(0, inst.m + 1)),
                                       replace=False))
-            cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
-            warm = qp.solve_qp(inst, linalg.cholesky(inst.H), rows)
+            cold, n_cold = _solve_counting_steps(monkeypatch, inst, ())
+            warm, n_warm = _solve_counting_steps(monkeypatch, inst, rows)
             self._check(inst, warm, cold)
             if rows.size and rows.size <= inst.n:
                 start = _equality_start(inst, rows)
                 others = np.setdiff1d(np.arange(inst.m), rows)
                 if np.any(inst.A[others] @ start > inst.b[others] + 1e-9):
-                    assert self._same(warm, cold)  # a start that breaks a row is not taken
-                    fell_back += 1
-        assert fell_back > 30
+                    grown += 1
+                    cold_steps += n_cold
+                    grown_steps += n_warm
+        assert grown > 30
+        assert grown_steps < cold_steps
 
-    def test_hint_whose_start_breaks_another_row_falls_back(self):
-        # On d1 = 1 alone the minimizer is (1, 2), which breaks d2 <= 0.5.
+    def test_hint_whose_start_breaks_another_row_grows(self, monkeypatch):
+        # On d1 = 1 alone the minimizer is (1, 2), which breaks d2 <= 0.5;
+        # with row 1 appended the start is the vertex (1, 0.5), which the
+        # loop only confirms in one step.
         inst = qp.QpInstance(H=np.eye(2), grad=np.array([-2.0, -2.0]),
                              A=np.eye(2), b=np.array([1.0, 0.5]))
+        cold, n_cold = _solve_counting_steps(monkeypatch, inst, ())
+        warm, n_warm = _solve_counting_steps(monkeypatch, inst, [0])
+        self._check(inst, warm, cold)
+        assert np.allclose(warm.d0, [1.0, 0.5], atol=1e-12)
+        assert np.array_equal(warm.lam > 0, [True, True])
+        assert n_warm < n_cold
+
+    def test_hint_that_grows_to_n_rows_falls_back(self):
+        # n = 1: on d = 1 (row 0) the start breaks d <= 0.5 (row 1), and a
+        # second row would make the set dependent.
+        inst = qp.QpInstance(H=np.eye(1), grad=np.array([-2.0]),
+                             A=np.ones((2, 1)), b=np.array([1.0, 0.5]))
         cold = qp.solve_qp(inst, linalg.cholesky(inst.H))
         warm = qp.solve_qp(inst, linalg.cholesky(inst.H), [0])
         assert self._same(warm, cold)
-        assert np.allclose(warm.d0, [1.0, 0.5], atol=1e-12)
+        assert np.allclose(warm.d0, [0.5], atol=1e-12)
 
     def test_larger_instances_agree_with_the_cold_start(self, monkeypatch):
         # The same sizes and degenerate rows as TestAgainstUnhoistedLoop,
@@ -529,40 +569,34 @@ class TestPerQpWork:
         assert sizes.count(n) == 2
         assert sizes[2] == rows.size and max(sizes[2:]) < n
 
-    def test_each_working_set_is_factored_once(self, monkeypatch):
-        # Every working-set solve checks (A_W Y_W) lam against its right-hand
-        # side.  W is read off that check, as the rows whose principal
-        # submatrix of the returned ay reproduces the checked product bit
-        # for bit, and off a factorization that fails as the rows whose
-        # submatrix it was handed.  solve_qp factors once per run of equal
-        # consecutive working sets: a step that keeps its rows reuses the
-        # factor, and a warm start that holds shares its factor with the
-        # first step.
-        real_cholesky, real_solve, real_check = (
-            linalg.cholesky, linalg.solve_cholesky, linalg.check_residual)
-        factors, solves, events = [], [], []
+    def test_each_change_borders_only_the_rows_the_factor_lacks(self, monkeypatch):
+        # Every Cholesky call inside solve_qp factors A_W Y_W with the rows
+        # of W in the order they joined.  W is read off the matrix it is
+        # handed, as the one ordered tuple of rows whose submatrix of the
+        # returned ay it is bit for bit.  Each call keeps the leading rows
+        # that W shares with the previous factor's rows (all of them after
+        # an add, those before the dropped row after a drop) and borders
+        # only the rest; it borders none only when the last row was
+        # dropped, and a step that keeps its rows reuses the factor.  The
+        # one exception is the cold start after a warm start that does not
+        # fit: its first factor has one row, bordered from scratch.  Every
+        # factor is bitwise the one from scratch.
+        real_cholesky = linalg.cholesky
+        calls = []  # (a, rows kept from the lead, factor or None when it raised)
 
-        def cholesky(a):
-            factors.append(a)
+        def cholesky(a, lead=None, pivots=None):
+            kept = 0 if lead is None else lead.shape[0]
             try:
-                return real_cholesky(a)
+                w = real_cholesky(a, lead, pivots)
             except NotPositiveDefiniteError:
-                events.append((None, a))
+                calls.append((a, kept, None))
                 raise
-
-        def solve_cholesky(w, b):
-            solves.append(real_solve(w, b))
-            return solves[-1]
-
-        def check_residual(ax, b):
-            events.append((solves[-1], ax))
-            return real_check(ax, b)
+            calls.append((a, kept, w))
+            return w
 
         monkeypatch.setattr(linalg, "cholesky", cholesky)
-        monkeypatch.setattr(linalg, "solve_cholesky", solve_cholesky)
-        monkeypatch.setattr(linalg, "check_residual", check_residual)
         rng = np.random.default_rng(17)
-        factored = solved = warm_shared = 0
+        bordered = rows_factored = changes = 0
         for _ in range(150):
             n, m = int(rng.integers(2, 9)), int(rng.integers(1, 11))
             g = rng.normal(size=(n, n))
@@ -573,30 +607,28 @@ class TestPerQpWork:
             cold = qp.solve_qp(inst, hfac)
             hints = ((), np.flatnonzero(cold.lam > 0), np.flatnonzero(rng.uniform(size=m) < 0.5))
             for warm in hints:
-                del factors[:], solves[:], events[:]
+                del calls[:]
                 sol = qp.solve_qp(inst, hfac, warm)
-                checks = [e for e in events if e[0] is not None]
-                assert len(solves) == 2 + len(checks)  # Y and u, then one per check
-                seen = []
-                for first, second in events:
-                    if first is None:
-                        rows = [r for r in itertools.combinations(range(m), second.shape[0])
-                                if np.array_equal(sol.ay[np.ix_(r, r)], second)]
-                    else:
-                        rows = [r for r in itertools.combinations(range(m), first.size)
-                                if np.array_equal(sol.ay[np.ix_(r, r)] @ first, second)]
-                    assert len(rows) == 1
-                    seen.append(rows[0])
-                starts = [w for i, w in enumerate(seen) if i == 0 or w != seen[i - 1]]
-                assert len(factors) == len(starts)
-                for a, w in zip(factors, starts):
-                    assert np.array_equal(a, sol.ay[np.ix_(w, w)])
-                if len(warm) and seen[:2] == [tuple(warm)] * 2:
-                    warm_shared += 1
-                factored += len(factors)
-                solved += len(checks)
-        assert warm_shared > 50
-        assert solved > 1.25 * factored
+                previous = ()
+                for a, kept, w in calls:
+                    found = _ordered_rows(sol.ay, a)
+                    assert len(found) == 1
+                    rows = found[0]
+                    shared = 0
+                    while (shared < min(len(rows), len(previous))
+                           and rows[shared] == previous[shared]):
+                        shared += 1
+                    restart = kept == 0 and len(rows) == 1
+                    assert kept == shared or restart
+                    assert kept < len(rows) or len(previous) == len(rows) + 1
+                    if w is not None:
+                        assert np.array_equal(w, real_cholesky(a))
+                        previous = rows
+                        changes += 1
+                        bordered += len(rows) - kept
+                        rows_factored += len(rows)
+        assert changes > 1000
+        assert bordered < 0.65 * rows_factored  # 1 556 of 2 735 rows
 
     def test_hands_back_y_and_ay(self):
         rng = np.random.default_rng(4)
@@ -643,7 +675,7 @@ class TestCertificates:
     def test_dependent_working_set_is_a_breakdown(self, monkeypatch):
         # The first step from d = 0 is blocked by row 0 (H = I, grad = -1,
         # b = 0.5), so the second solves a working-set system.
-        def singular(a):
+        def singular(*args):
             raise NotPositiveDefiniteError("forced")
 
         inst = qp.QpInstance(H=np.eye(1), grad=np.array([-1.0]),
