@@ -381,13 +381,13 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
         weight = 1.0 + (gamma_k * ss - sy) / denom
     yhat = y + weight * (gamma_k * s + a_cols @ ats)
     syh = float(s @ yhat)
-    if syh <= 1e-12 * np.linalg.norm(s) * np.linalg.norm(yhat):
+    if syh <= 1e-12 * math.sqrt(ss) * math.sqrt(float(yhat @ yhat)):  # |s| |yhat|
         return H
     hs = H @ s
     shs = float(s @ hs)
     if shs <= 0.0:
         return H
-    return H - np.outer(hs, hs) / shs + np.outer(yhat, yhat) / syh
+    return H - hs[:, None] * hs / shs + yhat[:, None] * yhat / syh  # outer products
 
 
 def _recover_multipliers(lam: np.ndarray, m_ineq: int, c: float) -> np.ndarray:
@@ -440,7 +440,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     inst = qpmod.QpInstance(H=state.H, grad=grad_fc, A=ev.gI.T, b=-ev.fbar)
     sol = qpmod.solve_qp(inst, state.low, state.warm_rows)
     d0 = sol.d0
-    norm_d0 = float(np.linalg.norm(d0))
+    norm_d0 = math.sqrt(float(d0 @ d0))
     fc0 = model.penalty_value(ev, c)
 
     # The one stopping rule: a feasible point (every constraint satisfied,
@@ -493,7 +493,7 @@ def step(problem: model.NlpProblem, state: IterateState,
                  f"{slope_d1:.3e}, beta {beta:.3e}, |d0| {norm_d0:.3e}, phi {phi:.3e}")
         shift = beta * push
         if ev.izero.size:
-            i0_margin = float(np.max(ev.gI[:, ev.izero].T @ dhat + shift))
+            i0_margin = float((ev.gI[:, ev.izero].T @ dhat + shift).max())
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
         t, vals = feasible_direction_search(problem, ev, dhat, shift, slope_hat, c, fc0,
                                             options, counters)
@@ -507,7 +507,7 @@ def step(problem: model.NlpProblem, state: IterateState,
             low_next = linalg.cholesky(h_next)
         except NotPositiveDefiniteError:
             h_next = state.H
-    warm_rows = np.flatnonzero(sol.lam > 0)
+    warm_rows = (sol.lam > 0).nonzero()[0]
     fixed_point = (_is_fixed_point(ev, vals, c_changed)
                    and np.array_equal(warm_rows, state.warm_rows))
 

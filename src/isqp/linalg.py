@@ -65,8 +65,8 @@ def check_residual(ax: np.ndarray, b: np.ndarray) -> float:
     """Check the post-condition of a solve of A x = b, given the product
     ``ax`` = A x, raising NumericalBreakdown when it fails; return
     max|A x - b| / max(1, max|b|)."""
-    residual = np.max(np.abs(ax - b), initial=0.0)
-    scale = max(1.0, np.max(np.abs(b), initial=0.0))
+    residual = np.abs(ax - b).max(initial=0.0)
+    scale = max(1.0, np.abs(b).max(initial=0.0))
     if not residual <= RESIDUAL_TOL * scale:
         raise NumericalBreakdown(f"solve residual {residual:.3e} exceeds tolerance")
     return residual / scale
@@ -161,30 +161,32 @@ def cholesky(a, lead=None, pivots=None) -> np.ndarray:
     """
     a = _as_square(a)
     n = a.shape[0]
-    norm = np.max(np.sum(np.abs(a), axis=1), initial=0.0)
+    norm = np.abs(a).sum(axis=1).max(initial=0.0)
     floor = PIVOT_FLOOR * norm
-    w = np.zeros_like(a)
+    w = np.zeros((n, n))
     k = 0
     if lead is not None:
         k = lead.shape[0]
         w[:k, :k] = lead
         if k and pivots[:k].min() <= floor:
-            j = int(np.argmax(pivots[:k] <= floor))
+            j = int((pivots[:k] <= floor).argmax())
             raise NotPositiveDefiniteError(f"pivot {pivots[j]:.3e} at column {j} is not positive")
     diag = a.diagonal().tolist()
     for j in range(k, n):
         # Row j of L is (ell, sqrt(pivot)) with ell = W_j a[j, :j]; bordering
         # L by it borders W by -(ell W_j) / sqrt(pivot) and 1 / sqrt(pivot).
+        # ndarray.dot reaches the same BLAS dot and gemv as ``@`` without
+        # the matmul ufunc's per-call dispatch, which costs more at this size.
         w_j = w[:j, :j]
-        ell = w_j @ a[j, :j]
-        pivot = diag[j] - float(ell @ ell)
+        ell = w_j.dot(a[j, :j])
+        pivot = diag[j] - float(ell.dot(ell))
         if pivot <= floor:
             raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j} is not positive")
         if pivots is not None:
             pivots[j] = pivot
         root = math.sqrt(pivot)
         row = w[j, :j]
-        np.matmul(ell, w_j, out=row)
+        ell.dot(w_j, out=row)
         row /= -root
         w[j, j] = 1.0 / root
     return w
@@ -193,7 +195,7 @@ def cholesky(a, lead=None, pivots=None) -> np.ndarray:
 def solve_cholesky(w: np.ndarray, b) -> np.ndarray:
     """Solve (L L') x = b as x = W'(W b), given W = L^-1 from ``cholesky``."""
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != np.shape(w)[0]:
+    if b.shape[0] != w.shape[0]:
         raise ValueError("right-hand side has wrong length")
     return np.einsum("ji,j...->i...", w, np.einsum("ij,j...->i...", w, b))
 

@@ -14,7 +14,7 @@ gradients and the shifted values that drive the next step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from numbers import Integral
 from typing import Callable, Optional
 
@@ -85,8 +85,8 @@ class PointValues:
     A constraint is satisfied when f_i <= PHI_TOL * max(1, max|f|), the
     roundoff floor of :func:`point_values`, and violated otherwise.  The
     violation measure phi is max f_i when some constraint is violated and 0
-    when none is.  f0 is None until the objective is evaluated (see
-    :func:`with_objective`).
+    when none is; ``n_satisfied`` counts the satisfied constraints.  f0 is
+    None until the objective is evaluated (see :func:`with_objective`).
     """
 
     x: np.ndarray
@@ -94,11 +94,8 @@ class PointValues:
     fI: np.ndarray
     phi: float
     satisfied: np.ndarray  # boolean mask over the constraints
+    n_satisfied: int       # its count
     m_ineq: int
-
-    @property
-    def n_satisfied(self) -> int:
-        return int(np.count_nonzero(self.satisfied))
 
 
 @dataclass(frozen=True)
@@ -157,18 +154,23 @@ def point_values(problem: NlpProblem, x, counters: EvalCounters) -> PointValues:
     """
     x = np.asarray(x, dtype=float).reshape(problem.n)
     fI = constraint_values(problem, x, counters)
-    top = max(0.0, np.max(fI, initial=0.0))
-    floor = PHI_TOL * max(1.0, top, -np.min(fI, initial=0.0))
+    top = max(0.0, fI.max(initial=0.0))
+    floor = PHI_TOL * max(1.0, top, -fI.min(initial=0.0))
     satisfied = fI <= floor
-    phi = 0.0 if satisfied.all() else top
+    n_satisfied = int(np.count_nonzero(satisfied))
+    phi = 0.0 if n_satisfied == fI.size else top
     return PointValues(x=x, f0=None, fI=fI, phi=phi, satisfied=satisfied,
-                       m_ineq=problem.m_ineq)
+                       n_satisfied=n_satisfied, m_ineq=problem.m_ineq)
 
 
 def with_objective(problem: NlpProblem, values: PointValues,
                    counters: EvalCounters) -> PointValues:
     """``values`` completed with the objective value at its point."""
-    return replace(values, f0=objective_value(problem, values.x, counters))
+    # Built directly: dataclasses.replace walks the fields by introspection
+    # on every call.
+    return PointValues(x=values.x, f0=objective_value(problem, values.x, counters),
+                       fI=values.fI, phi=values.phi, satisfied=values.satisfied,
+                       n_satisfied=values.n_satisfied, m_ineq=values.m_ineq)
 
 
 def _central_differences(name: str, value, n: int, x, shape: tuple) -> np.ndarray:
@@ -221,19 +223,19 @@ def evaluate(problem: NlpProblem, values: PointValues,
     fbar[~values.satisfied] -= values.phi
     fbar[values.satisfied & (values.fI > 0.0)] = 0.0  # values within the floor
     return Evaluation(**vars(values), g0=g0, gI=gI, fbar=fbar,
-                      izero=np.flatnonzero(fbar == 0.0))
+                      izero=(fbar == 0.0).nonzero()[0])
 
 
 def penalty_value(values: PointValues, c: float) -> float:
     """Penalized objective: f0 minus c times the sum of equality components."""
     eq = values.fI[values.m_ineq:]
-    return values.f0 - c * float(np.sum(eq))
+    return values.f0 - c * float(eq.sum())
 
 
 def penalty_gradient(ev: Evaluation, c: float) -> np.ndarray:
     """Gradient of the penalized objective."""
     eq_cols = ev.gI[:, ev.m_ineq:]
-    return ev.g0 - c * np.sum(eq_cols, axis=1)
+    return ev.g0 - c * eq_cols.sum(axis=1)
 
 
 def compute_pi(ev: Evaluation, p: float) -> np.ndarray:
@@ -269,7 +271,7 @@ def update_c(c: float, pi_eq: np.ndarray, gamma: float, gamma0: float) -> float:
     pi_eq = np.asarray(pi_eq, dtype=float)
     if pi_eq.size == 0:
         return c
-    s = float(np.max(np.abs(pi_eq))) + gamma0
+    s = float(np.abs(pi_eq).max()) + gamma0
     if s > c:
         return max(s, c + gamma)
     return c
@@ -286,11 +288,11 @@ def kkt_residual_original(ev: Evaluation, mu: np.ndarray) -> float:
     """
     mu = np.asarray(mu, dtype=float).reshape(ev.fI.size)
     m1 = ev.m_ineq
-    scale = max(1.0, np.max(np.abs(ev.g0), initial=0.0))
-    stationarity = np.max(np.abs(ev.g0 + ev.gI @ mu), initial=0.0)
-    primal_ineq = np.max(np.maximum(ev.fI[:m1], 0.0), initial=0.0)
-    primal_eq = np.max(np.abs(ev.fI[m1:]), initial=0.0)
-    dual = np.max(np.maximum(-mu[:m1], 0.0), initial=0.0)
-    complementarity = np.max(np.abs(mu[:m1] * ev.fI[:m1]), initial=0.0)
+    scale = max(1.0, np.abs(ev.g0).max(initial=0.0))
+    stationarity = np.abs(ev.g0 + ev.gI @ mu).max(initial=0.0)
+    primal_ineq = np.maximum(ev.fI[:m1], 0.0).max(initial=0.0)
+    primal_eq = np.abs(ev.fI[m1:]).max(initial=0.0)
+    dual = np.maximum(-mu[:m1], 0.0).max(initial=0.0)
+    complementarity = np.abs(mu[:m1] * ev.fI[:m1]).max(initial=0.0)
     return max(stationarity / scale, primal_ineq, primal_eq,
                dual / scale, complementarity / scale)

@@ -50,6 +50,7 @@ H itself, so a factor that is not H's fails it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -66,6 +67,7 @@ ACTIVE_TOL = 1e-8
 KKT_TOL = 1e-9
 _STEP_ZERO = 1e-12
 _DIR_EPS = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class QpInstance:
             raise ValueError("H shape does not match gradient length")
         if self.A.shape != (m, n):
             raise ValueError("A shape does not match b and gradient")
-        if m > 0 and np.min(self.b) < 0.0:
+        if m > 0 and self.b.min() < 0.0:
             raise ValueError("b must be nonnegative (origin must be feasible)")
 
     @property
@@ -95,13 +97,15 @@ class QpInstance:
     def m(self) -> int:
         return self.b.shape[0]
 
-    @property
+    # Cached: the loop, _certify and the engine's decrease certificate all
+    # read it.
+    @cached_property
     def kkt_tol(self) -> float:
-        return KKT_TOL * max(1.0, np.max(np.abs(self.grad), initial=0.0))
+        return KKT_TOL * max(1.0, np.abs(self.grad).max(initial=0.0))
 
     @property
     def active_tol(self) -> float:
-        return ACTIVE_TOL * max(1.0, np.max(np.abs(self.b), initial=0.0))
+        return ACTIVE_TOL * max(1.0, np.abs(self.b).max(initial=0.0))
 
     def objective(self, d: np.ndarray) -> float:
         return float(0.5 * d @ self.H @ d + self.grad @ d)
@@ -120,20 +124,25 @@ class QpSolution:
     ay: np.ndarray
 
 
-def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> None:
+def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Check the KKT conditions of (d, lam) to inst.kkt_tol, raising
+    NumericalBreakdown on the first that fails; return the slack b - A d."""
     tol = inst.kkt_tol
-    stationarity = np.max(np.abs(inst.H @ d + inst.grad + inst.A.T @ lam), initial=0.0)
+    stationarity = np.abs(inst.H @ d + inst.grad + inst.A.T @ lam).max(initial=0.0)
     if stationarity > tol:
         raise NumericalBreakdown(f"QP stationarity residual {stationarity:.3e}")
+    slack = inst.b - inst.A @ d
     if inst.m > 0:
-        slack = inst.b - inst.A @ d
-        if np.min(slack) < -tol:
-            raise NumericalBreakdown(f"QP feasibility residual {-np.min(slack):.3e}")
-        if np.min(lam) < -tol:
-            raise NumericalBreakdown(f"QP negative multiplier {np.min(lam):.3e}")
-        comp = np.max(np.abs(lam * slack), initial=0.0)
-        if comp > tol * max(1.0, np.max(np.abs(inst.b), initial=0.0)):
+        low = slack.min()
+        if low < -tol:
+            raise NumericalBreakdown(f"QP feasibility residual {-low:.3e}")
+        low = lam.min()
+        if low < -tol:
+            raise NumericalBreakdown(f"QP negative multiplier {low:.3e}")
+        comp = np.abs(lam * slack).max(initial=0.0)
+        if comp > tol * max(1.0, np.abs(inst.b).max(initial=0.0)):
             raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
+    return slack
 
 
 _NO_FACTOR = (np.zeros(0, dtype=np.intp), np.zeros((0, 0)), np.zeros(0))
@@ -145,7 +154,7 @@ def _work_solve(ay: np.ndarray, work: np.ndarray, fac, rhs: np.ndarray):
     previous working set's: it is reused when its rows are W; otherwise the
     leading rows it shares with W keep their factor rows, and
     ``linalg.cholesky`` borders the rest.  Returns (W's triple, lam)."""
-    ay_w = ay[np.ix_(work, work)]
+    ay_w = ay[work[:, None], work]  # np.ix_ without its Python-level checks
     rows, w, piv = fac
     keep = 0
     for old, new in zip(rows.tolist(), work.tolist()):
@@ -178,7 +187,7 @@ def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
         d = -(u + y_all[:, rows] @ lam)
         excess = A @ d - b
         excess[rows] = 0.0
-        worst = int(np.argmax(excess))
+        worst = int(excess.argmax())
         if excess[worst] <= 0.0:  # a NaN row counts as broken
             return d, rows, fac
         if rows.size >= u.size:
@@ -214,6 +223,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         best = float(0.5 * d @ H @ d + grad @ d)
     kkt_tol = inst.kkt_tol
     limit = 50 * (n + m)
+    stall_limit = 2 * (n + m) + 4
     stall = 0
 
     for _ in range(limit):
@@ -237,9 +247,11 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         ad = np.abs(d)
         p_scale = np.abs(p).max(initial=0.0)
         tiny_norm = p_scale <= _STEP_ZERO * max(1.0, ad.max(initial=0.0))
-        obj_noise = float(abs_grad @ ad + 0.5 * ad @ abs_h @ ad)
-        flat = 0.5 * float(p @ H @ p) <= 100 * np.finfo(float).eps * obj_noise
-        stuck = stall >= 2 * (n + m) + 4
+        stuck = stall >= stall_limit
+        flat = False
+        if not (tiny_norm or stuck):  # the costliest test, read only when it decides
+            obj_noise = float(abs_grad @ ad + 0.5 * ad @ abs_h @ ad)
+            flat = 0.5 * float(p @ H @ p) <= 100 * _EPS * obj_noise
         if tiny_norm or flat or stuck:
             if tiny_norm:
                 d = d + p  # absorb the residual step so stationarity holds to roundoff
@@ -248,7 +260,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
             # half the certificate's tolerance, else drop the row.
             if lam_work.size == 0 or lam_work.min() * row_scale[work].max() >= -0.5 * kkt_tol:
                 break
-            leave = int(np.argmin(lam_work))
+            leave = int(lam_work.argmin())
             in_work[work[leave]] = False
             work = np.concatenate((work[:leave], work[leave + 1:]))
             stall = 0  # the working set changed; give it a fresh chance
@@ -262,7 +274,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         toward = ~in_work & (a_p > _DIR_EPS * np.maximum(1.0, row_scale * p_scale))
         alpha = 1.0
         blocker = -1
-        for i in np.flatnonzero(toward & (slack < a_p)).tolist():
+        for i in (toward & (slack < a_p)).nonzero()[0].tolist():
             ratio = slack[i] / a_p[i]
             if ratio < alpha - 1e-12 or (blocker < 0 and ratio < alpha):
                 alpha, blocker = ratio, i
@@ -282,8 +294,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
 
     lam = np.zeros(m)
     lam[work] = np.maximum(lam_work, 0.0)
-    active = np.flatnonzero(b - A @ d <= inst.active_tol)
-    _certify(inst, d, lam)
+    active = (_certify(inst, d, lam) <= inst.active_tol).nonzero()[0]
     return QpSolution(d0=d, lam=lam, active=active, y=y_all, ay=ay)
 
 

@@ -232,6 +232,20 @@ class TestCounters:
         model.evaluate(prob, vals, counters)
         assert (counters.nf0, counters.nf) == (1, 2)
 
+    def test_with_objective_sets_only_f0(self):
+        # with_objective names every field itself, so a field added to
+        # PointValues must be carried there too: every field but f0 is the
+        # very object of the values it completes.
+        prob = _toy_problem()
+        counters = model.EvalCounters()
+        vals = model.point_values(prob, [3.0], counters)
+        done = model.with_objective(prob, vals, counters)
+        assert type(done) is model.PointValues
+        assert (vals.f0, done.f0) == (None, 1.0)
+        for field in dataclasses.fields(model.PointValues):
+            if field.name != "f0":
+                assert getattr(done, field.name) is getattr(vals, field.name), field.name
+
 
 class TestJacobianLayout:
     def test_layout_of_grad_f_does_not_change_the_run(self):

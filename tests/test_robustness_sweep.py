@@ -1,5 +1,6 @@
 """Smoke test of the robustness sweep (tools/robustness_sweep.py) on a tiny
-slice, run as a script, and its usage errors."""
+slice, run as a script, its usage errors, and the pinned degenerate exits
+of its seed 0 on HS024 and HS031."""
 
 import os
 import subprocess
@@ -8,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from isqp import corpus
+from isqp import corpus, engine
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "tools", "robustness_sweep.py")
@@ -33,15 +34,20 @@ def test_tiny_slice_prints_counts_per_problem_seed_and_family():
     ]
 
 
-def test_starts_are_consecutive_draws_of_one_generator():
-    # A slice solves the starts that the sweep over every problem draws:
-    # each problem's draws follow those of the problems before it.
+def _sweep():
+    """The sweep's module, imported from tools/."""
     sys.path.insert(0, os.path.join(ROOT, "tools"))
     try:
         import robustness_sweep
     finally:
         sys.path.pop(0)
-    drawn = list(robustness_sweep.starts(3, 2))
+    return robustness_sweep
+
+
+def test_starts_are_consecutive_draws_of_one_generator():
+    # A slice solves the starts that the sweep over every problem draws:
+    # each problem's draws follow those of the problems before it.
+    drawn = list(_sweep().starts(3, 2))
     names = corpus.list_problems()
     assert [(name, draw) for name, draw, _ in drawn] == [
         (name, draw) for name in names for draw in range(2)]
@@ -59,3 +65,30 @@ def test_usage_errors_exit_two(args, error):
     done = _run(*args, check=False)
     assert done.returncode == 2
     assert error in done.stderr
+
+
+# Seed 0's degenerate exits on HS024 and HS031, by (problem, draw): the run's
+# iteration count k and its message.  Each ends at k = 1 on an
+# ill-conditioned curvature matrix; the other 57 draws of the two problems
+# converge.
+SEED0_DEGENERATE = {
+    ("HS024", 1): (1, "solve residual 3.046e-06 exceeds tolerance"),
+    ("HS024", 18): (1, "solve residual 2.339e-10 exceeds tolerance"),
+    ("HS031", 13): (1, "active-set loop exceeded 500 iterations"),
+}
+
+
+def test_seed_zero_pins_the_degenerate_exits_of_hs024_and_hs031():
+    statuses = {}
+    degenerate = {}
+    for name, draw, x0 in _sweep().starts(0, 30):
+        if name not in ("HS024", "HS031"):
+            continue
+        report = engine.solve(corpus.get_problem(name).problem, x0)
+        statuses[name, draw] = report.status
+        if report.status is engine.SolveStatus.DEGENERATE:
+            degenerate[name, draw] = (report.ni, report.message)
+    assert degenerate == SEED0_DEGENERATE
+    assert len(statuses) == 60
+    assert all(status is engine.SolveStatus.CONVERGED
+               for key, status in statuses.items() if key not in SEED0_DEGENERATE)
