@@ -344,9 +344,10 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
 
 def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
                 lam: np.ndarray, active: np.ndarray, c: float,
-                d0: np.ndarray) -> np.ndarray:
+                grad_fc: np.ndarray, dd0: float) -> np.ndarray:
     """BFGS update on the penalized Lagrangian, bent toward positive
-    curvature when the raw pair fails it.
+    curvature when the raw pair fails it, given the penalty gradient
+    ``grad_fc`` at ev under c and dd0 = |d0|^2, both as ``step`` formed them.
 
     The difference vector y is replaced by y + a*(g*s + A A's) with weight a
     chosen by the observed curvature s'y; g caps at KAPPA and shrinks with
@@ -363,10 +364,9 @@ def bfgs_update(H: np.ndarray, ev: model.Evaluation, ev_next: model.Evaluation,
     if ss == 0.0:
         return H
     grad_l_next = model.penalty_gradient(ev_next, c) + ev_next.gI @ lam
-    grad_l_cur = model.penalty_gradient(ev, c) + ev.gI @ lam
-    y = grad_l_next - grad_l_cur
+    y = grad_l_next - (grad_fc + ev.gI @ lam)
     sy = float(s @ y)
-    gamma_k = min(float(d0 @ d0), KAPPA)
+    gamma_k = min(dd0, KAPPA)
     a_cols = ev.gI[:, active]
     ats = a_cols.T @ s
     saas = float(ats @ ats)
@@ -440,7 +440,8 @@ def step(problem: model.NlpProblem, state: IterateState,
     inst = qpmod.QpInstance(H=state.H, grad=grad_fc, A=ev.gI.T, b=-ev.fbar)
     sol = qpmod.solve_qp(inst, state.low, state.warm_rows)
     d0 = sol.d0
-    norm_d0 = math.sqrt(float(d0 @ d0))
+    dd0 = float(d0 @ d0)
+    norm_d0 = math.sqrt(dd0)
     fc0 = model.penalty_value(ev, c)
 
     # The one stopping rule: a feasible point (every constraint satisfied,
@@ -500,7 +501,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         branch = "feasible_direction"
 
     ev_next = model.evaluate(problem, vals, counters)
-    h_next = bfgs_update(state.H, ev, ev_next, sol.lam, sol.active, c, d0)
+    h_next = bfgs_update(state.H, ev, ev_next, sol.lam, sol.active, c, grad_fc, dd0)
     low_next = state.low
     if h_next is not state.H:
         try:  # the one factorization of h_next, and its positive-definiteness test

@@ -5,13 +5,12 @@
 Nonnegative right-hand sides make the origin feasible, so no phase-1 is
 needed, and positive definite H makes the minimizer unique.  The loop is
 the primal active-set method (Nocedal & Wright, *Numerical Optimization*,
-Algorithm 16.3).  Its working set is an index array of rows in the order
-they joined, beside a boolean mask over the rows that the ratio test reads.
-Working-set changes are deterministic: a blocking tie picks the smallest
-constraint index, and a drop takes the most negative multiplier.  Nothing
-rules out cycling on a degenerate vertex; the step limit 50(n+m) bounds a
-cycle by raising MaxQpIterationsError, which ``engine.solve`` reports as
-``degenerate``.
+Algorithm 16.3).  Its working set W is one index array of rows in the
+order they joined.  Working-set changes are deterministic: a blocking tie
+picks the smallest constraint index, and a drop takes the most negative
+multiplier.  Nothing rules out cycling on a degenerate vertex; the step
+limit 50(n+m) bounds a cycle by raising MaxQpIterationsError, which
+``engine.solve`` reports as ``degenerate``.
 
 The loop needs a feasible start and its working set there.  The caller
 may name rows to start from (the engine passes those with a positive
@@ -21,12 +20,12 @@ equalities A_W d = b_W.  While d_W breaks another row (A_i d_W > b_i, with
 no tolerance), the most violated row joins W and d_W is solved again, one
 bordered factor row per retry.  Once every other row holds, d_W is the
 start and W its working set: it is feasible, holds A_W d = b_W, and its
-rows are independent.  When a factor of A_W Y_W fails its pivot floor or
-a solve its residual check, or W reaches n rows while a row is still
-broken, the loop starts cold at d = 0 with an empty working set instead.
-Every start runs the same loop; near a solution the rows barely change
-between iterations, and the warm loop only confirms the multipliers'
-signs.
+rows are independent.  The cold start, d = 0 with an empty working set,
+is the warm start's own fallback: it is the start when no rows are named,
+when a factor of A_W Y_W fails its pivot floor or a solve its residual
+check, or when W reaches n rows while a row is still broken.  Every start
+runs the same loop; near a solution the rows barely change between
+iterations, and the warm loop only confirms the multipliers' signs.
 
 The caller passes L^-1 for the lower Cholesky factor L of H, which the
 engine forms once per curvature matrix as H's positive-definiteness
@@ -177,13 +176,14 @@ def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
     rows W, grown from ``rows``: while d breaks another row, the most
     violated one joins W and d is solved again, one bordered factor row per
     retry.  Returns (d, W, W's factor triple) once every other row holds at
-    d exactly, or None when a solve fails or W reaches n rows first."""
+    d exactly, and the cold start (d = 0, no rows, no factor) when there
+    are no rows, a solve fails or W reaches n rows first."""
     fac = _NO_FACTOR
     while rows.size:
         try:
             fac, lam = _work_solve(ay, rows, fac, -(b[rows] + au[rows]))
         except (NotPositiveDefiniteError, NumericalBreakdown):
-            return None
+            break
         d = -(u + y_all[:, rows] @ lam)
         excess = A @ d - b
         excess[rows] = 0.0
@@ -191,9 +191,9 @@ def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
         if excess[worst] <= 0.0:  # a NaN row counts as broken
             return d, rows, fac
         if rows.size >= u.size:
-            return None
+            break
         rows = np.concatenate((rows, [worst]))
-    return None
+    return np.zeros(u.size), _NO_FACTOR[0], _NO_FACTOR
 
 
 def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
@@ -210,17 +210,10 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
     row_scale = np.abs(A).max(axis=1, initial=0.0)
     abs_grad = np.abs(grad)
     abs_h = np.abs(H)
-    start = _warm_start(A, b, u, au, y_all, ay, np.asarray(warm, dtype=np.intp))
-    in_work = np.zeros(m, dtype=bool)
-    if start is None:
-        d, work, fac = np.zeros(n), _NO_FACTOR[0], _NO_FACTOR
-        best = 0.0  # the objective at the feasible start d = 0
-    else:
-        d, work, fac = start
-        in_work[work] = True
-        # Not inst.objective: perfbench/tracer.py counts the loop's steps
-        # through its calls.
-        best = float(0.5 * d @ H @ d + grad @ d)
+    d, work, fac = _warm_start(A, b, u, au, y_all, ay, np.asarray(warm, dtype=np.intp))
+    # Not inst.objective: perfbench/tracer.py counts the loop's steps
+    # through its calls.
+    best = float(0.5 * d @ H @ d + grad @ d)
     kkt_tol = inst.kkt_tol
     limit = 50 * (n + m)
     stall_limit = 2 * (n + m) + 4
@@ -261,7 +254,6 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
             if lam_work.size == 0 or lam_work.min() * row_scale[work].max() >= -0.5 * kkt_tol:
                 break
             leave = int(lam_work.argmin())
-            in_work[work[leave]] = False
             work = np.concatenate((work[:leave], work[leave + 1:]))
             stall = 0  # the working set changed; give it a fresh chance
             continue
@@ -271,7 +263,8 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         # A row can block only if its ratio is below 1 (slack < A_i p).
         a_p = A @ p
         slack = np.maximum(b - a_d, 0.0)
-        toward = ~in_work & (a_p > _DIR_EPS * np.maximum(1.0, row_scale * p_scale))
+        toward = a_p > _DIR_EPS * np.maximum(1.0, row_scale * p_scale)
+        toward[work] = False
         alpha = 1.0
         blocker = -1
         for i in (toward & (slack < a_p)).nonzero()[0].tolist():
@@ -280,7 +273,6 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
                 alpha, blocker = ratio, i
         d = d + alpha * p
         if blocker >= 0:
-            in_work[blocker] = True
             work = np.concatenate((work, [blocker]))
 
         obj = inst.objective(d)

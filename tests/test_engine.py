@@ -580,7 +580,8 @@ class TestCurvatureUpdate:
         s = ev_next.x - ev.x
         y = ev_next.g0 - ev.g0
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([1.0, 0.0]))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 1.0)
         assert np.allclose(H @ s, y, atol=1e-12)
         linalg.cholesky(H)  # stays positive definite
 
@@ -593,7 +594,8 @@ class TestCurvatureUpdate:
         s = ev_next.x - ev.x
         y = ev_next.g0 - ev.g0
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([0.3, 0.0]))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 0.3 ** 2)
         assert np.allclose(H @ s, y + 0.09 * s, atol=1e-12)
 
     def test_negative_curvature_identity_without_constraints(self):
@@ -606,7 +608,8 @@ class TestCurvatureUpdate:
         s = ev_next.x - ev.x
         gamma_k = 0.16  # |d0|^2 with d0 = (0.4, 0)
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([0.4, 0.0]))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 0.4 ** 2)
         assert float(s @ H @ s) == pytest.approx(2.0 * gamma_k * float(s @ s),
                                                  abs=1e-12)
         linalg.cholesky(H)
@@ -627,7 +630,8 @@ class TestCurvatureUpdate:
         gamma_k = 0.16
         expected = 2.0 * gamma_k * float(s @ s) + float(s[0] ** 2)
         H = engine.bfgs_update(np.eye(2), ev, ev_next, np.array([0.7]),
-                               np.array([0]), 0.5, np.array([0.4, 0.0]))
+                               np.array([0]), 0.5,
+                               model.penalty_gradient(ev, 0.5), 0.4 ** 2)
         assert float(s @ H @ s) == pytest.approx(expected, abs=1e-12)
 
     def test_skip_returns_same_object_when_bending_impossible(self):
@@ -639,7 +643,8 @@ class TestCurvatureUpdate:
         ev, ev_next = self._pair(prob, [0.0, 0.0], [0.5, 0.5])
         H0 = np.eye(2)
         H = engine.bfgs_update(H0, ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.zeros(2))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 0.0)
         assert H is H0
 
     def test_skip_when_bent_pair_has_no_curvature(self):
@@ -652,7 +657,8 @@ class TestCurvatureUpdate:
         ev, ev_next = self._pair(prob, [0.0, 0.0], [1.0, 0.0])
         H0 = np.eye(2)
         H = engine.bfgs_update(H0, ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.zeros(2))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 0.0)
         assert H is H0
 
     def test_skip_when_h_has_no_curvature_along_s(self):
@@ -664,7 +670,8 @@ class TestCurvatureUpdate:
         ev, ev_next = self._pair(prob, [0.0, 0.0], [1.0, 0.0])
         H0 = np.diag([-1.0, 1.0])
         H = engine.bfgs_update(H0, ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.zeros(2))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 0.0)
         assert H is H0
 
     def test_zero_displacement_skips(self):
@@ -672,14 +679,16 @@ class TestCurvatureUpdate:
         ev = _evaluate(prob, [1.0])
         H0 = np.eye(1)
         H = engine.bfgs_update(H0, ev, ev, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.array([1.0]))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 1.0)
         assert H is H0
 
     def test_result_is_symmetric(self):
         prob = _quadratic([2.0, 5.0, 1.0])
         ev, ev_next = self._pair(prob, [1.0, 1.0, 1.0], [0.3, -0.2, 0.8])
         H = engine.bfgs_update(np.eye(3), ev, ev_next, np.zeros(0),
-                               np.zeros(0, dtype=int), 0.5, np.ones(3))
+                               np.zeros(0, dtype=int), 0.5,
+                               model.penalty_gradient(ev, 0.5), 3.0)
         assert np.array_equal(H, H.T)
 
 
@@ -735,6 +744,22 @@ class TestOneFactorPerCurvatureMatrix:
             assert factors[0] is hfac
         assert len({id(H) for H, _, _ in handed}) == 1 + sum(
             bool(rec.h_updated) for rec in report.trace)
+
+
+class TestOnePenaltyGradientPerPoint:
+    @pytest.mark.parametrize("name, calls", [("HS035", 15), ("HS043", 23)])
+    def test_each_point_forms_its_penalty_gradient_once(self, monkeypatch, name, calls):
+        # step forms the gradient at each iterate for its QP, bfgs_update
+        # reads it from step and forms only the one at the accepted point,
+        # and the converging check forms the last iterate's.
+        seen = []
+        real = model.penalty_gradient
+        monkeypatch.setattr(model, "penalty_gradient",
+                            lambda ev, c: seen.append(ev) or real(ev, c))
+        report = engine.solve(corpus.get_problem(name).problem,
+                              corpus.get_problem(name).x0_infeasible)
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert len(seen) == 2 * report.ni + 1 == calls
 
 
 class TestWarmRows:

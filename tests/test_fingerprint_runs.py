@@ -38,11 +38,12 @@ def test_two_problems_fingerprint_identically_twice():
 
 
 def test_report_hash_leaves_out_the_trace(monkeypatch):
-    # The script pins the BLAS thread variables and extends sys.path on
-    # import; monkeypatch restores both.
+    # The script's shared setup module, found on tools/ as a script finds
+    # it, pins the BLAS thread variables and extends sys.path on import;
+    # monkeypatch restores both.
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
     spec = importlib.util.spec_from_file_location("fingerprint_runs", SCRIPT)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)

@@ -1,6 +1,6 @@
 """Smoke test of the robustness sweep (tools/robustness_sweep.py) on a tiny
-slice, run as a script, its usage errors, and the pinned degenerate exits
-of its seed 0 on HS024 and HS031."""
+slice, run as a script, its usage errors, the pinned degenerate exits of
+its seed 0 on HS024 and HS031, and runs that each QP stop test decides."""
 
 import os
 import subprocess
@@ -57,9 +57,14 @@ def test_starts_are_consecutive_draws_of_one_generator():
     assert np.allclose(steps, expected, rtol=0.0, atol=1e-12)
 
 
+# A count that sweeps nothing once printed zero-run lines and exited 0, so
+# two empty sweeps compared as identical.
 @pytest.mark.parametrize("args, error", [
     (("--seeds", "0,0"), "repeated value"),
     (("--seeds", "0", "--problems", "HS035,HS999"), "unknown problems: HS999"),
+    (("--seeds", "0", "--draws", "0"), "--draws must be at least 1, got 0"),
+    (("--seeds", "0", "--draws", "-3"), "--draws must be at least 1, got -3"),
+    (("--seeds", "0", "--planted", "-2"), "--planted must be at least 0, got -2"),
 ])
 def test_usage_errors_exit_two(args, error):
     done = _run(*args, check=False)
@@ -92,3 +97,27 @@ def test_seed_zero_pins_the_degenerate_exits_of_hs024_and_hs031():
     assert len(statuses) == 60
     assert all(status is engine.SolveStatus.CONVERGED
                for key, status in statuses.items() if key not in SEED0_DEGENERATE)
+
+
+# Runs that each of the QP loop's three stop tests decides, by (seed,
+# problem, draw): status and iteration count.  Every one converges; with
+# the stall test off, the flat-step test never computed, or the tiny step
+# not absorbed into d, each of its runs ends degenerate instead.
+QP_STOP_TESTS = {
+    "stuck": {(0, "HS030", 3): 17, (0, "HS030", 6): 10, (0, "HS030", 11): 16},
+    "flat": {(0, "HS036", 9): 10, (0, "HS037", 7): 14, (0, "HS037", 8): 18},
+    "tiny_norm": {(1, "HS037", 1): 18, (2, "HS033", 26): 11, (3, "HS033", 28): 7,
+                  (3, "HS037", 7): 18},
+}
+
+
+@pytest.mark.parametrize("test", sorted(QP_STOP_TESTS))
+def test_runs_that_each_qp_stop_test_decides(test):
+    pinned = QP_STOP_TESTS[test]
+    ended = {}
+    for seed in sorted({seed for seed, _, _ in pinned}):
+        for name, draw, x0 in _sweep().starts(seed, 30):
+            if (seed, name, draw) in pinned:
+                report = engine.solve(corpus.get_problem(name).problem, x0)
+                ended[seed, name, draw] = (report.status, report.ni)
+    assert ended == {key: (engine.SolveStatus.CONVERGED, ni) for key, ni in pinned.items()}

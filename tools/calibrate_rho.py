@@ -44,23 +44,16 @@ configuration is always part of the grid.  A repeated ``--rho``,
 the corpus or without the ``hs-corpus`` family, is a usage error too.
 """
 
-import os
+import _common  # noqa: F401  first: it pins BLAS before numpy loads and sets the import paths
 
-# BLAS threads change iteration counts; pin them before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import itertools
+import math
+import sys
+from dataclasses import dataclass
 
-import argparse  # noqa: E402
-import itertools  # noqa: E402
-import math  # noqa: E402
-import sys  # noqa: E402
-from dataclasses import dataclass  # noqa: E402
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
-
-import workloads  # noqa: E402
-from isqp import bench, corpus, engine  # noqa: E402
+import workloads
+from isqp import bench, corpus, engine
 
 RHOS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
 ALPHAS = (0.5, 0.4, 0.25)

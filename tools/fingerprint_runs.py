@@ -22,24 +22,17 @@ repeated workload, or a name that no instance of the selected workloads
 has, is a usage error (exit 2) raised before anything is solved.
 """
 
-import os
+import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
-# BLAS threads change iteration counts; pin them before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import dataclasses
+import hashlib
+import sys
 
-import argparse  # noqa: E402
-import dataclasses  # noqa: E402
-import hashlib  # noqa: E402
-import sys  # noqa: E402
+import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
-
-import numpy as np  # noqa: E402
-
-import workloads  # noqa: E402
-from isqp import engine  # noqa: E402
+import workloads
+from isqp import engine
 
 TIMINGS = ("wall_seconds", "cpu_seconds")
 
@@ -86,13 +79,10 @@ def main(argv=None) -> int:
     repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
     if repeated:
         parser.error(f"--workload names {repeated} more than once")
-    selected = [(workload, inst) for workload in args.workload
-                for inst in workloads.build(workload)]
-    if args.problems is not None:
-        unmatched = sorted(args.problems - {inst.problem.name for _, inst in selected})
-        if unmatched:
-            parser.error(f"--problems names {unmatched} match no instance of {args.workload}")
-        selected = [(w, inst) for w, inst in selected if inst.problem.name in args.problems]
+    selected = _common.keep_problems(
+        parser, [(workload, inst) for workload in args.workload
+                 for inst in workloads.build(workload)],
+        args.problems, f" of {args.workload}")
 
     for workload, inst in selected:
         report = engine.solve(inst.problem, inst.x0)

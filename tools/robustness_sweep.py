@@ -16,48 +16,41 @@ line gives a problem, its run count and the count of each status; the
 ``degenerate`` runs are then listed with seed, draw, iteration and
 message.  The planted family runs its seeds 0 .. ``--planted``-1
 (default 20) with 0 and 2 equality rows, each from its own start, once
-whatever the seeds.  A repeated seed, or a name not in the corpus, is a
-usage error (exit 2) raised before anything is solved.
+whatever the seeds.  A repeated seed, a name not in the corpus,
+``--draws`` below 1 or ``--planted`` below 0 is a usage error (exit 2)
+raised before anything is solved.
 """
 
-import os
+import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
-# BLAS threads change iteration counts; pin them before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import sys
+from collections import Counter
 
-import argparse  # noqa: E402
-import sys  # noqa: E402
-from collections import Counter  # noqa: E402
+import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "tests"), os.path.join(ROOT, "src")]
-
-import numpy as np  # noqa: E402
-
-from isqp import corpus, engine  # noqa: E402
-from test_planted import planted_problem  # noqa: E402
+from isqp import corpus, engine
+from test_planted import planted_problem
 
 STATUSES = [s.value for s in engine.SolveStatus]
 PLANTED_EQ = (0, 2)
 
 
-def _int_list(text: str) -> list[int]:
-    values = [int(v) for v in text.split(",")]
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
-    return values
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=_int_list, required=True)
+    parser.add_argument("--seeds", type=_common.int_list, required=True)
     parser.add_argument("--draws", type=int, default=30)
     parser.add_argument("--problems", default=None,
                         help="comma-separated corpus names (default: all)")
     parser.add_argument("--planted", type=int, default=20,
                         help="planted seeds 0 .. N-1 per equality count")
     args = parser.parse_args(argv)
+    # A count that sweeps nothing prints zero-run lines, and two empty
+    # sweeps would compare as identical.
+    if args.draws < 1:
+        parser.error(f"--draws must be at least 1, got {args.draws}")
+    if args.planted < 0:
+        parser.error(f"--planted must be at least 0, got {args.planted}")
     names = corpus.list_problems()
     if args.problems is None:
         args.problems = names

@@ -21,52 +21,33 @@ instances whose program has one of the given names (``HS035``,
 has, is a usage error (exit 2) raised before anything is solved.
 """
 
-import os
+import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
-# BLAS threads change iteration counts; pin them before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
+import argparse
+import dataclasses
+import sys
+from collections import Counter
 
-import argparse  # noqa: E402
-import dataclasses  # noqa: E402
-import sys  # noqa: E402
-from collections import Counter  # noqa: E402
+import numpy as np
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
-
-import numpy as np  # noqa: E402
-
-import workloads  # noqa: E402
-from isqp import engine, model  # noqa: E402
+import workloads
+from isqp import engine, model
 
 WORKLOADS = ("hs-corpus", "convex-n20")
 EXPONENTS = (-6, -4, -2, 0, 2, 4, 6)
 CONVERGED = engine.SolveStatus.CONVERGED
 
 
-def _int_list(text: str) -> list[int]:
-    values = [int(v) for v in text.split(",")]
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
-    return values
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--exponents", type=_int_list, default=list(EXPONENTS),
+    parser.add_argument("--exponents", type=_common.int_list, default=list(EXPONENTS),
                         help="comma-separated k of the scales 10^k (default: %(default)s)")
     parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
                         help="comma-separated program names to keep (default: all)")
     args = parser.parse_args(argv)
-    args.instances = [(workload, inst) for workload in WORKLOADS
-                      for inst in workloads.build(workload)]
-    if args.problems is not None:
-        unmatched = sorted(args.problems - {inst.problem.name for _, inst in args.instances})
-        if unmatched:
-            parser.error(f"--problems names {unmatched} match no instance")
-        args.instances = [(w, inst) for w, inst in args.instances
-                          if inst.problem.name in args.problems]
+    args.instances = _common.keep_problems(
+        parser, [(workload, inst) for workload in WORKLOADS
+                 for inst in workloads.build(workload)], args.problems)
     return args
 
 
