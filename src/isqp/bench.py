@@ -3,7 +3,6 @@ and Dolan-More performance profiles."""
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
@@ -100,37 +99,22 @@ def run_benchmark(names: Optional[Sequence[str]] = None, starts: str = "both",
             for entry, start, x0 in select_runs(names, starts)]
 
 
-def _format_fv(fv: float) -> str:
-    if math.isnan(fv):
-        return "nan"
-    return f"{fv:.11e}"
-
-
 def emit_table(records: Iterable[RunRecord], fmt: str = "csv") -> str:
     """Render records as CSV (exact benchmark header) or a markdown table."""
-    rows = [
-        (r.problem, str(r.n), str(r.m1), str(r.m2), r.start, r.status.value,
+    rows = [CSV_HEADER.split(",")] + [
+        [r.problem, str(r.n), str(r.m1), str(r.m2), r.start, r.status.value,
          str(r.nio), str(r.nii), str(r.ni), str(r.nf0), str(r.nf),
-         _format_fv(r.fv),
-         "inf" if math.isinf(r.kkt_residual) else f"{r.kkt_residual:.3e}",
-         f"{r.cpu_seconds:.6f}")
+         f"{r.fv:.11e}", f"{r.kkt_residual:.3e}", f"{r.cpu_seconds:.6f}"]
         for r in records
     ]
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for row in rows:
-            out.write(",".join(row) + "\n")
-        return out.getvalue()
-    if fmt == "markdown":
-        header = CSV_HEADER.split(",")
-        out = io.StringIO()
-        out.write("| " + " | ".join(header) + " |\n")
-        out.write("|" + "|".join(" --- " for _ in header) + "|\n")
-        for row in rows:
-            out.write("| " + " | ".join(row) + " |\n")
-        return out.getvalue()
-    raise ValueError(f"unknown format {fmt!r}")
+        lines = [",".join(row) for row in rows]
+    elif fmt == "markdown":
+        rows.insert(1, ["---"] * len(rows[0]))
+        lines = ["| " + " | ".join(row) + " |" for row in rows]
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return "\n".join(lines) + "\n"
 
 
 def read_table(text: str) -> list[RunRecord]:
@@ -177,7 +161,7 @@ def compute_profiles(metric_by_solver: Mapping[str, Mapping[str, float]]) -> lis
     if not keys:
         raise InconsistentRecordsError("no problems to profile")
 
-    ratios: dict[str, dict[str, float]] = {s: {} for s in solvers}
+    ratios: dict[str, list[float]] = {s: [] for s in solvers}
     for key in keys:
         values = [float(metric_by_solver[s][key]) for s in solvers]
         for v in values:
@@ -187,26 +171,13 @@ def compute_profiles(metric_by_solver: Mapping[str, Mapping[str, float]]) -> lis
                 )
         best = min(values)
         for s, v in zip(solvers, values):
-            if math.isinf(best):
-                ratios[s][key] = math.inf
-            else:
-                ratios[s][key] = v / best
+            ratios[s].append(v / best if math.isfinite(best) else math.inf)
 
-    taus = {1.0}
-    for s in solvers:
-        taus.update(r for r in ratios[s].values() if math.isfinite(r))
-    tau_grid = sorted(taus)
-
-    curves = []
-    n_problems = len(keys)
-    for s in solvers:
-        rs = np.array(sorted(ratios[s].values()))
-        points = tuple(
-            ProfilePoint(tau=t, rho=float(np.count_nonzero(rs <= t)) / n_problems)
-            for t in tau_grid
-        )
-        curves.append(ProfileCurve(solver=s, points=points))
-    return curves
+    tau_grid = sorted({1.0, *(r for rs in ratios.values() for r in rs if math.isfinite(r))})
+    return [ProfileCurve(solver=s, points=tuple(
+                ProfilePoint(tau=t, rho=sum(r <= t for r in rs) / len(keys))
+                for t in tau_grid))
+            for s, rs in ratios.items()]
 
 
 def profile_metric(records: Iterable[RunRecord], metric: str) -> dict[str, float]:
@@ -224,16 +195,13 @@ def profile_metric(records: Iterable[RunRecord], metric: str) -> dict[str, float
             continue
         value = float(getattr(r, metric))
         if value <= 0:
-            value = max(value, 1e-9)  # zero-cost runs still rank first
+            value = 1e-9  # zero-cost runs still rank first
         out[key] = value
     return out
 
 
 def emit_profiles(curves: Sequence[ProfileCurve]) -> str:
     """Render profile curves as CSV with header solver,tau,rho."""
-    out = io.StringIO()
-    out.write("solver,tau,rho\n")
-    for curve in curves:
-        for pt in curve.points:
-            out.write(f"{curve.solver},{pt.tau:.9g},{pt.rho:.9g}\n")
-    return out.getvalue()
+    return "solver,tau,rho\n" + "".join(
+        f"{curve.solver},{pt.tau:.9g},{pt.rho:.9g}\n"
+        for curve in curves for pt in curve.points)

@@ -139,6 +139,21 @@ class TestEmitTable:
         assert set(lines[1].replace("|", "").split()) == {"---"}
         assert "| HS035 |" in lines[2]
 
+    def test_markdown_table_bytes(self):
+        text = bench.emit_table(
+            [_record(), _record(start="b", status=engine.SolveStatus.MAX_ITERATIONS,
+                                fv=float("nan"), kkt_residual=math.inf)],
+            fmt="markdown")
+        assert text == (
+            "| problem | n | m1 | m2 | start | status | nio | nii | ni | nf0 | nf"
+            " | fv | kkt_residual | cpu_seconds |\n"
+            "| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- | ---"
+            " | --- | --- | --- |\n"
+            "| HS035 | 3 | 4 | 0 | a | converged | 0 | 7 | 7 | 9 | 36"
+            " | 1.11111111111e-01 | 3.200e-09 | 0.001234 |\n"
+            "| HS035 | 3 | 4 | 0 | b | max_iterations | 0 | 7 | 7 | 9 | 36"
+            " | nan | inf | 0.001234 |\n")
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):
             bench.emit_table([_record()], fmt="json")

@@ -2,6 +2,7 @@
 slice, run as a script, its usage errors, the pinned degenerate exits of
 its seed 0 on HS024 and HS031, and runs that each QP stop test decides."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,20 +35,24 @@ def test_tiny_slice_prints_counts_per_problem_seed_and_family():
     ]
 
 
-def _sweep():
-    """The sweep's module, imported from tools/."""
-    sys.path.insert(0, os.path.join(ROOT, "tools"))
-    try:
-        import robustness_sweep
-    finally:
-        sys.path.pop(0)
-    return robustness_sweep
+@pytest.fixture
+def sweep(monkeypatch):
+    """The sweep's module, loaded from tools/ as the script finds it.  Its
+    shared setup module pins the BLAS thread variables and extends
+    sys.path on import; monkeypatch restores both."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
+    spec = importlib.util.spec_from_file_location("robustness_sweep", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
 
 
-def test_starts_are_consecutive_draws_of_one_generator():
+def test_starts_are_consecutive_draws_of_one_generator(sweep):
     # A slice solves the starts that the sweep over every problem draws:
     # each problem's draws follow those of the problems before it.
-    drawn = list(_sweep().starts(3, 2))
+    drawn = list(sweep.starts(3, 2))
     names = corpus.list_problems()
     assert [(name, draw) for name, draw, _ in drawn] == [
         (name, draw) for name in names for draw in range(2)]
@@ -65,6 +70,7 @@ def test_starts_are_consecutive_draws_of_one_generator():
     (("--seeds", "0", "--draws", "0"), "--draws must be at least 1, got 0"),
     (("--seeds", "0", "--draws", "-3"), "--draws must be at least 1, got -3"),
     (("--seeds", "0", "--planted", "-2"), "--planted must be at least 0, got -2"),
+    (("--seeds=-1",), "--seeds must be at least 0, got -1"),
 ])
 def test_usage_errors_exit_two(args, error):
     done = _run(*args, check=False)
@@ -83,10 +89,10 @@ SEED0_DEGENERATE = {
 }
 
 
-def test_seed_zero_pins_the_degenerate_exits_of_hs024_and_hs031():
+def test_seed_zero_pins_the_degenerate_exits_of_hs024_and_hs031(sweep):
     statuses = {}
     degenerate = {}
-    for name, draw, x0 in _sweep().starts(0, 30):
+    for name, draw, x0 in sweep.starts(0, 30):
         if name not in ("HS024", "HS031"):
             continue
         report = engine.solve(corpus.get_problem(name).problem, x0)
@@ -112,11 +118,11 @@ QP_STOP_TESTS = {
 
 
 @pytest.mark.parametrize("test", sorted(QP_STOP_TESTS))
-def test_runs_that_each_qp_stop_test_decides(test):
+def test_runs_that_each_qp_stop_test_decides(test, sweep):
     pinned = QP_STOP_TESTS[test]
     ended = {}
     for seed in sorted({seed for seed, _, _ in pinned}):
-        for name, draw, x0 in _sweep().starts(seed, 30):
+        for name, draw, x0 in sweep.starts(seed, 30):
             if (seed, name, draw) in pinned:
                 report = engine.solve(corpus.get_problem(name).problem, x0)
                 ended[seed, name, draw] = (report.status, report.ni)

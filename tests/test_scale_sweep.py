@@ -31,6 +31,8 @@ def test_two_problems_at_two_scales():
 @pytest.mark.parametrize("args, error", [
     (("--exponents", "0,0"), "repeated value"),
     (("--problems", "HS035,HS24"), "--problems names ['HS24'] match no instance"),
+    (("--exponents=-400",), "10^-400 is not a positive finite float"),
+    (("--exponents=400",), "10^400 is not a positive finite float"),
 ])
 def test_usage_errors_exit_two(args, error):
     done = _run(*args, check=False)

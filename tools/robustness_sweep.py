@@ -16,7 +16,7 @@ line gives a problem, its run count and the count of each status; the
 ``degenerate`` runs are then listed with seed, draw, iteration and
 message.  The planted family runs its seeds 0 .. ``--planted``-1
 (default 20) with 0 and 2 equality rows, each from its own start, once
-whatever the seeds.  A repeated seed, a name not in the corpus,
+whatever the seeds.  A repeated or negative seed, a name not in the corpus,
 ``--draws`` below 1 or ``--planted`` below 0 is a usage error (exit 2)
 raised before anything is solved.
 """
@@ -45,6 +45,9 @@ def parse_args(argv):
     parser.add_argument("--planted", type=int, default=20,
                         help="planted seeds 0 .. N-1 per equality count")
     args = parser.parse_args(argv)
+    # numpy.random.default_rng takes no negative seed.
+    if min(args.seeds) < 0:
+        parser.error(f"--seeds must be at least 0, got {min(args.seeds)}")
     # A count that sweeps nothing prints zero-run lines, and two empty
     # sweeps would compare as identical.
     if args.draws < 1:

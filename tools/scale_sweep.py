@@ -17,14 +17,16 @@ Markdown table with one row per exponent k (default -6, -4, -2, 0, 2, 4,
 6): the runs that converged and pass the check, then every other exit by
 status, naming the converged runs that fail it.  ``--problems`` keeps the
 instances whose program has one of the given names (``HS035``,
-``convex-n20-s1``, ...).  A repeated exponent, or a name that no instance
-has, is a usage error (exit 2) raised before anything is solved.
+``convex-n20-s1``, ...).  A repeated exponent, an exponent whose scale is
+not a positive finite float (k <= -324 or k >= 309), or a name that no
+instance has, is a usage error (exit 2) raised before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
 import argparse
 import dataclasses
+import math
 import sys
 from collections import Counter
 
@@ -45,6 +47,10 @@ def parse_args(argv):
     parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
                         help="comma-separated program names to keep (default: all)")
     args = parser.parse_args(argv)
+    # 10^k underflows to 0 for k <= -324 and overflows to inf for k >= 309.
+    for k in args.exponents:
+        if not 0 < float(f"1e{k}") < math.inf:
+            parser.error(f"--exponents: 10^{k} is not a positive finite float")
     args.instances = _common.keep_problems(
         parser, [(workload, inst) for workload in WORKLOADS
                  for inst in workloads.build(workload)], args.problems)
