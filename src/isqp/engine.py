@@ -73,6 +73,7 @@ from .errors import (
     EvaluationFailure,
     LineSearchStall,
     NotPositiveDefiniteError,
+    NumericalBreakdown,
     NumericalFailure,
     SingularMatrixError,
 )
@@ -466,7 +467,10 @@ def step(problem: model.NlpProblem, state: IterateState,
     gd0 = ev.gI.T @ d0
     fac = factor_shared(state.H, ev.gI, compute_q_diag(ev, gd0, norm_d0), sol.y, sol.ay)
     curvature = second_order_residual(problem, ev, d0, gd0, counters)
-    arc_shift = norm_d0 ** TAU + phi ** SIGMA
+    try:
+        arc_shift = norm_d0 ** TAU + phi ** SIGMA
+    except OverflowError:  # a float power raises once |d0| exceeds about 1e123
+        raise NumericalBreakdown(f"correction shift overflows at |d0| {norm_d0:.3e}") from None
     d2, _, gamma_residual = solve_shared(fac, -arc_shift - curvature)
     beta = descent_lhs = descent_rhs = i0_margin = None
 

@@ -91,7 +91,7 @@ class LuFactorization:
         row = np.empty(n)  # swap buffer: fancy-indexed swaps cost more at these sizes
         for k in range(n):
             p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if abs(lu[p, k]) < floor:
+            if not abs(lu[p, k]) >= floor:
                 raise SingularMatrixError(
                     f"pivot {lu[p, k]:.3e} below floor {floor:.3e} at column {k}"
                 )
@@ -168,8 +168,8 @@ def cholesky(a, lead=None, pivots=None) -> np.ndarray:
     if lead is not None:
         k = lead.shape[0]
         w[:k, :k] = lead
-        if k and pivots[:k].min() <= floor:
-            j = int((pivots[:k] <= floor).argmax())
+        if k and not pivots[:k].min() > floor:
+            j = int((~(pivots[:k] > floor)).argmax())
             raise NotPositiveDefiniteError(f"pivot {pivots[j]:.3e} at column {j} is not positive")
     diag = a.diagonal().tolist()
     for j in range(k, n):
@@ -180,7 +180,7 @@ def cholesky(a, lead=None, pivots=None) -> np.ndarray:
         w_j = w[:j, :j]
         ell = w_j.dot(a[j, :j])
         pivot = diag[j] - float(ell.dot(ell))
-        if pivot <= floor:
+        if not pivot > floor:
             raise NotPositiveDefiniteError(f"pivot {pivot:.3e} at column {j} is not positive")
         if pivots is not None:
             pivots[j] = pivot

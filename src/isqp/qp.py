@@ -85,7 +85,7 @@ class QpInstance:
             raise ValueError("H shape does not match gradient length")
         if self.A.shape != (m, n):
             raise ValueError("A shape does not match b and gradient")
-        if m > 0 and self.b.min() < 0.0:
+        if m > 0 and not self.b.min() >= 0.0:
             raise ValueError("b must be nonnegative (origin must be feasible)")
 
     @property
@@ -128,18 +128,18 @@ def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> np.ndarray:
     NumericalBreakdown on the first that fails; return the slack b - A d."""
     tol = inst.kkt_tol
     stationarity = np.abs(inst.H @ d + inst.grad + inst.A.T @ lam).max(initial=0.0)
-    if stationarity > tol:
+    if not stationarity <= tol:
         raise NumericalBreakdown(f"QP stationarity residual {stationarity:.3e}")
     slack = inst.b - inst.A @ d
     if inst.m > 0:
         low = slack.min()
-        if low < -tol:
+        if not low >= -tol:
             raise NumericalBreakdown(f"QP feasibility residual {-low:.3e}")
         low = lam.min()
-        if low < -tol:
+        if not low >= -tol:
             raise NumericalBreakdown(f"QP negative multiplier {low:.3e}")
         comp = np.abs(lam * slack).max(initial=0.0)
-        if comp > tol * max(1.0, np.abs(inst.b).max(initial=0.0)):
+        if not comp <= tol * max(1.0, np.abs(inst.b).max(initial=0.0)):
             raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
     return slack
 
@@ -298,7 +298,7 @@ def objective_decrease_certificate(inst: QpInstance, sol: QpSolution) -> float:
     """
     slope = float(inst.grad @ sol.d0)
     value = slope + 0.5 * float(sol.d0 @ inst.H @ sol.d0)
-    if value > inst.kkt_tol:
+    if not value <= inst.kkt_tol:
         raise CertificateViolation(
             f"QP objective {value:.3e} is positive at the reported minimizer"
         )

@@ -46,11 +46,14 @@ def test_two_configurations_over_two_problems():
 # printed the same configuration twice.
 @pytest.mark.parametrize("changed,message", [
     ({"--rho": "2,0.5"}, "rho must be finite and exceed 1, got 0.5"),
-    ({"--rho": "2,2.0"}, "--rho names 2.0 more than once"),
-    ({"--alpha": "0.5,0.25,0.5"}, "--alpha names 0.5 more than once"),
-    ({"--family": "hs-corpus,hs-corpus"}, "--family names hs-corpus more than once"),
-    ({"--problems": "HS35,HS035"}, "unknown corpus problem ['HS35']"),
-    ({"--family": "convex-n20"}, "--problems selects corpus problems, but --family leaves out"),
+    ({"--rho": "2,2.0"}, "argument --rho: repeated value in '2,2.0'"),
+    ({"--alpha": "0.5,0.25,0.5"}, "argument --alpha: repeated value in '0.5,0.25,0.5'"),
+    ({"--family": "hs-corpus,hs-corpus"},
+     "argument --family: repeated value in 'hs-corpus,hs-corpus'"),
+    ({"--problems": "HS35,HS035"},
+     "--problems names ['HS35'] match no instance of ['hs-corpus']"),
+    ({"--family": "convex-n20"},
+     "--problems names ['HS035'] match no instance of ['convex-n20']"),
 ], ids=["rho-out-of-range", "repeated-rho", "repeated-alpha", "repeated-family",
         "unknown-problem", "problems-without-corpus"])
 def test_bad_grid_is_refused_before_any_solve(changed, message):

@@ -952,6 +952,25 @@ class TestSolveSynthetic:
         assert np.isnan(report.fv)
         assert report.phi_final == np.inf
 
+    def test_overflowing_correction_shift_ends_degenerate(self):
+        # At (0, 0), HS012 with f0 x 1e150 gives |d0| about 1e151, and the
+        # float power |d0| ** TAU of the correction shift overflows.
+        problem = corpus.get_problem("HS012").problem
+        scaled = dataclasses.replace(
+            problem, f0=lambda x: 1e150 * problem.f0(x),
+            grad_f0=lambda x: 1e150 * np.asarray(problem.grad_f0(x)))
+        report = engine.solve(scaled, [0.0, 0.0])
+        assert report.status is engine.SolveStatus.DEGENERATE
+        assert report.ni == 0
+        assert report.message == "correction shift overflows at |d0| 9.899e+150"
+
+    def test_overflow_raised_by_a_callback_propagates(self):
+        def f0(x):
+            raise OverflowError("from the callback")
+
+        with pytest.raises(OverflowError, match="from the callback"):
+            engine.solve(dataclasses.replace(_toy_problem(), f0=f0), [0.0])
+
 
 class TestFixedPoint:
     """A step that leaves the state (x, H, c and the rows the next QP

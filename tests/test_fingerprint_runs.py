@@ -69,7 +69,7 @@ def test_report_hash_leaves_out_the_trace(monkeypatch):
     (("--workload", "convex-n20", "--problems", "HS035"),
      "--problems names ['HS035'] match no instance of ['convex-n20']"),
     (("--workload", "hs-corpus,hs-corpus", "--problems", "HS035"),
-     "--workload names ['hs-corpus'] more than once"),
+     "argument --workload: repeated value in 'hs-corpus,hs-corpus'"),
 ], ids=["misspelt", "all-workloads", "other-workload", "repeated-workload"])
 def test_bad_selection_is_refused_before_any_solve(args, message):
     done = subprocess.run([sys.executable, SCRIPT, *args], capture_output=True,

@@ -64,6 +64,10 @@ class TestLuSolve:
         with pytest.raises(SingularMatrixError):
             linalg.lu_factor(np.zeros((2, 2))).solve(np.array([1.0, 1.0]))[0]
 
+    def test_nan_pivot_raises(self):
+        with pytest.raises(SingularMatrixError, match="pivot nan below floor nan at column 0"):
+            linalg.lu_factor(np.array([[np.nan]]))
+
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             linalg.lu_factor(np.ones((2, 3))).solve(np.ones(2))[0]
@@ -115,6 +119,11 @@ class TestCholesky:
         # Eigenvalues are 3 and -1.
         with pytest.raises(NotPositiveDefiniteError):
             linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_nan_pivot_raises(self):
+        # The factor is the package's SPD test, so a NaN must fail it.
+        with pytest.raises(NotPositiveDefiniteError, match="pivot nan at column 0"):
+            linalg.cholesky(np.array([[np.nan]]))
 
     def test_reads_only_the_lower_triangle(self):
         # The factor of a matrix is bitwise that of the symmetric matrix
@@ -238,6 +247,11 @@ class TestGrownFactor:
         fresh = _outcome(linalg.cholesky, a)
         assert fresh == "pivot 1.000e-13 at column 1 is not positive"
         assert _outcome(_grown, a, 2) == fresh
+
+    def test_kept_nan_pivot_raises(self):
+        lead = linalg.cholesky(np.eye(2))
+        with pytest.raises(NotPositiveDefiniteError, match="pivot nan at column 1"):
+            linalg.cholesky(np.eye(3), lead, np.array([1.0, np.nan, 0.0]))
 
     def test_dependent_appended_row_raises(self):
         rng = np.random.default_rng(27)

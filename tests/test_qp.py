@@ -137,6 +137,11 @@ class TestValidation:
             qp.QpInstance(H=np.eye(1), grad=np.zeros(1),
                           A=np.ones((1, 1)), b=np.array([-1.0]))
 
+    def test_nan_rhs_rejected(self):
+        with pytest.raises(ValueError, match="b must be nonnegative"):
+            qp.QpInstance(H=np.eye(1), grad=np.zeros(1),
+                          A=np.ones((1, 1)), b=np.array([np.nan]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             qp.QpInstance(H=np.eye(2), grad=np.zeros(1),
@@ -657,6 +662,21 @@ class TestCertificates:
                              ay=np.zeros((0, 0)))
         with pytest.raises(CertificateViolation):
             qp.objective_decrease_certificate(inst, fake)
+
+    def test_decrease_certificate_rejects_nan_direction(self):
+        inst = qp.QpInstance(H=np.eye(1), grad=np.array([1.0]),
+                             A=np.zeros((0, 1)), b=np.zeros(0))
+        fake = qp.QpSolution(d0=np.array([np.nan]), lam=np.zeros(0),
+                             active=np.zeros(0, dtype=int), y=np.zeros((1, 0)),
+                             ay=np.zeros((0, 0)))
+        with pytest.raises(CertificateViolation, match="QP objective nan"):
+            qp.objective_decrease_certificate(inst, fake)
+
+    def test_kkt_certificate_rejects_nan_direction(self):
+        inst = qp.QpInstance(H=np.eye(1), grad=np.array([1.0]),
+                             A=np.ones((1, 1)), b=np.array([1.0]))
+        with pytest.raises(NumericalBreakdown, match="^QP stationarity residual nan"):
+            qp._certify(inst, np.array([np.nan]), np.zeros(1))
 
     # One case per exit of the KKT certificate past stationarity, on
     # H = 1, A = [[1]]: (b, d, grad, lam) is stationary, and it breaks only

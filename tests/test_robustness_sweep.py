@@ -1,6 +1,6 @@
 """Smoke test of the robustness sweep (tools/robustness_sweep.py) on a tiny
 slice, run as a script, its usage errors, the pinned degenerate exits of
-its seed 0 on HS024 and HS031, and runs that each QP stop test decides."""
+its seed 0 on HS024, HS031, HS033 and HS037, and runs that each QP stop test decides."""
 
 import importlib.util
 import os
@@ -66,7 +66,9 @@ def test_starts_are_consecutive_draws_of_one_generator(sweep):
 # two empty sweeps compared as identical.
 @pytest.mark.parametrize("args, error", [
     (("--seeds", "0,0"), "repeated value"),
-    (("--seeds", "0", "--problems", "HS035,HS999"), "unknown problems: HS999"),
+    pytest.param(("--seeds", "0", "--problems", "HS035,HS999"),
+                 "--problems names ['HS999'] match no instance of the corpus",
+                 id="args1-unknown problems: HS999"),  # fixed: the case keeps its name
     (("--seeds", "0", "--draws", "0"), "--draws must be at least 1, got 0"),
     (("--seeds", "0", "--draws", "-3"), "--draws must be at least 1, got -3"),
     (("--seeds", "0", "--planted", "-2"), "--planted must be at least 0, got -2"),
@@ -103,6 +105,35 @@ def test_seed_zero_pins_the_degenerate_exits_of_hs024_and_hs031(sweep):
     assert len(statuses) == 60
     assert all(status is engine.SolveStatus.CONVERGED
                for key, status in statuses.items() if key not in SEED0_DEGENERATE)
+
+
+# Seed 0's degenerate exits on HS033 and HS037, keyed as above; the other
+# 54 draws of the two problems converge.
+SEED0_DEGENERATE_HS033_HS037 = {
+    ("HS033", 2): (15, "QP stationarity residual 1.269e-06"),
+    ("HS033", 7): (61, "QP stationarity residual 5.464e-05"),
+    ("HS033", 21): (11, "QP stationarity residual 4.561e-04"),
+    ("HS033", 23): (6, "QP stationarity residual 3.987e-04"),
+    ("HS033", 29): (3, "solve residual 4.150e-08 exceeds tolerance"),
+    ("HS037", 11): (15, "blended direction lost descent: slope 1.660e-08, slope_d1 "
+                        "4.746e-04, beta 0.000e+00, |d0| 3.296e-06, phi 0.000e+00"),
+}
+
+
+def test_seed_zero_pins_the_degenerate_exits_of_hs033_and_hs037(sweep):
+    statuses = {}
+    degenerate = {}
+    for name, draw, x0 in sweep.starts(0, 30):
+        if name not in ("HS033", "HS037"):
+            continue
+        report = engine.solve(corpus.get_problem(name).problem, x0)
+        statuses[name, draw] = report.status
+        if report.status is engine.SolveStatus.DEGENERATE:
+            degenerate[name, draw] = (report.ni, report.message)
+    assert degenerate == SEED0_DEGENERATE_HS033_HS037
+    assert len(statuses) == 60
+    assert all(status is engine.SolveStatus.CONVERGED for key, status in statuses.items()
+               if key not in SEED0_DEGENERATE_HS033_HS037)
 
 
 # Runs that each of the QP loop's three stop tests decides, by (seed,

@@ -1,5 +1,6 @@
-"""Smoke test of the objective-scale sweep (tools/scale_sweep.py) on two
-problems at two scales, run as a script, and its usage errors."""
+"""The objective-scale sweep (tools/scale_sweep.py), run as a script: its
+whole default table, two problems at two scales, a scale whose QP
+direction overflows the correction shift, and its usage errors."""
 
 import os
 import subprocess
@@ -26,6 +27,28 @@ def test_two_problems_at_two_scales():
         "| 1e-6 | 0 | 1 `degenerate`; HS024-a `converged` but fail the check |",
         "| 1 | 2 | — |",
     ]
+
+
+def test_default_table():
+    # Every exit of the 28 instances at the seven default scales.
+    assert _run().stdout.splitlines() == [
+        "| f0 × | converged at the reference (of 28) | other exits |",
+        "|-----:|------:|-------------|",
+        "| 1e-6 | 0 | 26 `degenerate`; HS024-a, HS031-a `converged` but fail the check |",
+        "| 1e-4 | 19 | 8 `degenerate`; HS044-b `converged` but fail the check |",
+        "| 1e-2 | 25 | 2 `degenerate`; HS034-b `converged` but fail the check |",
+        "| 1 | 28 | — |",
+        "| 1e2 | 20 | 8 `degenerate` |",
+        "| 1e4 | 9 | 17 `degenerate`; 2 `max_iterations` |",
+        "| 1e6 | 4 | 24 `degenerate` |",
+    ]
+
+
+def test_overflowing_scale_ends_degenerate():
+    # At f0 x 1e150 the first QP direction from HS012-a is so long that its
+    # correction shift overflows; the run ends degenerate instead of raising.
+    lines = _run("--exponents=150", "--problems", "HS012").stdout.splitlines()
+    assert lines[2:] == ["| 1e150 | 0 | 1 `degenerate` |"]
 
 
 @pytest.mark.parametrize("args, error", [

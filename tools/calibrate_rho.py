@@ -39,12 +39,14 @@ convex-n20 seeds 0-2, logit-eq) at or below the paper configuration's; of
 those, pick the one with the largest sum of the ni and nf0 profile areas.
 nf and cpu_seconds are printed for the record; cpu_seconds varies by up to
 30% between identical runs, so it does not decide.  The paper's
-configuration is always part of the grid.  A repeated ``--rho``,
-``--alpha`` or ``--family`` value, or a ``--problems`` name that is not in
-the corpus or without the ``hs-corpus`` family, is a usage error too.
+configuration is always part of the grid.  ``--problems`` keeps the
+instances whose program has one of the given names (``HS035``,
+``convex-n20-s3``, ``logit-n10-s0``, ...) in any selected family.  A
+repeated list value, an unknown family, or a ``--problems`` name that no
+selected instance has, is a usage error too.
 """
 
-import _common  # noqa: F401  first: it pins BLAS before numpy loads and sets the import paths
+import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
 import argparse
 import itertools
@@ -53,7 +55,7 @@ import sys
 from dataclasses import dataclass
 
 import workloads
-from isqp import bench, corpus, engine
+from isqp import bench, engine
 
 RHOS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
 ALPHAS = (0.5, 0.4, 0.25)
@@ -68,7 +70,7 @@ def _synthetic(generate, seeds):
     out = []
     for seed in seeds:
         problem, x0 = generate(seed)
-        out.append(workloads.Instance(f"s{seed}", problem, x0, workloads.kkt_check(problem)))
+        out.append(workloads.Instance(problem.name, problem, x0, workloads.kkt_check(problem)))
     return out
 
 
@@ -78,13 +80,13 @@ FAMILIES = {
     "convex-n50": lambda: _synthetic(lambda s: workloads.convex_problem(s, 50), SEEDS),
     "logit-5k": lambda: _synthetic(lambda s: workloads.logit_problem(s, samples=5000),
                                    LOGIT_SEEDS),
-    "logit-eq": lambda: _synthetic(workloads.logit_problem, workloads.LOGIT_SEEDS),
+    "logit-eq": workloads.WORKLOADS["logit-eq"],
 }
 
 # The benchmark's workloads, as (family, instance names or None for all).
 BENCH_WORKLOADS = {
     "hs-corpus": ("hs-corpus", None),
-    "convex-n20": ("convex-n20", {f"s{s}" for s in workloads.CONVEX_SEEDS}),
+    "convex-n20": ("convex-n20", {f"convex-n20-s{s}" for s in workloads.CONVEX_SEEDS}),
     "logit-eq": ("logit-eq", None),
 }
 
@@ -188,21 +190,16 @@ def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]],
     return best
 
 
-def study(rhos, alphas, families, problems=None):
-    """Run the grid; returns (grid, results by label, instances)."""
+def study(rhos, alphas, instances):
+    """Run the grid over (family, instance) pairs; returns (grid, results by label)."""
     grid = [(rho, alpha) for alpha in alphas for rho in rhos]
     if PAPER not in grid:
         grid.insert(0, PAPER)
-    instances = [(family, inst) for family in families for inst in FAMILIES[family]()
-                 if problems is None or family != "hs-corpus"
-                 or inst.name.split("-")[0] in problems]
-    if not instances:
-        raise SystemExit("calibrate_rho: no instances selected")
     results = {}
     for rho, alpha in grid:
         results[label(rho, alpha)] = solve_all(instances, rho, alpha)
         print(f"solved {label(rho, alpha)}", file=sys.stderr, flush=True)
-    return grid, results, instances
+    return grid, results
 
 
 def report(grid, results, families) -> None:
@@ -237,44 +234,33 @@ def report(grid, results, families) -> None:
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-
-    def floats(text):
-        return tuple(float(v) for v in text.split(","))
-
-    parser.add_argument("--rho", type=floats, default=RHOS,
+    parser.add_argument("--rho", type=_common.comma_list(float), default=RHOS,
                         help="comma-separated rho values (default: %(default)s)")
-    parser.add_argument("--alpha", type=floats, default=ALPHAS,
+    parser.add_argument("--alpha", type=_common.comma_list(float), default=ALPHAS,
                         help="comma-separated alpha values (default: %(default)s)")
-    parser.add_argument("--family", type=lambda t: tuple(t.split(",")), default=tuple(FAMILIES),
+    parser.add_argument("--family", type=_common.comma_list(str), default=list(FAMILIES),
                         help="comma-separated instance families (default: all)")
-    parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
-                        help="comma-separated corpus problem names to keep (default: all)")
+    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
+                        help="comma-separated program names to keep (default: all)")
     args = parser.parse_args(argv)
-    for flag in ("rho", "alpha", "family"):
-        values = getattr(args, flag)
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            parser.error(f"--{flag} names {', '.join(map(str, repeated))} more than once")
     unknown = set(args.family) - set(FAMILIES)
     if unknown:
         parser.error(f"unknown family {sorted(unknown)}; choose from {list(FAMILIES)}")
-    unknown = set(args.problems or ()) - set(corpus.list_problems())
-    if unknown:
-        parser.error(f"unknown corpus problem {sorted(unknown)}")
-    if args.problems is not None and "hs-corpus" not in args.family:
-        parser.error("--problems selects corpus problems, but --family leaves out hs-corpus")
     for rho, alpha in itertools.product(args.rho, args.alpha):
         try:
             engine.SolverOptions(rho=rho, alpha=alpha)
         except ValueError as exc:
             parser.error(str(exc))
+    args.instances = _common.keep_problems(
+        parser, [(family, inst) for family in args.family for inst in FAMILIES[family]()],
+        args.problems, f" of {args.family}")
     return args
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    grid, results, instances = study(args.rho, args.alpha, args.family, args.problems)
-    print(f"{len(instances)} instances, {len(grid)} configurations")
+    grid, results = study(args.rho, args.alpha, args.instances)
+    print(f"{len(args.instances)} instances, {len(grid)} configurations")
     report(grid, results, args.family)
     return 0
 

@@ -18,8 +18,8 @@ that moves only the trace changes the first hash and keeps the second.
 are those of ``perfbench/workloads.py``, which is imported and not
 changed; ``--problems`` keeps the instances whose program has one of the
 given names (``HS035``, ``convex-n20-s1``, ``logit-n10-s0``, ...).  A
-repeated workload, or a name that no instance of the selected workloads
-has, is a usage error (exit 2) raised before anything is solved.
+repeated workload or name, or a name that no instance of the selected
+workloads has, is a usage error (exit 2) raised before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
@@ -67,18 +67,15 @@ def fingerprint(report: engine.SolveReport, with_trace: bool = True) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", type=lambda t: t.split(","),
+    parser.add_argument("--workload", type=_common.comma_list(str),
                         default=list(workloads.WORKLOADS),
                         help="comma-separated workloads (default: all)")
-    parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
+    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
                         help="comma-separated program names to keep (default: all)")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.workload) - set(workloads.WORKLOADS))
     if unknown:
         parser.error(f"unknown workload {unknown}; choose from {list(workloads.WORKLOADS)}")
-    repeated = sorted({w for w in args.workload if args.workload.count(w) > 1})
-    if repeated:
-        parser.error(f"--workload names {repeated} more than once")
     selected = _common.keep_problems(
         parser, [(workload, inst) for workload in args.workload
                  for inst in workloads.build(workload)],

@@ -16,9 +16,9 @@ line gives a problem, its run count and the count of each status; the
 ``degenerate`` runs are then listed with seed, draw, iteration and
 message.  The planted family runs its seeds 0 .. ``--planted``-1
 (default 20) with 0 and 2 equality rows, each from its own start, once
-whatever the seeds.  A repeated or negative seed, a name not in the corpus,
-``--draws`` below 1 or ``--planted`` below 0 is a usage error (exit 2)
-raised before anything is solved.
+whatever the seeds.  A repeated seed or name, a negative seed, a name not
+in the corpus, ``--draws`` below 1 or ``--planted`` below 0 is a usage
+error (exit 2) raised before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
@@ -38,9 +38,9 @@ PLANTED_EQ = (0, 2)
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--seeds", type=_common.int_list, required=True)
+    parser.add_argument("--seeds", type=_common.comma_list(int), required=True)
     parser.add_argument("--draws", type=int, default=30)
-    parser.add_argument("--problems", default=None,
+    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
                         help="comma-separated corpus names (default: all)")
     parser.add_argument("--planted", type=int, default=20,
                         help="planted seeds 0 .. N-1 per equality count")
@@ -54,15 +54,9 @@ def parse_args(argv):
         parser.error(f"--draws must be at least 1, got {args.draws}")
     if args.planted < 0:
         parser.error(f"--planted must be at least 0, got {args.planted}")
-    names = corpus.list_problems()
-    if args.problems is None:
-        args.problems = names
-    else:
-        wanted = args.problems.split(",")
-        unknown = sorted(set(wanted) - set(names))
-        if unknown:
-            parser.error(f"unknown problems: {', '.join(unknown)}")
-        args.problems = [name for name in names if name in wanted]
+    entries = [(name, corpus.get_problem(name)) for name in corpus.list_problems()]
+    args.problems = [name for name, _ in _common.keep_problems(
+        parser, entries, args.problems, " of the corpus")]
     return args
 
 

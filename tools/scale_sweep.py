@@ -17,9 +17,10 @@ Markdown table with one row per exponent k (default -6, -4, -2, 0, 2, 4,
 6): the runs that converged and pass the check, then every other exit by
 status, naming the converged runs that fail it.  ``--problems`` keeps the
 instances whose program has one of the given names (``HS035``,
-``convex-n20-s1``, ...).  A repeated exponent, an exponent whose scale is
-not a positive finite float (k <= -324 or k >= 309), or a name that no
-instance has, is a usage error (exit 2) raised before anything is solved.
+``convex-n20-s1``, ...).  A repeated exponent or name, an exponent whose
+scale is not a positive finite float (k <= -324 or k >= 309), or a name
+that no instance has, is a usage error (exit 2) raised before anything is
+solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
@@ -42,9 +43,9 @@ CONVERGED = engine.SolveStatus.CONVERGED
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--exponents", type=_common.int_list, default=list(EXPONENTS),
+    parser.add_argument("--exponents", type=_common.comma_list(int), default=list(EXPONENTS),
                         help="comma-separated k of the scales 10^k (default: %(default)s)")
-    parser.add_argument("--problems", type=lambda t: set(t.split(",")), default=None,
+    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
                         help="comma-separated program names to keep (default: all)")
     args = parser.parse_args(argv)
     # 10^k underflows to 0 for k <= -324 and overflows to inf for k >= 309.
