@@ -5,12 +5,16 @@ at most two linear systems that share a single coefficient matrix
 Gamma = [[H, N], [N', -diag(q)]]: a second-order correction (curvature of
 the constraints along the QP direction) and, only when the corrected arc is
 rejected, a feasibility direction that is blended with the QP direction
-through a convex combination.  Both right-hand sides vanish in their top
-block, so the systems are solved through the QP's Y = H^-1 N and the
-Cholesky factor of the m-by-m Schur complement N'Y + diag(q).  Step
-lengths come from two searches that both insist the count of satisfied
-constraints never drops, the violation measure strictly shrinks outside
-the feasible set, and the penalized objective decreases once inside it.
+through a convex combination.  The feasibility direction pushes every
+row inward: an inequality row by |d0| + phi**sigma, and an equality row,
+held as f_eq <= 0 under the penalty -c f_eq so that its push is charged in
+the merit, by |d0|**2 + phi**sigma, of the order of the QP's own decrease.
+Both right-hand sides vanish in their top block, so the systems are solved
+through the QP's Y = H^-1 N and the Cholesky factor of the m-by-m Schur
+complement N'Y + diag(q).  Step lengths come from two searches that both
+insist the count of satisfied constraints never drops, the violation
+measure strictly shrinks outside the feasible set, and the penalized
+objective decreases once inside it.
 The two searches run one trial loop with one merit decrease fraction,
 ``alpha``, and differ only in their step lengths (ARC_STEPS, FD_STEPS),
 slope and shift.  Each trial is tested on its constraint values first (the
@@ -177,7 +181,9 @@ class IterationRecord:
     gamma_residual: Optional[float] = None  # scaled residual of the shared-matrix solves
     descent_lhs: Optional[float] = None     # penalty-gradient dot dhat
     descent_rhs: Optional[float] = None     # theta * slope + phi**theta
-    i0_margin: Optional[float] = None       # max over izero of g_i'dhat + beta*(|d0|+phi**sigma)
+    # max over izero of g_i'dhat + beta * push_i, with push_i = |d0| + phi**sigma
+    # on an inequality row and |d0|**2 + phi**sigma on an equality row
+    i0_margin: Optional[float] = None
     h_updated: Optional[bool] = None
     fixed_point: bool = False               # the accepted step left the state unchanged
     lam: Optional[np.ndarray] = None        # QP multipliers, exact zeros off its working set
@@ -262,7 +268,9 @@ def solve_shared(fac: SharedFactor, lower):
     The top block gives d = -Y h, and the bottom one then h = -S^-1 lower.
     The residual [H d + N h; N'd - q*h] - [0; lower] is formed block by
     block.  The correction and the feasibility direction differ only in
-    ``lower``: -(|d0|**tau + phi**sigma) - curvature and -(|d0| + phi**sigma).
+    ``lower``: -(|d0|**tau + phi**sigma) - curvature, and -push with push_i =
+    |d0| + phi**sigma on an inequality row and |d0|**2 + phi**sigma on an
+    equality row.
     """
     n = fac.y.shape[0]
     rhs = np.zeros(n + fac.q.size)
@@ -332,8 +340,10 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
                               c: float, fc0: float, options: SolverOptions,
                               counters: model.EvalCounters):
     """Accept the first t in FD_STEPS along the blended direction, under the
-    tests of :func:`_search` with the blend's shift beta * (|d0| + phi**sigma)
-    and slope; raises LineSearchStall after the trial budget.
+    tests of :func:`_search` with the blend's slope and the shift
+    beta * (|d0| + phi**sigma), beta times the inequality rows' push (an
+    equality row's own push shapes only the direction); raises
+    LineSearchStall after the trial budget.
     """
     hit = _search(problem, ev, dhat, FD_STEPS, shift, slope_hat, c, fc0, options, counters)
     if hit is None:
@@ -479,7 +489,12 @@ def step(problem: model.NlpProblem, state: IterateState,
         t, vals = hit
         branch = "arc"
     else:
-        push = norm_d0 + phi ** SIGMA
+        # Inequality rows are pushed by |d0| + phi**sigma and equality rows
+        # by |d0|**2 + phi**sigma (see the module docstring); both pushes are
+        # positive whenever d0 != 0 or phi > 0.
+        ineq_push = norm_d0 + phi ** SIGMA
+        push = np.full(ev.fI.size, ineq_push)
+        push[problem.m_ineq:] = dd0 + phi ** SIGMA
         d1, _, res1 = solve_shared(fac, -push)
         gamma_residual = max(gamma_residual, res1)
         slope_d1 = float(grad_fc @ d1)
@@ -496,9 +511,9 @@ def step(problem: model.NlpProblem, state: IterateState,
         _require(descent_lhs <= descent_rhs + CERT_SLACK * max(1.0, abs(descent_rhs)),
                  f"blended direction lost descent: slope {slope:.3e}, slope_d1 "
                  f"{slope_d1:.3e}, beta {beta:.3e}, |d0| {norm_d0:.3e}, phi {phi:.3e}")
-        shift = beta * push
+        shift = beta * ineq_push
         if ev.izero.size:
-            i0_margin = float((ev.gI[:, ev.izero].T @ dhat + shift).max())
+            i0_margin = float((ev.gI[:, ev.izero].T @ dhat + beta * push[ev.izero]).max())
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
         t, vals = feasible_direction_search(problem, ev, dhat, shift, slope_hat, c, fc0,
                                             options, counters)

@@ -1,8 +1,10 @@
 """Smoke test of the rho calibration study (tools/calibrate_rho.py): a
-two-configuration grid over two corpus problems, run as a script, and a
-grid point out of range, a repeated grid value or family, and an unknown
-corpus name refused before anything is solved."""
+two-configuration grid over two corpus problems, run as a script, a grid
+point out of range, a repeated grid value or family, and an unknown
+corpus name refused before anything is solved, and one program per
+``--problems`` name across the two logit families."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -66,3 +68,26 @@ def test_bad_grid_is_refused_before_any_solve(changed, message):
     assert done.stdout == ""
     assert f"error: {message}" in done.stderr
     assert "solved" not in done.stderr and "Traceback" not in done.stderr
+
+
+# The logit-5k family (5 000 samples) once named its instances as logit-eq
+# (50 000 samples) does, so one name selected two different programs.
+@pytest.mark.parametrize("name,family,samples", [
+    ("logit-n10-s0", "logit-eq", 50_000), ("logit-n10-s0-5k", "logit-5k", 5_000),
+])
+def test_each_logit_name_selects_one_program(monkeypatch, name, family, samples):
+    # The script's shared setup module, found on tools/ as a script finds
+    # it, pins the BLAS thread variables and extends sys.path on import;
+    # monkeypatch restores both.
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
+    spec = importlib.util.spec_from_file_location("calibrate_rho", SCRIPT)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+
+    args = tool.parse_args(["--family", "logit-5k,logit-eq", "--problems", name])
+    (chosen_family, inst), = args.instances
+    assert (chosen_family, inst.name, inst.problem.name) == (family, name, name)
+    expected, _ = tool.workloads.logit_problem(0, samples=samples)
+    assert inst.problem.f0(inst.x0) == expected.f0(inst.x0)

@@ -1114,8 +1114,8 @@ class TestPenaltyPath:
     # options.  Every seed raises c on its way to a solution with the
     # equality active; like the convex pins, the counts follow every
     # rounding decision of the solver.
-    CONVERGED_COUNTS = {0: (46, 143, 1404), 1: (57, 200, 2352), 2: (45, 139, 1650),
-                        3: (70, 251, 2988)}
+    CONVERGED_COUNTS = {0: (43, 104, 978), 1: (40, 105, 906), 2: (34, 78, 726),
+                        3: (39, 77, 726)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_logit_seed_converges_after_raising_c(self, seed):
@@ -1135,7 +1135,41 @@ class TestPenaltyPath:
         report = engine.solve(problem, x0)
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= 1e-7
-        assert (report.ni, report.nf0, report.nf) == (105, 407, 4848)
+        assert (report.ni, report.nf0, report.nf) == (48, 105, 936)
+
+    def test_feasibility_direction_pushes_each_row_by_its_own_rule(self, monkeypatch):
+        # Inequality rows of d1 are pushed by |d0| + phi**sigma, the equality
+        # row by |d0|**2 + phi**sigma; the i0 certificate checks each row of
+        # izero against beta times its own push.
+        lowers = []
+        real_solve_shared = engine.solve_shared
+
+        def spy(fac, lower):
+            lowers.append(np.array(lower, dtype=float, copy=True))
+            return real_solve_shared(fac, lower)
+
+        monkeypatch.setattr(engine, "solve_shared", spy)
+        problem, x0 = workloads.logit_problem(0, samples=5000)
+        report = engine.solve(problem, x0)
+        assert report.status is engine.SolveStatus.CONVERGED
+        calls = iter(lowers)
+        checked = 0
+        for rec in report.trace:
+            if rec.converged:
+                continue
+            next(calls)  # the correction
+            if rec.branch != "feasible_direction":
+                continue
+            lower = next(calls)
+            shift = rec.phi ** engine.SIGMA
+            assert np.all(lower[:problem.m_ineq] == -(rec.norm_d0 + shift))
+            assert lower[problem.m_ineq:] == pytest.approx(-(rec.norm_d0 ** 2 + shift),
+                                                           rel=1e-14)
+            if rec.i0_margin is not None:
+                assert rec.i0_margin <= engine.CERT_SLACK
+            checked += 1
+        assert next(calls, None) is None
+        assert checked > 0
 
 
 class TestInfeasiblePhaseReward:

@@ -17,8 +17,10 @@ The instance families come from the benchmark's generators
 
 - ``hs-corpus``: the 25 corpus runs, each checked against its reference fv;
 - ``convex-n20`` and ``convex-n50``: convex data seeds 0-9 at n = 20, 50;
-- ``logit-5k``: logit data seeds 0-7 at 5 000 samples;
-- ``logit-eq``: the four logit instances of the benchmark (50 000 samples).
+- ``logit-5k``: logit data seeds 0-7 at 5 000 samples, named
+  ``logit-n10-s0-5k`` ... ``logit-n10-s7-5k``;
+- ``logit-eq``: the four logit instances of the benchmark (50 000 samples),
+  named ``logit-n10-s0`` ... ``logit-n10-s3``.
 
 A run counts as solved when it converges, that is, stops at a feasible
 iterate that passes the KKT certificate, and also passes its family's check
@@ -41,7 +43,7 @@ nf and cpu_seconds are printed for the record; cpu_seconds varies by up to
 30% between identical runs, so it does not decide.  The paper's
 configuration is always part of the grid.  ``--problems`` keeps the
 instances whose program has one of the given names (``HS035``,
-``convex-n20-s3``, ``logit-n10-s0``, ...) in any selected family.  A
+``convex-n20-s3``, ``logit-n10-s0-5k``, ...) in any selected family.  A
 repeated list value, an unknown family, or a ``--problems`` name that no
 selected instance has, is a usage error too.
 """
@@ -49,6 +51,7 @@ selected instance has, is a usage error too.
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
 import argparse
+import dataclasses
 import itertools
 import math
 import sys
@@ -66,6 +69,13 @@ DECIDING = ("ni", "nf0")
 TAUS = (1.0, 1.25, 2.0, 4.0)
 
 
+def _logit_5k(seed):
+    """A logit instance at 5 000 samples, named apart from the benchmark's
+    logit-eq instance of the same seed (50 000 samples)."""
+    problem, x0 = workloads.logit_problem(seed, samples=5000)
+    return dataclasses.replace(problem, name=f"{problem.name}-5k"), x0
+
+
 def _synthetic(generate, seeds):
     out = []
     for seed in seeds:
@@ -78,8 +88,7 @@ FAMILIES = {
     "hs-corpus": workloads.hs_instances,
     "convex-n20": lambda: _synthetic(workloads.convex_problem, SEEDS),
     "convex-n50": lambda: _synthetic(lambda s: workloads.convex_problem(s, 50), SEEDS),
-    "logit-5k": lambda: _synthetic(lambda s: workloads.logit_problem(s, samples=5000),
-                                   LOGIT_SEEDS),
+    "logit-5k": lambda: _synthetic(_logit_5k, LOGIT_SEEDS),
     "logit-eq": workloads.WORKLOADS["logit-eq"],
 }
 
