@@ -21,6 +21,17 @@ slope and shift.  Each trial is tested on its constraint values first (the
 constraint bound, then the satisfied count); the objective is evaluated,
 and its decrease tested, only at a trial that passes both, so a trial
 rejected on its constraints costs no objective evaluation.
+The arc search departs from the paper's plain halving of t down to
+EPSILON in one way: it always tries t = 1, but once that trial is
+rejected it hands the iteration to the feasible-direction branch at once
+when the penalized objective's slope along the arc exceeds the merit
+test's rate alpha * slope + rho (1 - alpha) phi**theta.  The merit test
+then fails for every short enough t, and the shorter trials would mostly
+pay an objective evaluation to fail it (see ``arc_search``).  The
+feasible-direction search keeps its plain backtracking: with a negative QP
+slope, its blend's certified slope, at most theta * slope + phi**theta,
+never exceeds its own rate alpha * slope_hat + rho (1 - alpha) phi**theta,
+since rho > 1.
 Curvature is maintained by a BFGS update whose difference vector is bent
 just enough to keep the update positive definite.  Each curvature matrix
 is factored exactly once: ``step`` factors each new candidate from the
@@ -103,7 +114,8 @@ KAPPA = 0.5      # cap on the BFGS bending weight
 MU_BFGS = 0.5    # curvature fraction below which the update is bent
 
 # Step lengths of the two searches: the arc search halves t from 1 while
-# t >= EPSILON, and the feasible-direction search tries 1, ETA, ..., ETA**SEARCH_TRIALS.
+# t >= EPSILON (or stops after t = 1, see arc_search), and the
+# feasible-direction search tries 1, ETA, ..., ETA**SEARCH_TRIALS.
 ARC_STEPS = tuple(0.5 ** k for k in range(1 + math.floor(math.log2(1.0 / EPSILON))))
 FD_STEPS = tuple(ETA ** k for k in range(SEARCH_TRIALS + 1))
 
@@ -291,6 +303,11 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
     return float(min(1.0, max(0.0, r / (b - a))))
 
 
+def _reward_rate(phi: float, options: SolverOptions) -> float:
+    """The infeasible-phase reward per unit t, rho (1 - alpha) phi**theta."""
+    return options.rho * (1.0 - options.alpha) * phi ** THETA
+
+
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
             shift: float, slope: float, c: float, fc0: float,
             options: SolverOptions, counters: model.EvalCounters):
@@ -302,12 +319,14 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     the penalized objective is at most fc0 + alpha * t * slope plus the
     infeasible-phase reward rho (1 - alpha) phi**theta t, tested in that
     order.  The two constraint tests read the constraint values alone; f0
-    is evaluated only at a trial that passes both.
+    is evaluated only at a trial that passes both.  ``arc_search`` runs the
+    loop twice, on the unit step and then on the shorter ones, and may stop
+    between the two.
     """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
     alpha = options.alpha
-    bonus_scale = options.rho * (1.0 - alpha) * phi ** THETA
+    bonus_scale = _reward_rate(phi, options)
     for t in steps:
         trial = model.point_values(problem, ev.x + t * d, counters)
         # The bound is nonnegative and a satisfied constraint counts as 0, so
@@ -325,14 +344,31 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
 
 
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
-               shift: float, slope: float, c: float, fc0: float,
+               shift: float, slope: float, arc_slope: float, c: float, fc0: float,
                options: SolverOptions, counters: model.EvalCounters):
     """Backtrack t over ARC_STEPS along the corrected direction d, under the
     tests of :func:`_search` with the correction's shift
     |d0|**tau + phi**sigma and the QP slope.  Returns (t, trial values), or
-    None once t would drop below the abandon threshold.
+    None once t would drop below the abandon threshold or the search stops
+    after its unit trial.
+
+    Unlike the paper's plain halving, the search stops after a rejected
+    unit trial when ``arc_slope``, the penalized objective's slope along d
+    (one dot product that ``step`` forms), exceeds the merit test's rate
+    r = alpha * slope + rho (1 - alpha) phi**theta.  The test reads
+    merit(t) <= fc0 + r t, and to first order merit(t) = fc0 + arc_slope t,
+    so it fails for every short enough t; the halved trials would mostly
+    pay an objective evaluation to fail it.  The paper's global
+    convergence rests on the feasible-direction branch, which takes over
+    whenever the arc is rejected, and its local claim on the unit arc
+    being eventually accepted, and t = 1 is always tried; so both hold.
+    An arc whose merit curves down enough to pass at some t < 1 is no
+    longer found.
     """
-    return _search(problem, ev, d, ARC_STEPS, shift, slope, c, fc0, options, counters)
+    hit = _search(problem, ev, d, ARC_STEPS[:1], shift, slope, c, fc0, options, counters)
+    if hit is not None or arc_slope > options.alpha * slope + _reward_rate(ev.phi, options):
+        return hit
+    return _search(problem, ev, d, ARC_STEPS[1:], shift, slope, c, fc0, options, counters)
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
@@ -484,7 +520,9 @@ def step(problem: model.NlpProblem, state: IterateState,
     d2, _, gamma_residual = solve_shared(fac, -arc_shift - curvature)
     beta = descent_lhs = descent_rhs = i0_margin = None
 
-    hit = arc_search(problem, ev, d0 + d2, arc_shift, slope, c, fc0, options, counters)
+    d_arc = d0 + d2
+    hit = arc_search(problem, ev, d_arc, arc_shift, slope, float(grad_fc @ d_arc), c, fc0,
+                     options, counters)
     if hit is not None:
         t, vals = hit
         branch = "arc"

@@ -38,7 +38,7 @@ def test_two_configurations_over_two_problems():
     # iterations under rho = 2 and 10 under rho = 1000.
     assert rows[("ni", "rho=1000,alpha=0.5")] == [1.0] * 6
     assert rows[("ni", "rho=2,alpha=0.5")] == [0.75, 0.75, 0.75, 0.75, 1.0, 1.0]
-    assert "rho=2,alpha=0.5 4/60/218/2590" in " ".join(done.stdout.split())
+    assert "rho=2,alpha=0.5 4/60/104/1468" in " ".join(done.stdout.split())
     assert lines[-1] == "selected: rho=1000,alpha=0.5"
 
 

@@ -265,31 +265,31 @@ class TestReferenceValues:
 # OpenBLAS build, or another CPU, can move these counts with no code
 # change.  Then record the values again; that is not a solver fault.
 PINNED_RUNS = {
-    ("HS012", "a"): ("converged", 6, 11, 19),
-    ("HS024", "a"): ("converged", 8, 11, 105),
-    ("HS029", "a"): ("converged", 13, 26, 39),
-    ("HS030", "a"): ("converged", 12, 20, 224),
-    ("HS031", "a"): ("converged", 9, 21, 259),
-    ("HS033", "a"): ("converged", 11, 26, 276),
-    ("HS034", "a"): ("converged", 17, 46, 528),
-    ("HS034", "b"): ("converged", 17, 40, 496),
+    ("HS012", "a"): ("converged", 6, 8, 16),
+    ("HS024", "a"): ("converged", 8, 9, 90),
+    ("HS029", "a"): ("converged", 13, 20, 33),
+    ("HS030", "a"): ("converged", 12, 17, 203),
+    ("HS031", "a"): ("converged", 9, 18, 238),
+    ("HS033", "a"): ("converged", 11, 16, 186),
+    ("HS034", "a"): ("converged", 17, 25, 360),
+    ("HS034", "b"): ("converged", 17, 22, 352),
     ("HS035", "a"): ("converged", 7, 10, 72),
-    ("HS035", "b"): ("converged", 7, 15, 88),
-    ("HS036", "a"): ("converged", 10, 28, 287),
-    ("HS036", "b"): ("converged", 9, 26, 273),
-    ("HS037", "a"): ("converged", 10, 20, 240),
-    ("HS037", "b"): ("converged", 12, 29, 384),
-    ("HS043", "a"): ("converged", 11, 22, 123),
-    ("HS043", "b"): ("converged", 11, 22, 138),
-    ("HS044", "a"): ("converged", 11, 31, 440),
-    ("HS044", "b"): ("converged", 10, 26, 380),
+    ("HS035", "b"): ("converged", 7, 12, 76),
+    ("HS036", "a"): ("converged", 10, 14, 182),
+    ("HS036", "b"): ("converged", 9, 14, 168),
+    ("HS037", "a"): ("converged", 10, 17, 216),
+    ("HS037", "b"): ("converged", 12, 18, 288),
+    ("HS043", "a"): ("converged", 11, 16, 96),
+    ("HS043", "b"): ("converged", 11, 13, 111),
+    ("HS044", "a"): ("converged", 11, 16, 290),
+    ("HS044", "b"): ("converged", 10, 14, 260),
     ("HS065", "a"): ("converged", 8, 18, 182),
-    ("HS065", "b"): ("converged", 13, 30, 322),
-    ("HS066", "a"): ("converged", 6, 15, 168),
-    ("HS066", "b"): ("converged", 16, 45, 512),
-    ("HS076", "a"): ("converged", 8, 20, 203),
-    ("HS100", "a"): ("converged", 14, 34, 264),
-    ("HS100", "b"): ("converged", 31, 61, 532),
+    ("HS065", "b"): ("converged", 13, 24, 280),
+    ("HS066", "a"): ("converged", 6, 9, 120),
+    ("HS066", "b"): ("converged", 16, 24, 344),
+    ("HS076", "a"): ("converged", 8, 11, 140),
+    ("HS100", "a"): ("converged", 14, 24, 204),
+    ("HS100", "b"): ("converged", 31, 47, 436),
 }
 
 
@@ -304,7 +304,7 @@ class TestPinnedRuns:
                     runs[(name, start)] = (r.status.value, r.ni, r.nf0, r.nf)
         assert runs == PINNED_RUNS
         totals = [sum(run[k] for run in runs.values()) for k in (1, 2, 3)]
-        assert totals == [287, 653, 6554]
+        assert totals == [287, 436, 4943]
 
 
 class TestScaledDescentSlack:

@@ -417,7 +417,8 @@ class TestArcSearch:
         prob = _quadratic([1.0, 1.0])
         ev = _evaluate(prob, [1.0, 0.0])
         d0 = -ev.g0
-        t, trial = engine.arc_search(prob, ev, d0, _arc_shift(ev, d0), float(ev.g0 @ d0),
+        slope = float(ev.g0 @ d0)
+        t, trial = engine.arc_search(prob, ev, d0, _arc_shift(ev, d0), slope, slope,
                                      0.5, ev.f0, engine.SolverOptions(),
                                      model.EvalCounters())
         assert t == 1.0
@@ -425,29 +426,89 @@ class TestArcSearch:
 
     def test_halves_until_merit_accepts(self):
         # Quartic with an overlong direction: t = 1 and 1/2 overshoot the
-        # required decrease, t = 1/4 passes.
+        # required decrease, t = 1/4 passes.  The merit's slope -6 along d
+        # passes the first-order test (-6 <= alpha * -6), so the search
+        # halves on after its rejected unit trial.
         prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0,
                                 f0=lambda x: float(x[0] ** 4),
                                 grad_f0=lambda x: np.array([4.0 * x[0] ** 3]))
         ev = _evaluate(prob, [1.0])
         d = np.array([-1.5])
-        t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -6.0, 0.5, ev.f0,
+        t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -6.0, -6.0, 0.5, ev.f0,
                                      engine.SolverOptions(),
                                      model.EvalCounters())
         assert t == 0.25
         assert trial.x[0] == pytest.approx(0.625)
 
     def test_abandons_below_threshold(self):
-        # An ascent direction never passes, so the search gives up once t
-        # would next fall below the abandon threshold (4 trials at 1/8).
+        # An ascent direction never passes: its merit slope 2 exceeds the
+        # test's rate alpha * -1 at phi = 0, so the search stops after its
+        # rejected unit trial.
         prob = _quadratic([2.0])
         ev = _evaluate(prob, [1.0])
         counters = model.EvalCounters()
         d = np.array([1.0])
-        result = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -1.0, 0.5, ev.f0,
-                                   engine.SolverOptions(), counters)
+        result = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -1.0, float(ev.g0 @ d), 0.5,
+                                   ev.f0, engine.SolverOptions(), counters)
         assert result is None
-        assert counters.nf0 == 4  # t = 1, 1/2, 1/4, 1/8 all evaluated
+        assert counters.nf0 == 1
+
+    def test_unit_trial_is_tried_whatever_the_merit_slope(self):
+        # f0 = x - 2 x^2 from x = 0 along d = 1: the merit rises to first
+        # order (slope 1 against the rate alpha * -1), but its negative
+        # curvature brings f0(1) = -1 under the bound fc0 + alpha * -1.
+        prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0,
+                                f0=lambda x: float(x[0] - 2.0 * x[0] ** 2),
+                                grad_f0=lambda x: np.array([1.0 - 4.0 * x[0]]))
+        ev = _evaluate(prob, [0.0])
+        counters = model.EvalCounters()
+        d = np.array([1.0])
+        arc_slope = float(ev.g0 @ d)
+        options = engine.SolverOptions()
+        assert arc_slope > options.alpha * -1.0
+        t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -1.0, arc_slope, 0.5,
+                                     ev.f0, options, counters)
+        assert t == 1.0
+        assert trial.f0 == -1.0
+        assert counters.nf0 == 1
+
+    @staticmethod
+    def _count_cut_short_arcs(monkeypatch, runs):
+        """Solve each (problem, x0) of ``runs`` while checking every arc the
+        engine rejects: the full loop over ARC_STEPS, rerun on fresh
+        counters, rejects it too, so cutting an arc short moves only the
+        evaluation counts.  Returns the count of arcs rejected after their
+        unit trial alone."""
+        real_arc_search = engine.arc_search
+        cut = 0
+
+        def checking(problem, ev, d, shift, slope, arc_slope, c, fc0, options, counters):
+            nonlocal cut
+            assert arc_slope == float(model.penalty_gradient(ev, c) @ d)
+            nf = counters.nf
+            hit = real_arc_search(problem, ev, d, shift, slope, arc_slope, c, fc0, options,
+                                  counters)
+            if hit is None:
+                cut += counters.nf - nf == problem.m  # one trial's constraint values
+                assert engine._search(problem, ev, d, engine.ARC_STEPS, shift, slope, c,
+                                      fc0, options, model.EvalCounters()) is None
+            return hit
+
+        monkeypatch.setattr(engine, "arc_search", checking)
+        for problem, x0 in runs:
+            assert engine.solve(problem, x0).status is engine.SolveStatus.CONVERGED
+        return cut
+
+    def test_corpus_arcs_cut_short_fail_every_shorter_trial(self, monkeypatch):
+        runs = [(entry.problem, x0) for entry in map(corpus.get_problem, corpus.list_problems())
+                for x0 in (entry.x0_feasible, entry.x0_infeasible) if x0 is not None]
+        assert len(runs) == 25
+        assert self._count_cut_short_arcs(monkeypatch, runs) > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_logit_arcs_cut_short_fail_every_shorter_trial(self, monkeypatch, seed):
+        runs = [workloads.logit_problem(seed, samples=5000)]
+        assert self._count_cut_short_arcs(monkeypatch, runs) > 0
 
     def test_never_loses_satisfied_constraints(self):
         # Moving from x = 0.5 toward 2 keeps decreasing the objective but
@@ -456,7 +517,8 @@ class TestArcSearch:
         prob = _toy_problem()
         ev = _evaluate(prob, [0.5])
         d = np.array([0.5])
-        hit = engine.arc_search(prob, ev, d, _arc_shift(ev, d), float(ev.g0 @ d), 0.5, ev.f0,
+        slope = float(ev.g0 @ d)
+        hit = engine.arc_search(prob, ev, d, _arc_shift(ev, d), slope, slope, 0.5, ev.f0,
                                 engine.SolverOptions(), model.EvalCounters())
         assert hit is not None
         t, trial = hit
@@ -533,7 +595,8 @@ class TestTrialOrder:
         seen.clear()
         counters = model.EvalCounters()
         d = np.array([4.0])
-        t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), float(ev.g0 @ d), 0.5,
+        slope = float(ev.g0 @ d)
+        t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), slope, slope, 0.5,
                                      ev.f0, engine.SolverOptions(), counters)
         assert t == 0.125
         assert seen == [1.0]
@@ -1078,8 +1141,8 @@ class TestFixedPoint:
     # (ni, nf0, nf) of each data seed under default options; seeds 0-2 are
     # the convex-n20 benchmark workload.  Like test_corpus.PINNED_RUNS, the
     # counts follow every rounding decision of the solver.
-    CONVERGED_COUNTS = {0: (20, 35, 3040), 1: (20, 39, 3160), 2: (20, 30, 2880),
-                        7: (24, 41, 3480)}
+    CONVERGED_COUNTS = {0: (20, 26, 2680), 1: (20, 26, 2560), 2: (20, 25, 2640),
+                        7: (24, 33, 3120)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_every_seed_converges_under_the_roundoff_floor(self, seed):
@@ -1114,8 +1177,8 @@ class TestPenaltyPath:
     # options.  Every seed raises c on its way to a solution with the
     # equality active; like the convex pins, the counts follow every
     # rounding decision of the solver.
-    CONVERGED_COUNTS = {0: (43, 104, 978), 1: (40, 105, 906), 2: (34, 78, 726),
-                        3: (39, 77, 726)}
+    CONVERGED_COUNTS = {0: (43, 59, 708), 1: (40, 66, 672), 2: (34, 51, 564),
+                        3: (39, 53, 582)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_logit_seed_converges_after_raising_c(self, seed):
@@ -1135,7 +1198,7 @@ class TestPenaltyPath:
         report = engine.solve(problem, x0)
         assert report.status is engine.SolveStatus.CONVERGED
         assert report.kkt_residual <= 1e-7
-        assert (report.ni, report.nf0, report.nf) == (48, 105, 936)
+        assert (report.ni, report.nf0, report.nf) == (48, 63, 684)
 
     def test_feasibility_direction_pushes_each_row_by_its_own_rule(self, monkeypatch):
         # Inequality rows of d1 are pushed by |d0| + phi**sigma, the equality

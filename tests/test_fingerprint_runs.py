@@ -1,6 +1,6 @@
 """Smoke test of the run fingerprints (tools/fingerprint_runs.py): two corpus
-problems, fingerprinted twice as a script, the trace-free hash, and the
-selections refused before anything is solved."""
+problems, fingerprinted twice as a script, the trace-free and count-free
+hashes, and the selections refused before anything is solved."""
 
 import importlib.util
 import math
@@ -30,32 +30,55 @@ def test_two_problems_fingerprint_identically_twice():
         ["hs-corpus", f"{name}-{start}", "converged"]
         for name in ("HS035", "HS044") for start in "ab"]
     for line in lines:
-        assert len(line) == 8
+        assert len(line) == 9
         assert all(int(count) > 0 for count in line[3:6])
         for digest in line[6:]:
             assert len(digest) == 64 and int(digest, 16) >= 0
-        assert line[6] != line[7]
+        assert len(set(line[6:])) == 3
 
 
-def test_report_hash_leaves_out_the_trace(monkeypatch):
-    # The script's shared setup module, found on tools/ as a script finds
-    # it, pins the BLAS thread variables and extends sys.path on import;
-    # monkeypatch restores both.
+@pytest.fixture
+def tool(monkeypatch):
+    """tools/fingerprint_runs.py, imported as a module.  The script's shared
+    setup module, found on tools/ as a script finds it, pins the BLAS
+    thread variables and extends sys.path on import; monkeypatch restores
+    both."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, "1")
     monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
     spec = importlib.util.spec_from_file_location("fingerprint_runs", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
+
+def _hs035_report():
     entry = corpus.get_problem("HS035")
-    report = engine.solve(entry.problem, entry.x0_feasible)
+    return engine.solve(entry.problem, entry.x0_feasible)
+
+
+def test_report_hash_leaves_out_the_trace(tool):
+    report = _hs035_report()
     full, alone = tool.fingerprint(report), tool.fingerprint(report, with_trace=False)
     report.trace[0].fc = math.nextafter(report.trace[0].fc, math.inf)
     assert tool.fingerprint(report) != full
     assert tool.fingerprint(report, with_trace=False) == alone
     report.fv = math.nextafter(report.fv, math.inf)
     assert tool.fingerprint(report, with_trace=False) != alone
+
+
+def test_count_free_hash_leaves_out_the_evaluation_counts(tool):
+    report = _hs035_report()
+    full, free = tool.fingerprint(report), tool.fingerprint(report, with_counts=False)
+    report.nf0 += 1
+    report.nf += 1
+    assert tool.fingerprint(report) != full
+    assert tool.fingerprint(report, with_counts=False) == free
+    report.ni += 1
+    assert tool.fingerprint(report, with_counts=False) != free
+    report.ni -= 1
+    report.trace[0].fc = math.nextafter(report.trace[0].fc, math.inf)
+    assert tool.fingerprint(report, with_counts=False) != free
 
 
 
