@@ -16,7 +16,7 @@ insist the count of satisfied constraints never drops, the violation
 measure strictly shrinks outside the feasible set, and the penalized
 objective decreases once inside it.
 The two searches run one trial loop with one merit decrease fraction,
-``alpha``, and differ only in their step lengths (ARC_STEPS, FD_STEPS),
+ALPHA, and differ only in their step lengths (ARC_STEPS, FD_STEPS),
 slope and shift.  Each trial is tested on its constraint values first (the
 constraint bound, then the satisfied count); the objective is evaluated,
 and its decrease tested, only at a trial that passes both, so a trial
@@ -25,12 +25,12 @@ The arc search departs from the paper's plain halving of t down to
 EPSILON in one way: it always tries t = 1, but once that trial is
 rejected it hands the iteration to the feasible-direction branch at once
 when the penalized objective's slope along the arc exceeds the merit
-test's rate alpha * slope + rho (1 - alpha) phi**theta.  The merit test
+test's rate ALPHA * slope + rho (1 - ALPHA) phi**theta.  The merit test
 then fails for every short enough t, and the shorter trials would mostly
 pay an objective evaluation to fail it (see ``arc_search``).  The
 feasible-direction search keeps its plain backtracking: with a negative QP
 slope, its blend's certified slope, at most theta * slope + phi**theta,
-never exceeds its own rate alpha * slope_hat + rho (1 - alpha) phi**theta,
+never exceeds its own rate ALPHA * slope_hat + rho (1 - ALPHA) phi**theta,
 since rho > 1.
 Curvature is maintained by a BFGS update whose difference vector is bent
 just enough to keep the update positive definite.  Each curvature matrix
@@ -66,7 +66,7 @@ termination test read; a run that ends at that record's iterate (converged,
 or at a feasible fixed point) reports that residual without evaluating it
 again.  The report keeps every record, and counts ``nio`` from them.
 
-The paper's fixed parameters are the module constants ETA ... MU_BFGS, and
+The paper's fixed parameters are the module constants ALPHA ... MU_BFGS, and
 the roundoff floor that classifies constraints is ``model.PHI_TOL``;
 ``SolverOptions`` holds only what a caller sets.
 """
@@ -99,8 +99,9 @@ CERT_SLACK = 1e-9
 SEARCH_TRIALS = 60
 
 # The paper's fixed parameters, at the values of its benchmark configuration.
-# Its analysis needs ETA, THETA, SIGMA, KAPPA and MU_BFGS in (0, 1),
-# THETA < SIGMA, 2 < TAU < 3, and the rest positive.
+# Its analysis needs ALPHA in (0, 1/2], ETA, THETA, SIGMA, KAPPA and
+# MU_BFGS in (0, 1), THETA < SIGMA, 2 < TAU < 3, and the rest positive.
+ALPHA = 0.5      # merit decrease fraction of both searches
 ETA = 0.5        # step shrink factor, feasible-direction search
 THETA = 0.4      # descent retention fraction of the blended direction
 SIGMA = 0.6      # exponent taming the violation measure in right-hand sides
@@ -130,26 +131,22 @@ class SolveStatus(str, Enum):
 
 @dataclass
 class SolverOptions:
-    """The four numbers a caller sets; every run keeps its trace.  Defaults
+    """The three numbers a caller sets; every run keeps its trace.  Defaults
     follow the paper's benchmark configuration except ``rho``, which
     tools/calibrate_rho.py selects; ``SolverOptions(rho=2.0)`` restores the
     paper's configuration.  The paper's stopping test on |d0| has no
     setting: a run stops at its first feasible iterate whose KKT residual is
     at most ``kkt_tol``."""
 
-    # Merit decrease fraction of both searches, in the paper's range (0, 1/2].
-    alpha: float = 0.5
     # Reward of infeasible iterates for shrinking the violation: outside the
     # feasible set a trial may raise the penalized objective by up to
-    # rho (1 - alpha) phi**theta t.  The paper's 2 rejects most arcs there.
+    # rho (1 - ALPHA) phi**theta t.  The paper's 2 rejects most arcs there.
     rho: float = 1000.0
     kkt_tol: float = 1e-7     # a feasible iterate with KKT residual <= this converges
     max_iter: int = 500
 
     def __post_init__(self) -> None:
         # Every test is written so that NaN fails it, and inf fails isfinite.
-        if not 0.0 < self.alpha <= 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5], got {self.alpha}")
         if not (math.isfinite(self.rho) and self.rho > 1.0):
             raise ValueError(f"rho must be finite and exceed 1, got {self.rho}")
         if not (math.isfinite(self.kkt_tol) and self.kkt_tol > 0.0):
@@ -304,8 +301,8 @@ def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
 
 
 def _reward_rate(phi: float, options: SolverOptions) -> float:
-    """The infeasible-phase reward per unit t, rho (1 - alpha) phi**theta."""
-    return options.rho * (1.0 - options.alpha) * phi ** THETA
+    """The infeasible-phase reward per unit t, rho (1 - ALPHA) phi**theta."""
+    return options.rho * (1.0 - ALPHA) * phi ** THETA
 
 
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
@@ -315,9 +312,9 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     at the first accepted t, or None.
 
     A trial is accepted when every constraint lies below
-    max(0, phi - alpha * t * shift), no satisfied constraint is lost, and
-    the penalized objective is at most fc0 + alpha * t * slope plus the
-    infeasible-phase reward rho (1 - alpha) phi**theta t, tested in that
+    max(0, phi - ALPHA * t * shift), no satisfied constraint is lost, and
+    the penalized objective is at most fc0 + ALPHA * t * slope plus the
+    infeasible-phase reward rho (1 - ALPHA) phi**theta t, tested in that
     order.  The two constraint tests read the constraint values alone; f0
     is evaluated only at a trial that passes both.  ``arc_search`` runs the
     loop twice, on the unit step and then on the shorter ones, and may stop
@@ -325,19 +322,18 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
-    alpha = options.alpha
     bonus_scale = _reward_rate(phi, options)
     for t in steps:
         trial = model.point_values(problem, ev.x + t * d, counters)
         # The bound is nonnegative and a satisfied constraint counts as 0, so
         # it holds for every constraint exactly when it holds for the trial's
         # violation phi.
-        if trial.phi > max(0.0, phi - alpha * t * shift):
+        if trial.phi > max(0.0, phi - ALPHA * t * shift):
             continue
         if trial.n_satisfied < n_satisfied:
             continue
         trial = model.with_objective(problem, trial, counters)
-        if model.penalty_value(trial, c) > fc0 + alpha * t * slope + bonus_scale * t:
+        if model.penalty_value(trial, c) > fc0 + ALPHA * t * slope + bonus_scale * t:
             continue
         return t, trial
     return None
@@ -355,7 +351,7 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     Unlike the paper's plain halving, the search stops after a rejected
     unit trial when ``arc_slope``, the penalized objective's slope along d
     (one dot product that ``step`` forms), exceeds the merit test's rate
-    r = alpha * slope + rho (1 - alpha) phi**theta.  The test reads
+    r = ALPHA * slope + rho (1 - ALPHA) phi**theta.  The test reads
     merit(t) <= fc0 + r t, and to first order merit(t) = fc0 + arc_slope t,
     so it fails for every short enough t; the halved trials would mostly
     pay an objective evaluation to fail it.  The paper's global
@@ -366,7 +362,7 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     longer found.
     """
     hit = _search(problem, ev, d, ARC_STEPS[:1], shift, slope, c, fc0, options, counters)
-    if hit is not None or arc_slope > options.alpha * slope + _reward_rate(ev.phi, options):
+    if hit is not None or arc_slope > ALPHA * slope + _reward_rate(ev.phi, options):
         return hit
     return _search(problem, ev, d, ARC_STEPS[1:], shift, slope, c, fc0, options, counters)
 

@@ -14,19 +14,20 @@ norm that scales the pivot floor.
 
 ``cholesky`` returns W = L^-1, the inverse of the lower Cholesky factor,
 bordered row by row, so a solve against it is the two products
-x = W'(W b) and no triangular sweep.  Row j of W depends only on the
-leading (j+1) x (j+1) block, so a factor grows by bordering: given the
-factor of a leading block and its pivots, ``cholesky`` keeps those rows,
-tests the kept pivots again against the larger matrix's floor, and runs
-its one border loop over the new rows only.  The result is bitwise the
-factor from scratch, and it raises exactly when that would (the QP grows
-and shrinks its working-set factor this way).  They go through ``numpy.einsum``,
+x = W'(W b) and no triangular sweep.  They go through ``numpy.einsum``,
 which sums each entry in one fixed order, so column j of a solve against a
 2-D right-hand side B is bitwise the solve against B[:, j] (callers solve
 many columns once and slice them later); BLAS ``@`` picks its kernel by
 operand shape and breaks that.  The explicit inverse leaves residuals a
 few times larger on ill-conditioned matrices (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, ch. 8 and 14).
+Stability of Numerical Algorithms*, 2002, ch. 8 and 14).  Row j of W
+depends only on the leading (j+1) x (j+1) block, so a factor grows by
+bordering: given the factor of a leading block and its pivots,
+``cholesky`` keeps those rows, tests the kept pivots again against the
+larger matrix's floor, and runs its one border loop over the new rows
+only.  The result is bitwise the factor from scratch, and it raises
+exactly when that would (the QP grows and shrinks its working-set factor
+this way).
 ``LuFactorization.solve`` sweeps a 2-D right-hand side column by column.
 
 ``LuFactorization.solve`` and ``spd_solve`` check the scaled residual of

@@ -117,9 +117,14 @@ class Evaluation(PointValues):
 def _vouch(name: str, value, shape: tuple, x: np.ndarray) -> np.ndarray:
     """``value`` from ``name`` at x as a C-ordered float array of exactly
     ``shape`` (never reshaped: an m-by-n Jacobian read as n-by-m is another
-    program; one layout, since products round by it), every entry finite."""
+    program; one layout, since products round by it), every entry finite.
+    A complex value is refused: cast to float it would lose its imaginary
+    part with only a warning."""
     try:
-        arr = np.asarray(value, dtype=float, order="C")
+        arr = np.asarray(value, order="C")
+        if arr.dtype.kind == "c":
+            raise TypeError(f"complex dtype {arr.dtype}")
+        arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise EvaluationFailure(f"{name} returned no float array at x={x!r}: {exc}") from exc
     if arr.shape != shape:

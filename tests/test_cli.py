@@ -135,8 +135,8 @@ class TestRunCommand:
         assert f"--x0 component {component} is not finite: {value}" in err
 
     def test_invalid_parameter_value_exits_one(self, capsys):
-        assert _run(["run", "--problem", "HS035", "--alpha", "1.5"]) == 2
-        assert "alpha" in capsys.readouterr().err
+        assert _run(["run", "--problem", "HS035", "--rho", "0.5"]) == 2
+        assert "rho must be finite and exceed 1, got 0.5" in capsys.readouterr().err
 
     def test_negative_kkt_tolerance_exits_one(self, capsys):
         # No residual passes a negative bound, so no run could converge.
@@ -152,11 +152,6 @@ class TestRunCommand:
         # At phi = 0 the reward inf * 0**theta is NaN, which no merit test rejects.
         assert _run(["run", "--problem", "HS035", "--rho", "inf"]) == 2
         assert "rho" in capsys.readouterr().err
-
-    def test_merit_fraction_above_half_exits_one(self, capsys):
-        # The paper's analysis takes alpha in (0, 1/2].
-        assert _run(["run", "--problem", "HS035", "--alpha", "0.7"]) == 2
-        assert "alpha must lie in (0, 0.5]" in capsys.readouterr().err
 
     def test_trace_goes_to_stderr(self, capsys):
         assert _run(["run", "--problem", "HS035", "--start", "a", "--trace"]) == 0
@@ -226,15 +221,15 @@ class TestConfig:
 
     def test_every_flag_sets_its_field(self):
         args = cli._build_parser().parse_args([
-            "run", "--alpha", "0.4", "--rho", "100", "--kkt-tol", "1e-8",
-            "--max-iter", "400", "--trace"])
+            "run", "--rho", "100", "--kkt-tol", "1e-8", "--max-iter", "400", "--trace"])
         assert cli._merge_options(args) == engine.SolverOptions(
-            alpha=0.4, rho=100.0, kkt_tol=1e-8, max_iter=400)
+            rho=100.0, kkt_tol=1e-8, max_iter=400)
 
     def test_paper_constant_is_neither_flag_nor_key(self, capsys):
         # The paper's fixed parameters are engine constants, not options.
-        assert _run(["run", "--problem", "HS035", "--tau", "2.2"]) == 2
-        assert "unrecognized arguments: --tau 2.2" in capsys.readouterr().err
+        for flag, value in (("--tau", "2.2"), ("--alpha", "0.4")):
+            assert _run(["run", "--problem", "HS035", flag, value]) == 2
+            assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--phi-tol", "0"], ["--config", "f.json"]],
                              ids=["phi-tol", "config"])
@@ -253,7 +248,7 @@ class TestConfig:
         out = capsys.readouterr().out
         for key in cli._OPTION_KEYS:
             assert f"--{key.replace('_', '-')} " in out
-        assert sorted(cli._OPTION_KEYS) == ["alpha", "kkt_tol", "max_iter", "rho"]
+        assert sorted(cli._OPTION_KEYS) == ["kkt_tol", "max_iter", "rho"]
 
     def test_flag_and_library_option_set_the_same_value(self, tmp_path):
         # HS044-b takes a different path under the paper's rho = 2 than

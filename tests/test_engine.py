@@ -137,12 +137,11 @@ class TestOptionsValidation:
         engine.SolverOptions()
 
     # Each value breaks the range the paper's analysis needs, or is not
-    # finite.  The paper's fixed parameters (eta ... c_init) are engine
-    # constants, alpha serves both searches, a run stops on the KKT
-    # certificate alone, the roundoff floor is model.PHI_TOL, and every
-    # report keeps its trace, so SolverOptions has no field to take any
-    # value for them, for alpha_hat, for term_tol, for phi_tol or for
-    # keep_trace.
+    # finite.  The paper's fixed parameters (alpha ... c_init) are engine
+    # constants, a run stops on the KKT certificate alone, the roundoff
+    # floor is model.PHI_TOL, and every report keeps its trace, so
+    # SolverOptions has no field to take any value for them, for alpha_hat,
+    # for term_tol, for phi_tol or for keep_trace.
     @pytest.mark.parametrize("field,value", [
         ("alpha", 0.0), ("alpha", 1.0), ("alpha", 0.7), ("alpha_hat", 1.2), ("eta", 0.0),
         ("theta", 0.0), ("sigma", 1.0), ("kappa", 0.0), ("mu_bfgs", 1.0),
@@ -170,13 +169,16 @@ class TestOptionsValidation:
 
     def test_caller_sets_only_these_fields(self):
         assert [f.name for f in dataclasses.fields(engine.SolverOptions)] == [
-            "alpha", "rho", "kkt_tol", "max_iter"]
+            "rho", "kkt_tol", "max_iter"]
 
     def test_paper_constants_keep_its_configuration_and_ranges(self):
         # The paper's benchmark values, inside the ranges its analysis needs.
-        assert (engine.ETA, engine.THETA, engine.SIGMA, engine.TAU, engine.EPSILON,
-                engine.P, engine.GAMMA, engine.GAMMA0, engine.C_INIT, engine.KAPPA,
-                engine.MU_BFGS) == (0.5, 0.4, 0.6, 2.5, 0.125, 2.0, 1.0, 2.0, 0.5, 0.5, 0.5)
+        assert (engine.ALPHA, engine.ETA, engine.THETA, engine.SIGMA, engine.TAU,
+                engine.EPSILON, engine.P, engine.GAMMA, engine.GAMMA0, engine.C_INIT,
+                engine.KAPPA, engine.MU_BFGS) == (
+                    0.5, 0.5, 0.4, 0.6, 2.5, 0.125, 2.0, 1.0, 2.0, 0.5, 0.5, 0.5)
+        # The default sits exactly at the analysis' limit of 1/2.
+        assert 0.0 < engine.ALPHA <= 0.5
         for value in (engine.ETA, engine.THETA, engine.SIGMA, engine.KAPPA, engine.MU_BFGS):
             assert 0.0 < value < 1.0
         assert 2.0 < engine.TAU < 3.0
@@ -185,11 +187,6 @@ class TestOptionsValidation:
 
     def test_descent_fraction_must_stay_below_violation_exponent(self):
         assert engine.THETA < engine.SIGMA
-
-    # The default sits exactly at the analysis' limit of 0.5.
-    @pytest.mark.parametrize("alpha", [0.5, 0.25])
-    def test_merit_fraction_in_range_accepted(self, alpha):
-        assert engine.SolverOptions(alpha=alpha).alpha == alpha
 
     def test_search_step_lengths(self):
         assert engine.ARC_STEPS == (1.0, 0.5, 0.25, 0.125)
@@ -455,8 +452,8 @@ class TestArcSearch:
 
     def test_unit_trial_is_tried_whatever_the_merit_slope(self):
         # f0 = x - 2 x^2 from x = 0 along d = 1: the merit rises to first
-        # order (slope 1 against the rate alpha * -1), but its negative
-        # curvature brings f0(1) = -1 under the bound fc0 + alpha * -1.
+        # order (slope 1 against the rate ALPHA * -1), but its negative
+        # curvature brings f0(1) = -1 under the bound fc0 + ALPHA * -1.
         prob = model.NlpProblem(n=1, m_ineq=0, m_eq=0,
                                 f0=lambda x: float(x[0] - 2.0 * x[0] ** 2),
                                 grad_f0=lambda x: np.array([1.0 - 4.0 * x[0]]))
@@ -464,13 +461,32 @@ class TestArcSearch:
         counters = model.EvalCounters()
         d = np.array([1.0])
         arc_slope = float(ev.g0 @ d)
-        options = engine.SolverOptions()
-        assert arc_slope > options.alpha * -1.0
+        assert arc_slope > engine.ALPHA * -1.0
         t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -1.0, arc_slope, 0.5,
-                                     ev.f0, options, counters)
+                                     ev.f0, engine.SolverOptions(), counters)
         assert t == 1.0
         assert trial.f0 == -1.0
         assert counters.nf0 == 1
+
+    def test_both_searches_read_the_merit_fraction_constant(self, monkeypatch):
+        # f0 = x^2 from x = 1 along d = -1.25, slope -2.5: f0(1 + d) = 0.0625
+        # fails the bound 1 + ALPHA * -2.5 at ALPHA = 1/2 (both searches
+        # then accept t = 1/2) and passes it at ALPHA = 1/4.
+        prob = _quadratic([2.0])
+        ev = _evaluate(prob, [1.0])
+        d = np.array([-1.25])
+        slope = float(ev.g0 @ d)
+
+        def steps():
+            arc = engine.arc_search(prob, ev, d, _arc_shift(ev, d), slope, slope, 0.5, ev.f0,
+                                    engine.SolverOptions(), model.EvalCounters())
+            fd = engine.feasible_direction_search(prob, ev, d, 0.0, slope, 0.5, ev.f0,
+                                                  engine.SolverOptions(), model.EvalCounters())
+            return arc[0], fd[0]
+
+        assert steps() == (0.5, 0.5)
+        monkeypatch.setattr(engine, "ALPHA", 0.25)
+        assert steps() == (1.0, 1.0)
 
     @staticmethod
     def _count_cut_short_arcs(monkeypatch, runs):

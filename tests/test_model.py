@@ -363,6 +363,27 @@ class TestCallbackContract:
         prob = dataclasses.replace(_toy_problem(), f=lambda x: [x[0] - 1.0, [-x[0]]])
         assert self._failure(prob, [0.5]).startswith("f returned no float array")
 
+    # min (x - 2)^2 s.t. x - 10 <= 0 from 3: cast to float, the complex f
+    # once read as x - 1 and the run converged at x = 1, with a warning.
+    @pytest.mark.parametrize("name,callback", [
+        ("f", lambda x: np.array([x[0] - 1.0 + 1j])),
+        ("f", lambda x: [np.complex128(x[0] - 10.0)]),
+        ("f0", lambda x: np.complex128((x[0] - 2.0) ** 2)),
+        ("f0", lambda x: complex((x[0] - 2.0) ** 2)),
+        ("grad_f0", lambda x: np.array([2.0 * (x[0] - 2.0) + 0j])),
+        ("grad_f", lambda x: np.array([[1.0 + 0j]])),
+    ], ids=["f-array", "f-list-of-numpy-scalars", "f0-numpy-scalar", "f0-python-complex",
+            "grad_f0", "grad_f"])
+    def test_complex_value_is_refused(self, name, callback):
+        prob = model.NlpProblem(n=1, m_ineq=1, m_eq=0,
+                                f0=lambda x: float((x[0] - 2.0) ** 2),
+                                f=lambda x: np.array([x[0] - 10.0]),
+                                grad_f0=lambda x: 2.0 * (x - 2.0),
+                                grad_f=lambda x: np.ones((1, 1)))
+        message = self._failure(dataclasses.replace(prob, **{name: callback}), [3.0])
+        assert message == (f"{name} returned no float array at x=array([3.]): "
+                           "complex dtype complex128")
+
     def test_non_finite_entry_is_named(self):
         prob = dataclasses.replace(
             _toy_problem(), grad_f=lambda x: np.array([[1.0, float("nan")]]))

@@ -1,6 +1,5 @@
-"""Study of the infeasible-phase reward ``rho`` and the merit fraction
-``alpha`` of both searches: solve a fixed instance set under every
-configuration of a grid, print each configuration's totals and the
+"""Study of the infeasible-phase reward ``rho``: solve a fixed instance set
+under every ``rho`` of a grid, print each configuration's totals and the
 Dolan-More performance profiles of the configurations on every metric of
 ``isqp.bench.PROFILE_METRICS`` (ni, nf0, nf and cpu_seconds), and name the
 configuration the selection rule picks.  Every grid point is checked as a
@@ -10,7 +9,7 @@ usage error.
 Usage, from the root of a checkout:
 
     python3 tools/calibrate_rho.py
-    python3 tools/calibrate_rho.py --rho 2,100 --alpha 0.5 --family hs-corpus
+    python3 tools/calibrate_rho.py --rho 2,100 --family hs-corpus
 
 The instance families come from the benchmark's generators
 (``perfbench/workloads.py``):
@@ -34,11 +33,11 @@ cost, at a few tau, and ``area``: the area under the curve over log2(tau)
 from 1 to the largest finite ratio, divided by that width (1 means best on
 every instance).
 
-The selection rule: among configurations with alpha = 0.5, keep those
-that solve every instance the paper's configuration (rho = 2, alpha = 0.5)
-solves and leave every counter of the benchmark's workloads (hs-corpus,
-convex-n20 seeds 0-2, logit-eq) at or below the paper configuration's; of
-those, pick the one with the largest sum of the ni and nf0 profile areas.
+The selection rule: keep the configurations that solve every instance the
+paper's configuration (rho = 2) solves and leave every counter of the
+benchmark's workloads (hs-corpus, convex-n20 seeds 0-2, logit-eq) at or
+below the paper configuration's; of those, pick the one with the largest
+sum of the ni and nf0 profile areas.
 nf and cpu_seconds are printed for the record; cpu_seconds varies by up to
 30% between identical runs, so it does not decide.  The paper's
 configuration is always part of the grid.  ``--problems`` keeps the
@@ -52,7 +51,6 @@ import _common  # first: it pins BLAS before numpy loads and sets the import pat
 
 import argparse
 import dataclasses
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -61,8 +59,7 @@ import workloads
 from isqp import bench, engine
 
 RHOS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
-ALPHAS = (0.5, 0.4, 0.25)
-PAPER = (2.0, 0.5)  # (rho, alpha) of the paper's benchmark configuration
+PAPER = 2.0  # rho of the paper's benchmark configuration
 SEEDS = range(10)
 LOGIT_SEEDS = range(8)
 DECIDING = ("ni", "nf0")
@@ -76,19 +73,11 @@ def _logit_5k(seed):
     return dataclasses.replace(problem, name=f"{problem.name}-5k"), x0
 
 
-def _synthetic(generate, seeds):
-    out = []
-    for seed in seeds:
-        problem, x0 = generate(seed)
-        out.append(workloads.Instance(problem.name, problem, x0, workloads.kkt_check(problem)))
-    return out
-
-
 FAMILIES = {
     "hs-corpus": workloads.hs_instances,
-    "convex-n20": lambda: _synthetic(workloads.convex_problem, SEEDS),
-    "convex-n50": lambda: _synthetic(lambda s: workloads.convex_problem(s, 50), SEEDS),
-    "logit-5k": lambda: _synthetic(_logit_5k, LOGIT_SEEDS),
+    "convex-n20": lambda: workloads._synthetic(workloads.convex_problem, SEEDS),
+    "convex-n50": lambda: workloads._synthetic(lambda s: workloads.convex_problem(s, 50), SEEDS),
+    "logit-5k": lambda: workloads._synthetic(_logit_5k, LOGIT_SEEDS),
     "logit-eq": workloads.WORKLOADS["logit-eq"],
 }
 
@@ -115,13 +104,13 @@ class Run:
     cpu_seconds: float
 
 
-def label(rho: float, alpha: float) -> str:
-    return f"rho={rho:g},alpha={alpha:g}"
+def label(rho: float) -> str:
+    return f"rho={rho:g}"
 
 
-def solve_all(instances, rho: float, alpha: float) -> list[Run]:
+def solve_all(instances, rho: float) -> list[Run]:
     """Solve every (family, instance) pair under one configuration."""
-    options = engine.SolverOptions(rho=rho, alpha=alpha)
+    options = engine.SolverOptions(rho=rho)
     runs = []
     for family, inst in instances:
         report = engine.solve(inst.problem, inst.x0, options)
@@ -175,18 +164,13 @@ def area(points) -> float:
     return sum(a.rho * (math.log2(b.tau) - math.log2(a.tau)) for a, b in steps) / width
 
 
-def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]],
-           grid) -> tuple[float, float] | None:
-    """The configuration the selection rule picks, or None."""
-    paper = results[label(*PAPER)]
+def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]]) -> str | None:
+    """The label of the configuration the selection rule picks, or None."""
+    paper = results[label(PAPER)]
     solved_by_paper = {(r.problem, r.start) for r in paper if r.converged}
     limits = bench_totals(paper)
     best, best_score = None, -math.inf
-    for rho, alpha in grid:
-        if alpha != PAPER[1]:
-            continue
-        name = label(rho, alpha)
-        runs = results[name]
+    for name, runs in results.items():
         if not solved_by_paper <= {(r.problem, r.start) for r in runs if r.converged}:
             continue
         mine = bench_totals(runs)
@@ -195,35 +179,33 @@ def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]],
             continue
         score = sum(areas[m][name] for m in DECIDING)
         if score > best_score:
-            best, best_score = (rho, alpha), score
+            best, best_score = name, score
     return best
 
 
-def study(rhos, alphas, instances):
-    """Run the grid over (family, instance) pairs; returns (grid, results by label)."""
-    grid = [(rho, alpha) for alpha in alphas for rho in rhos]
+def study(rhos, instances) -> dict[str, list[Run]]:
+    """Run the grid over (family, instance) pairs, the paper's rho first
+    when the grid lacks it; returns the runs by label, in grid order."""
+    grid = list(rhos)
     if PAPER not in grid:
         grid.insert(0, PAPER)
     results = {}
-    for rho, alpha in grid:
-        results[label(rho, alpha)] = solve_all(instances, rho, alpha)
-        print(f"solved {label(rho, alpha)}", file=sys.stderr, flush=True)
-    return grid, results
+    for rho in grid:
+        results[label(rho)] = solve_all(instances, rho)
+        print(f"solved {label(rho)}", file=sys.stderr, flush=True)
+    return results
 
 
-def report(grid, results, families) -> None:
+def report(results, families) -> None:
     """Print the totals and profiles of a study, and its selection."""
     print("totals (solved, ni, nf0, nf) per family, then on the benchmark workloads")
-    print(f"{'configuration':22s} " + " ".join(f"{f:>26s}" for f in families))
-    for rho, alpha in grid:
-        name = label(rho, alpha)
-        runs = results[name]
+    print(f"{'configuration':13s} " + " ".join(f"{f:>26s}" for f in families))
+    for name, runs in results.items():
         cells = [slashed(totals([r for r in runs if r.problem == f])) for f in families]
-        print(f"{name:22s} " + " ".join(f"{c:>26s}" for c in cells))
-    for rho, alpha in grid:
-        name = label(rho, alpha)
-        cells = [f"{w} {slashed(t)}" for w, t in bench_totals(results[name]).items()]
-        print(f"bench {name:22s} " + ", ".join(cells))
+        print(f"{name:13s} " + " ".join(f"{c:>26s}" for c in cells))
+    for name, runs in results.items():
+        cells = [f"{w} {slashed(t)}" for w, t in bench_totals(runs).items()]
+        print(f"bench {name:13s} " + ", ".join(cells))
 
     areas = {}
     print("profile metric configuration area " + " ".join(f"tau<={t:g}" for t in TAUS)
@@ -231,22 +213,18 @@ def report(grid, results, families) -> None:
     for metric in bench.PROFILE_METRICS:
         curves = profiles(results, metric)
         areas[metric] = {name: area(points) for name, points in curves.items()}
-        for rho, alpha in grid:
-            name = label(rho, alpha)
+        for name in results:
             points = curves[name]
             cells = [f"{fraction_at(points, t):.3f}" for t in TAUS]
             print(f"profile {metric} {name} {areas[metric][name]:.3f} " + " ".join(cells)
                   + f" {points[-1].rho:.3f}")
-    chosen = select(results, areas, grid)
-    print("selected: " + ("none" if chosen is None else label(*chosen)))
+    print(f"selected: {select(results, areas) or 'none'}")
 
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rho", type=_common.comma_list(float), default=RHOS,
                         help="comma-separated rho values (default: %(default)s)")
-    parser.add_argument("--alpha", type=_common.comma_list(float), default=ALPHAS,
-                        help="comma-separated alpha values (default: %(default)s)")
     parser.add_argument("--family", type=_common.comma_list(str), default=list(FAMILIES),
                         help="comma-separated instance families (default: all)")
     parser.add_argument("--problems", type=_common.comma_list(str), default=None,
@@ -255,9 +233,9 @@ def parse_args(argv):
     unknown = set(args.family) - set(FAMILIES)
     if unknown:
         parser.error(f"unknown family {sorted(unknown)}; choose from {list(FAMILIES)}")
-    for rho, alpha in itertools.product(args.rho, args.alpha):
+    for rho in args.rho:
         try:
-            engine.SolverOptions(rho=rho, alpha=alpha)
+            engine.SolverOptions(rho=rho)
         except ValueError as exc:
             parser.error(str(exc))
     args.instances = _common.keep_problems(
@@ -268,9 +246,9 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    grid, results = study(args.rho, args.alpha, args.instances)
-    print(f"{len(args.instances)} instances, {len(grid)} configurations")
-    report(grid, results, args.family)
+    results = study(args.rho, args.instances)
+    print(f"{len(args.instances)} instances, {len(results)} configurations")
+    report(results, args.family)
     return 0
 
 
