@@ -290,39 +290,34 @@ def solve_shared(fac: SharedFactor, lower):
     return d, h, linalg.check_residual(gamma_dh, rhs)
 
 
-def compute_beta(a: float, b: float, theta: float, phi: float) -> float:
+def compute_beta(a: float, b: float, phi: float) -> float:
     """Largest weight in [0, 1] on the feasibility direction that keeps the
-    blend a descent direction: (1-beta)*a + beta*b <= theta*a + phi**theta,
+    blend a descent direction: (1-beta)*a + beta*b <= THETA*a + phi**THETA,
     where a and b are the penalty-gradient slopes along d0 and d1."""
-    r = (theta - 1.0) * a + phi ** theta
+    r = (THETA - 1.0) * a + phi ** THETA
     if b - a <= 0.0:
         return 1.0
     return float(min(1.0, max(0.0, r / (b - a))))
 
 
-def _reward_rate(phi: float, options: SolverOptions) -> float:
-    """The infeasible-phase reward per unit t, rho (1 - ALPHA) phi**theta."""
-    return options.rho * (1.0 - ALPHA) * phi ** THETA
-
-
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
-            shift: float, slope: float, c: float, fc0: float,
-            options: SolverOptions, counters: model.EvalCounters):
+            shift: float, slope: float, c: float, fc0: float, rate: float,
+            counters: model.EvalCounters):
     """Try ev.x + t * d for each t in ``steps``; returns (t, trial values)
     at the first accepted t, or None.
 
     A trial is accepted when every constraint lies below
     max(0, phi - ALPHA * t * shift), no satisfied constraint is lost, and
-    the penalized objective is at most fc0 + ALPHA * t * slope plus the
-    infeasible-phase reward rho (1 - ALPHA) phi**theta t, tested in that
-    order.  The two constraint tests read the constraint values alone; f0
-    is evaluated only at a trial that passes both.  ``arc_search`` runs the
+    the penalized objective is at most fc0 + ALPHA * t * slope + rate * t,
+    tested in that order; ``rate`` is the infeasible-phase reward
+    rho (1 - ALPHA) phi**theta, formed once per iteration by ``step``.  The
+    two constraint tests read the constraint values alone; f0 is evaluated
+    only at a trial that passes both.  ``arc_search`` runs the
     loop twice, on the unit step and then on the shorter ones, and may stop
     between the two.
     """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
-    bonus_scale = _reward_rate(phi, options)
     for t in steps:
         trial = model.point_values(problem, ev.x + t * d, counters)
         # The bound is nonnegative and a satisfied constraint counts as 0, so
@@ -333,7 +328,7 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
         if trial.n_satisfied < n_satisfied:
             continue
         trial = model.with_objective(problem, trial, counters)
-        if model.penalty_value(trial, c) > fc0 + ALPHA * t * slope + bonus_scale * t:
+        if model.penalty_value(trial, c) > fc0 + ALPHA * t * slope + rate * t:
             continue
         return t, trial
     return None
@@ -341,7 +336,7 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
 
 def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
                shift: float, slope: float, arc_slope: float, c: float, fc0: float,
-               options: SolverOptions, counters: model.EvalCounters):
+               rate: float, counters: model.EvalCounters):
     """Backtrack t over ARC_STEPS along the corrected direction d, under the
     tests of :func:`_search` with the correction's shift
     |d0|**tau + phi**sigma and the QP slope.  Returns (t, trial values), or
@@ -351,9 +346,8 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     Unlike the paper's plain halving, the search stops after a rejected
     unit trial when ``arc_slope``, the penalized objective's slope along d
     (one dot product that ``step`` forms), exceeds the merit test's rate
-    r = ALPHA * slope + rho (1 - ALPHA) phi**theta.  The test reads
-    merit(t) <= fc0 + r t, and to first order merit(t) = fc0 + arc_slope t,
-    so it fails for every short enough t; the halved trials would mostly
+    r = ALPHA * slope + rate.  The test reads merit(t) <= fc0 + r t, and to
+    first order merit(t) = fc0 + arc_slope t, so it fails for every short enough t; the halved trials would mostly
     pay an objective evaluation to fail it.  The paper's global
     convergence rests on the feasible-direction branch, which takes over
     whenever the arc is rejected, and its local claim on the unit arc
@@ -361,15 +355,15 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     An arc whose merit curves down enough to pass at some t < 1 is no
     longer found.
     """
-    hit = _search(problem, ev, d, ARC_STEPS[:1], shift, slope, c, fc0, options, counters)
-    if hit is not None or arc_slope > ALPHA * slope + _reward_rate(ev.phi, options):
+    hit = _search(problem, ev, d, ARC_STEPS[:1], shift, slope, c, fc0, rate, counters)
+    if hit is not None or arc_slope > ALPHA * slope + rate:
         return hit
-    return _search(problem, ev, d, ARC_STEPS[1:], shift, slope, c, fc0, options, counters)
+    return _search(problem, ev, d, ARC_STEPS[1:], shift, slope, c, fc0, rate, counters)
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
                               dhat: np.ndarray, shift: float, slope_hat: float,
-                              c: float, fc0: float, options: SolverOptions,
+                              c: float, fc0: float, rate: float,
                               counters: model.EvalCounters):
     """Accept the first t in FD_STEPS along the blended direction, under the
     tests of :func:`_search` with the blend's slope and the shift
@@ -377,7 +371,7 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     equality row's own push shapes only the direction); raises
     LineSearchStall after the trial budget.
     """
-    hit = _search(problem, ev, dhat, FD_STEPS, shift, slope_hat, c, fc0, options, counters)
+    hit = _search(problem, ev, dhat, FD_STEPS, shift, slope_hat, c, fc0, rate, counters)
     if hit is None:
         raise LineSearchStall(
             f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"
@@ -517,8 +511,9 @@ def step(problem: model.NlpProblem, state: IterateState,
     beta = descent_lhs = descent_rhs = i0_margin = None
 
     d_arc = d0 + d2
+    rate = options.rho * (1.0 - ALPHA) * phi ** THETA  # both searches' reward per unit t
     hit = arc_search(problem, ev, d_arc, arc_shift, slope, float(grad_fc @ d_arc), c, fc0,
-                     options, counters)
+                     rate, counters)
     if hit is not None:
         t, vals = hit
         branch = "arc"
@@ -532,7 +527,7 @@ def step(problem: model.NlpProblem, state: IterateState,
         d1, _, res1 = solve_shared(fac, -push)
         gamma_residual = max(gamma_residual, res1)
         slope_d1 = float(grad_fc @ d1)
-        beta = compute_beta(slope, slope_d1, THETA, phi)
+        beta = compute_beta(slope, slope_d1, phi)
         dhat = (1.0 - beta) * d0 + beta * d1
         slope_hat = float(grad_fc @ dhat)
         descent_lhs = slope_hat
@@ -550,7 +545,7 @@ def step(problem: model.NlpProblem, state: IterateState,
             i0_margin = float((ev.gI[:, ev.izero].T @ dhat + beta * push[ev.izero]).max())
             _require(i0_margin <= CERT_SLACK, "active constraints not strictly reduced")
         t, vals = feasible_direction_search(problem, ev, dhat, shift, slope_hat, c, fc0,
-                                            options, counters)
+                                            rate, counters)
         branch = "feasible_direction"
 
     ev_next = model.evaluate(problem, vals, counters)

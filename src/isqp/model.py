@@ -118,12 +118,18 @@ def _vouch(name: str, value, shape: tuple, x: np.ndarray) -> np.ndarray:
     """``value`` from ``name`` at x as a C-ordered float array of exactly
     ``shape`` (never reshaped: an m-by-n Jacobian read as n-by-m is another
     program; one layout, since products round by it), every entry finite.
-    A complex value is refused: cast to float it would lose its imaginary
-    part with only a warning."""
+    A bool, complex, string or bytes value is refused, also as an element
+    of an object array (a list mixing, say, a Fraction and a complex):
+    numpy would cast it to float, a complex losing its imaginary part with
+    only a warning.  Ints and real-number objects such as Fraction pass."""
     try:
         arr = np.asarray(value, order="C")
-        if arr.dtype.kind == "c":
-            raise TypeError(f"complex dtype {arr.dtype}")
+        dtypes = ([np.asarray(v).dtype for v in arr.flat] if arr.dtype.kind == "O"
+                  else [arr.dtype])
+        for dtype in dtypes:
+            if dtype.kind in "bcSU":
+                kind = {"b": "bool", "c": "complex", "S": "bytes"}.get(dtype.kind, "string")
+                raise TypeError(f"{kind} dtype {dtype}")
         arr = arr.astype(float, copy=False)
     except (TypeError, ValueError) as exc:
         raise EvaluationFailure(f"{name} returned no float array at x={x!r}: {exc}") from exc

@@ -53,6 +53,12 @@ def _arc_shift(ev, d0):
     return float(np.linalg.norm(d0)) ** engine.TAU + ev.phi ** engine.SIGMA
 
 
+def _rate(ev, rho=engine.SolverOptions().rho):
+    """The infeasible-phase reward per unit t that step passes to both
+    searches, rho (1 - ALPHA) phi**theta."""
+    return rho * (1.0 - engine.ALPHA) * ev.phi ** engine.THETA
+
+
 def _q_diag(ev, d0):
     return engine.compute_q_diag(ev, ev.gI.T @ d0, float(np.linalg.norm(d0)))
 
@@ -374,20 +380,20 @@ class TestSecondOrderResidual:
 
 class TestBlendWeight:
     def test_hand_example(self):
-        # slopes a = -1, b = 1, retention 0.4, no violation:
+        # slopes a = -1, b = 1, retention THETA = 0.4, no violation:
         # ((0.4 - 1)(-1) + 0) / (1 - (-1)) = 0.3.
-        assert engine.compute_beta(-1.0, 1.0, 0.4, 0.0) == pytest.approx(0.3)
+        assert engine.compute_beta(-1.0, 1.0, 0.0) == pytest.approx(0.3)
 
     def test_full_weight_when_second_slope_no_worse(self):
-        assert engine.compute_beta(-1.0, -2.0, 0.4, 0.0) == 1.0
-        assert engine.compute_beta(-1.0, -1.0, 0.4, 0.0) == 1.0
+        assert engine.compute_beta(-1.0, -2.0, 0.0) == 1.0
+        assert engine.compute_beta(-1.0, -1.0, 0.0) == 1.0
 
     def test_clamped_at_one(self):
-        assert engine.compute_beta(-1.0, -0.9, 0.4, 0.0) == 1.0
+        assert engine.compute_beta(-1.0, -0.9, 0.0) == 1.0
 
     def test_violation_buys_slack(self):
-        lo = engine.compute_beta(-1.0, 1.0, 0.4, 0.0)
-        hi = engine.compute_beta(-1.0, 1.0, 0.4, 0.5)
+        lo = engine.compute_beta(-1.0, 1.0, 0.0)
+        hi = engine.compute_beta(-1.0, 1.0, 0.5)
         assert hi > lo
 
     def test_matches_grid_search_oracle(self):
@@ -398,12 +404,11 @@ class TestBlendWeight:
         for _ in range(200):
             a = -rng.uniform(0.1, 5.0)
             b = rng.uniform(-5.0, 5.0)
-            theta = rng.uniform(0.05, 0.9)
             phi = rng.choice([0.0, rng.uniform(0.0, 2.0)])
-            bound = theta * a + phi ** theta
+            bound = engine.THETA * a + phi ** engine.THETA
             ok = (1.0 - grid) * a + grid * b <= bound + 1e-12
             oracle = grid[ok][-1] if ok.any() else 0.0
-            beta = engine.compute_beta(a, b, theta, phi)
+            beta = engine.compute_beta(a, b, phi)
             assert 0.0 <= beta <= 1.0
             assert beta == pytest.approx(oracle, abs=1e-4)
             assert (1.0 - beta) * a + beta * b <= bound + 1e-9
@@ -416,7 +421,7 @@ class TestArcSearch:
         d0 = -ev.g0
         slope = float(ev.g0 @ d0)
         t, trial = engine.arc_search(prob, ev, d0, _arc_shift(ev, d0), slope, slope,
-                                     0.5, ev.f0, engine.SolverOptions(),
+                                     0.5, ev.f0, _rate(ev),
                                      model.EvalCounters())
         assert t == 1.0
         assert np.allclose(trial.x, 0.0)
@@ -432,7 +437,7 @@ class TestArcSearch:
         ev = _evaluate(prob, [1.0])
         d = np.array([-1.5])
         t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -6.0, -6.0, 0.5, ev.f0,
-                                     engine.SolverOptions(),
+                                     _rate(ev),
                                      model.EvalCounters())
         assert t == 0.25
         assert trial.x[0] == pytest.approx(0.625)
@@ -446,7 +451,7 @@ class TestArcSearch:
         counters = model.EvalCounters()
         d = np.array([1.0])
         result = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -1.0, float(ev.g0 @ d), 0.5,
-                                   ev.f0, engine.SolverOptions(), counters)
+                                   ev.f0, _rate(ev), counters)
         assert result is None
         assert counters.nf0 == 1
 
@@ -463,7 +468,7 @@ class TestArcSearch:
         arc_slope = float(ev.g0 @ d)
         assert arc_slope > engine.ALPHA * -1.0
         t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), -1.0, arc_slope, 0.5,
-                                     ev.f0, engine.SolverOptions(), counters)
+                                     ev.f0, _rate(ev), counters)
         assert t == 1.0
         assert trial.f0 == -1.0
         assert counters.nf0 == 1
@@ -479,9 +484,9 @@ class TestArcSearch:
 
         def steps():
             arc = engine.arc_search(prob, ev, d, _arc_shift(ev, d), slope, slope, 0.5, ev.f0,
-                                    engine.SolverOptions(), model.EvalCounters())
+                                    _rate(ev), model.EvalCounters())
             fd = engine.feasible_direction_search(prob, ev, d, 0.0, slope, 0.5, ev.f0,
-                                                  engine.SolverOptions(), model.EvalCounters())
+                                                  _rate(ev), model.EvalCounters())
             return arc[0], fd[0]
 
         assert steps() == (0.5, 0.5)
@@ -498,16 +503,16 @@ class TestArcSearch:
         real_arc_search = engine.arc_search
         cut = 0
 
-        def checking(problem, ev, d, shift, slope, arc_slope, c, fc0, options, counters):
+        def checking(problem, ev, d, shift, slope, arc_slope, c, fc0, rate, counters):
             nonlocal cut
             assert arc_slope == float(model.penalty_gradient(ev, c) @ d)
             nf = counters.nf
-            hit = real_arc_search(problem, ev, d, shift, slope, arc_slope, c, fc0, options,
+            hit = real_arc_search(problem, ev, d, shift, slope, arc_slope, c, fc0, rate,
                                   counters)
             if hit is None:
                 cut += counters.nf - nf == problem.m  # one trial's constraint values
                 assert engine._search(problem, ev, d, engine.ARC_STEPS, shift, slope, c,
-                                      fc0, options, model.EvalCounters()) is None
+                                      fc0, rate, model.EvalCounters()) is None
             return hit
 
         monkeypatch.setattr(engine, "arc_search", checking)
@@ -535,7 +540,7 @@ class TestArcSearch:
         d = np.array([0.5])
         slope = float(ev.g0 @ d)
         hit = engine.arc_search(prob, ev, d, _arc_shift(ev, d), slope, slope, 0.5, ev.f0,
-                                engine.SolverOptions(), model.EvalCounters())
+                                _rate(ev), model.EvalCounters())
         assert hit is not None
         t, trial = hit
         assert trial.n_satisfied >= ev.n_satisfied
@@ -550,7 +555,7 @@ class TestFeasibleDirectionSearch:
         ev = _evaluate(prob, [1.0])
         t, trial = engine.feasible_direction_search(
             prob, ev, np.array([-1.5]), 0.0, -6.0, 0.5, ev.f0,
-            engine.SolverOptions(), model.EvalCounters())
+            _rate(ev), model.EvalCounters())
         assert t == 0.25
 
     def test_raises_after_trial_budget(self):
@@ -570,7 +575,7 @@ class TestFeasibleDirectionSearch:
         with pytest.raises(LineSearchStall):
             engine.feasible_direction_search(
                 prob, ev, np.array([-1e6]), 0.0, -2.0, 0.5, ev.f0,
-                engine.SolverOptions(), counters)
+                _rate(ev), counters)
         # Every trial loses the constraint, so none reaches the objective.
         assert counters.nf == engine.SEARCH_TRIALS + 1
         assert counters.nf0 == 0
@@ -580,10 +585,9 @@ class TestFeasibleDirectionSearch:
         ev = _evaluate(prob, [3.0])  # violation 2 from the upper bound
         dhat = np.array([-1.0])
         slope = float(ev.g0 @ dhat)
-        options = engine.SolverOptions()
         shift = 0.5 * (np.linalg.norm(dhat) + ev.phi ** engine.SIGMA)  # beta = 0.5
         t, trial = engine.feasible_direction_search(
-            prob, ev, dhat, shift, slope, 0.5, ev.f0, options, model.EvalCounters())
+            prob, ev, dhat, shift, slope, 0.5, ev.f0, _rate(ev), model.EvalCounters())
         assert trial.phi < ev.phi
 
 
@@ -613,7 +617,7 @@ class TestTrialOrder:
         d = np.array([4.0])
         slope = float(ev.g0 @ d)
         t, trial = engine.arc_search(prob, ev, d, _arc_shift(ev, d), slope, slope, 0.5,
-                                     ev.f0, engine.SolverOptions(), counters)
+                                     ev.f0, _rate(ev), counters)
         assert t == 0.125
         assert seen == [1.0]
         assert counters.nf0 == 1
@@ -639,7 +643,7 @@ class TestTrialOrder:
         dhat = np.array([-8.0])
         t, trial = engine.feasible_direction_search(
             prob, ev, dhat, 0.0, float(ev.g0 @ dhat), 0.5, ev.f0,
-            engine.SolverOptions(rho=2.0), counters)
+            _rate(ev, rho=2.0), counters)
         assert t == 0.125
         assert seen == [1.0, 2.0]
         assert counters.nf0 == 2

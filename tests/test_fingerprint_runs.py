@@ -1,6 +1,6 @@
 """Smoke test of the run fingerprints (tools/fingerprint_runs.py): two corpus
 problems, fingerprinted twice as a script, the trace-free and count-free
-hashes, and the selections refused before anything is solved."""
+hashes, and the names refused before anything is solved."""
 
 import importlib.util
 import math
@@ -22,7 +22,7 @@ def _fingerprint(*args):
 
 
 def test_two_problems_fingerprint_identically_twice():
-    args = ("--workload", "hs-corpus", "--problems", "HS035,HS044")
+    args = ("--problems", "HS035,HS044")
     first = _fingerprint(*args)
     assert first == _fingerprint(*args)
     lines = [line.split() for line in first.splitlines()]
@@ -85,15 +85,11 @@ def test_count_free_hash_leaves_out_the_evaluation_counts(tool):
 # A name that matched nothing once printed no line for it and exited 0, so
 # two empty outputs compared as identical.
 @pytest.mark.parametrize("args,message", [
-    (("--workload", "hs-corpus", "--problems", "HS35,HS044"),
-     "--problems names ['HS35'] match no instance of ['hs-corpus']"),
+    (("--problems", "HS35,HS044"), "--problems names ['HS35'] match no instance"),
     (("--problems", "HS35,convex-n20-s9"),
      "--problems names ['HS35', 'convex-n20-s9'] match no instance"),
-    (("--workload", "convex-n20", "--problems", "HS035"),
-     "--problems names ['HS035'] match no instance of ['convex-n20']"),
-    (("--workload", "hs-corpus,hs-corpus", "--problems", "HS035"),
-     "argument --workload: repeated value in 'hs-corpus,hs-corpus'"),
-], ids=["misspelt", "all-workloads", "other-workload", "repeated-workload"])
+    (("--problems", "HS035,HS035"), "argument --problems: repeated value in 'HS035,HS035'"),
+], ids=["misspelt", "all-workloads", "repeated-name"])
 def test_bad_selection_is_refused_before_any_solve(args, message):
     done = subprocess.run([sys.executable, SCRIPT, *args], capture_output=True,
                           text=True, timeout=60)

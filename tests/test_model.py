@@ -2,6 +2,7 @@
 estimates, penalty-parameter updates, and the KKT residual."""
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -375,14 +376,43 @@ class TestCallbackContract:
     ], ids=["f-array", "f-list-of-numpy-scalars", "f0-numpy-scalar", "f0-python-complex",
             "grad_f0", "grad_f"])
     def test_complex_value_is_refused(self, name, callback):
-        prob = model.NlpProblem(n=1, m_ineq=1, m_eq=0,
+        message = self._failure(dataclasses.replace(self._shifted_square(), **{name: callback}),
+                                [3.0])
+        assert message == (f"{name} returned no float array at x=array([3.]): "
+                           "complex dtype complex128")
+
+    @staticmethod
+    def _shifted_square():
+        """min (x - 2)^2 s.t. x - 10 <= 0, solved from 3 in the cases around."""
+        return model.NlpProblem(n=1, m_ineq=1, m_eq=0,
                                 f0=lambda x: float((x[0] - 2.0) ** 2),
                                 f=lambda x: np.array([x[0] - 10.0]),
                                 grad_f0=lambda x: 2.0 * (x - 2.0),
                                 grad_f=lambda x: np.ones((1, 1)))
-        message = self._failure(dataclasses.replace(prob, **{name: callback}), [3.0])
-        assert message == (f"{name} returned no float array at x=array([3.]): "
-                           "complex dtype complex128")
+
+    # Cast to float, a string-valued f0 and grad_f0 once converged at x = 2,
+    # and a complex beside a Fraction in one list lost its imaginary part.
+    @pytest.mark.parametrize("name,callback,kind", [
+        ("f0", lambda x: np.True_, "bool dtype bool"),
+        ("f0", lambda x: str(float((x[0] - 2.0) ** 2)), "string dtype <U3"),
+        ("f", lambda x: np.array([b"-7"]), "bytes dtype |S2"),
+        ("grad_f0", lambda x: np.array([2.0 + 1j], dtype=object), "complex dtype complex128"),
+        ("grad_f0", lambda x: np.array([True], dtype=object), "bool dtype bool"),
+        ("grad_f", lambda x: np.array([["1.0"]], dtype=object), "string dtype <U3"),
+    ], ids=["bool", "string", "bytes", "object-holding-complex", "object-holding-bool",
+            "object-holding-string"])
+    def test_value_that_is_not_a_number_is_refused(self, name, callback, kind):
+        message = self._failure(dataclasses.replace(self._shifted_square(), **{name: callback}),
+                                [3.0])
+        assert message == f"{name} returned no float array at x=array([3.]): {kind}"
+
+    def test_fraction_is_accepted(self):
+        prob = dataclasses.replace(self._shifted_square(),
+                                   f0=lambda x: Fraction((x[0] - 2.0) ** 2),
+                                   grad_f0=lambda x: [Fraction(2.0 * (x[0] - 2.0))])
+        report = engine.solve(prob, [3.0])
+        assert report.status is engine.SolveStatus.CONVERGED
+        assert report.x[0] == pytest.approx(2.0)
 
     def test_non_finite_entry_is_named(self):
         prob = dataclasses.replace(

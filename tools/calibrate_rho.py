@@ -1,17 +1,16 @@
 """Study of the infeasible-phase reward ``rho``: solve a fixed instance set
-under every ``rho`` of a grid, print each configuration's totals and the
-Dolan-More performance profiles of the configurations on every metric of
-``isqp.bench.PROFILE_METRICS`` (ni, nf0, nf and cpu_seconds), and name the
-configuration the selection rule picks.  Every grid point is checked as a
-``SolverOptions`` before anything is solved, so a value out of range is a
-usage error.
+under every ``rho`` of the grid ``RHOS``, print each configuration's totals
+and the Dolan-More performance profiles of the configurations on every
+metric of ``isqp.bench.PROFILE_METRICS`` (ni, nf0, nf and cpu_seconds),
+and name the configuration the selection rule picks.
 
 Usage, from the root of a checkout:
 
     python3 tools/calibrate_rho.py
-    python3 tools/calibrate_rho.py --rho 2,100 --family hs-corpus
+    python3 tools/calibrate_rho.py --problems HS035,HS044
 
-The instance families come from the benchmark's generators
+The grid is rho = 2, 5, 10, 20, 50, 100 and 1000.  The instance families
+come from the benchmark's generators
 (``perfbench/workloads.py``):
 
 - ``hs-corpus``: the 25 corpus runs, each checked against its reference fv;
@@ -39,17 +38,15 @@ benchmark's workloads (hs-corpus, convex-n20 seeds 0-2, logit-eq) at or
 below the paper configuration's; of those, pick the one with the largest
 sum of the ni and nf0 profile areas.
 nf and cpu_seconds are printed for the record; cpu_seconds varies by up to
-30% between identical runs, so it does not decide.  The paper's
-configuration is always part of the grid.  ``--problems`` keeps the
-instances whose program has one of the given names (``HS035``,
-``convex-n20-s3``, ``logit-n10-s0-5k``, ...) in any selected family.  A
-repeated list value, an unknown family, or a ``--problems`` name that no
-selected instance has, is a usage error too.
+30% between identical runs, so it does not decide.  ``--problems`` keeps
+the instances whose program has one of the given names (``HS035``,
+``convex-n20-s3``, ``logit-n10-s0-5k``, ...) in any family.  A repeated
+name, or a name that no instance has, is a usage error (exit 2) raised
+before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
-import argparse
 import dataclasses
 import math
 import sys
@@ -58,8 +55,8 @@ from dataclasses import dataclass
 import workloads
 from isqp import bench, engine
 
-RHOS = (2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
 PAPER = 2.0  # rho of the paper's benchmark configuration
+RHOS = (PAPER, 5.0, 10.0, 20.0, 50.0, 100.0, 1000.0)
 SEEDS = range(10)
 LOGIT_SEEDS = range(8)
 DECIDING = ("ni", "nf0")
@@ -183,25 +180,22 @@ def select(results: dict[str, list[Run]], areas: dict[str, dict[str, float]]) ->
     return best
 
 
-def study(rhos, instances) -> dict[str, list[Run]]:
-    """Run the grid over (family, instance) pairs, the paper's rho first
-    when the grid lacks it; returns the runs by label, in grid order."""
-    grid = list(rhos)
-    if PAPER not in grid:
-        grid.insert(0, PAPER)
+def study(instances) -> dict[str, list[Run]]:
+    """Run the grid over (family, instance) pairs; returns the runs by
+    label, in grid order."""
     results = {}
-    for rho in grid:
+    for rho in RHOS:
         results[label(rho)] = solve_all(instances, rho)
         print(f"solved {label(rho)}", file=sys.stderr, flush=True)
     return results
 
 
-def report(results, families) -> None:
+def report(results) -> None:
     """Print the totals and profiles of a study, and its selection."""
     print("totals (solved, ni, nf0, nf) per family, then on the benchmark workloads")
-    print(f"{'configuration':13s} " + " ".join(f"{f:>26s}" for f in families))
+    print(f"{'configuration':13s} " + " ".join(f"{f:>26s}" for f in FAMILIES))
     for name, runs in results.items():
-        cells = [slashed(totals([r for r in runs if r.problem == f])) for f in families]
+        cells = [slashed(totals([r for r in runs if r.problem == f])) for f in FAMILIES]
         print(f"{name:13s} " + " ".join(f"{c:>26s}" for c in cells))
     for name, runs in results.items():
         cells = [f"{w} {slashed(t)}" for w, t in bench_totals(runs).items()]
@@ -221,34 +215,18 @@ def report(results, families) -> None:
     print(f"selected: {select(results, areas) or 'none'}")
 
 
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--rho", type=_common.comma_list(float), default=RHOS,
-                        help="comma-separated rho values (default: %(default)s)")
-    parser.add_argument("--family", type=_common.comma_list(str), default=list(FAMILIES),
-                        help="comma-separated instance families (default: all)")
-    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
-                        help="comma-separated program names to keep (default: all)")
-    args = parser.parse_args(argv)
-    unknown = set(args.family) - set(FAMILIES)
-    if unknown:
-        parser.error(f"unknown family {sorted(unknown)}; choose from {list(FAMILIES)}")
-    for rho in args.rho:
-        try:
-            engine.SolverOptions(rho=rho)
-        except ValueError as exc:
-            parser.error(str(exc))
-    args.instances = _common.keep_problems(
-        parser, [(family, inst) for family in args.family for inst in FAMILIES[family]()],
-        args.problems, f" of {args.family}")
-    return args
+def instances(argv) -> list:
+    """The (family, instance) pairs of every family that ``--problems`` in
+    ``argv`` keeps."""
+    return _common.keep_problems(argv, __doc__, [
+        (family, inst) for family, build in FAMILIES.items() for inst in build()])
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    results = study(args.rho, args.instances)
-    print(f"{len(args.instances)} instances, {len(results)} configurations")
-    report(results, args.family)
+    chosen = instances(argv)
+    results = study(chosen)
+    print(f"{len(chosen)} instances, {len(results)} configurations")
+    report(results)
     return 0
 
 

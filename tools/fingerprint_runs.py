@@ -4,7 +4,7 @@ can be checked for bitwise-identical runs with one ``diff``.
 Usage, from the root of a checkout:
 
     python3 tools/fingerprint_runs.py > before.txt
-    python3 tools/fingerprint_runs.py --workload hs-corpus --problems HS035,HS044
+    python3 tools/fingerprint_runs.py --problems HS035,HS044
 
 Each solve runs under default ``SolverOptions``, whose report always
 carries its trace records, and prints one line: workload, instance,
@@ -19,16 +19,15 @@ and nf, so a change that keeps every iterate and moves only how many
 trials reach the objective keeps it.
 ``cut -d' ' -f1-7`` keeps the columns up to the first hash, and
 ``cut -d' ' -f1-4,9`` those that such a change keeps.  The instances
-are those of ``perfbench/workloads.py``, which is imported and not
-changed; ``--problems`` keeps the instances whose program has one of the
-given names (``HS035``, ``convex-n20-s1``, ``logit-n10-s0``, ...).  A
-repeated workload or name, or a name that no instance of the selected
-workloads has, is a usage error (exit 2) raised before anything is solved.
+are those of every workload of ``perfbench/workloads.py``, which is
+imported and not changed; ``--problems`` keeps the instances whose program
+has one of the given names (``HS035``, ``convex-n20-s1``,
+``logit-n10-s0``, ...).  A repeated name, or a name that no instance has,
+is a usage error (exit 2) raised before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
-import argparse
 import dataclasses
 import hashlib
 import sys
@@ -74,21 +73,9 @@ def fingerprint(report: engine.SolveReport, with_trace: bool = True,
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", type=_common.comma_list(str),
-                        default=list(workloads.WORKLOADS),
-                        help="comma-separated workloads (default: all)")
-    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
-                        help="comma-separated program names to keep (default: all)")
-    args = parser.parse_args(argv)
-    unknown = sorted(set(args.workload) - set(workloads.WORKLOADS))
-    if unknown:
-        parser.error(f"unknown workload {unknown}; choose from {list(workloads.WORKLOADS)}")
-    selected = _common.keep_problems(
-        parser, [(workload, inst) for workload in args.workload
-                 for inst in workloads.build(workload)],
-        args.problems, f" of {args.workload}")
-
+    selected = _common.keep_problems(argv, __doc__, [
+        (workload, inst) for workload in workloads.WORKLOADS
+        for inst in workloads.build(workload)])
     for workload, inst in selected:
         report = engine.solve(inst.problem, inst.x0)
         print(workload, inst.name, report.status.value, report.ni, report.nf0,

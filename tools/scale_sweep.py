@@ -5,7 +5,7 @@ at each scale.
 Usage, from the root of a checkout:
 
     python3 tools/scale_sweep.py
-    python3 tools/scale_sweep.py --exponents=-2,0,2 --problems HS035,convex-n20-s0
+    python3 tools/scale_sweep.py --problems HS035,convex-n20-s0
 
 The instances are the 28 of the ``hs-corpus`` and ``convex-n20`` workloads
 of ``perfbench/workloads.py``, which is imported and not changed; every
@@ -13,21 +13,17 @@ solve uses default ``SolverOptions``.  A converged run must pass its
 workload's check: a corpus run's fv is divided by the scale before it is
 read against the reference, and a convex run must meet the KKT check of
 the scaled program, recomputed from its callbacks.  The output is a
-Markdown table with one row per exponent k (default -6, -4, -2, 0, 2, 4,
-6): the runs that converged and pass the check, then every other exit by
-status, naming the converged runs that fail it.  ``--problems`` keeps the
-instances whose program has one of the given names (``HS035``,
-``convex-n20-s1``, ...).  A repeated exponent or name, an exponent whose
-scale is not a positive finite float (k <= -324 or k >= 309), or a name
-that no instance has, is a usage error (exit 2) raised before anything is
-solved.
+Markdown table with one row per exponent k of ``EXPONENTS`` (-6, -4, -2,
+0, 2, 4, 6): the runs that converged and pass the check, then every other
+exit by status, naming the converged runs that fail it.  ``--problems``
+keeps the instances whose program has one of the given names (``HS035``,
+``convex-n20-s1``, ...).  A repeated name, or a name that no instance has,
+is a usage error (exit 2) raised before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
-import argparse
 import dataclasses
-import math
 import sys
 from collections import Counter
 
@@ -39,23 +35,6 @@ from isqp import engine, model
 WORKLOADS = ("hs-corpus", "convex-n20")
 EXPONENTS = (-6, -4, -2, 0, 2, 4, 6)
 CONVERGED = engine.SolveStatus.CONVERGED
-
-
-def parse_args(argv):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--exponents", type=_common.comma_list(int), default=list(EXPONENTS),
-                        help="comma-separated k of the scales 10^k (default: %(default)s)")
-    parser.add_argument("--problems", type=_common.comma_list(str), default=None,
-                        help="comma-separated program names to keep (default: all)")
-    args = parser.parse_args(argv)
-    # 10^k underflows to 0 for k <= -324 and overflows to inf for k >= 309.
-    for k in args.exponents:
-        if not 0 < float(f"1e{k}") < math.inf:
-            parser.error(f"--exponents: 10^{k} is not a positive finite float")
-    args.instances = _common.keep_problems(
-        parser, [(workload, inst) for workload in WORKLOADS
-                 for inst in workloads.build(workload)], args.problems)
-    return args
 
 
 def scaled(problem: model.NlpProblem, scale: float) -> model.NlpProblem:
@@ -100,11 +79,12 @@ def row(k: int, instances) -> str:
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    print(f"| f0 × | converged at the reference (of {len(args.instances)}) | other exits |")
+    instances = _common.keep_problems(argv, __doc__, [
+        (workload, inst) for workload in WORKLOADS for inst in workloads.build(workload)])
+    print(f"| f0 × | converged at the reference (of {len(instances)}) | other exits |")
     print("|-----:|------:|-------------|")
-    for k in args.exponents:
-        print(row(k, args.instances), flush=True)
+    for k in EXPONENTS:
+        print(row(k, instances), flush=True)
     return 0
 
 
