@@ -53,8 +53,8 @@ started from, every later iteration would repeat it bit for bit.  The run
 then stops at once with status ``line_search_stall``, reporting the KKT
 residual reached under that iteration's QP multipliers.
 
-A run has one stopping rule: it converges at its first feasible iterate
-(phi = 0) whose KKT residual of the original program, under that
+A run has one stopping rule: it converges at its first iterate at phi = 0
+whose KKT residual of the original program (which reads |f_eq|), under that
 iteration's QP multipliers, is at most ``kkt_tol``.  There is no separate
 test on the length of the QP direction: the paper's test, d0 = 0, is a
 proxy for the same KKT point, and the certificate is required anyway.
@@ -84,11 +84,9 @@ import numpy as np
 from . import linalg, model
 from . import qp as qpmod
 from .errors import (
-    CertificateViolation,
     EvaluationFailure,
     LineSearchStall,
     NotPositiveDefiniteError,
-    NumericalBreakdown,
     NumericalFailure,
     SingularMatrixError,
 )
@@ -147,11 +145,14 @@ class SolverOptions:
 
     def __post_init__(self) -> None:
         # Every test is written so that NaN fails it, and inf fails isfinite.
-        if not (math.isfinite(self.rho) and self.rho > 1.0):
+        # A bool would pass as the number 0 or 1, so it is tested as NaN.
+        rho, kkt_tol, max_iter = (math.nan if isinstance(v, (bool, np.bool_)) else v
+                                  for v in (self.rho, self.kkt_tol, self.max_iter))
+        if not (math.isfinite(rho) and rho > 1.0):
             raise ValueError(f"rho must be finite and exceed 1, got {self.rho}")
-        if not (math.isfinite(self.kkt_tol) and self.kkt_tol > 0.0):
+        if not (math.isfinite(kkt_tol) and kkt_tol > 0.0):
             raise ValueError(f"kkt_tol must be finite and positive, got {self.kkt_tol}")
-        if not (self.max_iter >= 1 and self.max_iter % 1 == 0):  # inf % 1 is NaN
+        if not (max_iter >= 1 and max_iter % 1 == 0):  # inf % 1 is NaN
             raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter}")
         self.max_iter = int(self.max_iter)
 
@@ -202,7 +203,10 @@ class IterationRecord:
 @dataclass
 class SolveReport:
     """Outcome of one run.  ``trace`` holds every record ``step`` returned,
-    and ``nio`` counts those at phi > 0 among the first ``ni``."""
+    and ``nio`` counts those at phi > 0 among the first ``ni``.  phi is that
+    of the reformulated program (see ``model.PointValues``), so with
+    equality rows a record at phi = 0 may still break an equality; a
+    ``converged`` status does not, since the KKT residual reads |f_eq|."""
 
     status: SolveStatus
     x: np.ndarray
@@ -437,7 +441,7 @@ def _require(holds: bool, what: str) -> None:
     """Runtime certificate of the iteration; a failure ends the run as
     degenerate (unlike assert, it also holds under python -O)."""
     if not holds:
-        raise CertificateViolation(what)
+        raise NumericalFailure(what)
 
 
 def _is_fixed_point(ev: model.Evaluation, accepted: model.PointValues,
@@ -506,7 +510,7 @@ def step(problem: model.NlpProblem, state: IterateState,
     try:
         arc_shift = norm_d0 ** TAU + phi ** SIGMA
     except OverflowError:  # a float power raises once |d0| exceeds about 1e123
-        raise NumericalBreakdown(f"correction shift overflows at |d0| {norm_d0:.3e}") from None
+        raise NumericalFailure(f"correction shift overflows at |d0| {norm_d0:.3e}") from None
     d2, _, gamma_residual = solve_shared(fac, -arc_shift - curvature)
     beta = descent_lhs = descent_rhs = i0_margin = None
 

@@ -1,7 +1,16 @@
 """Exception types shared across the solver and the benchmark tools.  A
 failure's class is its classification: ``engine.solve`` ends a run
 ``degenerate`` on any NumericalFailure, and the CLI reports any other
-SolverError that reaches it as an input error."""
+SolverError that reaches it as an input error.
+
+Every certificate that fails in the iteration raises NumericalFailure
+itself, and its message names the cause.  Two subclasses stay, each for a
+reason in the code: NotPositiveDefiniteError is the Cholesky kernel's SPD
+contract, which callers catch by name to tell "this matrix is not positive
+definite" from other failures (the QP working-set solve, the engine's
+shared factor and BFGS candidate, and the multiplier estimate);
+SingularMatrixError is the LU kernel's pivot-floor contract, which the
+engine's shared factor also raises for a singular Gamma."""
 
 
 class SolverError(Exception):
@@ -23,22 +32,6 @@ class NotPositiveDefiniteError(NumericalFailure):
 
 class EvaluationFailure(SolverError):
     """A problem callback returned a misshapen or non-finite value."""
-
-
-class DegenerateConstraints(NumericalFailure):
-    """Active constraint gradients are linearly dependent at the current point."""
-
-
-class MaxQpIterationsError(NumericalFailure):
-    """The active-set loop hit its iteration cap without certifying optimality."""
-
-
-class NumericalBreakdown(NumericalFailure):
-    """A factorization or optimality check failed beyond recoverable tolerance."""
-
-
-class CertificateViolation(NumericalFailure):
-    """A computed solution failed the inequality its derivation guarantees."""
 
 
 class LineSearchStall(SolverError):

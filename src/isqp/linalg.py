@@ -47,7 +47,7 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NumericalBreakdown, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalFailure, SingularMatrixError
 
 # Pivot floor for both factorizations, relative to the row-sum norm.
 PIVOT_FLOOR = 1e-14
@@ -64,12 +64,12 @@ def _as_square(a) -> np.ndarray:
 
 def check_residual(ax: np.ndarray, b: np.ndarray) -> float:
     """Check the post-condition of a solve of A x = b, given the product
-    ``ax`` = A x, raising NumericalBreakdown when it fails; return
+    ``ax`` = A x, raising NumericalFailure when it fails; return
     max|A x - b| / max(1, max|b|)."""
     residual = np.abs(ax - b).max(initial=0.0)
     scale = max(1.0, np.abs(b).max(initial=0.0))
     if not residual <= RESIDUAL_TOL * scale:
-        raise NumericalBreakdown(f"solve residual {residual:.3e} exceeds tolerance")
+        raise NumericalFailure(f"solve residual {residual:.3e} exceeds tolerance")
     return residual / scale
 
 

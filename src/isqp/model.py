@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateConstraints, EvaluationFailure, NotPositiveDefiniteError
+from .errors import EvaluationFailure, NotPositiveDefiniteError, NumericalFailure
 
 # Relative step for central finite differences.
 FD_STEP = 1e-6
@@ -64,7 +64,8 @@ class NlpProblem:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if not all(isinstance(k, Integral) for k in (self.n, self.m_ineq, self.m_eq)):
+        if not all(isinstance(k, Integral) and not isinstance(k, bool)
+                   for k in (self.n, self.m_ineq, self.m_eq)):
             raise ValueError("n, m_ineq and m_eq must be integers")
         if self.n < 1:
             raise ValueError("n must be at least 1")
@@ -85,8 +86,12 @@ class PointValues:
     A constraint is satisfied when f_i <= PHI_TOL * max(1, max|f|), the
     roundoff floor of :func:`point_values`, and violated otherwise.  The
     violation measure phi is max f_i when some constraint is violated and 0
-    when none is; ``n_satisfied`` counts the satisfied constraints.  f0 is
-    None until the objective is evaluated (see :func:`with_objective`).
+    when none is; ``n_satisfied`` counts the satisfied constraints.  Both
+    read the reformulated program, which holds each equality row as
+    f_eq <= 0: phi = 0 leaves an equality row free to be negative, so it
+    means feasible only without equality rows (:func:`kkt_residual_original`
+    reads |f_eq|).  f0 is None until the objective is evaluated (see
+    :func:`with_objective`).
     """
 
     x: np.ndarray
@@ -255,7 +260,7 @@ def compute_pi(ev: Evaluation, p: float) -> np.ndarray:
     Solves (N^T N + D) pi = -N^T g0 where N stacks all constraint gradients
     and D carries |fbar_i|^p on inequality rows and zero on equality rows.
     The system is positive definite whenever the gradients active at the
-    point are independent; otherwise DegenerateConstraints is raised.  With
+    point are independent; otherwise NumericalFailure is raised.  With
     no constraints the system is 0-by-0 and the estimate is empty.
     """
     nmat = ev.gI
@@ -266,7 +271,7 @@ def compute_pi(ev: Evaluation, p: float) -> np.ndarray:
     try:
         return linalg.spd_solve(sys, rhs)
     except NotPositiveDefiniteError as exc:
-        raise DegenerateConstraints(
+        raise NumericalFailure(
             "constraint gradients are dependent; multiplier estimate failed"
         ) from exc
 

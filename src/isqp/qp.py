@@ -9,7 +9,7 @@ Algorithm 16.3).  Its working set W is one index array of rows in the
 order they joined.  Working-set changes are deterministic: a blocking tie
 picks the smallest constraint index, and a drop takes the most negative
 multiplier.  Nothing rules out cycling on a degenerate vertex; the step
-limit 50(n+m) bounds a cycle by raising MaxQpIterationsError, which
+limit 50(n+m) bounds a cycle by raising NumericalFailure, which
 ``engine.solve`` reports as ``degenerate``.
 
 The loop needs a feasible start and its working set there.  The caller
@@ -54,12 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg
-from .errors import (
-    CertificateViolation,
-    MaxQpIterationsError,
-    NotPositiveDefiniteError,
-    NumericalBreakdown,
-)
+from .errors import NotPositiveDefiniteError, NumericalFailure
 
 # Relative tolerances: reported active set, KKT certificate, internal zero tests.
 ACTIVE_TOL = 1e-8
@@ -125,22 +120,22 @@ class QpSolution:
 
 def _certify(inst: QpInstance, d: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Check the KKT conditions of (d, lam) to inst.kkt_tol, raising
-    NumericalBreakdown on the first that fails; return the slack b - A d."""
+    NumericalFailure on the first that fails; return the slack b - A d."""
     tol = inst.kkt_tol
     stationarity = np.abs(inst.H @ d + inst.grad + inst.A.T @ lam).max(initial=0.0)
     if not stationarity <= tol:
-        raise NumericalBreakdown(f"QP stationarity residual {stationarity:.3e}")
+        raise NumericalFailure(f"QP stationarity residual {stationarity:.3e}")
     slack = inst.b - inst.A @ d
     if inst.m > 0:
         low = slack.min()
         if not low >= -tol:
-            raise NumericalBreakdown(f"QP feasibility residual {-low:.3e}")
+            raise NumericalFailure(f"QP feasibility residual {-low:.3e}")
         low = lam.min()
         if not low >= -tol:
-            raise NumericalBreakdown(f"QP negative multiplier {low:.3e}")
+            raise NumericalFailure(f"QP negative multiplier {low:.3e}")
         comp = np.abs(lam * slack).max(initial=0.0)
         if not comp <= tol * max(1.0, np.abs(inst.b).max(initial=0.0)):
-            raise NumericalBreakdown(f"QP complementarity residual {comp:.3e}")
+            raise NumericalFailure(f"QP complementarity residual {comp:.3e}")
     return slack
 
 
@@ -182,7 +177,7 @@ def _warm_start(A: np.ndarray, b: np.ndarray, u: np.ndarray, au: np.ndarray,
     while rows.size:
         try:
             fac, lam = _work_solve(ay, rows, fac, -(b[rows] + au[rows]))
-        except (NotPositiveDefiniteError, NumericalBreakdown):
+        except NumericalFailure:
             break
         d = -(u + y_all[:, rows] @ lam)
         excess = A @ d - b
@@ -225,7 +220,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
             try:
                 fac, lam_work = _work_solve(ay, work, fac, -(a_d[work] + au[work]))
             except NotPositiveDefiniteError as exc:
-                raise NumericalBreakdown("dependent working set in QP") from exc
+                raise NumericalFailure("dependent working set in QP") from exc
             p = -(d + u + y_all[:, work] @ lam_work)
         else:
             lam_work = np.zeros(0)
@@ -282,7 +277,7 @@ def solve_qp(inst: QpInstance, hfac: np.ndarray, warm=()) -> QpSolution:
         else:
             stall += 1
     else:
-        raise MaxQpIterationsError(f"active-set loop exceeded {limit} iterations")
+        raise NumericalFailure(f"active-set loop exceeded {limit} iterations")
 
     lam = np.zeros(m)
     lam[work] = np.maximum(lam_work, 0.0)
@@ -299,7 +294,7 @@ def objective_decrease_certificate(inst: QpInstance, sol: QpSolution) -> float:
     slope = float(inst.grad @ sol.d0)
     value = slope + 0.5 * float(sol.d0 @ inst.H @ sol.d0)
     if not value <= inst.kkt_tol:
-        raise CertificateViolation(
+        raise NumericalFailure(
             f"QP objective {value:.3e} is positive at the reported minimizer"
         )
     return slope

@@ -3,7 +3,6 @@ whole grid over two corpus problems, run as a script, a repeated or
 unknown name and an ``--alpha`` flag refused before anything is solved,
 and one program per ``--problems`` name across the two logit families."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -70,16 +69,8 @@ def test_bad_grid_is_refused_before_any_solve(changed, message):
 @pytest.mark.parametrize("name,family,samples", [
     ("logit-n10-s0", "logit-eq", 50_000), ("logit-n10-s0-5k", "logit-5k", 5_000),
 ])
-def test_each_logit_name_selects_one_program(monkeypatch, name, family, samples):
-    # The script's shared setup module, found on tools/ as a script finds
-    # it, pins the BLAS thread variables and extends sys.path on import;
-    # monkeypatch restores both.
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
-    spec = importlib.util.spec_from_file_location("calibrate_rho", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
+def test_each_logit_name_selects_one_program(load_tool, name, family, samples):
+    tool = load_tool("calibrate_rho")
 
     (chosen_family, inst), = tool.instances(["--problems", name])
     assert (chosen_family, inst.name, inst.problem.name) == (family, name, name)

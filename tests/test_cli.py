@@ -2,9 +2,7 @@
 output layout, solver flags, and determinism.
 
 Exit codes: 0 when every run converged, 1 when some run did not, 2 on a
-usage or input error.  Tests named before the codes took these values keep
-their "exits_one" / "exits_two" names, so their ids stay stable; the
-asserts carry the codes."""
+usage or input error.  A test's name states the code its asserts carry."""
 
 import os
 import re
@@ -50,11 +48,11 @@ class TestRunCommand:
         assert len(lines) == 2
         assert lines[1].split(",")[4] == "a"
 
-    def test_unknown_problem_exits_one(self, capsys):
+    def test_unknown_problem_exits_two(self, capsys):
         assert _run(["run", "--problem", "HS999"]) == 2
         assert "unknown problem" in capsys.readouterr().err
 
-    def test_repeated_problem_exits_one(self, capsys):
+    def test_repeated_problem_exits_two(self, capsys):
         # Two rows for one (problem, start) would make the table unusable
         # by the profile command.
         assert _run(["run", "--problem", "HS035,HS024,HS035", "--start", "a"]) == 2
@@ -62,14 +60,14 @@ class TestRunCommand:
         assert "--problem names HS035 more than once" in captured.err
         assert captured.out == ""
 
-    def test_empty_selection_exits_one(self):
+    def test_empty_selection_exits_two(self):
         assert _run(["run", "--problem", ",,"]) == 2
 
-    def test_start_without_point_exits_one(self, capsys):
+    def test_start_without_point_exits_two(self, capsys):
         assert _run(["run", "--problem", "HS012", "--start", "b"]) == 2
         assert "no runs" in capsys.readouterr().err
 
-    def test_failed_run_exits_two(self, capsys):
+    def test_failed_run_exits_one(self, capsys):
         assert _run(["run", "--problem", "HS100", "--start", "a",
                      "--max-iter", "2"]) == 1
         out = capsys.readouterr().out
@@ -134,21 +132,21 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert f"--x0 component {component} is not finite: {value}" in err
 
-    def test_invalid_parameter_value_exits_one(self, capsys):
+    def test_invalid_parameter_value_exits_two(self, capsys):
         assert _run(["run", "--problem", "HS035", "--rho", "0.5"]) == 2
         assert "rho must be finite and exceed 1, got 0.5" in capsys.readouterr().err
 
-    def test_negative_kkt_tolerance_exits_one(self, capsys):
+    def test_negative_kkt_tolerance_exits_two(self, capsys):
         # No residual passes a negative bound, so no run could converge.
         assert _run(["run", "--problem", "HS035", "--kkt-tol", "-1"]) == 2
         assert "kkt_tol" in capsys.readouterr().err
 
-    def test_nan_kkt_tolerance_exits_one(self, capsys):
+    def test_nan_kkt_tolerance_exits_two(self, capsys):
         # No residual compares below NaN, so no run could converge.
         assert _run(["run", "--problem", "HS035", "--kkt-tol", "nan"]) == 2
         assert "kkt_tol" in capsys.readouterr().err
 
-    def test_infinite_reward_exits_one(self, capsys):
+    def test_infinite_reward_exits_two(self, capsys):
         # At phi = 0 the reward inf * 0**theta is NaN, which no merit test rejects.
         assert _run(["run", "--problem", "HS035", "--rho", "inf"]) == 2
         assert "rho" in capsys.readouterr().err
@@ -214,7 +212,7 @@ class TestConfig:
                      "--max-iter", "1"]) == 1
 
     @pytest.mark.parametrize("text", ["2.5", "1e999", "NaN"])
-    def test_non_integral_iteration_budget_exits_one(self, capsys, text):
+    def test_non_integral_iteration_budget_exits_two(self, capsys, text):
         assert _run(["run", "--problem", "HS035", "--start", "a",
                      "--max-iter", text]) == 2
         assert "--max-iter" in capsys.readouterr().err
@@ -239,7 +237,7 @@ class TestConfig:
         assert _run(["run", "--problem", "HS035", *argv]) == 2
         assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
 
-    def test_non_numeric_value_exits_one(self, capsys):
+    def test_non_numeric_value_exits_two(self, capsys):
         assert _run(["run", "--problem", "HS035", "--kkt-tol", "tight"]) == 2
         assert "--kkt-tol" in capsys.readouterr().err
 
@@ -320,17 +318,17 @@ class TestProfileCommand:
         res = self._write_results(tmp_path, "only", ["HS035"])
         assert _run(["profile", str(res), "--metric", "nf0"]) == 0
 
-    def test_unknown_metric_exits_one(self, tmp_path):
+    def test_unknown_metric_exits_two(self, tmp_path):
         res = self._write_results(tmp_path, "only", ["HS035"])
         assert _run(["profile", str(res), "--metric", "bogus"]) == 2
 
-    def test_wrong_header_exits_one(self, tmp_path, capsys):
+    def test_wrong_header_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         assert _run(["profile", str(bad)]) == 2
         assert "header" in capsys.readouterr().err
 
-    def test_missing_file_exits_one(self, tmp_path):
+    def test_missing_file_exits_two(self, tmp_path):
         assert _run(["profile", str(tmp_path / "nope.csv")]) == 2
 
     def test_non_utf8_file_exits_two(self, tmp_path, capsys):
@@ -348,12 +346,12 @@ class TestProfileCommand:
         assert captured.out == ""
         assert f"isqp: error: cannot write {str(tmp_path)!r}" in captured.err
 
-    def test_empty_results_exit_one(self, tmp_path, capsys):
+    def test_empty_results_exit_two(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"
         empty.write_text(bench.CSV_HEADER + "\n", encoding="utf-8")
         assert _run(["profile", str(empty)]) == 2
 
-    def test_duplicate_labels_exit_one(self, tmp_path, capsys):
+    def test_duplicate_labels_exit_two(self, tmp_path, capsys):
         first = tmp_path / "one"
         second = tmp_path / "two"
         first.mkdir()
@@ -363,12 +361,12 @@ class TestProfileCommand:
         assert _run(["profile", str(a), str(b)]) == 2
         assert "duplicate" in capsys.readouterr().err
 
-    def test_mismatched_problem_sets_exit_one(self, tmp_path, capsys):
+    def test_mismatched_problem_sets_exit_two(self, tmp_path, capsys):
         a = self._write_results(tmp_path, "a", ["HS035"])
         b = self._write_results(tmp_path, "b", ["HS024"])
         assert _run(["profile", str(a), str(b)]) == 2
 
-    def test_duplicate_rows_exit_one(self, tmp_path, capsys):
+    def test_duplicate_rows_exit_two(self, tmp_path, capsys):
         res = self._write_results(tmp_path, "dup", ["HS024", "HS035"])
         text = res.read_text(encoding="utf-8")
         row = next(r for r in text.split("\n") if r.startswith("HS035,"))
@@ -377,7 +375,7 @@ class TestProfileCommand:
         assert _run(["profile", str(res)]) == 2
         assert "duplicate record for 'HS035:a'" in capsys.readouterr().err
 
-    def test_unknown_status_exits_one(self, tmp_path, capsys):
+    def test_unknown_status_exits_two(self, tmp_path, capsys):
         res = self._write_results(tmp_path, "odd", ["HS035"])
         text = res.read_text(encoding="utf-8")
         res.write_text(text.replace(",converged,", ",solved,"), encoding="utf-8")
@@ -396,13 +394,13 @@ class TestProfileCommand:
 
 
 class TestUsage:
-    def test_no_subcommand_exits_one(self):
+    def test_no_subcommand_exits_two(self):
         assert _run([]) == 2
 
-    def test_unknown_subcommand_exits_one(self):
+    def test_unknown_subcommand_exits_two(self):
         assert _run(["frobnicate"]) == 2
 
-    def test_unknown_flag_exits_one(self):
+    def test_unknown_flag_exits_two(self):
         assert _run(["run", "--problem", "HS035", "--does-not-exist", "1"]) == 2
 
 
@@ -421,6 +419,24 @@ class TestEntryPoints:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_runtime_imports_only_numpy_and_the_standard_library(self):
+        # The runtime is numpy-only.  Other packages may be installed beside
+        # it, so only a fresh interpreter shows a stray import; modules that
+        # the interpreter loads at start-up are not the package's.
+        script = (
+            "import sys\n"
+            "before = {name.partition('.')[0] for name in sys.modules}\n"
+            "import isqp, isqp.cli\n"
+            "print(*sorted({name.partition('.')[0] for name in sys.modules} - before))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(proc.stdout.split())
+        assert {"isqp", "numpy"} <= loaded
+        assert loaded - set(sys.stdlib_module_names) == {"isqp", "numpy"}
 
 
 class TestDeterminism:

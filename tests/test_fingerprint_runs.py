@@ -2,7 +2,6 @@
 problems, fingerprinted twice as a script, the trace-free and count-free
 hashes, and the names refused before anything is solved."""
 
-import importlib.util
 import math
 import os
 import subprocess
@@ -38,18 +37,9 @@ def test_two_problems_fingerprint_identically_twice():
 
 
 @pytest.fixture
-def tool(monkeypatch):
-    """tools/fingerprint_runs.py, imported as a module.  The script's shared
-    setup module, found on tools/ as a script finds it, pins the BLAS
-    thread variables and extends sys.path on import; monkeypatch restores
-    both."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
-    spec = importlib.util.spec_from_file_location("fingerprint_runs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def tool(load_tool):
+    """tools/fingerprint_runs.py, imported as a module."""
+    return load_tool("fingerprint_runs")
 
 
 def _hs035_report():

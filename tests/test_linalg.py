@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from isqp import linalg
-from isqp.errors import NotPositiveDefiniteError, NumericalBreakdown, SingularMatrixError
+from isqp.errors import NotPositiveDefiniteError, NumericalFailure, SingularMatrixError
 
 
 class TestLuSolve:
@@ -301,7 +301,7 @@ class TestSpdSolve:
     def test_asymmetric_rejected(self):
         # The factor reads only the lower triangle (the identity here); the
         # residual check against all of M catches the upper triangle.
-        with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
+        with pytest.raises(NumericalFailure, match="exceeds tolerance"):
             linalg.spd_solve(np.array([[1.0, 0.5], [0.0, 1.0]]), np.ones(2))
 
 
@@ -402,7 +402,7 @@ class TestResidualCheck:
         # classify it; a negative tolerance makes every solve fail it.
         monkeypatch.setattr(linalg, "RESIDUAL_TOL", -1.0)
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
-        with pytest.raises(NumericalBreakdown, match="exceeds tolerance"):
+        with pytest.raises(NumericalFailure, match="exceeds tolerance"):
             solve(a, np.array([1.0, 2.0]))
 
     def test_spd_solve_checks_under_optimize(self):
@@ -412,13 +412,13 @@ class TestResidualCheck:
             "import sys\n"
             "import numpy as np\n"
             "from isqp import linalg\n"
-            "from isqp.errors import NumericalBreakdown\n"
+            "from isqp.errors import NumericalFailure\n"
             "if __debug__:\n"
             "    sys.exit(3)\n"
             "linalg.RESIDUAL_TOL = -1.0\n"
             "try:\n"
             "    linalg.spd_solve(np.array([[4.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0]))\n"
-            "except NumericalBreakdown:\n"
+            "except NumericalFailure:\n"
             "    sys.exit(0)\n"
             "sys.exit(4)\n"
         )

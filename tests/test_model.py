@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from isqp import corpus, engine, model
-from isqp.errors import DegenerateConstraints, EvaluationFailure
+from isqp.errors import EvaluationFailure, NumericalFailure
 
 
 def _evaluate(problem, x, counters=None):
@@ -54,6 +54,8 @@ class TestNlpProblemValidation:
     @pytest.mark.parametrize("counts", [
         {"n": 2.0, "m_ineq": 0, "m_eq": 0},
         {"n": 2, "m_ineq": 0, "m_eq": 0.5},
+        {"n": True, "m_ineq": False, "m_eq": False},
+        {"n": 2, "m_ineq": True, "m_eq": 0},
     ])
     def test_rejects_non_integral_counts(self, counts):
         with pytest.raises(ValueError, match="integers"):
@@ -508,7 +510,8 @@ class TestMultiplierEstimate:
             grad_f=lambda x: np.array([[1.0, 1.0]]),
         )
         ev = _evaluate(prob, [0.0])
-        with pytest.raises(DegenerateConstraints):
+        with pytest.raises(NumericalFailure, match="^constraint gradients are dependent; "
+                                                   "multiplier estimate failed$"):
             model.compute_pi(ev, 2.0)
 
 

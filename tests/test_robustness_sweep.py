@@ -3,7 +3,6 @@ problems, run as a script, its usage errors, the pinned degenerate exits
 of its seed 0 on HS024, HS031, HS033 and HS037, and runs that each QP stop
 test decides."""
 
-import importlib.util
 import os
 import subprocess
 import sys
@@ -38,17 +37,9 @@ def test_tiny_slice_prints_counts_per_problem_seed_and_family():
 
 
 @pytest.fixture
-def sweep(monkeypatch):
-    """The sweep's module, loaded from tools/ as the script finds it.  Its
-    shared setup module pins the BLAS thread variables and extends
-    sys.path on import; monkeypatch restores both."""
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(sys, "path", [os.path.join(ROOT, "tools"), *sys.path])
-    spec = importlib.util.spec_from_file_location("robustness_sweep", SCRIPT)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+def sweep(load_tool):
+    """tools/robustness_sweep.py, imported as a module."""
+    return load_tool("robustness_sweep")
 
 
 def test_starts_are_consecutive_draws_of_one_generator(sweep):
