@@ -4,15 +4,14 @@ and Dolan-More performance profiles."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
 from . import corpus, engine
-from .errors import InconsistentRecordsError
+from .errors import SolverError
 
-CSV_HEADER = "problem,n,m1,m2,start,status,nio,nii,ni,nf0,nf,fv,kkt_residual,cpu_seconds"
 # The record fields a performance profile ranks runs by: nonnegative costs.
 PROFILE_METRICS = ("ni", "nf0", "nf", "cpu_seconds")
 
@@ -41,8 +40,8 @@ class RunRecord:
         return self.status is engine.SolveStatus.CONVERGED
 
 
-# Field types of RunRecord, in field order, which is also the column order
-# of CSV_HEADER.
+# The table's columns are RunRecord's fields, in field order.
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 _COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
 
 
@@ -120,22 +119,23 @@ def emit_table(records: Iterable[RunRecord], fmt: str = "csv") -> str:
 def read_table(text: str) -> list[RunRecord]:
     """Parse a CSV table written by ``emit_table`` back into records.
 
-    Raises InconsistentRecordsError on a wrong header, a row with the
-    wrong number of fields, an unknown status or a malformed number.
+    Raises SolverError, the CLI's input error, on a wrong header, a row
+    with the wrong number of fields, an unknown status or a malformed
+    number; a row's message names its line.
     """
     lines = text.splitlines()
     if not lines or lines[0] != CSV_HEADER:
-        raise InconsistentRecordsError("not the benchmark CSV header")
+        raise SolverError("not the benchmark CSV header")
     records = []
     for lineno, line in enumerate(lines[1:], start=2):
         values = line.split(",")
         if len(values) != len(_COLUMN_TYPES):
-            raise InconsistentRecordsError(
+            raise SolverError(
                 f"line {lineno}: expected {len(_COLUMN_TYPES)} fields, got {len(values)}")
         try:
             records.append(_record(values))
         except ValueError as exc:
-            raise InconsistentRecordsError(f"line {lineno}: {exc}") from None
+            raise SolverError(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -155,18 +155,18 @@ def compute_profiles(metric_by_solver: Mapping[str, Mapping[str, float]]) -> lis
     keys = sorted(metric_by_solver[solvers[0]])
     for s in solvers[1:]:
         if sorted(metric_by_solver[s]) != keys:
-            raise InconsistentRecordsError(
+            raise SolverError(
                 f"solver {s!r} reports a different problem set than {solvers[0]!r}"
             )
     if not keys:
-        raise InconsistentRecordsError("no problems to profile")
+        raise SolverError("no problems to profile")
 
     ratios: dict[str, list[float]] = {s: [] for s in solvers}
     for key in keys:
         values = [float(metric_by_solver[s][key]) for s in solvers]
         for v in values:
             if not math.isinf(v) and (not math.isfinite(v) or v <= 0):
-                raise InconsistentRecordsError(
+                raise SolverError(
                     f"metric for {key!r} must be positive or inf, got {v}"
                 )
         best = min(values)
@@ -189,7 +189,7 @@ def profile_metric(records: Iterable[RunRecord], metric: str) -> dict[str, float
     for r in records:
         key = f"{r.problem}:{r.start}"
         if key in out:
-            raise InconsistentRecordsError(f"duplicate record for {key!r}")
+            raise SolverError(f"duplicate record for {key!r}")
         if not r.converged:
             out[key] = math.inf
             continue

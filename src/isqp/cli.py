@@ -12,17 +12,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bench, corpus, engine
-from .errors import InconsistentRecordsError, SolverError
+from .errors import SolverError
 
 EXIT_OK = 0
 EXIT_RUN_FAILURES = 1
 
 # Every SolverOptions field is a flag under its own name.
 _OPTION_KEYS = tuple(f.name for f in dataclasses.fields(engine.SolverOptions))
-
-
-class _UsageError(Exception):
-    """A flag value or input file the command cannot use."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -63,7 +59,7 @@ def _merge_options(args) -> engine.SolverOptions:
         return engine.SolverOptions(**{key: getattr(args, key) for key in _OPTION_KEYS
                                        if getattr(args, key) is not None})
     except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise SolverError(str(exc)) from exc
 
 
 def _select_problems(selector: str) -> list[str]:
@@ -71,10 +67,10 @@ def _select_problems(selector: str) -> list[str]:
         return corpus.list_problems()
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
-        raise _UsageError("--problem got an empty selection")
+        raise SolverError("--problem got an empty selection")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
-        raise _UsageError(f"--problem names {', '.join(repeated)} more than once")
+        raise SolverError(f"--problem names {', '.join(repeated)} more than once")
     return names
 
 
@@ -86,7 +82,7 @@ def _write(text: str, out: Optional[str]) -> None:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise _UsageError(f"cannot write {out!r}: {exc}") from exc
+        raise SolverError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _trace_line(record: engine.IterationRecord) -> str:
@@ -110,27 +106,27 @@ def _cmd_run(args) -> int:
     names = _select_problems(args.problem)
     if args.x0 is not None:
         if len(names) != 1:
-            raise _UsageError("--x0 requires exactly one --problem")
+            raise SolverError("--x0 requires exactly one --problem")
         if args.start is not None:
-            raise _UsageError("--start cannot be combined with --x0")
+            raise SolverError("--start cannot be combined with --x0")
         try:
             x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
         except ValueError as exc:
-            raise _UsageError(f"--x0 is not a comma-separated real vector: {exc}") from exc
+            raise SolverError(f"--x0 is not a comma-separated real vector: {exc}") from exc
         bad = np.flatnonzero(~np.isfinite(x0))
         if bad.size:
             i = int(bad[0])
-            raise _UsageError(f"--x0 component {i} is not finite: {float(x0[i])!r}")
+            raise SolverError(f"--x0 component {i} is not finite: {float(x0[i])!r}")
         entry = corpus.get_problem(names[0])
         if x0.shape != (entry.problem.n,):
-            raise _UsageError(
+            raise SolverError(
                 f"--x0 has {x0.size} components; {entry.name} needs {entry.problem.n}"
             )
         runs = [(entry, "custom", x0)]
     else:
         runs = bench.select_runs(names, args.start or "both")
     if not runs:
-        raise _UsageError("selection produced no runs (no matching start points)")
+        raise SolverError("selection produced no runs (no matching start points)")
 
     records: list[bench.RunRecord] = []
     for entry, start, x0 in runs:
@@ -148,17 +144,17 @@ def _cmd_profile(args) -> int:
     for path in args.results:
         label = Path(path).stem
         if label in by_solver:
-            raise _UsageError(f"duplicate solver label {label!r}")
+            raise SolverError(f"duplicate solver label {label!r}")
         try:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
-            raise _UsageError(f"cannot read {path!r}: {exc}") from exc
+            raise SolverError(f"cannot read {path!r}: {exc}") from exc
         try:
             by_solver[label] = bench.profile_metric(bench.read_table(text), args.metric)
-        except InconsistentRecordsError as exc:
-            raise _UsageError(f"{path!r}: {exc}") from exc
+        except SolverError as exc:
+            raise SolverError(f"{path!r}: {exc}") from exc
         if not by_solver[label]:
-            raise _UsageError(f"{path!r} contains no result rows")
+            raise SolverError(f"{path!r} contains no result rows")
     _write(bench.emit_profiles(bench.compute_profiles(by_solver)), args.out)
     return EXIT_OK
 
@@ -176,8 +172,10 @@ def _cmd_list(_args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command; returns 0 when every run converged and 1 when some
-    run did not.  A usage or input error, or a SolverError that no run
-    captured, exits 2 through ``parser.error``, as argparse's own errors do."""
+    run did not.  Every input error a command finds is a SolverError (a
+    rejected flag value, an unknown problem, an unreadable or malformed
+    results file, an unwritable ``--out``), and each exits 2 through
+    ``parser.error``, as argparse's own usage errors do."""
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
@@ -186,7 +184,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "profile":
             return _cmd_profile(args)
         return _cmd_list(args)
-    except (_UsageError, SolverError) as exc:
+    except SolverError as exc:
         parser.error(str(exc))
 
 

@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from . import model
-from .errors import GradientMismatch, UnknownProblemError
+from .errors import SolverError
 
 GRADIENT_TOL = 1e-4
 GRADIENT_POINTS = 10
@@ -537,11 +537,12 @@ def list_problems() -> list[str]:
 
 
 def get_problem(name: str) -> CorpusEntry:
-    """Look up one entry; raises UnknownProblemError for unknown names."""
+    """Look up one entry; raises SolverError, naming every known problem,
+    for an unknown name."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        raise UnknownProblemError(
+        raise SolverError(
             f"unknown problem {name!r}; known: {', '.join(list_problems())}"
         ) from None
 
@@ -549,7 +550,8 @@ def get_problem(name: str) -> CorpusEntry:
 def verify_gradients(entry: CorpusEntry) -> float:
     """Compare analytic gradients against central differences at
     GRADIENT_POINTS random points near the problem's start and return the
-    worst relative error; raises GradientMismatch above GRADIENT_TOL."""
+    worst relative error; raises SolverError, naming the problem and the
+    gradient, above GRADIENT_TOL."""
     problem = entry.problem
     base = next(iter(entry.starts.values()))
     rng = np.random.default_rng(GRADIENT_SEED)
@@ -561,7 +563,7 @@ def verify_gradients(entry: CorpusEntry) -> float:
         fd0 = model.fd_gradient(problem, x, counters)
         err = np.max(np.abs(analytic0 - fd0) / np.maximum(1.0, np.abs(analytic0)))
         if err > GRADIENT_TOL:
-            raise GradientMismatch(f"{entry.name}: objective gradient off by {err:.3e}")
+            raise SolverError(f"{entry.name}: objective gradient off by {err:.3e}")
         worst = max(worst, float(err))
         if problem.m:
             analytic = np.asarray(problem.grad_f(x), dtype=float)
@@ -570,7 +572,7 @@ def verify_gradients(entry: CorpusEntry) -> float:
             bad = int(np.argmax(np.max(errs, axis=0)))
             err = float(np.max(errs))
             if err > GRADIENT_TOL:
-                raise GradientMismatch(
+                raise SolverError(
                     f"{entry.name}: gradient of constraint {bad} off by {err:.3e}"
                 )
             worst = max(worst, err)

@@ -1,16 +1,22 @@
 """Exception types shared across the solver and the benchmark tools.  A
-failure's class is its classification: ``engine.solve`` ends a run
-``degenerate`` on any NumericalFailure, and the CLI reports any other
-SolverError that reaches it as an input error.
+failure's class is its classification; for each class, the list names
+the code that reads it:
 
-Every certificate that fails in the iteration raises NumericalFailure
-itself, and its message names the cause.  Two subclasses stay, each for a
-reason in the code: NotPositiveDefiniteError is the Cholesky kernel's SPD
-contract, which callers catch by name to tell "this matrix is not positive
-definite" from other failures (the QP working-set solve, the engine's
-shared factor and BFGS candidate, and the multiplier estimate);
-SingularMatrixError is the LU kernel's pivot-floor contract, which the
-engine's shared factor also raises for a singular Gamma."""
+- NumericalFailure: ``engine.solve`` ends a run ``degenerate``.  Every
+  certificate that fails in the iteration raises it itself, and its
+  message names the cause.  Two subclasses are the kernels' contracts.
+  NotPositiveDefiniteError is the Cholesky kernel's SPD contract, caught
+  by name to tell "this matrix is not positive definite" from other
+  failures (the QP working-set solve, the engine's shared factor and BFGS
+  candidate, and the multiplier estimate).  SingularMatrixError is the LU
+  kernel's pivot-floor contract, which the engine's shared factor also
+  raises for a singular Gamma.
+- EvaluationFailure and LineSearchStall: ``engine.solve`` ends a run
+  ``evaluation_failure`` or ``line_search_stall``.
+- SolverError itself is an input error: an unknown problem, a gradient
+  that fails its check, a malformed results file or a bad CLI flag value.
+  ``cli.main`` reports every SolverError that reaches it with exit 2, and
+  ``cli._cmd_profile`` catches it to prefix the results file's name."""
 
 
 class SolverError(Exception):
@@ -37,14 +43,3 @@ class EvaluationFailure(SolverError):
 class LineSearchStall(SolverError):
     """The step acceptance loop exhausted its trial budget."""
 
-
-class UnknownProblemError(SolverError):
-    """Requested benchmark problem is not in the registry."""
-
-
-class GradientMismatch(SolverError):
-    """Analytic gradients disagree with finite differences."""
-
-
-class InconsistentRecordsError(SolverError):
-    """Benchmark record sets do not cover identical problem/start pairs."""

@@ -27,12 +27,13 @@ bordering: given the factor of a leading block and its pivots,
 larger matrix's floor, and runs its one border loop over the new rows
 only.  The result is bitwise the factor from scratch, and it raises
 exactly when that would (the QP grows and shrinks its working-set factor
-this way).
-``LuFactorization.solve`` sweeps a 2-D right-hand side column by column.
+this way).  ``LuFactorization.solve``'s forward and back sweeps broadcast
+over the columns of a 2-D right-hand side, one multiply and one subtract
+per entry, so its column j is bitwise the 1-D solve too.
 
-``LuFactorization.solve`` and ``spd_solve`` check the scaled residual of
-every solve against the full matrix, so ``spd_solve`` also fails an
-asymmetric input whose upper triangle changes the product.
+``LuFactorization.solve`` and ``spd_solve`` return x after checking the
+scaled residual of the solve against the full matrix, so ``spd_solve``
+also fails an asymmetric input whose upper triangle changes the product.
 ``solve_cholesky`` checks nothing; its callers certify what they solve
 (the QP's KKT certificate covers its solves against H, and its
 working-set solves and the engine's shared-matrix solves check their
@@ -89,53 +90,35 @@ class LuFactorization:
         floor = PIVOT_FLOOR * norm
         lu = a.copy()
         order = np.arange(n)
-        row = np.empty(n)  # swap buffer: fancy-indexed swaps cost more at these sizes
         for k in range(n):
             p = k + int(np.argmax(np.abs(lu[k:, k])))
             if not abs(lu[p, k]) >= floor:
                 raise SingularMatrixError(
                     f"pivot {lu[p, k]:.3e} below floor {floor:.3e} at column {k}"
                 )
-            if p != k:
-                row[:] = lu[k]
-                lu[k] = lu[p]
-                lu[p] = row
-                order[k], order[p] = order[p], order[k]
-            col = lu[k + 1:, k]
-            col /= lu[k, k]
-            lu[k + 1:, k + 1:] -= col[:, None] * lu[k, k + 1:]
+            lu[[k, p]] = lu[[p, k]]
+            order[[k, p]] = order[[p, k]]
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= lu[k + 1:, k:k + 1] * lu[k, k + 1:]
         self._a = a
-        self._lu_t = np.ascontiguousarray(lu.T)  # contiguous columns for the sweeps
+        self._lu = lu
         self._order = order
         self.shape = a.shape
 
-    def solve(self, b) -> tuple[np.ndarray, float]:
-        """Solve A x = b for one right-hand side (1-D) or several (columns).
-
-        Returns ``(x, r)``, where r = max|A x - b| / max(1, max|b|) is the
-        scaled residual whose bound by RESIDUAL_TOL is the post-condition of
-        every solve.  Columns are solved one at a time.
-        """
+    def solve(self, b) -> np.ndarray:
+        """Solve A x = b for one right-hand side (1-D) or several (columns),
+        checking the residual against A."""
         b = np.asarray(b, dtype=float)
         if b.shape[0] != self.shape[0]:
             raise ValueError("right-hand side has wrong length")
-        if b.ndim == 1:
-            x = self._sweep(b)
-        else:
-            x = np.empty_like(b)
-            for j in range(b.shape[1]):
-                x[:, j] = self._sweep(b[:, j])
-        return x, check_residual(self._a @ x, b)
-
-    def _sweep(self, b: np.ndarray) -> np.ndarray:
-        lu_t = self._lu_t
-        n = lu_t.shape[0]
+        lu, n = self._lu, self.shape[0]
         x = b[self._order]
         for k in range(n):  # unit lower-triangular sweep
-            x[k + 1:] -= lu_t[k, k + 1:] * x[k]
+            x[k + 1:] -= np.multiply.outer(lu[k + 1:, k], x[k])
         for k in range(n - 1, -1, -1):  # upper-triangular sweep
-            x[k] /= lu_t[k, k]
-            x[:k] -= lu_t[k, :k] * x[k]
+            x[k] /= lu[k, k]
+            x[:k] -= np.multiply.outer(lu[:k, k], x[k])
+        check_residual(self._a @ x, b)
         return x
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from isqp import corpus, engine, model
-from isqp.errors import GradientMismatch, UnknownProblemError
+from isqp.errors import SolverError
 
 EXPECTED_NAMES = [
     "HS012", "HS024", "HS029", "HS030", "HS031", "HS033", "HS034", "HS035",
@@ -25,7 +25,7 @@ class TestRegistry:
         assert entry.problem.name == "HS035"
 
     def test_unknown_name_raises_with_known_list(self):
-        with pytest.raises(UnknownProblemError, match="HS012"):
+        with pytest.raises(SolverError, match="^unknown problem 'HS999'; known: HS012, "):
             corpus.get_problem("HS999")
 
     def test_entries_are_stable_across_lookups(self):
@@ -135,7 +135,7 @@ class TestGradients:
             x0_feasible=entry.x0_feasible, x0_infeasible=entry.x0_infeasible,
             fv_candidates=entry.fv_candidates,
         )
-        with pytest.raises(GradientMismatch, match="constraint 2"):
+        with pytest.raises(SolverError, match="^broken: gradient of constraint 2 off by "):
             corpus.verify_gradients(tampered)
 
     def test_corrupted_objective_gradient_is_detected(self):
@@ -152,7 +152,7 @@ class TestGradients:
             x0_feasible=entry.x0_feasible, x0_infeasible=entry.x0_infeasible,
             fv_candidates=entry.fv_candidates,
         )
-        with pytest.raises(GradientMismatch, match="objective"):
+        with pytest.raises(SolverError, match="^broken: objective gradient off by "):
             corpus.verify_gradients(tampered)
 
     def test_linear_constraints_are_exact(self):

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from isqp import corpus, engine, errors, linalg, model, qp
+from isqp import cli, corpus, engine, errors, linalg, model, qp
 from isqp.errors import LineSearchStall, NumericalFailure, SingularMatrixError
 
 # The benchmark's problem families, from their one home (perfbench/, on
@@ -1405,6 +1405,16 @@ class TestFailureResiduals:
         assert set(errors.NumericalFailure.__subclasses__()) == {
             errors.NotPositiveDefiniteError, errors.SingularMatrixError,
         }
+
+    def test_only_the_run_outcomes_subclass_solver_error(self):
+        # An input error raises SolverError itself: cli.main's one handler
+        # reports every one alike, so no subclass of it would have a reader.
+        assert set(errors.SolverError.__subclasses__()) == {
+            errors.NumericalFailure, errors.EvaluationFailure, errors.LineSearchStall,
+        }
+        assert not [value for value in vars(cli).values()
+                    if isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == cli.__name__]
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_evaluation_failure(self, monkeypatch, k):

@@ -688,7 +688,7 @@ class TestCertificates:
         with pytest.raises(NumericalFailure, match=f"^QP {reason} "):
             qp._certify(inst, np.array([d]), np.array([lam]))
 
-    def test_dependent_working_set_is_a_breakdown(self, monkeypatch):
+    def test_dependent_working_set_is_a_numerical_failure(self, monkeypatch):
         # The first step from d = 0 is blocked by row 0 (H = I, grad = -1,
         # b = 0.5), so the second solves a working-set system.
         def singular(*args):
