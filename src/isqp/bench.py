@@ -40,9 +40,14 @@ class RunRecord:
         return self.status is engine.SolveStatus.CONVERGED
 
 
-# The table's columns are RunRecord's fields, in field order.
+# The table's columns are RunRecord's fields, in field order.  Each cell is
+# written by its field's formatter: str, but the status by its value and the
+# floats to fixed digits (fv to 12 significant ones).
 CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 _COLUMN_TYPES = tuple(get_type_hints(RunRecord).values())
+_CELL_FORMATS = {f.name: str for f in fields(RunRecord)} | {
+    "status": lambda status: status.value, "fv": "{:.11e}".format,
+    "kkt_residual": "{:.3e}".format, "cpu_seconds": "{:.6f}".format}
 
 
 def _record(values: Sequence) -> RunRecord:
@@ -101,9 +106,7 @@ def run_benchmark(names: Optional[Sequence[str]] = None, starts: str = "both",
 def emit_table(records: Iterable[RunRecord], fmt: str = "csv") -> str:
     """Render records as CSV (exact benchmark header) or a markdown table."""
     rows = [CSV_HEADER.split(",")] + [
-        [r.problem, str(r.n), str(r.m1), str(r.m2), r.start, r.status.value,
-         str(r.nio), str(r.nii), str(r.ni), str(r.nf0), str(r.nf),
-         f"{r.fv:.11e}", f"{r.kkt_residual:.3e}", f"{r.cpu_seconds:.6f}"]
+        [write(getattr(r, name)) for name, write in _CELL_FORMATS.items()]
         for r in records
     ]
     if fmt == "csv":

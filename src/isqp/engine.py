@@ -20,7 +20,18 @@ ALPHA, and differ only in their step lengths (ARC_STEPS, FD_STEPS),
 slope and shift.  Each trial is tested on its constraint values first (the
 constraint bound, then the satisfied count); the objective is evaluated,
 and its decrease tested, only at a trial that passes both, so a trial
-rejected on its constraints costs no objective evaluation.
+rejected on its constraints costs no objective evaluation.  Once a trial
+is rejected, a shorter one that the tangent at the iterate and the chord
+to the rejected trial prove to fail a constraint test is skipped and
+costs no evaluation at all (see ``_search``).  The proof is exact on
+linear rows and holds on rows convex or concave along the search.  On
+other rows it can skip a trial that would pass: the search may then
+accept a shorter step, and an arc search may be rejected, which hands the
+iteration to the feasible-direction branch as any rejected arc does.  The
+feasible-direction search never stalls on a skip: before it gives up it
+evaluates the trials it skipped, longest first, and so returns the plain
+loop's step.  A trial the tests reject is never accepted, since every
+trial evaluated runs all three tests.
 The arc search departs from the paper's plain halving of t down to
 EPSILON in one way: it always tries t = 1, but once that trial is
 rejected it hands the iteration to the feasible-direction branch at once
@@ -304,11 +315,41 @@ def compute_beta(a: float, b: float, phi: float) -> float:
     return float(min(1.0, max(0.0, r / (b - a))))
 
 
+def _proven_to_fail(f: np.ndarray, gd: np.ndarray, t_last: float, f_last: np.ndarray,
+                    t: float, bound: float, n_satisfied: int) -> bool:
+    """Whether the trial at step t < t_last is bound to fail a constraint
+    test, read without evaluating it from the values f at the iterate, the
+    slopes gd = J'd and the values f_last at the trial t_last.
+
+    Each row's tangent at 0 and its chord to t_last are lines through f.  On
+    a row that is convex or concave on [0, t_last] they bracket the row at
+    t: the one of smaller slope gives a lower bound ell, the other an upper
+    one (on a linear row both are the row).  Each test reads the roundoff
+    floor of ``model.point_values`` at the largest value the brackets
+    allow.  The violation bound fails when the largest ell exceeds the bound
+    and PHI_TOL * max(1, -min ell): the largest row then exceeds both, and
+    PHI_TOL times itself, so it is violated and phi is at least it.  The
+    satisfied count fails when the rows whose ell exceeds the whole floor,
+    whose top term reads the upper brackets, leave fewer than
+    ``n_satisfied`` rows; the upper brackets are formed only when the rows
+    over the floor's other terms already leave too few.
+    """
+    chord = (f_last - f) / t_last
+    low = f + t * np.minimum(gd, chord)
+    base = model.PHI_TOL * max(1.0, -low.min(initial=0.0))
+    if low.max(initial=0.0) > max(bound, base):
+        return True
+    if f.size - int(np.count_nonzero(low > base)) >= n_satisfied:
+        return False
+    floor = max(base, model.PHI_TOL * (f + t * np.maximum(gd, chord)).max())
+    return f.size - int(np.count_nonzero(low > floor)) < n_satisfied
+
+
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
             shift: float, slope: float, c: float, fc0: float, rate: float,
-            counters: model.EvalCounters):
-    """Try ev.x + t * d for each t in ``steps``; returns (t, trial values)
-    at the first accepted t, or None.
+            counters: model.EvalCounters, recheck: bool = False):
+    """Try ev.x + t * d for each t in ``steps``, a decreasing sequence;
+    returns (t, trial values) at the first accepted t, or None.
 
     A trial is accepted when every constraint lies below
     max(0, phi - ALPHA * t * shift), no satisfied constraint is lost, and
@@ -316,25 +357,62 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     tested in that order; ``rate`` is the infeasible-phase reward
     rho (1 - ALPHA) phi**theta, formed once per iteration by ``step``.  The
     two constraint tests read the constraint values alone; f0 is evaluated
-    only at a trial that passes both.  ``arc_search`` runs the
-    loop twice, on the unit step and then on the shorter ones, and may stop
-    between the two.
+    only at a trial that passes both.
+
+    Once a trial is rejected, each shorter one is first screened by
+    :func:`_proven_to_fail` against the last rejected trial's constraint
+    values and the slopes J'd (one product per search, formed when the
+    first trial is screened), and skipped when the screen proves it fails
+    a constraint test: no callback runs and nf does not grow.  The proof
+    holds on rows that are convex or concave between the iterate and the
+    last trial, and exactly on linear ones.  On other rows it may skip a
+    trial that would pass.  The search then accepts a shorter trial, or
+    none: every trial evaluated runs all three tests, so no trial the
+    tests reject is ever accepted.  With ``recheck``, a search that would
+    return None evaluates the trials it skipped, longest first, and
+    accepts the first that passes; every trial it evaluated failed, so
+    that is the plain loop's step, and a search that fails is one the
+    plain loop fails too.  Without it, as in the arc search, a wrong skip
+    can reject the search.  The merit test is not screened, because a
+    screen on its tangent would never fire: the arc search goes past its
+    unit trial only when the merit's first-order slope passes the merit
+    test (see ``arc_search``), and the feasible-direction search's blended
+    slope is certified to pass it.
     """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
-    for t in steps:
+
+    def accepts(t, bound):
+        """Evaluate the trial at t; returns its values and whether it
+        passes the three tests."""
         trial = model.point_values(problem, ev.x + t * d, counters)
         # The bound is nonnegative and a satisfied constraint counts as 0, so
         # it holds for every constraint exactly when it holds for the trial's
         # violation phi.
-        if trial.phi > max(0.0, phi - ALPHA * t * shift):
-            continue
-        if trial.n_satisfied < n_satisfied:
-            continue
-        trial = model.with_objective(problem, trial, counters)
-        if model.penalty_value(trial, c) > fc0 + ALPHA * t * slope + rate * t:
-            continue
-        return t, trial
+        if trial.phi <= bound and trial.n_satisfied >= n_satisfied:
+            trial = model.with_objective(problem, trial, counters)
+            return trial, model.penalty_value(trial, c) <= fc0 + ALPHA * t * slope + rate * t
+        return trial, False
+
+    last = None  # (t, constraint values) of the last trial evaluated and rejected
+    gd = None    # the rows' slopes J'd, formed when the first trial is screened
+    skipped = []
+    for t in steps:
+        bound = max(0.0, phi - ALPHA * t * shift)
+        if last is not None:
+            if gd is None:
+                gd = ev.gI.T @ d
+            if _proven_to_fail(ev.fI, gd, *last, t, bound, n_satisfied):
+                skipped.append((t, bound))
+                continue
+        trial, passed = accepts(t, bound)
+        if passed:
+            return t, trial
+        last = (t, trial.fI)
+    for t, bound in skipped if recheck else ():
+        trial, passed = accepts(t, bound)
+        if passed:
+            return t, trial
     return None
 
 
@@ -345,7 +423,9 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     tests of :func:`_search` with the correction's shift
     |d0|**tau + phi**sigma and the QP slope.  Returns (t, trial values), or
     None once t would drop below the abandon threshold or the search stops
-    after its unit trial.
+    after its unit trial; a trial that the screen of :func:`_search` skips
+    wrongly, on a row that bends before the last trial, can also leave it
+    None.
 
     Unlike the paper's plain halving, the search stops after a rejected
     unit trial when ``arc_slope``, the penalized objective's slope along d
@@ -359,10 +439,8 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     An arc whose merit curves down enough to pass at some t < 1 is no
     longer found.
     """
-    hit = _search(problem, ev, d, ARC_STEPS[:1], shift, slope, c, fc0, rate, counters)
-    if hit is not None or arc_slope > ALPHA * slope + rate:
-        return hit
-    return _search(problem, ev, d, ARC_STEPS[1:], shift, slope, c, fc0, rate, counters)
+    steps = ARC_STEPS[:1] if arc_slope > ALPHA * slope + rate else ARC_STEPS
+    return _search(problem, ev, d, steps, shift, slope, c, fc0, rate, counters)
 
 
 def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
@@ -373,9 +451,11 @@ def feasible_direction_search(problem: model.NlpProblem, ev: model.Evaluation,
     tests of :func:`_search` with the blend's slope and the shift
     beta * (|d0| + phi**sigma), beta times the inequality rows' push (an
     equality row's own push shapes only the direction); raises
-    LineSearchStall after the trial budget.
+    LineSearchStall after the trial budget.  Trials the screen skipped are
+    evaluated before it raises, so it raises only where every trial fails.
     """
-    hit = _search(problem, ev, dhat, FD_STEPS, shift, slope_hat, c, fc0, rate, counters)
+    hit = _search(problem, ev, dhat, FD_STEPS, shift, slope_hat, c, fc0, rate, counters,
+                  recheck=True)
     if hit is None:
         raise LineSearchStall(
             f"no acceptable step within {SEARCH_TRIALS} reductions at x={ev.x!r}"

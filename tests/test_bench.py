@@ -1,6 +1,7 @@
 """Benchmark-driver contracts: run records, result tables, and
 performance-profile curves checked against hand-computed examples."""
 
+import dataclasses
 import math
 import time
 
@@ -117,6 +118,22 @@ class TestEmitTable:
         assert fields[11] == "1.11111111111e-01"  # 12 significant digits
         assert fields[12] == "3.200e-09"
         assert fields[13] == "0.001234"
+
+    def test_cells_follow_the_record_fields(self):
+        # Every integer field differs, so the cell under each field's name
+        # reads back as that field's value only if the cells keep the
+        # fields' order.
+        rec = _record(m2=5, nio=1)
+        header, row = bench.emit_table([rec]).strip().split("\n")
+        cells = row.split(",")
+        assert header.split(",") == [f.name for f in dataclasses.fields(bench.RunRecord)]
+        assert len(cells) == len(dataclasses.fields(bench.RunRecord))
+        for f, cell in zip(dataclasses.fields(bench.RunRecord), cells):
+            value = getattr(rec, f.name)
+            if isinstance(value, float):
+                assert float(cell) == pytest.approx(value, rel=1e-3), f.name
+            else:
+                assert type(value)(cell) == value, f.name
 
     def test_objective_value_keeps_twelve_significant_digits(self):
         text = bench.emit_table([_record(fv=-3455.999999999965)])

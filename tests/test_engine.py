@@ -412,6 +412,49 @@ class TestBlendWeight:
             assert (1.0 - beta) * a + beta * b <= bound + 1e-9
 
 
+def _recording(problem):
+    """The program with f0 and f wrapped to record every point each is
+    called at (its first coordinate)."""
+    seen_f0, seen_f = [], []
+
+    def f0(x):
+        seen_f0.append(float(x[0]))
+        return problem.f0(x)
+
+    def f(x):
+        seen_f.append(float(x[0]))
+        return problem.f(x)
+
+    return dataclasses.replace(problem, f0=f0, f=f), seen_f0, seen_f
+
+
+def _trial_values(problem, ev, d, t, shift, slope, c, fc0, rate):
+    """The trial ev.x + t d under the three tests of a search, evaluated on
+    fresh counters and never screened: its values when it passes the
+    constraint bound, the satisfied count and the merit decrease, else
+    None."""
+    counters = model.EvalCounters()
+    trial = model.point_values(problem, ev.x + t * d, counters)
+    if (trial.phi > max(0.0, ev.phi - engine.ALPHA * t * shift)
+            or trial.n_satisfied < ev.n_satisfied):
+        return None
+    trial = model.with_objective(problem, trial, counters)
+    if model.penalty_value(trial, c) > fc0 + engine.ALPHA * t * slope + rate * t:
+        return None
+    return trial
+
+
+def _reference_search(problem, ev, d, steps, shift, slope, c, fc0, rate):
+    """The paper's plain trial loop: each t of ``steps`` in turn, every one
+    evaluated (see ``_trial_values``); returns (t, trial values) at the
+    first that passes, or None."""
+    for t in steps:
+        trial = _trial_values(problem, ev, d, t, shift, slope, c, fc0, rate)
+        if trial is not None:
+            return t, trial
+    return None
+
+
 class TestArcSearch:
     def test_full_step_on_well_scaled_quadratic(self):
         prob = _quadratic([1.0, 1.0])
@@ -494,10 +537,11 @@ class TestArcSearch:
     @staticmethod
     def _count_cut_short_arcs(monkeypatch, runs):
         """Solve each (problem, x0) of ``runs`` while checking every arc the
-        engine rejects: the full loop over ARC_STEPS, rerun on fresh
-        counters, rejects it too, so cutting an arc short moves only the
-        evaluation counts.  Returns the count of arcs rejected after their
-        unit trial alone."""
+        engine rejects: the paper's full halving loop over ARC_STEPS, every
+        trial evaluated and none screened, rerun on fresh counters, rejects
+        it too, so cutting an arc short moves only the evaluation counts.
+        Returns the count of arcs rejected with their unit trial the only
+        one evaluated."""
         real_arc_search = engine.arc_search
         cut = 0
 
@@ -509,8 +553,8 @@ class TestArcSearch:
                                   counters)
             if hit is None:
                 cut += counters.nf - nf == problem.m  # one trial's constraint values
-                assert engine._search(problem, ev, d, engine.ARC_STEPS, shift, slope, c,
-                                      fc0, rate, model.EvalCounters()) is None
+                assert _reference_search(problem, ev, d, engine.ARC_STEPS, shift, slope, c,
+                                         fc0, rate) is None
             return hit
 
         monkeypatch.setattr(engine, "arc_search", checking)
@@ -592,25 +636,18 @@ class TestFeasibleDirectionSearch:
 class TestTrialOrder:
     """A search trial is tested on its constraint values first; the
     objective is evaluated only at a trial that passes both constraint
-    tests."""
-
-    @staticmethod
-    def _recording_f0(problem):
-        """The program with f0 wrapped to record every point it is called at."""
-        seen = []
-
-        def f0(x):
-            seen.append(float(x[0]))
-            return problem.f0(x)
-
-        return dataclasses.replace(problem, f0=f0), seen
+    tests, and a trial that the screen proves to fail a constraint test is
+    not evaluated at all."""
 
     def test_arc_search_skips_f0_on_trials_over_the_bound(self):
-        # From x = 0.5 along d = 4 the trials x = 4.5, 2.5, 1.5 break x <= 1;
-        # only the last trial, x = 1 at t = 1/8, reaches the objective.
-        prob, seen = self._recording_f0(_toy_problem())
+        # From x = 0.5 along d = 4 the trials x = 4.5, 2.5, 1.5 break x <= 1.
+        # The rows are linear, so once x = 4.5 is rejected the screen proves
+        # that x = 2.5 and 1.5 break it too, and skips them; only the last
+        # trial, x = 1 at t = 1/8, reaches the objective.
+        prob, seen, seen_f = _recording(_toy_problem())
         ev = _evaluate(prob, [0.5])
         seen.clear()
+        seen_f.clear()
         counters = model.EvalCounters()
         d = np.array([4.0])
         slope = float(ev.g0 @ d)
@@ -618,17 +655,19 @@ class TestTrialOrder:
                                      ev.f0, _rate(ev), counters)
         assert t == 0.125
         assert seen == [1.0]
+        assert seen_f == [4.5, 1.0]
         assert counters.nf0 == 1
-        assert counters.nf == 4 * prob.m
+        assert counters.nf == 2 * prob.m
         assert trial.f0 == prob.f0(trial.x)
 
     def test_feasible_direction_search_skips_f0_on_both_constraint_tests(self):
         # From x = 3 (violation 2, two satisfied rows) along dhat = -8:
         # x = -5 breaks the bound, x = -1 stays under it but loses a
-        # satisfied row, x = 1 fails the objective test and x = 2 passes.
-        # That needs the paper's rho = 2: a larger reward for shrinking the
-        # violation lets x = 1 pass.
-        prob, seen = self._recording_f0(model.NlpProblem(
+        # satisfied row (the screen proves so from x = -5 and skips it),
+        # x = 1 fails the objective test and x = 2 passes.  That needs the
+        # paper's rho = 2: a larger reward for shrinking the violation lets
+        # x = 1 pass.
+        prob, seen, seen_f = _recording(model.NlpProblem(
             n=1, m_ineq=3, m_eq=0,
             f0=lambda x: float((x[0] - 2.0) ** 2),
             f=lambda x: np.array([x[0] - 1.0, -x[0], -x[0] - 0.5]),
@@ -637,6 +676,7 @@ class TestTrialOrder:
         ))
         ev = _evaluate(prob, [3.0])
         seen.clear()
+        seen_f.clear()
         counters = model.EvalCounters()
         dhat = np.array([-8.0])
         t, trial = engine.feasible_direction_search(
@@ -644,9 +684,176 @@ class TestTrialOrder:
             _rate(ev, rho=2.0), counters)
         assert t == 0.125
         assert seen == [1.0, 2.0]
+        assert seen_f == [-5.0, 1.0, 2.0]
         assert counters.nf0 == 2
-        assert counters.nf == 4 * prob.m
+        assert counters.nf == 3 * prob.m
         assert trial.f0 == prob.f0(trial.x)
+
+
+class TestTrialScreen:
+    """Once a search trial is rejected, a shorter one is skipped, unevaluated,
+    when the tangent at 0 and the chord to the rejected trial prove that it
+    fails a constraint test (``engine._proven_to_fail``)."""
+
+    @staticmethod
+    def _one_row(row, drow, f0=lambda x: -x, df0=lambda x: -1.0):
+        """min f0(x) s.t. row(x) <= 0, from x = 0 where row is -1, with f
+        wrapped to record every point it is called at."""
+        prob, _, seen_f = _recording(model.NlpProblem(
+            n=1, m_ineq=1, m_eq=0,
+            f0=lambda x: float(f0(x[0])),
+            f=lambda x: np.array([row(x[0])]),
+            grad_f0=lambda x: np.array([df0(x[0])]),
+            grad_f=lambda x: np.array([[drow(x[0])]]),
+        ))
+        ev = _evaluate(prob, [0.0])
+        seen_f.clear()
+        return prob, ev, seen_f
+
+    @staticmethod
+    def _arc(prob, ev, d):
+        """The arc search along d, whose merit test passes at every t;
+        returns its result and the arguments of ``_trial_values`` but t."""
+        d = np.array([d])
+        slope = float(ev.g0 @ d)
+        shift, c, rate = _arc_shift(ev, d), 0.5, _rate(ev)
+        hit = engine.arc_search(prob, ev, d, shift, slope, slope, c, ev.f0, rate,
+                                model.EvalCounters())
+        return hit, (d, shift, slope, c, ev.f0, rate)
+
+    @pytest.mark.parametrize("d", [1.0, 4.0, 100.0, 1000.0])
+    def test_skip_is_exact_on_linear_rows(self, d):
+        # x <= 1 and x >= 0 from x = 0.5: after the rejected unit trial, the
+        # search evaluates only the trial it accepts, the first t with
+        # 0.5 + t d <= 1, and skips exactly the trials that break x <= 1.
+        prob, _, seen_f = _recording(_toy_problem())
+        prob = dataclasses.replace(prob, f0=lambda x: float(-x[0]),
+                                   grad_f0=lambda x: np.array([-1.0]))
+        ev = _evaluate(prob, [0.5])
+        seen_f.clear()
+        counters = model.EvalCounters()
+        dhat = np.array([d])
+        slope = float(ev.g0 @ dhat)
+        args = (dhat, 0.0, slope, 0.5, ev.f0, _rate(ev))
+        t, trial = engine.feasible_direction_search(prob, ev, *args, counters)
+        assert seen_f == [0.5 + d, 0.5 + t * d]
+        assert counters.nf == 2 * prob.m
+        assert t == 2.0 ** -math.ceil(math.log2(2.0 * d))
+        assert t == _reference_search(prob, ev, dhat, engine.FD_STEPS, *args[1:])[0]
+        for skipped in engine.FD_STEPS[1:engine.FD_STEPS.index(t)]:
+            assert _trial_values(prob, ev, *args[:1], skipped, *args[1:]) is None
+
+    @pytest.mark.parametrize("row, drow", [
+        (lambda x: x * x + 3.0 * x - 1.0, lambda x: 2.0 * x + 3.0),    # convex
+        (lambda x: -x * x + 4.0 * x - 1.0, lambda x: -2.0 * x + 4.0),  # concave
+    ], ids=["convex", "concave"])
+    def test_skip_holds_on_convex_and_concave_rows(self, row, drow):
+        # Both rows break the bound at t = 1 and 1/2 and hold at t = 1/4.
+        # The tangent (below a convex row) or the chord (below a concave
+        # one) is 1/2 at t = 1/2, so that trial is skipped.
+        prob, ev, seen_f = self._one_row(row, drow)
+        (t, trial), args = self._arc(prob, ev, 1.0)
+        assert t == 0.25
+        assert seen_f == [1.0, 0.25]
+        assert _trial_values(prob, ev, args[0], 0.5, *args[1:]) is None
+        assert _trial_values(prob, ev, args[0], 0.25, *args[1:]) is not None
+
+    def test_inflected_row_only_shortens_the_step(self):
+        # -1 + 4x - 16x^2 (1 - x) bends at x = 1/3: its tangent at 0 and its
+        # chord to x = 1 are both -1 + 4x, which is 1 at x = 1/2 while the
+        # row is -1 there.  The screen skips t = 1/2, a trial that passes
+        # every test, and the search accepts the shorter t = 1/4, which
+        # passes every test too.
+        prob, ev, seen_f = self._one_row(lambda x: -1.0 + 4.0 * x - 16.0 * x * x * (1.0 - x),
+                                         lambda x: 4.0 - 32.0 * x + 48.0 * x * x)
+        (t, trial), args = self._arc(prob, ev, 1.0)
+        assert t == 0.25
+        assert seen_f == [1.0, 0.25]
+        assert _trial_values(prob, ev, args[0], 0.5, *args[1:]) is not None
+        assert np.array_equal(_trial_values(prob, ev, args[0], t, *args[1:]).fI, trial.fI)
+
+    def test_inflected_row_before_failing_trials_rejects_the_arc_but_not_the_fd_step(self):
+        # The row above under f0 = x - 4x^2, searched with slope -1.8: the
+        # merit test reads x - 4x^2 <= -0.9 t, which t = 1/2 passes and every
+        # shorter trial fails.  The screen skips t = 1/2, so the arc search
+        # is rejected where the plain loop accepts t = 1/2, which hands the
+        # iteration to the feasible-direction branch.  That search, instead
+        # of stalling, evaluates the trial it skipped once every other has
+        # failed and returns the plain loop's step.
+        prob, ev, seen_f = self._one_row(lambda x: -1.0 + 4.0 * x - 16.0 * x * x * (1.0 - x),
+                                         lambda x: 4.0 - 32.0 * x + 48.0 * x * x,
+                                         lambda x: x - 4.0 * x * x, lambda x: 1.0 - 8.0 * x)
+        d = np.array([1.0])
+        args = (0.0, -1.8, 0.5, ev.f0, _rate(ev))
+        assert _reference_search(prob, ev, d, engine.ARC_STEPS, *args)[0] == 0.5
+        seen_f.clear()
+        assert engine.arc_search(prob, ev, d, args[0], args[1], args[1], *args[2:],
+                                 model.EvalCounters()) is None
+        assert seen_f == [1.0, 0.25, 0.125]
+        seen_f.clear()
+        counters = model.EvalCounters()
+        t, trial = engine.feasible_direction_search(prob, ev, d, *args, counters)
+        assert seen_f == [1.0, *engine.FD_STEPS[2:], 0.5]
+        assert counters.nf == len(engine.FD_STEPS)
+        ref_t, ref_trial = _reference_search(prob, ev, d, engine.FD_STEPS, *args)
+        assert (t, trial.f0) == (ref_t, ref_trial.f0) == (0.5, -0.5)
+        assert np.array_equal(trial.fI, ref_trial.fI)
+
+    RUNS = {
+        "corpus": lambda: [(entry.problem, x0)
+                           for entry in map(corpus.get_problem, corpus.list_problems())
+                           for x0 in (entry.x0_feasible, entry.x0_infeasible)
+                           if x0 is not None],
+        "convex": lambda: [workloads.convex_problem(seed, 20) for seed in range(3)],
+        "logit": lambda: [workloads.logit_problem(seed, samples=5000) for seed in range(4)],
+    }
+
+    # Trials skipped over each family's runs.  The tangents and chords prove
+    # none of logit-eq's rejected trials to fail, so its nf does not move.
+    SKIPPED = {"corpus": 13, "convex": 29, "logit": 0}
+
+    @pytest.mark.parametrize("family", sorted(RUNS))
+    def test_every_skipped_trial_fails_the_full_tests(self, monkeypatch, family):
+        # Every search of every run: each trial the screen skips, evaluated
+        # on fresh counters through the plain loop, is rejected, and the
+        # screened search returns the plain loop's step.
+        real_search = engine._search
+        real_values = model.point_values
+        skipped = 0
+
+        def checking(problem, ev, d, steps, shift, slope, c, fc0, rate, counters,
+                     recheck=False):
+            nonlocal skipped
+            evaluated = []
+
+            def recording(problem, x, counters):
+                evaluated.append(x)
+                return real_values(problem, x, counters)
+
+            monkeypatch.setattr(model, "point_values", recording)
+            try:
+                hit = real_search(problem, ev, d, steps, shift, slope, c, fc0, rate, counters,
+                                  recheck)
+            finally:
+                monkeypatch.setattr(model, "point_values", real_values)
+            args = (shift, slope, c, fc0, rate)
+            k = 0
+            for t in steps if hit is None else steps[:steps.index(hit[0]) + 1]:
+                if k < len(evaluated) and np.array_equal(evaluated[k], ev.x + t * d):
+                    k += 1
+                else:
+                    skipped += 1
+                    assert _trial_values(problem, ev, d, t, *args) is None
+            assert k == len(evaluated)
+            ref = _reference_search(problem, ev, d, steps, *args)
+            assert (ref is None) == (hit is None)
+            assert hit is None or ref[0] == hit[0]
+            return hit
+
+        monkeypatch.setattr(engine, "_search", checking)
+        for problem, x0 in self.RUNS[family]():
+            assert engine.solve(problem, x0).status is engine.SolveStatus.CONVERGED
+        assert skipped == self.SKIPPED[family]
 
 
 class TestCurvatureUpdate:
@@ -1159,8 +1366,8 @@ class TestFixedPoint:
     # (ni, nf0, nf) of each data seed under default options; seeds 0-2 are
     # the convex-n20 benchmark workload.  Like test_corpus.PINNED_RUNS, the
     # counts follow every rounding decision of the solver.
-    CONVERGED_COUNTS = {0: (20, 26, 2680), 1: (20, 26, 2560), 2: (20, 25, 2640),
-                        7: (24, 33, 3120)}
+    CONVERGED_COUNTS = {0: (20, 26, 2320), 1: (20, 26, 2200), 2: (20, 25, 2200),
+                        7: (24, 33, 2720)}
 
     @pytest.mark.parametrize("seed", sorted(CONVERGED_COUNTS))
     def test_every_seed_converges_under_the_roundoff_floor(self, seed):
