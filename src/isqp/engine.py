@@ -22,7 +22,7 @@ constraint bound, then the satisfied count); the objective is evaluated,
 and its decrease tested, only at a trial that passes both, so a trial
 rejected on its constraints costs no objective evaluation.  Once a trial
 is rejected, a shorter one that the tangent at the iterate and the chord
-to the rejected trial prove to fail a constraint test is skipped and
+to the rejected trial prove to break the violation bound is skipped and
 costs no evaluation at all (see ``_search``).  The proof is exact on
 linear rows and holds on rows convex or concave along the search.  On
 other rows it can skip a trial that would pass: the search may then
@@ -33,14 +33,16 @@ evaluates the trials it skipped, longest first, and so returns the plain
 loop's step.  A trial the tests reject is never accepted, since every
 trial evaluated runs all three tests.
 The arc search departs from the paper's plain halving of t down to
-EPSILON in one way: it always tries t = 1, but once that trial is
-rejected it hands the iteration to the feasible-direction branch at once
-when the penalized objective's slope along the arc exceeds the merit
-test's rate ALPHA * slope + rho (1 - ALPHA) phi**theta.  The merit test
-then fails for every short enough t, and the shorter trials would mostly
-pay an objective evaluation to fail it (see ``arc_search``).  The
-feasible-direction search keeps its plain backtracking: with a negative QP
-slope, its blend's certified slope, at most theta * slope + phi**theta,
+EPSILON in two ways.  The screen is one: a wrong skip on a bent row can
+reject an arc that the plain loop accepts, as said above.  The other: it
+always tries t = 1, but once that trial is rejected it hands the
+iteration to the feasible-direction branch at once when the penalized
+objective's slope along the arc exceeds the merit test's rate
+ALPHA * slope + rho (1 - ALPHA) phi**theta.  The merit test then fails
+for every short enough t, and the shorter trials would mostly pay an
+objective evaluation to fail it (see ``arc_search``).  The
+feasible-direction search has no such stop: with a negative QP slope,
+its blend's certified slope, at most theta * slope + phi**theta,
 never exceeds its own rate ALPHA * slope_hat + rho (1 - ALPHA) phi**theta,
 since rho > 1.
 Curvature is maintained by a BFGS update whose difference vector is bent
@@ -316,33 +318,25 @@ def compute_beta(a: float, b: float, phi: float) -> float:
 
 
 def _proven_to_fail(f: np.ndarray, gd: np.ndarray, t_last: float, f_last: np.ndarray,
-                    t: float, bound: float, n_satisfied: int) -> bool:
-    """Whether the trial at step t < t_last is bound to fail a constraint
-    test, read without evaluating it from the values f at the iterate, the
-    slopes gd = J'd and the values f_last at the trial t_last.
+                    t: float, bound: float) -> bool:
+    """Whether the trial at step t < t_last must break the violation bound,
+    read without evaluating it from the values f at the iterate, the slopes
+    gd = J'd and the values f_last at the trial t_last.
 
     Each row's tangent at 0 and its chord to t_last are lines through f.  On
-    a row that is convex or concave on [0, t_last] they bracket the row at
-    t: the one of smaller slope gives a lower bound ell, the other an upper
-    one (on a linear row both are the row).  Each test reads the roundoff
-    floor of ``model.point_values`` at the largest value the brackets
-    allow.  The violation bound fails when the largest ell exceeds the bound
-    and PHI_TOL * max(1, -min ell): the largest row then exceeds both, and
-    PHI_TOL times itself, so it is violated and phi is at least it.  The
-    satisfied count fails when the rows whose ell exceeds the whole floor,
-    whose top term reads the upper brackets, leave fewer than
-    ``n_satisfied`` rows; the upper brackets are formed only when the rows
-    over the floor's other terms already leave too few.
+    a row that is convex or concave on [0, t_last] the one of smaller slope
+    is a lower bound ell on the row at t (on a linear row both are the row).
+    The trial is proven to fail when the largest ell exceeds both the bound
+    and PHI_TOL * max(1, -min ell).  At t the largest row is at least the
+    largest ell and the smallest row at least the smallest ell, so the
+    largest row exceeds PHI_TOL times itself and PHI_TOL * max(1, -min f):
+    it lies over the roundoff floor of ``model.point_values``, so it is
+    violated, and phi, which is then that row, exceeds the bound.
     """
     chord = (f_last - f) / t_last
     low = f + t * np.minimum(gd, chord)
     base = model.PHI_TOL * max(1.0, -low.min(initial=0.0))
-    if low.max(initial=0.0) > max(bound, base):
-        return True
-    if f.size - int(np.count_nonzero(low > base)) >= n_satisfied:
-        return False
-    floor = max(base, model.PHI_TOL * (f + t * np.maximum(gd, chord)).max())
-    return f.size - int(np.count_nonzero(low > floor)) < n_satisfied
+    return low.max(initial=0.0) > max(bound, base)
 
 
 def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, steps,
@@ -362,8 +356,8 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     Once a trial is rejected, each shorter one is first screened by
     :func:`_proven_to_fail` against the last rejected trial's constraint
     values and the slopes J'd (one product per search, formed when the
-    first trial is screened), and skipped when the screen proves it fails
-    a constraint test: no callback runs and nf does not grow.  The proof
+    first trial is screened), and skipped when the screen proves it breaks
+    the violation bound: no callback runs and nf does not grow.  The proof
     holds on rows that are convex or concave between the iterate and the
     last trial, and exactly on linear ones.  On other rows it may skip a
     trial that would pass.  The search then accepts a shorter trial, or
@@ -377,7 +371,13 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     screen on its tangent would never fire: the arc search goes past its
     unit trial only when the merit's first-order slope passes the merit
     test (see ``arc_search``), and the feasible-direction search's blended
-    slope is certified to pass it.
+    slope is certified to pass it.  Nor is the satisfied count: proving
+    that a trial loses a satisfied row needs upper brackets on every row
+    and a second reading of the roundoff floor, and such a proof skipped
+    no trial on the 32 benchmark solves or the 40 planted runs of
+    ``tools/robustness_sweep.py``, where the bound skips 42 and 342, and
+    77 over its 1 920 corpus runs, where the bound skips 2 064; each of
+    those 77 costs one constraint evaluation and is rejected.
     """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
@@ -402,7 +402,7 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
         if last is not None:
             if gd is None:
                 gd = ev.gI.T @ d
-            if _proven_to_fail(ev.fI, gd, *last, t, bound, n_satisfied):
+            if _proven_to_fail(ev.fI, gd, *last, t, bound):
                 skipped.append((t, bound))
                 continue
         trial, passed = accepts(t, bound)
@@ -431,13 +431,13 @@ def arc_search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray,
     unit trial when ``arc_slope``, the penalized objective's slope along d
     (one dot product that ``step`` forms), exceeds the merit test's rate
     r = ALPHA * slope + rate.  The test reads merit(t) <= fc0 + r t, and to
-    first order merit(t) = fc0 + arc_slope t, so it fails for every short enough t; the halved trials would mostly
-    pay an objective evaluation to fail it.  The paper's global
-    convergence rests on the feasible-direction branch, which takes over
-    whenever the arc is rejected, and its local claim on the unit arc
-    being eventually accepted, and t = 1 is always tried; so both hold.
-    An arc whose merit curves down enough to pass at some t < 1 is no
-    longer found.
+    first order merit(t) = fc0 + arc_slope t, so it fails for every short
+    enough t; the halved trials would mostly pay an objective evaluation to
+    fail it.  The paper's global convergence rests on the
+    feasible-direction branch, which takes over whenever the arc is
+    rejected, and its local claim on the unit arc being eventually
+    accepted, and t = 1 is always tried; so both hold.  An arc whose merit
+    curves down enough to pass at some t < 1 is no longer found.
     """
     steps = ARC_STEPS[:1] if arc_slope > ALPHA * slope + rate else ARC_STEPS
     return _search(problem, ev, d, steps, shift, slope, c, fc0, rate, counters)

@@ -35,8 +35,9 @@ class EvalCounters:
 
     nf0 counts objective values, nf scalar constraint values (a full vector
     adds m), each once the callback contract accepts it.  A trial rejected on
-    its constraint values costs no objective evaluation.  Gradient calls are
-    not tallied; probing function values for finite differences is.
+    its constraint values costs no objective evaluation, and a trial that a
+    search skips costs no evaluation at all.  Gradient calls are not
+    tallied; probing function values for finite differences is.
     """
 
     nf0: int = 0

@@ -16,6 +16,7 @@ from isqp.errors import LineSearchStall, NumericalFailure, SingularMatrixError
 # The benchmark's problem families, from their one home (perfbench/, on
 # pytest's pythonpath).
 import workloads
+from test_planted import planted_problem
 
 
 def _toy_problem():
@@ -636,8 +637,8 @@ class TestFeasibleDirectionSearch:
 class TestTrialOrder:
     """A search trial is tested on its constraint values first; the
     objective is evaluated only at a trial that passes both constraint
-    tests, and a trial that the screen proves to fail a constraint test is
-    not evaluated at all."""
+    tests, and a trial that the screen proves to break the violation bound
+    is not evaluated at all."""
 
     def test_arc_search_skips_f0_on_trials_over_the_bound(self):
         # From x = 0.5 along d = 4 the trials x = 4.5, 2.5, 1.5 break x <= 1.
@@ -663,10 +664,11 @@ class TestTrialOrder:
     def test_feasible_direction_search_skips_f0_on_both_constraint_tests(self):
         # From x = 3 (violation 2, two satisfied rows) along dhat = -8:
         # x = -5 breaks the bound, x = -1 stays under it but loses a
-        # satisfied row (the screen proves so from x = -5 and skips it),
-        # x = 1 fails the objective test and x = 2 passes.  That needs the
-        # paper's rho = 2: a larger reward for shrinking the violation lets
-        # x = 1 pass.
+        # satisfied row, x = 1 fails the objective test and x = 2 passes.
+        # The screen tests only the bound, so x = -1 is evaluated and
+        # rejected on its constraint values, and neither it nor x = -5
+        # reaches the objective.  That needs the paper's rho = 2: a larger
+        # reward for shrinking the violation lets x = 1 pass.
         prob, seen, seen_f = _recording(model.NlpProblem(
             n=1, m_ineq=3, m_eq=0,
             f0=lambda x: float((x[0] - 2.0) ** 2),
@@ -684,16 +686,17 @@ class TestTrialOrder:
             _rate(ev, rho=2.0), counters)
         assert t == 0.125
         assert seen == [1.0, 2.0]
-        assert seen_f == [-5.0, 1.0, 2.0]
+        assert seen_f == [-5.0, -1.0, 1.0, 2.0]
         assert counters.nf0 == 2
-        assert counters.nf == 3 * prob.m
+        assert counters.nf == 4 * prob.m
         assert trial.f0 == prob.f0(trial.x)
 
 
 class TestTrialScreen:
     """Once a search trial is rejected, a shorter one is skipped, unevaluated,
     when the tangent at 0 and the chord to the rejected trial prove that it
-    fails a constraint test (``engine._proven_to_fail``)."""
+    breaks the violation bound (``engine._proven_to_fail``); the satisfied
+    count is not screened."""
 
     @staticmethod
     def _one_row(row, drow, f0=lambda x: -x, df0=lambda x: -1.0):
@@ -742,6 +745,29 @@ class TestTrialScreen:
         assert t == _reference_search(prob, ev, dhat, engine.FD_STEPS, *args[1:])[0]
         for skipped in engine.FD_STEPS[1:engine.FD_STEPS.index(t)]:
             assert _trial_values(prob, ev, *args[:1], skipped, *args[1:]) is None
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_skip_reads_the_roundoff_floor(self, scale):
+        # x <= 1 and scale * x >= 0 from x = 0.5 along d = 1 + PHI_TOL scale:
+        # at t = 1/2 the row x - 1 is PHI_TOL scale / 2, over the bound 0
+        # but under the roundoff floor PHI_TOL max(1, scale x), so the trial
+        # passes, and the screen, which reads the floor too, evaluates it.
+        prob, _, seen_f = _recording(model.NlpProblem(
+            n=1, m_ineq=2, m_eq=0,
+            f0=lambda x: float(-x[0]),
+            f=lambda x: np.array([x[0] - 1.0, -scale * x[0]]),
+            grad_f0=lambda x: np.array([-1.0]),
+            grad_f=lambda x: np.array([[1.0, -scale]]),
+        ))
+        ev = _evaluate(prob, [0.5])
+        seen_f.clear()
+        dhat = np.array([1.0 + model.PHI_TOL * scale])
+        t, trial = engine.feasible_direction_search(
+            prob, ev, dhat, 0.0, float(ev.g0 @ dhat), 0.5, ev.f0, _rate(ev),
+            model.EvalCounters())
+        assert t == 0.5
+        assert 0.0 < trial.fI[0] <= model.PHI_TOL * scale and trial.phi == 0.0
+        assert seen_f == [0.5 + dhat[0], trial.x[0]]
 
     @pytest.mark.parametrize("row, drow", [
         (lambda x: x * x + 3.0 * x - 1.0, lambda x: 2.0 * x + 3.0),    # convex
@@ -806,11 +832,15 @@ class TestTrialScreen:
                            if x0 is not None],
         "convex": lambda: [workloads.convex_problem(seed, 20) for seed in range(3)],
         "logit": lambda: [workloads.logit_problem(seed, samples=5000) for seed in range(4)],
+        "planted": lambda: [planted_problem(seed, m_eq=m_eq)[:2]
+                            for seed in range(5) for m_eq in (0, 2)],
     }
 
     # Trials skipped over each family's runs.  The tangents and chords prove
     # none of logit-eq's rejected trials to fail, so its nf does not move.
-    SKIPPED = {"corpus": 13, "convex": 29, "logit": 0}
+    # The planted runs bring weakly active rows and the equality path; their
+    # rows are convex quadratics, on which every skip is proven.
+    SKIPPED = {"corpus": 13, "convex": 29, "logit": 0, "planted": 68}
 
     @pytest.mark.parametrize("family", sorted(RUNS))
     def test_every_skipped_trial_fails_the_full_tests(self, monkeypatch, family):

@@ -1,9 +1,10 @@
 """Smoke test of the robustness sweep (tools/robustness_sweep.py) on two
-problems, run as a script, its usage errors, the pinned degenerate exits
-of its seed 0 on HS024, HS031, HS033 and HS037, and runs that each QP stop
-test decides."""
+problems, run as a script, with the format of its last line, its usage
+errors, the pinned degenerate exits of its seed 0 on HS024, HS031, HS033
+and HS037, and runs that each QP stop test decides."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -23,6 +24,7 @@ def _run(*args, check=True):
 
 def test_tiny_slice_prints_counts_per_problem_seed_and_family():
     lines = _run("--problems", "HS035,HS012").stdout.splitlines()
+    assert re.fullmatch("iterates [0-9a-f]{64}", lines.pop())
     assert lines == [
         "HS012         120 converged=120",
         "HS035         120 converged=120",

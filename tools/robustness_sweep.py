@@ -16,17 +16,23 @@ Each line gives a problem, its run count and the count of each status;
 the ``degenerate`` runs are then listed with seed, draw, iteration and
 message.  The planted family runs its seeds 0 .. ``PLANTED``-1 (0 to 19)
 with 0 and 2 equality rows, each from its own start, whatever
-``--problems`` keeps.  A repeated name or a name not in the corpus is a
+``--problems`` keeps.  The last line, ``iterates <sha256>``, hashes the
+third hash of ``tools/fingerprint_runs.py`` of every run, corpus runs in
+sweep order and then the planted ones: it leaves out the evaluation
+counts nf0 and nf, so a change that moves only how many trials are
+evaluated keeps it.  A repeated name or a name not in the corpus is a
 usage error (exit 2) raised before anything is solved.
 """
 
 import _common  # first: it pins BLAS before numpy loads and sets the import paths
 
+import hashlib
 import sys
 from collections import Counter
 
 import numpy as np
 
+from fingerprint_runs import fingerprint
 from isqp import corpus, engine
 from test_planted import planted_problem
 
@@ -59,12 +65,14 @@ def main(argv=None) -> int:
     per_problem = {name: Counter() for name in names}
     per_seed = {}
     failures = []
+    digest = hashlib.sha256()
     for seed in SEEDS:
         per_seed[seed] = Counter()
         for name, draw, x0 in starts(seed):
             if name not in per_problem:
                 continue
             report = engine.solve(corpus.get_problem(name).problem, x0)
+            digest.update(fingerprint(report, with_counts=False).encode())
             status = report.status.value
             per_problem[name][status] += 1
             per_seed[seed][status] += 1
@@ -82,8 +90,11 @@ def main(argv=None) -> int:
         statuses = Counter()
         for seed in range(PLANTED):
             problem, x0, _, _ = planted_problem(seed, m_eq=m_eq)
-            statuses[engine.solve(problem, x0).status.value] += 1
+            report = engine.solve(problem, x0)
+            digest.update(fingerprint(report, with_counts=False).encode())
+            statuses[report.status.value] += 1
         print(_line(f"planted-e{m_eq}", statuses))
+    print(f"iterates {digest.hexdigest()}")
     return 0
 
 
