@@ -28,11 +28,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve benchmark problems and emit a result table")
     run.add_argument("--problem", default="all",
                      help="problem name, comma-separated names, or 'all' (default)")
-    run.add_argument("--start", choices=("a", "b", "both"), default=None,
-                     help="feasible (a), infeasible (b), or both starts (default both)")
-    run.add_argument("--x0", default=None,
-                     help="comma-separated custom start (single problem only; "
-                          "excludes --start)")
+    starts = run.add_mutually_exclusive_group()
+    starts.add_argument("--start", choices=("a", "b", "both"), default=None,
+                        help="feasible (a), infeasible (b), or both starts (default both)")
+    starts.add_argument("--x0", default=None,
+                        help="comma-separated custom start (single problem only)")
     defaults = engine.SolverOptions()
     for key in _OPTION_KEYS:
         default = getattr(defaults, key)
@@ -107,8 +107,6 @@ def _cmd_run(args) -> int:
     if args.x0 is not None:
         if len(names) != 1:
             raise SolverError("--x0 requires exactly one --problem")
-        if args.start is not None:
-            raise SolverError("--start cannot be combined with --x0")
         try:
             x0 = np.array([float(v) for v in args.x0.split(",")], dtype=float)
         except ValueError as exc:

@@ -101,7 +101,6 @@ from .errors import (
     LineSearchStall,
     NotPositiveDefiniteError,
     NumericalFailure,
-    SingularMatrixError,
 )
 
 # Slack used by runtime certificate assertions.
@@ -278,12 +277,12 @@ def factor_shared(H: np.ndarray, N: np.ndarray, q: np.ndarray, y: np.ndarray,
 
     With H positive definite, S = N'Y + diag(q) is positive definite exactly
     when Gamma is nonsingular, so the Cholesky pivot floor on S is the
-    singularity test; a failure raises SingularMatrixError.
+    singularity test; a failure raises NumericalFailure.
     """
     try:
         low = linalg.cholesky(ny + np.diag(q))
     except NotPositiveDefiniteError as exc:
-        raise SingularMatrixError(f"shared coefficient matrix is singular: {exc}") from exc
+        raise NumericalFailure(f"shared coefficient matrix is singular: {exc}") from exc
     return SharedFactor(H=H, N=N, q=q, y=y, low=low)
 
 
@@ -373,11 +372,8 @@ def _search(problem: model.NlpProblem, ev: model.Evaluation, d: np.ndarray, step
     test (see ``arc_search``), and the feasible-direction search's blended
     slope is certified to pass it.  Nor is the satisfied count: proving
     that a trial loses a satisfied row needs upper brackets on every row
-    and a second reading of the roundoff floor, and such a proof skipped
-    no trial on the 32 benchmark solves or the 40 planted runs of
-    ``tools/robustness_sweep.py``, where the bound skips 42 and 342, and
-    77 over its 1 920 corpus runs, where the bound skips 2 064; each of
-    those 77 costs one constraint evaluation and is rejected.
+    and a second reading of the roundoff floor, and such a proof almost
+    never skips a trial that the bound does not.
     """
     phi = ev.phi
     n_satisfied = ev.n_satisfied
@@ -672,7 +668,8 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     any NumericalFailure as ``degenerate``, a LineSearchStall as
     ``line_search_stall``, an EvaluationFailure as ``evaluation_failure``,
     with the exception's text as ``message``.  Per-problem failures never
-    raise.
+    raise; a start whose size is not ``problem.n`` raises ValueError
+    before any callback runs.
     ``fv`` and ``phi_final`` are those of the last iterate reached, x0
     itself for a run that stops in its first iteration; they are nan and
     inf only when the evaluation at x0 fails.  Once an iteration has
@@ -682,7 +679,10 @@ def solve(problem: model.NlpProblem, x0, options: Optional[SolverOptions] = None
     iteration reports inf and no multipliers.
     """
     options = options if options is not None else SolverOptions()
-    x0 = np.array(x0, dtype=float).reshape(problem.n)  # copied: report.x never aliases it
+    x0 = np.array(x0, dtype=float)  # copied: report.x never aliases it
+    if x0.size != problem.n:
+        raise ValueError(f"x0 has {x0.size} components; the problem has n = {problem.n}")
+    x0 = x0.reshape(problem.n)
     counters = model.EvalCounters()
     state = IterateState(
         H=np.eye(problem.n), low=np.eye(problem.n), c=C_INIT, counters=counters,

@@ -2,11 +2,13 @@
 
 Matrices are plain 2-D ``numpy.ndarray`` objects.  The systems solved here
 are small (tens to a few hundred unknowns) and the factorizations keep
-strict error contracts: Cholesky reports a pivot at or below an explicit
-pivot floor, which doubles as the positive-definiteness test for curvature
-matrices and, on the Schur complement of the engine's shared matrix, as
-its singularity test.  LU with partial pivoting keeps the same pivot
-floor; it is the package's general square solver, and no solver path
+strict error contracts: Cholesky raises NotPositiveDefiniteError on a
+pivot at or below an explicit pivot floor, which doubles as the
+positive-definiteness test for curvature matrices and, on the Schur
+complement of the engine's shared matrix, as its singularity test.  LU
+with partial pivoting keeps the same pivot floor and raises plain
+NumericalFailure on it, since no caller reads it apart from other
+failures; it is the package's general square solver, and no solver path
 calls it.  ``cholesky`` reads only the lower triangle of its input, as
 LAPACK's potrf does: it never checks symmetry, because every caller builds
 an exactly symmetric matrix; the upper triangle enters only the row-sum
@@ -48,7 +50,7 @@ import math
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError, NumericalFailure, SingularMatrixError
+from .errors import NotPositiveDefiniteError, NumericalFailure
 
 # Pivot floor for both factorizations, relative to the row-sum norm.
 PIVOT_FLOOR = 1e-14
@@ -77,7 +79,7 @@ def check_residual(ax: np.ndarray, b: np.ndarray) -> float:
 class LuFactorization:
     """LU factors of a square matrix with partial pivoting.
 
-    Raises SingularMatrixError at construction when any pivot magnitude
+    Raises NumericalFailure at construction when any pivot magnitude
     falls below PIVOT_FLOOR times the row-sum norm of the input.
     """
 
@@ -86,14 +88,14 @@ class LuFactorization:
         n = a.shape[0]
         norm = np.max(np.sum(np.abs(a), axis=1), initial=0.0)
         if n > 0 and norm == 0.0:
-            raise SingularMatrixError("zero matrix")
+            raise NumericalFailure("zero matrix")
         floor = PIVOT_FLOOR * norm
         lu = a.copy()
         order = np.arange(n)
         for k in range(n):
             p = k + int(np.argmax(np.abs(lu[k:, k])))
             if not abs(lu[p, k]) >= floor:
-                raise SingularMatrixError(
+                raise NumericalFailure(
                     f"pivot {lu[p, k]:.3e} below floor {floor:.3e} at column {k}"
                 )
             lu[[k, p]] = lu[[p, k]]

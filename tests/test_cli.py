@@ -106,10 +106,10 @@ class TestRunCommand:
     @pytest.mark.parametrize("start", ["a", "b", "both"])
     def test_custom_start_excludes_start_flag(self, capsys, start):
         # --x0 replaces the problem's starts, so a --start beside it would
-        # be ignored; it is refused instead.
+        # be ignored; argparse refuses it instead.
         assert _run(["run", "--problem", "HS035", "--x0", "1,1,1", "--start", start]) == 2
         captured = capsys.readouterr()
-        assert "--start cannot be combined with --x0" in captured.err
+        assert "argument --start: not allowed with argument --x0" in captured.err
         assert captured.out == ""
 
     def test_custom_start_needs_single_problem(self, capsys):

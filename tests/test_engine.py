@@ -2,16 +2,18 @@
 step searches, the curvature update, and end-to-end solves on synthetic
 problems."""
 
+import ast
 import dataclasses
 import itertools
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isqp import cli, corpus, engine, errors, linalg, model, qp
-from isqp.errors import LineSearchStall, NumericalFailure, SingularMatrixError
+from isqp.errors import LineSearchStall, NumericalFailure
 
 # The benchmark's problem families, from their one home (perfbench/, on
 # pytest's pythonpath).
@@ -316,7 +318,7 @@ class TestSharedMatrix:
     def test_singular_matrix_raises(self):
         # Two equal columns of N on pinned rows (q = 0): Gamma is singular.
         N = np.array([[1.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(SingularMatrixError, match="shared coefficient matrix"):
+        with pytest.raises(NumericalFailure, match="shared coefficient matrix"):
             _shared_factor(np.eye(2), N, np.zeros(2))
 
     def test_singular_matrix_ends_the_run_degenerate(self):
@@ -1282,6 +1284,28 @@ class TestSolveSynthetic:
         assert report.ni == 0
         assert report.message == "correction shift overflows at |d0| 9.899e+150"
 
+    @pytest.mark.parametrize("x0", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0], [1.0]]],
+                             ids=["short", "long", "column"])
+    def test_start_of_the_wrong_size_raises_before_any_callback(self, x0):
+        def untouchable(x):
+            raise AssertionError("callback ran")
+
+        problem = dataclasses.replace(corpus.get_problem("HS035").problem, f0=untouchable,
+                                      f=untouchable, grad_f0=untouchable, grad_f=untouchable)
+        size = np.size(x0)
+        with pytest.raises(ValueError,
+                           match=rf"^x0 has {size} components; the problem has n = 3$"):
+            engine.solve(problem, x0)
+
+    def test_row_start_is_the_flat_start(self):
+        problem = corpus.get_problem("HS035").problem
+        flat = engine.solve(problem, [0.5, 0.5, 0.5])
+        row = engine.solve(problem, [[0.5, 0.5, 0.5]])
+        assert row.x.shape == (3,)
+        assert (row.status, row.ni, row.fv, row.message) == (
+            flat.status, flat.ni, flat.fv, flat.message)
+        assert row.x.tobytes() == flat.x.tobytes()
+
     def test_overflow_raised_by_a_callback_propagates(self):
         def f0(x):
             raise OverflowError("from the callback")
@@ -1612,7 +1636,7 @@ class TestFailureResiduals:
 
     @pytest.mark.parametrize("k", [0, 2])
     @pytest.mark.parametrize("error", [
-        errors.SingularMatrixError, errors.NotPositiveDefiniteError, errors.NumericalFailure,
+        errors.NotPositiveDefiniteError, errors.NumericalFailure,
     ], ids=lambda cls: cls.__name__)
     def test_degenerate(self, monkeypatch, error, k):
         # Every NumericalFailure ends the run degenerate, through one handler.
@@ -1638,10 +1662,23 @@ class TestFailureResiduals:
     def test_only_the_kernel_contracts_subclass_numerical_failure(self):
         # Every other degenerate exit raises NumericalFailure itself, and its
         # message names the cause; a subclass earns its place by a handler
-        # that catches it by name.
-        assert set(errors.NumericalFailure.__subclasses__()) == {
-            errors.NotPositiveDefiniteError, errors.SingularMatrixError,
-        }
+        # that catches it by name, in an except clause of the package.
+        caught = set()
+        for path in Path(errors.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    names = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                    caught.update(ast.unparse(name).rpartition(".")[2] for name in names)
+        pending = list(errors.NumericalFailure.__subclasses__())
+        subclasses = set()
+        while pending:
+            cls = pending.pop()
+            if cls.__module__.partition(".")[0] == "isqp":
+                subclasses.add(cls)
+            pending.extend(cls.__subclasses__())
+        assert errors.NotPositiveDefiniteError in subclasses
+        unread = {cls.__name__ for cls in subclasses} - caught
+        assert not unread
 
     def test_only_the_run_outcomes_subclass_solver_error(self):
         # An input error raises SolverError itself: cli.main's one handler

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from isqp import linalg
-from isqp.errors import NotPositiveDefiniteError, NumericalFailure, SingularMatrixError
+from isqp.errors import NotPositiveDefiniteError, NumericalFailure
 
 
 class TestLuSolve:
@@ -57,15 +57,15 @@ class TestLuSolve:
 
     def test_singular_matrix_raises(self):
         a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NumericalFailure, match=r"^pivot \S+ below floor \S+ at column 1$"):
             linalg.lu_factor(a).solve(np.array([1.0, 1.0]))
 
     def test_zero_matrix_raises(self):
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(NumericalFailure, match="^zero matrix$"):
             linalg.lu_factor(np.zeros((2, 2))).solve(np.array([1.0, 1.0]))
 
     def test_nan_pivot_raises(self):
-        with pytest.raises(SingularMatrixError, match="pivot nan below floor nan at column 0"):
+        with pytest.raises(NumericalFailure, match="pivot nan below floor nan at column 0"):
             linalg.lu_factor(np.array([[np.nan]]))
 
     def test_non_square_rejected(self):
